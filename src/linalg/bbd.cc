@@ -16,30 +16,25 @@ util::Status BbdBlockFactors::Factor(const Matrix& a_ii, const Matrix& a_ib,
 
   CMLDFT_RETURN_IF_ERROR(lu_.Factor(a_ii));
 
-  // W = A_II^{-1} A_IB, column by column through the blocked substitution
-  // (each column bit-identical to a scalar Solve).
-  std::vector<Vector> cols(nb, Vector(ni));
+  // W = A_II^{-1} A_IB, column by column (each column bit-identical to a
+  // scalar Solve).
+  w_.Reset(ni, nb);
+  column_.resize(ni);
   for (size_t c = 0; c < nb; ++c) {
-    for (size_t r = 0; r < ni; ++r) cols[c][r] = a_ib(r, c);
-  }
-  auto solved = lu_.SolveMulti(cols);
-  if (!solved.ok()) return solved.status();
-  w_ = Matrix(ni, nb);
-  for (size_t c = 0; c < nb; ++c) {
-    for (size_t r = 0; r < ni; ++r) w_(r, c) = (*solved)[c][r];
+    for (size_t r = 0; r < ni; ++r) column_[r] = a_ib(r, c);
+    CMLDFT_RETURN_IF_ERROR(lu_.SolveInto(column_, &solved_));
+    for (size_t r = 0; r < ni; ++r) w_(r, c) = solved_[r];
   }
 
   a_bi_ = a_bi;
-  schur_ = a_bi_.Multiply(w_);
+  a_bi_.MultiplyInto(w_, &schur_);
   return util::Status::Ok();
 }
 
 util::Status BbdBlockFactors::ReduceRhs(const Vector& b_i, Vector* y,
                                         Vector* c) const {
   assert(b_i.size() == ni());
-  auto solved = lu_.Solve(b_i);
-  if (!solved.ok()) return solved.status();
-  *y = std::move(*solved);
+  CMLDFT_RETURN_IF_ERROR(lu_.SolveInto(b_i, y));
   a_bi_.MultiplyInto(*y, c);
   return util::Status::Ok();
 }

@@ -28,10 +28,13 @@ class BbdBlockFactors {
   /// Factor the internal block and form the Schur pieces. `a_ii` is
   /// ni x ni, `a_ib` ni x nb, `a_bi` nb x ni. SingularMatrix when the
   /// internal block has no stable pivot (the caller falls back to flat).
+  /// Works in this object's storage: refactoring a block of the same
+  /// shape allocates nothing.
   util::Status Factor(const Matrix& a_ii, const Matrix& a_ib,
                       const Matrix& a_bi);
 
-  /// y = A_II^{-1} b_I and the border rhs contribution c = A_BI y.
+  /// y = A_II^{-1} b_I and the border rhs contribution c = A_BI y, into
+  /// caller storage (resized; no allocation once it has the capacity).
   util::Status ReduceRhs(const Vector& b_i, Vector* y, Vector* c) const;
 
   /// x_I = y - W x_B_local, where x_B_local holds the solved border
@@ -52,6 +55,8 @@ class BbdBlockFactors {
   Matrix w_;            // ni x nb
   Matrix schur_;        // nb x nb
   Matrix a_bi_;         // nb x ni (kept for ReduceRhs)
+  Vector column_;       // Factor scratch: one column of A_IB ...
+  Vector solved_;       // ... and A_II^{-1} times it
 };
 
 }  // namespace cmldft::linalg

@@ -77,6 +77,14 @@ util::Status LuFactorizationT<T>::Factor(const MatrixT<T>& a) {
 template <typename T>
 util::StatusOr<std::vector<T>> LuFactorizationT<T>::Solve(
     const std::vector<T>& b) const {
+  std::vector<T> x;
+  CMLDFT_RETURN_IF_ERROR(SolveInto(b, &x));
+  return x;
+}
+
+template <typename T>
+util::Status LuFactorizationT<T>::SolveInto(const std::vector<T>& b,
+                                            std::vector<T>* out) const {
   if (!factored_) {
     return util::Status::FailedPrecondition("Solve called before Factor");
   }
@@ -85,7 +93,8 @@ util::StatusOr<std::vector<T>> LuFactorizationT<T>::Solve(
     return util::Status::InvalidArgument("rhs dimension mismatch");
   }
   // Apply permutation, then forward/back substitution.
-  std::vector<T> x(n);
+  std::vector<T>& x = *out;
+  x.resize(n);
   for (size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
   for (size_t i = 1; i < n; ++i) {
     T acc = x[i];
@@ -97,7 +106,7 @@ util::StatusOr<std::vector<T>> LuFactorizationT<T>::Solve(
     for (size_t j = i + 1; j < n; ++j) acc -= lu_(i, j) * x[j];
     x[i] = acc / lu_(i, i);
   }
-  return x;
+  return util::Status::Ok();
 }
 
 template <typename T>

@@ -24,6 +24,10 @@ class LuFactorizationT {
   /// Solve A x = b using the stored factors. O(n^2).
   util::StatusOr<std::vector<T>> Solve(const std::vector<T>& b) const;
 
+  /// Solve() into caller storage: `x` is resized to the dimension and,
+  /// once it has the capacity, never reallocated. `x` must not alias `b`.
+  util::Status SolveInto(const std::vector<T>& b, std::vector<T>* x) const;
+
   /// Solve A X = B for several right-hand sides against one factorization
   /// in a single blocked substitution pass. Column j of the result is
   /// bit-identical to Solve(b[j]): the per-column operation order is

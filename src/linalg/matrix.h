@@ -45,6 +45,14 @@ class MatrixT {
   /// Set every entry to `value`.
   void Fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
+  /// Reshape to rows x cols with every entry T{}, keeping the storage's
+  /// capacity (no allocation unless the matrix grows past it).
+  void Reset(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, T{});
+  }
+
   /// this += other (same shape required).
   void Add(const MatrixT& other) {
     assert(rows_ == other.rows_ && cols_ == other.cols_);
@@ -79,16 +87,25 @@ class MatrixT {
 
   /// Matrix-matrix product.
   MatrixT Multiply(const MatrixT& other) const {
+    MatrixT out;
+    MultiplyInto(other, &out);
+    return out;
+  }
+
+  /// out = A B into a caller-owned matrix (bit-identical to Multiply();
+  /// see Reset() for when it allocates).
+  void MultiplyInto(const MatrixT& other, MatrixT* out) const {
     assert(cols_ == other.rows_);
-    MatrixT out(rows_, other.cols_);
+    out->Reset(rows_, other.cols_);
     for (size_t r = 0; r < rows_; ++r) {
       for (size_t k = 0; k < cols_; ++k) {
         const T a = (*this)(r, k);
         if (a == T{}) continue;
-        for (size_t c = 0; c < other.cols_; ++c) out(r, c) += a * other(k, c);
+        for (size_t c = 0; c < other.cols_; ++c) {
+          (*out)(r, c) += a * other(k, c);
+        }
       }
     }
-    return out;
   }
 
   /// Largest |entry|.

@@ -1,6 +1,7 @@
 #include "sim/hier.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +25,16 @@ struct HierMetrics {
       util::telemetry::GetCounter("sim.hier.schur_factor_shares");
   util::telemetry::Counter cell_refactors =
       util::telemetry::GetCounter("sim.hier.cell_refactors");
+  // Phase walls of AssembleAndSolve: P1 + S1, P2 + P3, S2 + border solve,
+  // P4 (see sim/hier.h).
+  util::telemetry::Timer assemble_wall =
+      util::telemetry::GetTimer("sim.hier.assemble_wall");
+  util::telemetry::Timer factor_wall =
+      util::telemetry::GetTimer("sim.hier.factor_wall");
+  util::telemetry::Timer border_wall =
+      util::telemetry::GetTimer("sim.hier.border_wall");
+  util::telemetry::Timer backsub_wall =
+      util::telemetry::GetTimer("sim.hier.backsub_wall");
 };
 
 const HierMetrics& Metrics() {
@@ -78,12 +89,58 @@ class HierContextBase : public netlist::StampContext {
   const linalg::Vector* iterate_;
 };
 
+/// One block entry's share-key word. quantum == 0 keys on the raw bits.
+/// Otherwise the entry keys on round(v / quantum) — unless that quotient
+/// is non-finite or outside the int64 range, where rounding is undefined;
+/// such entries key on their raw bits, tagged so that they never equal a
+/// rounded word.
+struct KeyWord {
+  uint64_t bits;
+  bool raw;
+  bool operator==(const KeyWord&) const = default;
+};
+
+KeyWord KeyOf(double v, double quantum) {
+  if (quantum > 0.0) {
+    const double q = v / quantum;
+    if (q >= -0x1p63 && q < 0x1p63) {  // false for NaN
+      return {static_cast<uint64_t>(std::llround(q)), false};
+    }
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return {bits, true};
+}
+
+/// Word-at-a-time 64-bit hash (the xxHash64 round and avalanche); every
+/// cell hashes its blocks on every solve, so util::ContentHasher's
+/// byte-at-a-time FNV would cost several times more.
+class KeyHasher {
+ public:
+  void Add(uint64_t word) {
+    h_ = std::rotl(h_ + word * kPrime2, 31) * kPrime1;
+  }
+  uint64_t Digest() const {
+    uint64_t h = h_ ^ (h_ >> 33);
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    return h ^ (h >> 32);
+  }
+
+ private:
+  static constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+  static constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+  static constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+  uint64_t h_ = kPrime3;
+};
+
 }  // namespace
 
-/// Routes one cell's stamps into its dense local block: rows/columns are
-/// the cell's combined local ids (internals first, touched border after).
-/// Any unknown a cell device stamps is in the cell's local map by
-/// construction of the partition.
+/// Routes one cell's stamps straight into its four blocks: local ids are
+/// internals first ([0, ni)), touched border after ([ni, ni + nb)). Any
+/// unknown a cell device stamps is internal to that cell or on its
+/// touched border, by construction of the partition.
 class HierSolver::CellStampContext : public HierContextBase {
  public:
   CellStampContext(HierSolver* solver, Cell* cell,
@@ -119,20 +176,46 @@ class HierSolver::CellStampContext : public HierContextBase {
   }
 
  private:
-  int LocalOf(int unknown) const {
-    auto it = cell_->local_of.find(unknown);
-    assert(it != cell_->local_of.end() &&
+  size_t LocalOf(int unknown) const {
+    const int l = solver_->local_of_[static_cast<size_t>(unknown)];
+    if (l >= 0) {
+      assert(static_cast<size_t>(l) < cell_->internal.size() &&
+             cell_->internal[static_cast<size_t>(l)] == unknown &&
+             "cell device stamped another cell's internal unknown");
+      return static_cast<size_t>(l);
+    }
+    const auto it = std::lower_bound(cell_->border.begin(),
+                                     cell_->border.end(), unknown);
+    assert(it != cell_->border.end() && *it == unknown &&
            "cell device stamped an unknown outside its partition");
-    return it->second;
+    return cell_->internal.size() +
+           static_cast<size_t>(it - cell_->border.begin());
   }
   void Mat(int r, int c, double v) {
     if (r < 0 || c < 0) return;  // ground
-    cell_->local(static_cast<size_t>(LocalOf(r)),
-                 static_cast<size_t>(LocalOf(c))) += v;
+    const size_t ni = cell_->internal.size();
+    const size_t lr = LocalOf(r), lc = LocalOf(c);
+    if (lr < ni) {
+      if (lc < ni) {
+        cell_->a_ii(lr, lc) += v;
+      } else {
+        cell_->a_ib(lr, lc - ni) += v;
+      }
+    } else if (lc < ni) {
+      cell_->a_bi(lr - ni, lc) += v;
+    } else {
+      cell_->a_bb(lr - ni, lc - ni) += v;
+    }
   }
   void Rhs(int r, double v) {
     if (r < 0) return;
-    cell_->rhs[static_cast<size_t>(LocalOf(r))] += v;
+    const size_t ni = cell_->internal.size();
+    const size_t lr = LocalOf(r);
+    if (lr < ni) {
+      cell_->rhs_i[lr] += v;
+    } else {
+      cell_->rhs_b[lr - ni] += v;
+    }
   }
 
   Cell* cell_;
@@ -222,10 +305,13 @@ void HierSolver::BuildPartition() {
   // Defect injection may have removed members (shorted resistors) — skip
   // missing names; a device claimed twice stays with its first cell.
   std::vector<int> cell_of_device(static_cast<size_t>(num_devices), -1);
+  std::vector<std::string> types;
   for (const netlist::CellInstance& inst : nl.cell_instances()) {
     Cell cell;
     cell.name = inst.name;
-    cell.type = inst.type;
+    cell.type = static_cast<int>(
+        std::find(types.begin(), types.end(), inst.type) - types.begin());
+    if (cell.type == static_cast<int>(types.size())) types.push_back(inst.type);
     for (const std::string& dev_name : inst.devices) {
       const netlist::Device* dev = nl.FindDevice(dev_name);
       if (dev == nullptr) continue;
@@ -340,8 +426,9 @@ void HierSolver::BuildPartition() {
     }
   }
 
-  // Per-cell local maps and scratch. Touched border = every border
-  // unknown any member device stamps.
+  // Per-cell index and scratch. Touched border = every border unknown
+  // any member device stamps.
+  local_of_.assign(static_cast<size_t>(num_unknowns), -1);
   for (Cell& cell : cells_) {
     for (int ordinal : cell.device_ordinals) {
       const netlist::Device& dev = nl.device(ordinal);
@@ -361,16 +448,14 @@ void HierSolver::BuildPartition() {
     const size_t ni = cell.internal.size();
     const size_t nb = cell.border.size();
     for (size_t i = 0; i < ni; ++i) {
-      cell.local_of[cell.internal[i]] = static_cast<int>(i);
+      local_of_[static_cast<size_t>(cell.internal[i])] = static_cast<int>(i);
     }
-    for (size_t j = 0; j < nb; ++j) {
-      cell.local_of[cell.border[j]] = static_cast<int>(ni + j);
-    }
-    cell.local = linalg::Matrix(ni + nb, ni + nb);
-    cell.rhs.assign(ni + nb, 0.0);
     cell.a_ii = linalg::Matrix(ni, ni);
     cell.a_ib = linalg::Matrix(ni, nb);
     cell.a_bi = linalg::Matrix(nb, ni);
+    cell.a_bb = linalg::Matrix(nb, nb);
+    cell.rhs_i.assign(ni, 0.0);
+    cell.rhs_b.assign(nb, 0.0);
   }
 
   usable_ = !cells_.empty();
@@ -386,40 +471,121 @@ void HierSolver::BuildPartition() {
         linalg::Matrix(border_unknowns_.size(), border_unknowns_.size());
   }
   border_rhs_.assign(border_unknowns_.size(), 0.0);
+  CompileBorderSlots();
+
+  // Share tables at load factor <= 1/4: a solve inserts at most one entry
+  // per cell. The pool holds at most two solves' worth of entries.
+  size_t capacity = 1;
+  while (capacity < 4 * cells_.size()) capacity <<= 1;
+  cur_table_.assign(capacity, -1);
+  prev_table_.assign(capacity, -1);
+  pool_.reserve(2 * cells_.size());
+  free_.reserve(2 * cells_.size());
+  cur_used_.reserve(cells_.size());
+  prev_used_.reserve(cells_.size());
+  to_factor_.reserve(cells_.size());
+  status_.resize(cells_.size());
 }
 
-std::string HierSolver::SignatureOf(const Cell& cell, double quantum) {
-  std::string sig;
-  const size_t ni = cell.internal.size();
-  const size_t nb = cell.border.size();
-  sig.reserve(cell.type.size() + 16 + 8 * (ni * ni + 2 * ni * nb));
-  sig += cell.type;
-  sig.push_back('\0');
-  auto append_u32 = [&sig](uint32_t v) {
-    char buf[4];
-    std::memcpy(buf, &v, 4);
-    sig.append(buf, 4);
+void HierSolver::CompileBorderSlots() {
+  auto border_id = [&](int unknown) {
+    return static_cast<size_t>(
+        border_index_of_[static_cast<size_t>(unknown)]);
   };
-  append_u32(static_cast<uint32_t>(ni));
-  append_u32(static_cast<uint32_t>(nb));
-  auto append_entry = [&sig, quantum](double v) {
-    char buf[8];
-    if (quantum > 0.0) {
-      const int64_t q = std::llround(v / quantum);
-      std::memcpy(buf, &q, 8);
-    } else {
-      std::memcpy(buf, &v, 8);
+  if (border_sparse_) {
+    for (const Cell& cell : cells_) {
+      for (int r : cell.border) {
+        for (int c : cell.border) {
+          border_builder_.Add(border_id(r), border_id(c), 0.0);
+        }
+      }
     }
-    sig.append(buf, 8);
-  };
-  auto append_matrix = [&](const linalg::Matrix& m) {
-    const double* data = m.data();
-    for (size_t i = 0; i < m.rows() * m.cols(); ++i) append_entry(data[i]);
-  };
-  append_matrix(cell.a_ii);
-  append_matrix(cell.a_ib);
-  append_matrix(cell.a_bi);
-  return sig;
+  }
+  for (Cell& cell : cells_) {
+    const size_t nb = cell.border.size();
+    cell.border_slots.resize(nb * nb);
+    for (size_t i = 0; i < nb; ++i) {
+      for (size_t j = 0; j < nb; ++j) {
+        const size_t r = border_id(cell.border[i]);
+        const size_t c = border_id(cell.border[j]);
+        cell.border_slots[i * nb + j] = border_sparse_
+                                            ? border_builder_.SlotPointer(r, c)
+                                            : &border_mat_(r, c);
+      }
+    }
+  }
+  border_slots_version_ = border_builder_.pattern_version();
+}
+
+uint64_t HierSolver::KeyHash(const Cell& cell, double quantum) {
+  KeyHasher h;
+  h.Add(static_cast<uint64_t>(cell.type));
+  h.Add(cell.internal.size());
+  h.Add(cell.border.size());
+  for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
+    const double* data = m->data();
+    for (size_t i = 0; i < m->rows() * m->cols(); ++i) {
+      const KeyWord w = KeyOf(data[i], quantum);
+      h.Add(w.raw ? ~w.bits : w.bits);
+    }
+  }
+  return h.Digest();
+}
+
+bool HierSolver::SameKey(const SharedFactors& entry, const Cell& cell,
+                         double quantum) {
+  if (entry.hash != cell.key_hash || entry.type != cell.type ||
+      entry.ni != cell.internal.size() || entry.nb != cell.border.size()) {
+    return false;
+  }
+  const double* key = entry.key.data();
+  for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
+    const size_t len = m->rows() * m->cols();
+    if (quantum == 0.0) {
+      // An empty block has no storage: memcmp must not see its nullptr.
+      if (len > 0 && std::memcmp(key, m->data(), len * sizeof(double)) != 0) {
+        return false;
+      }
+    } else {
+      for (size_t i = 0; i < len; ++i) {
+        if (KeyOf(key[i], quantum) != KeyOf(m->data()[i], quantum)) {
+          return false;
+        }
+      }
+    }
+    key += len;
+  }
+  return true;
+}
+
+int HierSolver::FindShared(const std::vector<int>& table,
+                           const Cell& cell) const {
+  const size_t mask = table.size() - 1;
+  for (size_t i = cell.key_hash & mask;; i = (i + 1) & mask) {
+    const int entry = table[i];
+    if (entry < 0) return -1;
+    if (SameKey(pool_[static_cast<size_t>(entry)], cell, quantum_)) {
+      return entry;
+    }
+  }
+}
+
+void HierSolver::InsertShared(std::vector<int>* table, int entry) const {
+  const size_t mask = table->size() - 1;
+  size_t i = pool_[static_cast<size_t>(entry)].hash & mask;
+  while ((*table)[i] >= 0) i = (i + 1) & mask;
+  (*table)[i] = entry;
+}
+
+void HierSolver::ResetShares() {
+  std::fill(cur_table_.begin(), cur_table_.end(), -1);
+  std::fill(prev_table_.begin(), prev_table_.end(), -1);
+  cur_used_.clear();
+  prev_used_.clear();
+  free_.clear();
+  for (size_t e = 0; e < pool_.size(); ++e) {
+    free_.push_back(static_cast<int>(e));
+  }
 }
 
 util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
@@ -429,154 +595,172 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
   const size_t nu = static_cast<size_t>(mna_->num_unknowns());
   assert(iterate.size() == nu);
   const int threads = opts.hier_threads;
+  // A quantum that is not a positive finite step means exact sharing.
+  quantum_ =
+      std::isfinite(opts.hier_share_quantum) && opts.hier_share_quantum > 0.0
+          ? opts.hier_share_quantum
+          : 0.0;
+  const HierMetrics& metrics = Metrics();
 
-  // P1: per-cell local assembly — disjoint per-cell storage, and each
-  // device's state slots are written by exactly one worker.
-  util::ParallelFor(
-      cells_.size(),
-      [&](size_t k) {
-        Cell& cell = cells_[k];
-        cell.local.Fill(0.0);
-        std::fill(cell.rhs.begin(), cell.rhs.end(), 0.0);
-        CellStampContext ctx(this, &cell, &iterate);
-        for (int ordinal : cell.device_ordinals) {
-          mna_->netlist().device(ordinal).Stamp(ctx);
-        }
-        // Split the combined block for factoring and signatures.
-        const size_t ni = cell.internal.size();
-        const size_t nb = cell.border.size();
-        for (size_t r = 0; r < ni; ++r) {
-          for (size_t c = 0; c < ni; ++c) cell.a_ii(r, c) = cell.local(r, c);
-          for (size_t c = 0; c < nb; ++c) {
-            cell.a_ib(r, c) = cell.local(r, ni + c);
+  {
+    util::telemetry::ScopedTimer span(metrics.assemble_wall);
+    // P1: per-cell assembly — disjoint per-cell storage, and each device's
+    // state slots are written by exactly one worker.
+    util::ParallelFor(
+        cells_.size(),
+        [this, &iterate](size_t k) {
+          Cell& cell = cells_[k];
+          cell.a_ii.Fill(0.0);
+          cell.a_ib.Fill(0.0);
+          cell.a_bi.Fill(0.0);
+          cell.a_bb.Fill(0.0);
+          std::fill(cell.rhs_i.begin(), cell.rhs_i.end(), 0.0);
+          std::fill(cell.rhs_b.begin(), cell.rhs_b.end(), 0.0);
+          CellStampContext ctx(this, &cell, &iterate);
+          for (int ordinal : cell.device_ordinals) {
+            mna_->netlist().device(ordinal).Stamp(ctx);
           }
-        }
-        for (size_t r = 0; r < nb; ++r) {
-          for (size_t c = 0; c < ni; ++c) {
-            cell.a_bi(r, c) = cell.local(ni + r, c);
-          }
-        }
-        cell.signature = SignatureOf(cell, opts.hier_share_quantum);
-      },
-      threads);
+          cell.key_hash = KeyHash(cell, quantum_);
+        },
+        threads);
 
-  // S1: factor-share grouping, serial in cell order so the chosen
-  // representatives (and thus all shared factors) are deterministic.
-  Metrics().cells.Add(cells_.size());
-  Metrics().border_unknowns.Add(border_unknowns_.size());
-  cur_map_.clear();
-  std::vector<size_t> to_factor;
-  for (size_t k = 0; k < cells_.size(); ++k) {
-    Cell& cell = cells_[k];
-    auto it = cur_map_.find(cell.signature);
-    if (it != cur_map_.end()) {
-      cell.factors = it->second;
-      continue;
-    }
-    auto prev = prev_map_.find(cell.signature);
-    if (prev != prev_map_.end()) {
+    // S1: factor-share grouping, serial in cell order so the chosen
+    // representatives (and thus all shared factors) are deterministic.
+    metrics.cells.Add(cells_.size());
+    metrics.border_unknowns.Add(border_unknowns_.size());
+    ++solves_;
+    std::fill(cur_table_.begin(), cur_table_.end(), -1);
+    cur_used_.clear();
+    to_factor_.clear();
+    for (size_t k = 0; k < cells_.size(); ++k) {
+      Cell& cell = cells_[k];
+      cell.factors = FindShared(cur_table_, cell);
+      if (cell.factors >= 0) continue;
       // Cross-timepoint hit: the previous solve factored a bit-identical
       // (or quantized-identical) block — deep in a settled chain this is
       // the common case.
-      cell.factors = prev->second;
-      cur_map_.emplace(cell.signature, cell.factors);
-      continue;
+      cell.factors = FindShared(prev_table_, cell);
+      if (cell.factors < 0) {
+        if (free_.empty()) {
+          cell.factors = static_cast<int>(pool_.size());
+          pool_.emplace_back();
+        } else {
+          cell.factors = free_.back();
+          free_.pop_back();
+        }
+        SharedFactors& entry = pool_[static_cast<size_t>(cell.factors)];
+        entry.key.clear();
+        for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
+          entry.key.insert(entry.key.end(), m->data(),
+                           m->data() + m->rows() * m->cols());
+        }
+        entry.hash = cell.key_hash;
+        entry.type = cell.type;
+        entry.ni = cell.internal.size();
+        entry.nb = cell.border.size();
+        to_factor_.push_back(k);
+      }
+      pool_[static_cast<size_t>(cell.factors)].last_used = solves_;
+      InsertShared(&cur_table_, cell.factors);
+      cur_used_.push_back(cell.factors);
     }
-    cell.factors = std::make_shared<linalg::BbdBlockFactors>();
-    cur_map_.emplace(cell.signature, cell.factors);
-    to_factor.push_back(k);
-  }
-  Metrics().cell_refactors.Add(to_factor.size());
-  Metrics().schur_factor_shares.Add(cells_.size() - to_factor.size());
-
-  // P2: factor the unique representatives.
-  std::vector<util::Status> factor_status(to_factor.size(),
-                                          util::Status::Ok());
-  util::ParallelFor(
-      to_factor.size(),
-      [&](size_t i) {
-        Cell& cell = cells_[to_factor[i]];
-        factor_status[i] =
-            cell.factors->Factor(cell.a_ii, cell.a_ib, cell.a_bi);
-      },
-      threads);
-  for (size_t i = 0; i < factor_status.size(); ++i) {
-    if (!factor_status[i].ok()) {
-      prev_map_.clear();  // never share a half-factored block
-      cur_map_.clear();
-      return util::Status(factor_status[i].code(),
-                          "hierarchical cell block '" +
-                              cells_[to_factor[i]].name +
-                              "': " + std::string(factor_status[i].message()));
-    }
+    metrics.cell_refactors.Add(to_factor_.size());
+    metrics.schur_factor_shares.Add(cells_.size() - to_factor_.size());
   }
 
-  // P3: per-cell rhs reduction against the (possibly shared) factors.
-  std::vector<util::Status> reduce_status(cells_.size(), util::Status::Ok());
-  util::ParallelFor(
-      cells_.size(),
-      [&](size_t k) {
-        Cell& cell = cells_[k];
-        const size_t ni = cell.internal.size();
-        linalg::Vector b_i(cell.rhs.begin(),
-                           cell.rhs.begin() + static_cast<std::ptrdiff_t>(ni));
-        reduce_status[k] = cell.factors->ReduceRhs(b_i, &cell.y, &cell.c);
-      },
-      threads);
-  for (size_t k = 0; k < reduce_status.size(); ++k) {
-    if (!reduce_status[k].ok()) {
-      prev_map_.clear();
-      cur_map_.clear();
-      return reduce_status[k];
-    }
-  }
-
-  // S2: border assembly, serial in cell order then netlist device order —
-  // a fixed summation order keeps results thread-count independent.
-  std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
-  if (border_sparse_) {
-    border_builder_.Clear();
-  } else {
-    border_mat_.Fill(0.0);
-  }
-  for (const Cell& cell : cells_) {
-    const size_t ni = cell.internal.size();
-    const size_t nb = cell.border.size();
-    const linalg::Matrix& schur = cell.factors->schur();
-    for (size_t i = 0; i < nb; ++i) {
-      const int gr = border_index_of_[static_cast<size_t>(cell.border[i])];
-      border_rhs_[static_cast<size_t>(gr)] += cell.rhs[ni + i] - cell.c[i];
-      for (size_t j = 0; j < nb; ++j) {
-        const int gc = border_index_of_[static_cast<size_t>(cell.border[j])];
-        AddBorderMatrix(gr, gc, cell.local(ni + i, ni + j) - schur(i, j));
+  {
+    util::telemetry::ScopedTimer span(metrics.factor_wall);
+    // P2: factor the unique representatives, each into a pool entry no
+    // other cell reads until this phase is over.
+    util::ParallelFor(
+        to_factor_.size(),
+        [this](size_t i) {
+          const Cell& cell = cells_[to_factor_[i]];
+          status_[i] = pool_[static_cast<size_t>(cell.factors)].factors.Factor(
+              cell.a_ii, cell.a_ib, cell.a_bi);
+        },
+        threads);
+    for (size_t i = 0; i < to_factor_.size(); ++i) {
+      if (!status_[i].ok()) {
+        ResetShares();  // never share a half-factored block
+        return util::Status(status_[i].code(),
+                            "hierarchical cell block '" +
+                                cells_[to_factor_[i]].name +
+                                "': " + std::string(status_[i].message()));
       }
     }
-  }
-  {
-    BorderStampContext ctx(this, &iterate);
-    for (int ordinal : global_devices_) {
-      mna_->netlist().device(ordinal).Stamp(ctx);
+    // Age the share tables: the next solve's lookups see this solve's
+    // factors, and entries this solve no longer uses become free.
+    for (int e : prev_used_) {
+      if (pool_[static_cast<size_t>(e)].last_used != solves_) {
+        free_.push_back(e);
+      }
+    }
+    std::swap(prev_used_, cur_used_);
+    std::swap(prev_table_, cur_table_);
+
+    // P3: per-cell rhs reduction against the (possibly shared) factors.
+    util::ParallelFor(
+        cells_.size(),
+        [this](size_t k) {
+          Cell& cell = cells_[k];
+          status_[k] = pool_[static_cast<size_t>(cell.factors)]
+                           .factors.ReduceRhs(cell.rhs_i, &cell.y, &cell.c);
+        },
+        threads);
+    for (size_t k = 0; k < cells_.size(); ++k) {
+      if (!status_[k].ok()) return status_[k];
     }
   }
 
-  // Border solve.
-  if (border_sparse_) {
-    util::Status st = border_factored_once_
-                          ? border_lu_.Refactor(border_builder_)
-                          : border_lu_.Factor(border_builder_);
-    if (!st.ok()) return st;
-    border_factored_once_ = true;
-    auto solved = border_lu_.Solve(border_rhs_);
-    if (!solved.ok()) return solved.status();
-    border_x_ = std::move(*solved);
-  } else {
-    linalg::LuFactorization lu;
-    CMLDFT_RETURN_IF_ERROR(lu.Factor(border_mat_));
-    auto solved = lu.Solve(border_rhs_);
-    if (!solved.ok()) return solved.status();
-    border_x_ = std::move(*solved);
+  {
+    util::telemetry::ScopedTimer span(metrics.border_wall);
+    // S2: border assembly, serial in cell order then netlist device order —
+    // a fixed summation order keeps results thread-count independent.
+    std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
+    if (border_sparse_) {
+      // A global device that stamped a new slot last time moved the
+      // builder's rows: re-resolve the cells' targets.
+      if (border_slots_version_ != border_builder_.pattern_version()) {
+        CompileBorderSlots();
+      }
+      border_builder_.ZeroValues();
+    } else {
+      border_mat_.Fill(0.0);
+    }
+    for (const Cell& cell : cells_) {
+      const size_t nb = cell.border.size();
+      const linalg::Matrix& schur =
+          pool_[static_cast<size_t>(cell.factors)].factors.schur();
+      double* const* slot = cell.border_slots.data();
+      for (size_t i = 0; i < nb; ++i) {
+        const int gr = border_index_of_[static_cast<size_t>(cell.border[i])];
+        border_rhs_[static_cast<size_t>(gr)] += cell.rhs_b[i] - cell.c[i];
+        for (size_t j = 0; j < nb; ++j) {
+          **slot++ += cell.a_bb(i, j) - schur(i, j);
+        }
+      }
+    }
+    {
+      BorderStampContext ctx(this, &iterate);
+      for (int ordinal : global_devices_) {
+        mna_->netlist().device(ordinal).Stamp(ctx);
+      }
+    }
+
+    // Border solve. Refactor runs a full Factor the first time and
+    // whenever the recorded pattern or pivots no longer fit.
+    if (border_sparse_) {
+      CMLDFT_RETURN_IF_ERROR(border_lu_.Refactor(border_builder_));
+      CMLDFT_RETURN_IF_ERROR(border_lu_.SolveInto(border_rhs_, &border_x_));
+    } else {
+      CMLDFT_RETURN_IF_ERROR(border_dense_lu_.Factor(border_mat_));
+      CMLDFT_RETURN_IF_ERROR(
+          border_dense_lu_.SolveInto(border_rhs_, &border_x_));
+    }
   }
 
+  util::telemetry::ScopedTimer span(metrics.backsub_wall);
   // P4: back-substitution. Border values land first (serial), internal
   // writes are disjoint across cells.
   x_new->assign(nu, 0.0);
@@ -585,7 +769,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
   }
   util::ParallelFor(
       cells_.size(),
-      [&](size_t k) {
+      [this, x_new](size_t k) {
         Cell& cell = cells_[k];
         const size_t nb = cell.border.size();
         cell.x_b.resize(nb);
@@ -593,16 +777,13 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
           cell.x_b[j] = border_x_[static_cast<size_t>(
               border_index_of_[static_cast<size_t>(cell.border[j])])];
         }
-        cell.factors->BackSubstitute(cell.y, cell.x_b, &cell.x_i);
+        pool_[static_cast<size_t>(cell.factors)].factors.BackSubstitute(
+            cell.y, cell.x_b, &cell.x_i);
         for (size_t i = 0; i < cell.internal.size(); ++i) {
           (*x_new)[static_cast<size_t>(cell.internal[i])] = cell.x_i[i];
         }
       },
       threads);
-
-  // Age the factor cache: next solve's lookups see this solve's factors.
-  prev_map_ = std::move(cur_map_);
-  cur_map_.clear();
   return util::Status::Ok();
 }
 

@@ -20,10 +20,10 @@ struct NewtonOptions {
   double max_delta_v = 0.25;
   /// Junction shunt conductance [S].
   double gmin = 1e-12;
-  /// Linear solver. kAuto uses the dense LU below ~256 unknowns (measured
-  /// crossover for CML-like MNA patterns: the sparse code's Markowitz scan
-  /// and hash-map constants dominate on small systems) and the sparse LU
-  /// above.
+  /// Linear solver. kAuto uses the dense LU below ~256 unknowns and the
+  /// sparse LU above (a crossover measured for CML-like MNA patterns
+  /// before the sparse refactorization replayed a recorded pattern; see
+  /// docs/simulator.md).
   enum class Solver { kAuto, kDense, kSparse };
   Solver solver = Solver::kAuto;
 
@@ -74,13 +74,15 @@ struct NewtonOptions {
   /// sparse). Falls back to the flat path when the netlist carries no
   /// usable cell annotations. Ignores bypass/jacobian_reuse; default off.
   bool hierarchical = false;
-  /// Factor-share quantum [relative units of the block entries]. 0 (the
-  /// default) shares a factorization only between cells whose internal
-  /// blocks agree bit for bit — mathematically exact. > 0 additionally
-  /// shares across cells whose entries agree after quantization by this
-  /// step, trading a bounded companion-model perturbation for more
-  /// sharing (documented in docs/performance.md; keep 0 when golden
-  /// waveform stability matters).
+  /// Factor-share quantum: an absolute step in the block entries' own
+  /// units, not a fraction of each entry. 0 (the default) shares a
+  /// factorization only between cells whose internal blocks agree bit for
+  /// bit — mathematically exact. > 0 additionally shares across cells
+  /// whose entries agree after rounding to a multiple of this step,
+  /// trading a bounded companion-model perturbation for more sharing
+  /// (documented in docs/performance.md; keep 0 when golden waveform
+  /// stability matters). An entry too large to round at this step keys on
+  /// its exact bits; a non-finite quantum means 0.
   double hier_share_quantum = 0.0;
   /// Worker threads for the per-cell assembly/factor phases: 0 = auto
   /// (CMLDFT_THREADS or hardware concurrency), 1 = serial. Results are

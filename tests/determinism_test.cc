@@ -19,7 +19,11 @@
 #include "digital/generators.h"
 #include "digital/patterns.h"
 #include "sim/dc.h"
+#include "sim/hier.h"
+#include "sim/mna.h"
+#include "sim/transient.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 namespace cmldft {
@@ -137,6 +141,121 @@ TEST(HierDeterminism, SolverThreadCountInvariantBitExact) {
       // Bit-exact, not NEAR: the reduction order is thread-independent.
       EXPECT_EQ(one[i], many[i]) << "node " << i << " threads=" << threads;
     }
+  }
+}
+
+// The solver reuses its factor storage across solves. A cell served by
+// the previous solve's factors must read exactly those factors even when
+// the cell that computed them is refactored in the same solve: the
+// second solve below mixes such cross-timepoint shares with fresh
+// factorizations and must match a solver that has never solved before.
+TEST(HierDeterminism, ReusedFactorStorageMatchesFreshSolverBitExact) {
+  constexpr int kCells = 64;
+  netlist::Netlist nl;
+  cml::CmlTechnology tech;
+  cml::CellBuilder cells(nl, tech);
+  cells.AddBufferChain("x", cells.AddDifferentialDc("in", true), kCells);
+  auto dc = sim::SolveDc(nl);
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+
+  // The operating point, with every cell's nodes set to the values deep in
+  // the chain: cells 1..63 then stamp bit-identical blocks and share one
+  // factorization, computed by cell 1.
+  auto unknown = [&](const sim::MnaSystem& mna, int cell, const char* node) {
+    const netlist::NodeId id =
+        nl.FindNode(util::StrPrintf("x%d.%s", cell, node));
+    return static_cast<size_t>(mna.UnknownOfNode(id));
+  };
+  sim::MnaSystem layout(nl);
+  linalg::Vector x(static_cast<size_t>(layout.num_unknowns()), 0.0);
+  for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
+    x[static_cast<size_t>(layout.UnknownOfNode(n))] = dc->V(n);
+  }
+  for (int k = 0; k < kCells; ++k) {
+    for (const char* node : {"e", "ve", "op", "opb"}) {
+      x[unknown(layout, k, node)] = x[unknown(layout, kCells / 2, node)];
+    }
+  }
+
+  for (int parity : {0, 1}) {
+    // Move the internal nodes of every other cell (including cell 1 when
+    // parity is 1), each by its own amount.
+    linalg::Vector y = x;
+    for (int k = parity; k < kCells; k += 2) {
+      for (const char* node : {"e", "ve"}) {
+        y[unknown(layout, k, node)] += 1e-4 * (k + 1);
+      }
+    }
+    for (int threads : {1, 4}) {
+      sim::NewtonOptions opts;
+      opts.hierarchical = true;
+      opts.hier_threads = threads;
+
+      sim::MnaSystem warm_mna(nl);
+      warm_mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+      sim::HierSolver* warm = warm_mna.GetHierSolver();
+      ASSERT_NE(warm, nullptr);
+      linalg::Vector first, reused;
+      ASSERT_TRUE(warm->AssembleAndSolve(x, &first, opts).ok());
+      const auto before = util::telemetry::Capture();
+      ASSERT_TRUE(warm->AssembleAndSolve(y, &reused, opts).ok());
+      const auto after = util::telemetry::Capture();
+      EXPECT_GT(after.Value("sim.hier.schur_factor_shares"),
+                before.Value("sim.hier.schur_factor_shares"));
+      EXPECT_GT(after.Value("sim.hier.cell_refactors"),
+                before.Value("sim.hier.cell_refactors"));
+
+      sim::MnaSystem fresh_mna(nl);
+      fresh_mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+      linalg::Vector fresh;
+      ASSERT_TRUE(
+          fresh_mna.GetHierSolver()->AssembleAndSolve(y, &fresh, opts).ok());
+      ASSERT_EQ(reused.size(), fresh.size());
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(reused[i], fresh[i])
+            << "unknown " << i << " parity=" << parity
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// A share quantum so small that every nonzero block entry divided by it
+// overflows int64 must key those entries on their raw bits — the same
+// sharing as quantum 0 — instead of collapsing them onto one value.
+TEST(HierDeterminism, TinyShareQuantumSharesLikeExactKeys) {
+  auto run = [](double quantum, uint64_t* shares) {
+    netlist::Netlist nl;
+    cml::CmlTechnology tech;
+    cml::CellBuilder cells(nl, tech);
+    cells.AddBufferChain("x", cells.AddDifferentialClock("in", 500e6), 64);
+    sim::TransientOptions opt;
+    opt.tstop = 2e-10;
+    opt.dc.newton.hierarchical = true;
+    opt.dc.newton.hier_threads = 1;
+    opt.dc.newton.hier_share_quantum = quantum;
+    const auto before = util::telemetry::Capture();
+    auto r = sim::RunTransient(nl, opt);
+    *shares = util::telemetry::Capture().Value("sim.hier.schur_factor_shares") -
+              before.Value("sim.hier.schur_factor_shares");
+    EXPECT_TRUE(r.ok()) << "quantum " << quantum << ": "
+                        << r.status().ToString();
+    std::vector<double> waves;
+    if (!r.ok()) return waves;
+    for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
+      const waveform::Trace t = r->Voltage(nl.NodeName(n));
+      waves.insert(waves.end(), t.value.begin(), t.value.end());
+    }
+    return waves;
+  };
+  uint64_t exact_shares = 0, tiny_shares = 0;
+  const std::vector<double> exact = run(0.0, &exact_shares);
+  const std::vector<double> tiny = run(1e-300, &tiny_shares);
+  ASSERT_FALSE(exact.empty());
+  EXPECT_EQ(exact_shares, tiny_shares);
+  ASSERT_EQ(exact.size(), tiny.size());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(exact[i], tiny[i]) << "sample " << i;
   }
 }
 

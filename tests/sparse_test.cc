@@ -10,6 +10,7 @@
 #include "linalg/sparse.h"
 #include "sim/dc.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace cmldft::linalg {
 namespace {
@@ -230,12 +231,17 @@ TEST(SparseLuRefactor, NewValuesSamePatternMatchDense) {
   // value set.
   const size_t n = 96;
   SparseLu lu;
-  for (int pass = 0; pass < 4; ++pass) {
+  for (int pass = 0; pass < 50; ++pass) {
     // Same seed for structure; values perturbed per pass by rebuilding
     // with a different scale (pattern identical since NextBelow draws are
-    // interleaved identically).
-    SparseBuilder b = RandomMnaLike(n, 1234, 1.0 + 0.37 * pass);
+    // interleaved identically), and each off-diagonal value moves on its
+    // own (shrinking, so the diagonal stays dominant).
     util::Rng rng(50 + pass);
+    SparseBuilder b(n);
+    RandomMnaLike(n, 1234, 1.0 + 0.37 * pass).ForEach(
+        [&](size_t r, size_t c, double v) {
+          b.Add(r, c, r == c ? v : v * rng.NextDouble(0.5, 1.0));
+        });
     Vector rhs(n);
     for (double& v : rhs) v = rng.NextDouble(-10, 10);
 
@@ -253,6 +259,84 @@ TEST(SparseLuRefactor, NewValuesSamePatternMatchDense) {
           << "pass=" << pass << " i=" << i;
     }
   }
+}
+
+TEST(SparseLuRefactor, SlotZeroAtFactorFilledLaterMatchesDense) {
+  // The DC-to-transient case: a slot stamped with exactly 0 at Factor time
+  // (a capacitor's companion conductance in DC) carries a value later. The
+  // pivot search skips it, but the recorded pattern must cover it and the
+  // fill it brings in, so Refactor replays instead of repivoting.
+  const size_t n = 64;
+  auto build = [&](bool filled) {
+    util::Rng rng(321);
+    SparseBuilder b(n);
+    for (size_t r = 0; r < n; ++r) {
+      b.Add(r, r, 4.0 + rng.NextDouble(0, 1));
+      const size_t c = rng.NextBelow(n);
+      const double v = rng.NextDouble(-1, 1);
+      if (c != r) b.Add(r, c, v);
+      // The latent coupling: zero at Factor, nonzero afterwards.
+      const double latent = rng.NextDouble(-1, 1);
+      b.Add(r, (r + n / 2) % n, filled ? latent : 0.0);
+    }
+    return b;
+  };
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(build(false)).ok());
+  const SparseBuilder b = build(true);
+  const auto before = util::telemetry::Capture();
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  const auto after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactor_fallbacks"),
+            before.Value("linalg.sparse_lu.refactor_fallbacks"));
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactors"),
+            before.Value("linalg.sparse_lu.refactors") + 1);
+
+  util::Rng rng(5);
+  Vector rhs(n);
+  for (double& v : rhs) v = rng.NextDouble(-10, 10);
+  auto xs = lu.Solve(rhs);
+  ASSERT_TRUE(xs.ok());
+  LuFactorization dense;
+  ASSERT_TRUE(dense.Factor(b.ToDense()).ok());
+  auto xd = dense.Solve(rhs);
+  ASSERT_TRUE(xd.ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR((*xs)[i], (*xd)[i], 1e-9 * (1.0 + std::fabs((*xd)[i]))) << i;
+  }
+}
+
+TEST(SparseLuRefactor, SlotOutsidePatternFallsBackBitExact) {
+  // Tridiagonal: no fill, so a corner slot added after Factor lies outside
+  // the recorded pattern. Refactor must notice, count the fallback, and
+  // produce exactly what a fresh Factor produces.
+  const size_t n = 16;
+  SparseBuilder b(n);
+  for (size_t r = 0; r < n; ++r) {
+    b.Add(r, r, 4.0 + 0.1 * static_cast<double>(r));
+    if (r > 0) b.Add(r, r - 1, -1.0);
+    if (r + 1 < n) b.Add(r, r + 1, -1.0);
+  }
+  SparseLu reused;
+  ASSERT_TRUE(reused.Factor(b).ok());
+  b.Add(0, n - 1, 0.5);
+  b.Add(n - 1, 0, 0.25);
+
+  const auto before = util::telemetry::Capture();
+  ASSERT_TRUE(reused.Refactor(b).ok());
+  const auto after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactor_fallbacks"),
+            before.Value("linalg.sparse_lu.refactor_fallbacks") + 1);
+
+  SparseLu fresh;
+  ASSERT_TRUE(fresh.Factor(b).ok());
+  util::Rng rng(8);
+  Vector rhs(n);
+  for (double& v : rhs) v = rng.NextDouble(-5, 5);
+  auto xr = reused.Solve(rhs);
+  auto xf = fresh.Solve(rhs);
+  ASSERT_TRUE(xr.ok() && xf.ok());
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ((*xr)[i], (*xf)[i]) << i;
 }
 
 TEST(SparseLuRefactor, DimensionChangeFallsBackToFactor) {

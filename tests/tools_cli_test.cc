@@ -113,13 +113,21 @@ TEST(CampaignRunCli, UsageErrors) {
 
 TEST(CampaignRunCli, HierFlagErrors) {
   const std::string bin = CAMPAIGN_RUN_BIN;
-  // --hier-quantum must be >= 0 and needs a value.
+  // --hier-quantum must be finite and >= 0, and needs a value.
   auto r = RunTool(bin + " --store /tmp/x.campaign --hier-quantum -1e-6");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.stderr_text.find("--hier-quantum"), std::string::npos)
       << r.stderr_text;
   EXPECT_EQ(
       RunTool(bin + " --store /tmp/x.campaign --hier-quantum").exit_code, 2);
+  // Non-finite quanta are refused: inf would key every block entry on 0
+  // and share unrelated factorizations; nan would silently mean 0.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    r = RunTool(bin + " --store /tmp/x.campaign --hier-quantum " + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.stderr_text.find("finite"), std::string::npos)
+        << bad << ": " << r.stderr_text;
+  }
   // The hierarchical solver only applies to defect-screening presets;
   // pattern and characterization campaigns reject it loudly instead of
   // silently running flat.

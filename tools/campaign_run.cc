@@ -25,6 +25,7 @@
 //
 // Exit codes: 0 = shard complete, 1 = screening/store failure,
 // 2 = usage error (bad flags, store/flag mismatch).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -113,8 +114,9 @@ int main(int argc, char** argv) {
       hier = true;
     } else if (arg == "--hier-quantum") {
       hier_quantum = std::atof(next("--hier-quantum"));
-      if (hier_quantum < 0.0) {
-        std::fprintf(stderr, "%s: --hier-quantum requires a value >= 0\n",
+      if (!std::isfinite(hier_quantum) || hier_quantum < 0.0) {
+        std::fprintf(stderr,
+                     "%s: --hier-quantum requires a finite value >= 0\n",
                      argv[0]);
         return 2;
       }
