@@ -219,12 +219,11 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Raw MNA assembly cost on the BM_DcOperatingPoint/32 system (133
-// unknowns): compiled stamp plan vs the legacy hash-and-branch path, in
-// dense and sparse routing. Plan and legacy produce bit-identical
-// Jacobians/RHS (tests/stamp_plan_test.cc); this measures only the cost
-// delta. Mode 2 additionally enables device bypass with an unchanged
-// iterate — the converged-Newton steady state that latency exploitation
-// targets, where every device replays its cached contribution.
+// unknowns), dense and sparse routing: every Assemble() after the first
+// replays the compiled stamp targets. Mode 1 additionally enables device
+// bypass with an unchanged iterate — the converged-Newton steady state
+// that latency exploitation targets, where every device writes its cached
+// contribution instead of evaluating its model.
 void BM_Assemble(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
@@ -234,11 +233,9 @@ void BM_Assemble(benchmark::State& state) {
   sim::MnaSystem mna(nl);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_initializing_state(true);
-  const int mode = static_cast<int>(state.range(0));  // 0 legacy, 1 plan, 2 plan+bypass
+  const bool bypass = state.range(0) != 0;
   const bool sparse = state.range(1) != 0;
-  mna.set_stamp_plan_mode(mode == 0 ? sim::MnaSystem::StampPlanMode::kOff
-                                    : sim::MnaSystem::StampPlanMode::kForce);
-  if (mode >= 2) {
+  if (bypass) {
     mna.set_bypass(true, sim::NewtonOptions().bypass_reltol,
                    sim::NewtonOptions().bypass_abstol);
   }
@@ -248,17 +245,14 @@ void BM_Assemble(benchmark::State& state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  static const char* kModes[] = {"legacy", "plan", "plan+bypass"};
-  state.SetLabel(std::string(kModes[mode]) + "/" +
+  state.SetLabel(std::string(bypass ? "bypass" : "exact") + "/" +
                  (sparse ? "sparse" : "dense"));
 }
 BENCHMARK(BM_Assemble)
     ->Args({0, 0})
     ->Args({1, 0})
-    ->Args({2, 0})
     ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1});
+    ->Args({1, 1});
 
 // End-to-end transient on a 16-buffer clocked chain (above the Jacobian
 // reuse economics gate) with the opt-in Newton fast path staged in:

@@ -18,9 +18,33 @@ double SaturationCurrentAt(const BjtParams& params, double temp_k) {
          std::exp(params.eg / vt_nom - params.eg / vt);
 }
 
+void ComputeBjtConstants(const BjtParams& params, double bc_scale,
+                         double temp_k, double* out) {
+  const DepletionSplit be =
+      DepletionSplitAt(params.cje, params.vje, params.mje, params.fc);
+  const DepletionSplit bc = DepletionSplitAt(params.cjc * bc_scale, params.vjc,
+                                             params.mjc, params.fc);
+  out[0] = SaturationCurrentAt(params, temp_k);
+  out[1] = be.q0;
+  out[2] = be.c0;
+  out[3] = be.dcdv;
+  out[4] = bc.q0;
+  out[5] = bc.c0;
+  out[6] = bc.dcdv;
+}
+
+namespace {
+
+/// Shared Ebers-Moll evaluation + stamping for one (C, B, E) triple.
+/// `k` holds the device's constants (ComputeBjtConstants); `bc_scale`
+/// scales the B-C junction contribution (used by the multi-emitter device,
+/// whose emitters share a single B-C junction); `state_base` is the
+/// device state-slot offset for this triple's four charge states
+/// {qbe, ibe, qbc, ibc}.
 void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
                   netlist::NodeId c, netlist::NodeId b, netlist::NodeId e,
-                  const BjtParams& p, double bc_scale, int state_base) {
+                  const BjtParams& p, const double* k, double bc_scale,
+                  int state_base) {
   const double vt = util::ThermalVoltage(ctx.temperature());
   const double gmin = ctx.gmin();
   const double vbe = ctx.V(b) - ctx.V(e);
@@ -30,7 +54,7 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   double dee = 0.0, dec = 0.0;
   const double ee = LimitedExp(vbe, p.nf * vt, &dee);
   const double ec = LimitedExp(vbc, p.nr * vt, &dec);
-  const double is_t = SaturationCurrentAt(p, ctx.temperature());
+  const double is_t = k[0];
   const double is_r = is_t * bc_scale;
   const double icc = is_t * (ee - 1.0);
   const double gf = is_t * dee;
@@ -83,7 +107,8 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   // Charge storage: B-E (depletion + forward diffusion), B-C (scaled).
   double cdep_be = 0.0;
   const double qdep_be =
-      DepletionCharge(vbe, p.cje, p.vje, p.mje, p.fc, &cdep_be);
+      DepletionCharge(vbe, p.cje, p.vje, p.mje, p.fc,
+                      DepletionSplit{k[1], k[2], k[3]}, &cdep_be);
   const double qbe = qdep_be + p.tf * icc;
   const double cbe = cdep_be + p.tf * gf;
   const ChargeCompanion ccbe =
@@ -93,8 +118,9 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   }
 
   double cdep_bc = 0.0;
-  const double qdep_bc = DepletionCharge(vbc, p.cjc * bc_scale, p.vjc, p.mjc,
-                                         p.fc, &cdep_bc);
+  const double qdep_bc =
+      DepletionCharge(vbc, p.cjc * bc_scale, p.vjc, p.mjc, p.fc,
+                      DepletionSplit{k[4], k[5], k[6]}, &cdep_bc);
   const double qbc = qdep_bc + p.tr * iec;
   const double cbc = cdep_bc + p.tr * gr;
   const ChargeCompanion ccbc =
@@ -104,9 +130,11 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   }
 }
 
+}  // namespace
+
 void Bjt::Stamp(netlist::StampContext& ctx) const {
   StampBjtCore(ctx, *this, collector(), base(), emitter(), params_,
-               /*bc_scale=*/1.0, /*state_base=*/0);
+               ctx.Constants(*this), /*bc_scale=*/1.0, /*state_base=*/0);
 }
 
 MultiEmitterBjt::MultiEmitterBjt(std::string name, netlist::NodeId collector,
@@ -126,9 +154,10 @@ MultiEmitterBjt::MultiEmitterBjt(std::string name, netlist::NodeId collector,
 void MultiEmitterBjt::Stamp(netlist::StampContext& ctx) const {
   const int n = num_emitters();
   const double bc_scale = 1.0 / n;  // emitters share one B-C junction
+  const double* constants = ctx.Constants(*this);
   for (int k = 0; k < n; ++k) {
-    StampBjtCore(ctx, *this, node(0), node(1), node(2 + k), params_, bc_scale,
-                 4 * k);
+    StampBjtCore(ctx, *this, node(0), node(1), node(2 + k), params_,
+                 constants, bc_scale, 4 * k);
   }
 }
 

@@ -37,14 +37,12 @@ struct BjtParams {
 /// classic ~ -2 mV/K at ordinary current densities.
 double SaturationCurrentAt(const BjtParams& params, double temp_k);
 
-/// Shared Ebers-Moll evaluation + stamping for one (C, B, E) triple.
-/// `bc_scale` scales the B-C junction contribution (used by the
-/// multi-emitter device, whose emitters share a single B-C junction);
-/// `state_base` is the device state-slot offset for this triple's four
-/// charge states {qbe, ibe, qbc, ibc}.
-void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
-                  netlist::NodeId c, netlist::NodeId b, netlist::NodeId e,
-                  const BjtParams& params, double bc_scale, int state_base);
+/// A BJT's model constants (Device::ComputeConstants): IS(T), then the
+/// B-E and the B-C depletion split constants (q0, c0, dcdv each). The B-C
+/// junction capacitance is scaled by `bc_scale` (see MultiEmitterBjt).
+inline constexpr int kBjtConstants = 7;
+void ComputeBjtConstants(const BjtParams& params, double bc_scale,
+                         double temp_k, double* out);
 
 /// NPN transistor. Terminals: {collector, base, emitter}.
 class Bjt : public netlist::Device {
@@ -54,7 +52,10 @@ class Bjt : public netlist::Device {
       : Device(std::move(name), {collector, base, emitter}), params_(params) {}
 
   const BjtParams& params() const { return params_; }
-  void set_params(const BjtParams& p) { params_ = p; }
+  void set_params(const BjtParams& p) {
+    params_ = p;
+    ConstantsChanged();
+  }
 
   netlist::NodeId collector() const { return node(0); }
   netlist::NodeId base() const { return node(1); }
@@ -62,6 +63,10 @@ class Bjt : public netlist::Device {
 
   bool is_nonlinear() const override { return true; }
   int num_states() const override { return 4; }
+  int num_constants() const override { return kBjtConstants; }
+  void ComputeConstants(double temp_k, double* out) const override {
+    ComputeBjtConstants(params_, /*bc_scale=*/1.0, temp_k, out);
+  }
   void Stamp(netlist::StampContext& ctx) const override;
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<Bjt>(*this);
@@ -87,6 +92,11 @@ class MultiEmitterBjt : public netlist::Device {
 
   bool is_nonlinear() const override { return true; }
   int num_states() const override { return 4 * num_emitters(); }
+  int num_constants() const override { return kBjtConstants; }
+  void ComputeConstants(double temp_k, double* out) const override {
+    // Emitters share one B-C junction.
+    ComputeBjtConstants(params_, 1.0 / num_emitters(), temp_k, out);
+  }
   void Stamp(netlist::StampContext& ctx) const override;
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<MultiEmitterBjt>(*this);

@@ -34,9 +34,16 @@ class Diode : public netlist::Device {
       : Device(std::move(name), {anode, cathode}), params_(params) {}
 
   const DiodeParams& params() const { return params_; }
+  void set_params(const DiodeParams& p) {
+    params_ = p;
+    ConstantsChanged();
+  }
 
   bool is_nonlinear() const override { return true; }
   int num_states() const override { return 2; }  // {charge, current}
+  /// IS(T), then the depletion split constants (q0, c0, dcdv).
+  int num_constants() const override { return 4; }
+  void ComputeConstants(double temp_k, double* out) const override;
   void Stamp(netlist::StampContext& ctx) const override;
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<Diode>(*this);

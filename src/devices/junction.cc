@@ -28,8 +28,19 @@ JunctionEval EvalJunction(double v, double is, double n, double vt,
   return out;
 }
 
+DepletionSplit DepletionSplitAt(double cj0, double vj, double m, double fc) {
+  // SPICE's F1/F2/F3 form, reduced to the first-order expansion around
+  // fc*vj.
+  const double u0 = 1.0 - fc;
+  DepletionSplit s;
+  s.q0 = cj0 * vj / (1.0 - m) * (1.0 - std::pow(u0, 1.0 - m));
+  s.c0 = cj0 * std::pow(u0, -m);     // cap at split point
+  s.dcdv = s.c0 * m / (vj * u0);     // slope of cap
+  return s;
+}
+
 double DepletionCharge(double v, double cj0, double vj, double m, double fc,
-                       double* capacitance) {
+                       const DepletionSplit& split, double* capacitance) {
   if (cj0 <= 0.0) {
     if (capacitance) *capacitance = 0.0;
     return 0.0;
@@ -41,15 +52,10 @@ double DepletionCharge(double v, double cj0, double vj, double m, double fc,
     if (capacitance) *capacitance = cj0 * std::pow(u, -m);
     return q;
   }
-  // Linearized region: cap grows linearly with v (SPICE's F1/F2/F3 form,
-  // reduced to the first-order expansion around fc*vj).
-  const double u0 = 1.0 - fc;
-  const double q0 = cj0 * vj / (1.0 - m) * (1.0 - std::pow(u0, 1.0 - m));
-  const double c0 = cj0 * std::pow(u0, -m);           // cap at split point
-  const double dcdv = c0 * m / (vj * u0);             // slope of cap
+  // Linearized region: cap grows linearly with v.
   const double dv = v - vsplit;
-  if (capacitance) *capacitance = c0 + dcdv * dv;
-  return q0 + c0 * dv + 0.5 * dcdv * dv * dv;
+  if (capacitance) *capacitance = split.c0 + split.dcdv * dv;
+  return split.q0 + split.c0 * dv + 0.5 * split.dcdv * dv * dv;
 }
 
 }  // namespace cmldft::devices

@@ -24,11 +24,21 @@ struct JunctionEval {
 JunctionEval EvalJunction(double v, double is, double n, double vt,
                           double gmin);
 
+/// Charge, capacitance and capacitance slope of a depletion junction at its
+/// split point fc*vj: the constants of the linearized forward region.
+struct DepletionSplit {
+  double q0;
+  double c0;
+  double dcdv;
+};
+DepletionSplit DepletionSplitAt(double cj0, double vj, double m, double fc);
+
 /// Depletion-region charge for a step junction, linearized above fc*vj (the
 /// standard SPICE treatment so charge stays defined in forward bias):
 ///   q(v) = cj0 * vj / (1-m) * (1 - (1 - v/vj)^(1-m))        for v < fc*vj
-/// and a first-order continuation beyond. `*capacitance` gets dq/dv.
+/// and a first-order continuation beyond, built on `split` (which must be
+/// DepletionSplitAt(cj0, vj, m, fc)). `*capacitance` gets dq/dv.
 double DepletionCharge(double v, double cj0, double vj, double m, double fc,
-                       double* capacitance);
+                       const DepletionSplit& split, double* capacitance);
 
 }  // namespace cmldft::devices

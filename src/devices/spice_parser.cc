@@ -76,6 +76,38 @@ std::string NormalizePunct(std::string_view s) {
   return out;
 }
 
+// The device math is defined only inside these ranges: saturation
+// currents, betas, emission coefficients, junction potentials and the
+// nominal temperature divide or scale an exponent; grading coefficients
+// and fc enter as 1 / (1 - m) and (1 - fc)^-m; capacitances and transit
+// times scale stored charge.
+Status CheckModelParam(std::string_view model, const std::string& type,
+                       const std::string& key, double value) {
+  static const char* const kPositive[] = {"is", "bf",  "br",  "nf", "nr",
+                                          "n",  "vje", "vjc", "vj", "tnom"};
+  static const char* const kUnitInterval[] = {"mje", "mjc", "m", "fc"};
+  static const char* const kNonNegative[] = {"cje", "cjc", "cj0", "cjo",
+                                             "tf",  "tr",  "tt"};
+  auto is = [&](const auto& names) {
+    for (const char* name : names) {
+      if (key == name) return true;
+    }
+    return false;
+  };
+  const char* rule = nullptr;
+  if (is(kPositive) && !(value > 0.0)) {
+    rule = "must be > 0";
+  } else if (is(kUnitInterval) && !(value >= 0.0 && value < 1.0)) {
+    rule = "must lie in [0, 1)";
+  } else if (is(kNonNegative) && !(value >= 0.0)) {
+    rule = "must be >= 0";
+  }
+  if (rule == nullptr) return Status::Ok();
+  return Status::ParseError(StrPrintf(".model %s (%s): %s = %g %s",
+                                      std::string(model).c_str(), type.c_str(),
+                                      key.c_str(), value, rule));
+}
+
 class Parser {
  public:
   StatusOr<Netlist> Run(std::string_view text) {
@@ -136,7 +168,9 @@ class Parser {
             std::string(tok[1]).c_str(), std::string(tok[i]).c_str()));
       }
       CMLDFT_ASSIGN_OR_RETURN(double value, ParseSpiceNumber(tok[i + 2]));
-      card.params[ToLower(std::string(tok[i]))] = value;
+      const std::string key = ToLower(std::string(tok[i]));
+      CMLDFT_RETURN_IF_ERROR(CheckModelParam(tok[1], card.type, key, value));
+      card.params[key] = value;
       i += 3;
     }
     models_[ToLower(std::string(tok[1]))] = std::move(card);
@@ -259,12 +293,20 @@ class Parser {
       case 'r': {
         if (tok.size() < 4) return Status::ParseError("R needs: name a b value");
         CMLDFT_ASSIGN_OR_RETURN(double v, ParseSpiceNumber(tok[3]));
+        if (!(v > 0.0)) {
+          return Status::ParseError(StrPrintf(
+              "%s: resistance = %g must be > 0", name.c_str(), v));
+        }
         netlist_.AddDevice(std::make_unique<Resistor>(name, node(1), node(2), v));
         return Status::Ok();
       }
       case 'c': {
         if (tok.size() < 4) return Status::ParseError("C needs: name a b value");
         CMLDFT_ASSIGN_OR_RETURN(double v, ParseSpiceNumber(tok[3]));
+        if (!(v >= 0.0)) {
+          return Status::ParseError(StrPrintf(
+              "%s: capacitance = %g must be >= 0", name.c_str(), v));
+        }
         netlist_.AddDevice(std::make_unique<Capacitor>(name, node(1), node(2), v));
         return Status::Ok();
       }

@@ -25,6 +25,8 @@ struct HierMetrics {
       util::telemetry::GetCounter("sim.hier.schur_factor_shares");
   util::telemetry::Counter cell_refactors =
       util::telemetry::GetCounter("sim.hier.cell_refactors");
+  util::telemetry::Counter device_evals =
+      util::telemetry::GetCounter("sim.device.evals");
   // Phase walls of AssembleAndSolve: P1 + S1, P2 + P3, S2 + border solve,
   // P4 (see sim/hier.h).
   util::telemetry::Timer assemble_wall =
@@ -43,51 +45,6 @@ const HierMetrics& Metrics() {
 }
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const HierMetrics& kEagerRegistration = Metrics();
-
-/// Shared property plumbing for both hierarchical stamp contexts: the
-/// analysis context proxies the MnaSystem (the engines keep configuring
-/// it exactly as on the flat path) and the iterate is read directly.
-class HierContextBase : public netlist::StampContext {
- public:
-  HierContextBase(HierSolver* solver, const linalg::Vector* iterate)
-      : solver_(solver), iterate_(iterate) {}
-
-  netlist::AnalysisMode mode() const override { return solver_->mna().mode(); }
-  double time() const override { return solver_->mna().time(); }
-  double dt() const override { return solver_->mna().dt(); }
-  netlist::IntegrationMethod method() const override {
-    return solver_->mna().method();
-  }
-  double gmin() const override { return solver_->mna().gmin(); }
-  double temperature() const override { return solver_->mna().temperature(); }
-  bool first_iteration() const override {
-    return solver_->mna().first_iteration();
-  }
-  double source_scale() const override { return solver_->mna().source_scale(); }
-  bool initializing_state() const override {
-    return solver_->mna().initializing_state();
-  }
-
-  double V(netlist::NodeId n) const override {
-    const int u = solver_->mna().UnknownOfNode(n);
-    return u < 0 ? 0.0 : (*iterate_)[static_cast<size_t>(u)];
-  }
-  double BranchCurrent(const netlist::Device& dev, int slot) const override {
-    return (*iterate_)[static_cast<size_t>(
-        solver_->mna().UnknownOfBranch(dev, slot))];
-  }
-
-  double PrevState(const netlist::Device& dev, int slot) const override {
-    return solver_->PrevStateOf(dev, slot);
-  }
-  void SetState(const netlist::Device& dev, int slot, double value) override {
-    solver_->SetStateOf(dev, slot, value);
-  }
-
- protected:
-  HierSolver* solver_;
-  const linalg::Vector* iterate_;
-};
 
 /// One block entry's share-key word. quantum == 0 keys on the raw bits.
 /// Otherwise the entry keys on round(v / quantum) — unless that quotient
@@ -135,44 +92,55 @@ class KeyHasher {
   uint64_t h_ = kPrime3;
 };
 
+/// Replays `ordinals` through `ctx`'s compiled targets, counting the
+/// Stamp() calls in `*stamps`. False at the first device whose writes no
+/// longer match them; the caller then records afresh.
+bool ReplayDevices(netlist::StampContext& ctx, const netlist::Netlist& nl,
+                   const std::vector<int>& ordinals, size_t* stamps) {
+  ctx.BeginReplay();
+  for (int ordinal : ordinals) {
+    ++*stamps;
+    if (!ctx.Replay(nl.device(ordinal))) return false;
+  }
+  return true;
+}
+
+/// Records `ordinals` through `owner` and compiles their targets.
+void RecordDevices(netlist::StampContext& ctx, const netlist::Netlist& nl,
+                   const std::vector<int>& ordinals,
+                   netlist::StampContext::Owner& owner,
+                   netlist::StampContext::FirstTouch first_touch) {
+  ctx.BeginRecord(owner);
+  for (int ordinal : ordinals) ctx.Record(nl.device(ordinal));
+  const bool compiled = ctx.EndRecord(first_touch);
+  assert(compiled && "hierarchical stamp target did not resolve");
+  (void)compiled;
+}
+
 }  // namespace
 
-/// Routes one cell's stamps straight into its four blocks: local ids are
-/// internals first ([0, ni)), touched border after ([ni, ni + nb)). Any
-/// unknown a cell device stamps is internal to that cell or on its
+/// Routes one cell's recorded stamps straight into its four blocks: local
+/// ids are internals first ([0, ni)), touched border after ([ni, ni + nb)).
+/// Any unknown a cell device stamps is internal to that cell or on its
 /// touched border, by construction of the partition.
-class HierSolver::CellStampContext : public HierContextBase {
+class HierSolver::CellOwner final : public netlist::StampContext::Owner {
  public:
-  CellStampContext(HierSolver* solver, Cell* cell,
-                   const linalg::Vector* iterate)
-      : HierContextBase(solver, iterate), cell_(cell) {}
+  CellOwner(const HierSolver* solver, Cell* cell)
+      : solver_(solver), cell_(cell) {}
 
-  void AddNodeMatrix(netlist::NodeId row, netlist::NodeId col,
-                     double g) override {
-    Mat(solver_->mna().UnknownOfNode(row), solver_->mna().UnknownOfNode(col),
-        g);
+  double* MatrixTarget(int row, int col) override {
+    const size_t ni = cell_->internal.size();
+    const size_t lr = LocalOf(row), lc = LocalOf(col);
+    if (lr < ni) {
+      return lc < ni ? &cell_->a_ii(lr, lc) : &cell_->a_ib(lr, lc - ni);
+    }
+    return lc < ni ? &cell_->a_bi(lr - ni, lc)
+                   : &cell_->a_bb(lr - ni, lc - ni);
   }
-  void AddNodeRhs(netlist::NodeId row, double value) override {
-    Rhs(solver_->mna().UnknownOfNode(row), value);
-  }
-  void AddBranchNodeMatrix(const netlist::Device& dev, int slot,
-                           netlist::NodeId col, double value) override {
-    Mat(solver_->mna().UnknownOfBranch(dev, slot),
-        solver_->mna().UnknownOfNode(col), value);
-  }
-  void AddNodeBranchMatrix(netlist::NodeId row, const netlist::Device& dev,
-                           int slot, double value) override {
-    Mat(solver_->mna().UnknownOfNode(row),
-        solver_->mna().UnknownOfBranch(dev, slot), value);
-  }
-  void AddBranchBranchMatrix(const netlist::Device& dev, int slot,
-                             double value) override {
-    const int u = solver_->mna().UnknownOfBranch(dev, slot);
-    Mat(u, u, value);
-  }
-  void AddBranchRhs(const netlist::Device& dev, int slot,
-                    double value) override {
-    Rhs(solver_->mna().UnknownOfBranch(dev, slot), value);
+  double* RhsTarget(int row) override {
+    const size_t ni = cell_->internal.size();
+    const size_t lr = LocalOf(row);
+    return lr < ni ? &cell_->rhs_i[lr] : &cell_->rhs_b[lr - ni];
   }
 
  private:
@@ -191,109 +159,117 @@ class HierSolver::CellStampContext : public HierContextBase {
     return cell_->internal.size() +
            static_cast<size_t>(it - cell_->border.begin());
   }
-  void Mat(int r, int c, double v) {
-    if (r < 0 || c < 0) return;  // ground
-    const size_t ni = cell_->internal.size();
-    const size_t lr = LocalOf(r), lc = LocalOf(c);
-    if (lr < ni) {
-      if (lc < ni) {
-        cell_->a_ii(lr, lc) += v;
-      } else {
-        cell_->a_ib(lr, lc - ni) += v;
-      }
-    } else if (lc < ni) {
-      cell_->a_bi(lr - ni, lc) += v;
-    } else {
-      cell_->a_bb(lr - ni, lc - ni) += v;
-    }
-  }
-  void Rhs(int r, double v) {
-    if (r < 0) return;
-    const size_t ni = cell_->internal.size();
-    const size_t lr = LocalOf(r);
-    if (lr < ni) {
-      cell_->rhs_i[lr] += v;
-    } else {
-      cell_->rhs_b[lr - ni] += v;
-    }
-  }
 
+  const HierSolver* solver_;
   Cell* cell_;
 };
 
-/// Routes the global (outside-every-cell) devices' stamps into the
-/// border system. Every unknown a global device touches is border by
+/// Routes the global (outside-every-cell) devices' recorded stamps into
+/// the border system. Every unknown a global device touches is border by
 /// construction.
-class HierSolver::BorderStampContext : public HierContextBase {
+class HierSolver::BorderOwner final : public netlist::StampContext::Owner {
  public:
-  BorderStampContext(HierSolver* solver, const linalg::Vector* iterate)
-      : HierContextBase(solver, iterate) {}
+  explicit BorderOwner(HierSolver* solver) : solver_(solver) {}
 
-  void AddNodeMatrix(netlist::NodeId row, netlist::NodeId col,
-                     double g) override {
-    Mat(solver_->mna().UnknownOfNode(row), solver_->mna().UnknownOfNode(col),
-        g);
+  void RecordMatrix(int row, int col, double value) override {
+    if (solver_->border_sparse_) {
+      // May insert the slot; targets are resolved after the pass.
+      solver_->border_builder_.Add(BorderOf(row), BorderOf(col), value);
+    } else {
+      *MatrixTarget(row, col) += value;
+    }
   }
-  void AddNodeRhs(netlist::NodeId row, double value) override {
-    Rhs(solver_->mna().UnknownOfNode(row), value);
+  double* MatrixTarget(int row, int col) override {
+    return solver_->border_sparse_
+               ? solver_->border_builder_.SlotPointer(BorderOf(row),
+                                                      BorderOf(col))
+               : &solver_->border_mat_(BorderOf(row), BorderOf(col));
   }
-  void AddBranchNodeMatrix(const netlist::Device& dev, int slot,
-                           netlist::NodeId col, double value) override {
-    Mat(solver_->mna().UnknownOfBranch(dev, slot),
-        solver_->mna().UnknownOfNode(col), value);
-  }
-  void AddNodeBranchMatrix(netlist::NodeId row, const netlist::Device& dev,
-                           int slot, double value) override {
-    Mat(solver_->mna().UnknownOfNode(row),
-        solver_->mna().UnknownOfBranch(dev, slot), value);
-  }
-  void AddBranchBranchMatrix(const netlist::Device& dev, int slot,
-                             double value) override {
-    const int u = solver_->mna().UnknownOfBranch(dev, slot);
-    Mat(u, u, value);
-  }
-  void AddBranchRhs(const netlist::Device& dev, int slot,
-                    double value) override {
-    Rhs(solver_->mna().UnknownOfBranch(dev, slot), value);
+  double* RhsTarget(int row) override {
+    return &solver_->border_rhs_[BorderOf(row)];
   }
 
  private:
-  int BorderOf(int unknown) const {
+  size_t BorderOf(int unknown) const {
     const int b = solver_->border_index_of_[static_cast<size_t>(unknown)];
     assert(b >= 0 && "global device stamped a cell-internal unknown");
-    return b;
+    return static_cast<size_t>(b);
   }
-  void Mat(int r, int c, double v) {
-    if (r < 0 || c < 0) return;  // ground
-    solver_->AddBorderMatrix(BorderOf(r), BorderOf(c), v);
-  }
-  void Rhs(int r, double v) {
-    if (r < 0) return;
-    solver_->border_rhs_[static_cast<size_t>(BorderOf(r))] += v;
-  }
+
+  HierSolver* solver_;
 };
 
 HierSolver::HierSolver(MnaSystem* mna) : mna_(mna) { BuildPartition(); }
 
-double HierSolver::PrevStateOf(const netlist::Device& dev, int slot) const {
-  const int off = mna_->slots_[static_cast<size_t>(dev.ordinal())].state_offset;
-  assert(off >= 0 && slot < dev.num_states());
-  return mna_->prev_states_[static_cast<size_t>(off + slot)];
-}
-
-void HierSolver::SetStateOf(const netlist::Device& dev, int slot,
-                            double value) {
-  const int off = mna_->slots_[static_cast<size_t>(dev.ordinal())].state_offset;
-  assert(off >= 0 && slot < dev.num_states());
-  mna_->curr_states_[static_cast<size_t>(off + slot)] = value;
-}
-
-void HierSolver::AddBorderMatrix(int r, int c, double v) {
-  if (border_sparse_) {
-    border_builder_.Add(static_cast<size_t>(r), static_cast<size_t>(c), v);
-  } else {
-    border_mat_(static_cast<size_t>(r), static_cast<size_t>(c)) += v;
+size_t HierSolver::AssembleCell(Cell& cell, const netlist::StampFrame& frame) {
+  const netlist::Netlist& nl = mna_->netlist();
+  netlist::StampContext& ctx = cell.ctx;
+  ctx.Bind(frame);
+  std::fill(cell.rhs_i.begin(), cell.rhs_i.end(), 0.0);
+  std::fill(cell.rhs_b.begin(), cell.rhs_b.end(), 0.0);
+  size_t stamps = 0;
+  if (ctx.compiled()) {
+    // Replay: first touches store, so the blocks need no zero fill.
+    if (ReplayDevices(ctx, nl, cell.device_ordinals, &stamps)) return stamps;
+    ctx.Invalidate();
+    std::fill(cell.rhs_i.begin(), cell.rhs_i.end(), 0.0);
+    std::fill(cell.rhs_b.begin(), cell.rhs_b.end(), 0.0);
   }
+  cell.a_ii.Fill(0.0);
+  cell.a_ib.Fill(0.0);
+  cell.a_bi.Fill(0.0);
+  cell.a_bb.Fill(0.0);
+  CellOwner owner(this, &cell);
+  RecordDevices(ctx, nl, cell.device_ordinals, owner,
+                netlist::StampContext::FirstTouch::kStoreZeroed);
+  return stamps + cell.device_ordinals.size();
+}
+
+size_t HierSolver::AssembleBorder(const netlist::StampFrame& frame) {
+  // Serial in cell order then netlist device order — a fixed summation
+  // order keeps results thread-count independent.
+  std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
+  if (border_sparse_) {
+    // A global device that stamped a new slot last time moved the
+    // builder's rows: re-resolve the cells' targets.
+    if (border_slots_version_ != border_builder_.pattern_version()) {
+      CompileBorderSlots();
+    }
+    border_builder_.ZeroValues();
+  } else {
+    border_mat_.Fill(0.0);
+  }
+  for (const Cell& cell : cells_) {
+    const size_t nb = cell.border.size();
+    const linalg::Matrix& schur =
+        pool_[static_cast<size_t>(cell.factors)].factors.schur();
+    double* const* slot = cell.border_slots.data();
+    for (size_t i = 0; i < nb; ++i) {
+      const int gr = border_index_of_[static_cast<size_t>(cell.border[i])];
+      border_rhs_[static_cast<size_t>(gr)] += cell.rhs_b[i] - cell.c[i];
+      for (size_t j = 0; j < nb; ++j) {
+        **slot++ += cell.a_bb(i, j) - schur(i, j);
+      }
+    }
+  }
+
+  // Global devices accumulate on top of the cells' contributions.
+  const netlist::Netlist& nl = mna_->netlist();
+  border_ctx_.Bind(frame);
+  if (border_ctx_.compiled() &&
+      (!border_sparse_ ||
+       border_plan_version_ == border_builder_.pattern_version())) {
+    size_t stamps = 0;
+    if (ReplayDevices(border_ctx_, nl, global_devices_, &stamps)) return stamps;
+    // The mismatched device's partial writes are summed in: start over.
+    border_ctx_.Invalidate();
+    return stamps + AssembleBorder(frame);
+  }
+  BorderOwner owner(this);
+  RecordDevices(border_ctx_, nl, global_devices_, owner,
+                netlist::StampContext::FirstTouch::kAccumulate);
+  border_plan_version_ = border_builder_.pattern_version();
+  return global_devices_.size();
 }
 
 void HierSolver::BuildPartition() {
@@ -601,31 +577,26 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
           ? opts.hier_share_quantum
           : 0.0;
   const HierMetrics& metrics = Metrics();
+  const netlist::StampFrame frame = mna_->Frame(iterate);
 
   {
     util::telemetry::ScopedTimer span(metrics.assemble_wall);
     // P1: per-cell assembly — disjoint per-cell storage, and each device's
-    // state slots are written by exactly one worker.
+    // state slots and model constants are written by exactly one worker.
     util::ParallelFor(
         cells_.size(),
-        [this, &iterate](size_t k) {
+        [this, &frame](size_t k) {
           Cell& cell = cells_[k];
-          cell.a_ii.Fill(0.0);
-          cell.a_ib.Fill(0.0);
-          cell.a_bi.Fill(0.0);
-          cell.a_bb.Fill(0.0);
-          std::fill(cell.rhs_i.begin(), cell.rhs_i.end(), 0.0);
-          std::fill(cell.rhs_b.begin(), cell.rhs_b.end(), 0.0);
-          CellStampContext ctx(this, &cell, &iterate);
-          for (int ordinal : cell.device_ordinals) {
-            mna_->netlist().device(ordinal).Stamp(ctx);
-          }
+          cell.stamps = AssembleCell(cell, frame);
           cell.key_hash = KeyHash(cell, quantum_);
         },
         threads);
 
     // S1: factor-share grouping, serial in cell order so the chosen
     // representatives (and thus all shared factors) are deterministic.
+    size_t stamps = 0;
+    for (const Cell& cell : cells_) stamps += cell.stamps;
+    metrics.device_evals.Add(stamps);
     metrics.cells.Add(cells_.size());
     metrics.border_unknowns.Add(border_unknowns_.size());
     ++solves_;
@@ -715,38 +686,8 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
 
   {
     util::telemetry::ScopedTimer span(metrics.border_wall);
-    // S2: border assembly, serial in cell order then netlist device order —
-    // a fixed summation order keeps results thread-count independent.
-    std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
-    if (border_sparse_) {
-      // A global device that stamped a new slot last time moved the
-      // builder's rows: re-resolve the cells' targets.
-      if (border_slots_version_ != border_builder_.pattern_version()) {
-        CompileBorderSlots();
-      }
-      border_builder_.ZeroValues();
-    } else {
-      border_mat_.Fill(0.0);
-    }
-    for (const Cell& cell : cells_) {
-      const size_t nb = cell.border.size();
-      const linalg::Matrix& schur =
-          pool_[static_cast<size_t>(cell.factors)].factors.schur();
-      double* const* slot = cell.border_slots.data();
-      for (size_t i = 0; i < nb; ++i) {
-        const int gr = border_index_of_[static_cast<size_t>(cell.border[i])];
-        border_rhs_[static_cast<size_t>(gr)] += cell.rhs_b[i] - cell.c[i];
-        for (size_t j = 0; j < nb; ++j) {
-          **slot++ += cell.a_bb(i, j) - schur(i, j);
-        }
-      }
-    }
-    {
-      BorderStampContext ctx(this, &iterate);
-      for (int ordinal : global_devices_) {
-        mna_->netlist().device(ordinal).Stamp(ctx);
-      }
-    }
+    // S2: border assembly.
+    metrics.device_evals.Add(AssembleBorder(frame));
 
     // Border solve. Refactor runs a full Factor the first time and
     // whenever the recorded pattern or pivots no longer fit.

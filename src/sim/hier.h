@@ -10,14 +10,16 @@
 // fault devices — is border. Each Newton iteration then runs:
 //
 //   P1 (parallel)  per-cell assembly straight into the four blocks
-//                  A_II, A_IB, A_BI, A_BB, plus a 64-bit block hash
+//                  A_II, A_IB, A_BI, A_BB (each cell replays its devices'
+//                  compiled stamp targets), plus a 64-bit block hash
 //   S1 (serial)    factor-share grouping: hash lookup confirmed by an
 //                  exact compare of the blocks
 //   P2 (parallel)  LU + Schur complement of each unique block
 //                  (linalg/bbd.h), shared across matching cells
 //   P3 (parallel)  per-cell rhs reduction
 //   S2 (serial)    border assembly in cell order (through slot pointers
-//                  compiled once) + global devices
+//                  compiled once) + global devices (through their
+//                  compiled stamp targets)
 //   --             border solve (dense, or sparse above the same
 //                  crossover as the flat kAuto solver)
 //   P4 (parallel)  per-cell back-substitution
@@ -41,6 +43,7 @@
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "netlist/netlist.h"
+#include "netlist/stamp_context.h"
 #include "sim/options.h"
 #include "util/status.h"
 
@@ -73,14 +76,9 @@ class HierSolver {
                                 linalg::Vector* x_new,
                                 const NewtonOptions& opts);
 
-  // --- used by the stamp contexts in hier.cc ----------------------------
-  const MnaSystem& mna() const { return *mna_; }
-  double PrevStateOf(const netlist::Device& dev, int slot) const;
-  void SetStateOf(const netlist::Device& dev, int slot, double value);
-
  private:
-  class CellStampContext;
-  class BorderStampContext;
+  class CellOwner;
+  class BorderOwner;
 
   struct Cell {
     std::string name;
@@ -91,12 +89,15 @@ class HierSolver {
     /// Border-matrix targets of this cell's A_BB - S block, nb x nb
     /// row-major (see CompileBorderSlots).
     std::vector<double*> border_slots;
+    /// The cell's devices' compiled stamp targets, into the blocks below.
+    netlist::StampContext ctx;
 
     // Per-solve scratch (each cell's is touched by exactly one worker in
     // the parallel phases, so the writes are disjoint by construction).
     linalg::Matrix a_ii, a_ib, a_bi, a_bb;
     linalg::Vector rhs_i, rhs_b;
     uint64_t key_hash = 0;    ///< hash of type, shape, A_II, A_IB, A_BI
+    size_t stamps = 0;        ///< Stamp() calls of this solve's assembly
     int factors = -1;         ///< pool_ entry this solve's factors live in
     linalg::Vector y, c;      ///< rhs reduction outputs
     linalg::Vector x_b, x_i;  ///< back-substitution scratch
@@ -114,12 +115,17 @@ class HierSolver {
   };
 
   void BuildPartition();
+  /// P1 for one cell: replay its devices' compiled targets, or record
+  /// them (zeroing the blocks first). Returns the Stamp() calls made.
+  size_t AssembleCell(Cell& cell, const netlist::StampFrame& frame);
+  /// S2: the cells' A_BB - S and rhs_b - c contributions in cell order,
+  /// then the global devices through their compiled border targets.
+  /// Returns the Stamp() calls made.
+  size_t AssembleBorder(const netlist::StampFrame& frame);
   /// Resolve every cell's border_slots: pointers into the dense border
   /// matrix, or into the sparse builder's slots (creating them first, so
   /// no later insertion in the same pass can move an earlier target).
   void CompileBorderSlots();
-  /// Accumulate into the border Jacobian (dense matrix or sparse builder).
-  void AddBorderMatrix(int r, int c, double v);
   /// Factor-share key hash: cell type + dims + the block entries (raw
   /// bits when quantum == 0, quantized otherwise).
   static uint64_t KeyHash(const Cell& cell, double quantum);
@@ -157,6 +163,10 @@ class HierSolver {
   linalg::SparseLu border_lu_;
   bool border_sparse_ = false;
   uint64_t border_slots_version_ = 0;  ///< builder pattern they point into
+  /// The global devices' compiled border targets, and the builder pattern
+  /// they point into (sparse border).
+  netlist::StampContext border_ctx_;
+  uint64_t border_plan_version_ = 0;
 
   // Factor-share pool. Each solve's shares are double-buffered tables of
   // pool indices (open addressing on the key hash, -1 = empty): lookups

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "sim/hier.h"
 #include "util/telemetry.h"
@@ -20,6 +19,10 @@ struct AssemblyMetrics {
       util::telemetry::GetCounter("sim.assembly.plan_mismatches");
   util::telemetry::Counter bypass_hits =
       util::telemetry::GetCounter("sim.newton.bypass_hits");
+  util::telemetry::Counter device_evals =
+      util::telemetry::GetCounter("sim.device.evals");
+  util::telemetry::Timer assembly_wall =
+      util::telemetry::GetTimer("sim.assembly.wall");
 };
 const AssemblyMetrics& Metrics() {
   static const AssemblyMetrics m;
@@ -35,11 +38,12 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   num_node_unknowns_ = netlist.num_nodes() - 1;  // ground excluded
   int branch_cursor = num_node_unknowns_;
   int state_cursor = 0;
+  int constant_cursor = 0;
   slots_.resize(static_cast<size_t>(num_devices_));
   for (int i = 0; i < num_devices_; ++i) {
     const Device& dev = netlist.device(i);
     assert(dev.ordinal() == i && "netlist device ordinals out of sync");
-    DeviceSlots& s = slots_[static_cast<size_t>(i)];
+    netlist::DeviceSlots& s = slots_[static_cast<size_t>(i)];
     if (dev.num_branches() > 0) {
       s.branch_offset = branch_cursor;
       branch_cursor += dev.num_branches();
@@ -47,6 +51,10 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
     if (dev.num_states() > 0) {
       s.state_offset = state_cursor;
       state_cursor += dev.num_states();
+    }
+    if (dev.num_constants() > 0) {
+      s.constant_offset = constant_cursor;
+      constant_cursor += dev.num_constants();
     }
   }
   num_unknowns_ = branch_cursor;
@@ -56,7 +64,39 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   rhs_.assign(static_cast<size_t>(num_unknowns_), 0.0);
   prev_states_.assign(static_cast<size_t>(num_states_), 0.0);
   curr_states_.assign(static_cast<size_t>(num_states_), 0.0);
+  constants_.assign(static_cast<size_t>(constant_cursor), 0.0);
+  constants_revision_.assign(static_cast<size_t>(num_devices_), 0);
 }
+
+/// Routes a recording pass's writes into the flat Jacobian (dense or
+/// sparse) and RHS, and resolves their replay targets.
+class MnaSystem::FlatOwner final : public netlist::StampContext::Owner {
+ public:
+  explicit FlatOwner(MnaSystem* mna) : mna_(mna) {}
+
+  void RecordMatrix(int row, int col, double value) override {
+    if (mna_->sparse_) {
+      mna_->sparse_jac_.Add(static_cast<size_t>(row),
+                            static_cast<size_t>(col), value);
+    } else {
+      *MatrixTarget(row, col) += value;
+    }
+  }
+  double* MatrixTarget(int row, int col) override {
+    if (mna_->sparse_) {
+      return mna_->sparse_jac_.SlotPointer(static_cast<size_t>(row),
+                                           static_cast<size_t>(col));
+    }
+    return &mna_->jacobian_(static_cast<size_t>(row),
+                            static_cast<size_t>(col));
+  }
+  double* RhsTarget(int row) override {
+    return &mna_->rhs_[static_cast<size_t>(row)];
+  }
+
+ private:
+  MnaSystem* mna_;
+};
 
 MnaSystem::~MnaSystem() = default;
 
@@ -69,24 +109,39 @@ HierSolver* MnaSystem::GetHierSolver() {
   return hier_.get();
 }
 
-const MnaSystem::DeviceSlots& MnaSystem::SlotsOf(const Device& dev) const {
-  const int i = dev.ordinal();
-  assert(i >= 0 && i < static_cast<int>(slots_.size()) &&
-         "device not part of this MNA system");
-  assert(&netlist_->device(i) == &dev &&
-         "device ordinal does not match this system's netlist");
-  return slots_[static_cast<size_t>(i)];
-}
-
 int MnaSystem::UnknownOfNode(NodeId node) const {
   assert(node >= 0 && node < netlist_->num_nodes());
   return node == netlist::kGroundNode ? -1 : node - 1;
 }
 
 int MnaSystem::UnknownOfBranch(const Device& dev, int slot) const {
-  const DeviceSlots& s = SlotsOf(dev);
+  const int i = dev.ordinal();
+  assert(i >= 0 && i < num_devices_ && &netlist_->device(i) == &dev &&
+         "device not part of this MNA system");
+  const netlist::DeviceSlots& s = slots_[static_cast<size_t>(i)];
   assert(s.branch_offset >= 0 && slot < dev.num_branches());
   return s.branch_offset + slot;
+}
+
+void MnaSystem::set_temperature(double t) {
+  if (analysis_.temperature != t) {
+    analysis_.temperature = t;
+    ++stamp_epoch_;
+    ++ctx_epoch_;
+    std::fill(constants_revision_.begin(), constants_revision_.end(), 0);
+  }
+}
+
+netlist::StampFrame MnaSystem::Frame(const linalg::Vector& iterate) {
+  netlist::StampFrame f;
+  f.analysis = &analysis_;
+  f.slots = slots_.data();
+  f.iterate = iterate.data();
+  f.prev_states = prev_states_.data();
+  f.curr_states = curr_states_.data();
+  f.constants = constants_.data();
+  f.constants_revision = constants_revision_.data();
+  return f;
 }
 
 void MnaSystem::set_sparse(bool sparse) {
@@ -94,11 +149,6 @@ void MnaSystem::set_sparse(bool sparse) {
   if (sparse_ && sparse_jac_.dimension() != static_cast<size_t>(num_unknowns_)) {
     sparse_jac_ = linalg::SparseBuilder(static_cast<size_t>(num_unknowns_));
   }
-}
-
-void MnaSystem::set_stamp_plan_mode(StampPlanMode mode) {
-  plan_mode_ = mode;
-  if (mode == StampPlanMode::kOff) plan_ready_ = false;
 }
 
 void MnaSystem::set_bypass(bool enabled, double reltol, double abstol) {
@@ -123,85 +173,40 @@ void MnaSystem::Assemble(const linalg::Vector& iterate) {
   assert(static_cast<int>(iterate.size()) == num_unknowns_);
   assert(netlist_->num_devices() == num_devices_ &&
          "netlist devices changed after MnaSystem construction");
+  util::telemetry::ScopedTimer wall(Metrics().assembly_wall);
   iterate_ = &iterate;
-  const bool use_plan =
-      plan_mode_ == StampPlanMode::kForce ||
-      (plan_mode_ == StampPlanMode::kAuto && (sparse_ || bypass_));
-  if (use_plan) {
-    const bool replayable =
-        plan_ready_ && plan_sparse_ == sparse_ &&
-        (!sparse_ || sparse_jac_.pattern_version() == plan_pattern_version_);
-    if (!replayable || !ReplayAssemble()) RecordAssemble();
-  } else {
-    LegacyAssemble();
-  }
+  ctx_.Bind(Frame(iterate));
+  const bool replayable =
+      ctx_.compiled() && plan_sparse_ == sparse_ &&
+      (!sparse_ || sparse_jac_.pattern_version() == plan_pattern_version_);
+  if (!replayable || !ReplayAssemble()) RecordAssemble();
   iterate_ = nullptr;
-}
-
-void MnaSystem::LegacyAssemble() {
-  last_assemble_all_bypassed_ = false;
-  if (sparse_) {
-    sparse_jac_.Clear();
-  } else {
-    jacobian_.Fill(0.0);
-  }
-  std::fill(rhs_.begin(), rhs_.end(), 0.0);
-  for (int i = 0; i < num_devices_; ++i) netlist_->device(i).Stamp(*this);
 }
 
 void MnaSystem::RecordAssemble() {
   last_assemble_all_bypassed_ = false;
-  phase_ = AssemblyPhase::kRecording;
-  plan_ready_ = false;
-  rec_mat_.clear();
-  rhs_plan_.clear();
-  state_plan_.clear();
-  spans_.assign(static_cast<size_t>(num_devices_), DeviceSpan{});
   if (sparse_) {
     sparse_jac_.Clear();
   } else {
     jacobian_.Fill(0.0);
   }
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
-  for (int i = 0; i < num_devices_; ++i) {
-    DeviceSpan& span = spans_[static_cast<size_t>(i)];
-    span.mat_begin = static_cast<uint32_t>(rec_mat_.size());
-    span.rhs_begin = static_cast<uint32_t>(rhs_plan_.size());
-    span.state_begin = static_cast<uint32_t>(state_plan_.size());
-    netlist_->device(i).Stamp(*this);
-    span.mat_end = static_cast<uint32_t>(rec_mat_.size());
-    span.rhs_end = static_cast<uint32_t>(rhs_plan_.size());
-    span.state_end = static_cast<uint32_t>(state_plan_.size());
-  }
-  phase_ = AssemblyPhase::kLegacy;
-  CompilePlan();
+  FlatOwner owner(this);
+  ctx_.BeginRecord(owner);
+  for (int i = 0; i < num_devices_; ++i) ctx_.Record(netlist_->device(i));
+  Metrics().device_evals.Add(static_cast<uint64_t>(num_devices_));
+  using FirstTouch = netlist::StampContext::FirstTouch;
+  const bool compiled = ctx_.EndRecord(sparse_ ? FirstTouch::kStoreRaw
+                                               : FirstTouch::kStoreZeroed);
+  assert(compiled && "recorded slot missing from sparse pattern");
+  if (!compiled) return;
+  plan_sparse_ = sparse_;
+  plan_pattern_version_ = sparse_ ? sparse_jac_.pattern_version() : 0;
+  CompileBypass();
+  Metrics().plan_compiles.Increment();
 }
 
-void MnaSystem::CompilePlan() {
-  const size_t n = static_cast<size_t>(num_unknowns_);
-  mat_plan_.resize(rec_mat_.size());
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(rec_mat_.size() * 2);
-  for (size_t k = 0; k < rec_mat_.size(); ++k) {
-    const auto [r, c] = rec_mat_[k];
-    double* target =
-        sparse_ ? sparse_jac_.SlotPointer(static_cast<size_t>(r),
-                                          static_cast<size_t>(c))
-                : jacobian_.data() + static_cast<size_t>(r) * n +
-                      static_cast<size_t>(c);
-    assert(target != nullptr && "recorded slot missing from sparse pattern");
-    if (target == nullptr) return;  // leave plan_ready_ false
-    const bool first =
-        seen.insert(static_cast<uint64_t>(r) * n + static_cast<uint64_t>(c))
-            .second;
-    mat_plan_[k] = MatrixWrite{target, PackRc(r, c) | (first ? kAssignBit : 0)};
-  }
-  // Sentinels (see the header): a key/row no stamp can produce terminates
-  // each stream so the replay path needs no bounds checks.
-  mat_plan_.push_back(MatrixWrite{nullptr, ~0ull});
-  rhs_plan_.push_back(-1);
-  state_plan_.push_back(-1);
-
+void MnaSystem::CompileBypass() {
   device_class_.resize(static_cast<size_t>(num_devices_));
   time_free_.resize(static_cast<size_t>(num_devices_));
   input_cache_offset_.resize(static_cast<size_t>(num_devices_) + 1);
@@ -223,7 +228,7 @@ void MnaSystem::CompilePlan() {
     for (int t = 0; t < dev.num_terminals(); ++t) {
       input_unknowns_.push_back(static_cast<int32_t>(UnknownOfNode(dev.node(t))));
     }
-    const DeviceSlots& s = slots_[static_cast<size_t>(i)];
+    const netlist::DeviceSlots& s = slots_[static_cast<size_t>(i)];
     for (int b = 0; b < dev.num_branches(); ++b) {
       input_unknowns_.push_back(static_cast<int32_t>(s.branch_offset + b));
     }
@@ -231,14 +236,14 @@ void MnaSystem::CompilePlan() {
   input_cache_offset_[static_cast<size_t>(num_devices_)] =
       static_cast<uint32_t>(input_unknowns_.size());
   input_cache_.assign(input_unknowns_.size(), 0.0);
-  mat_vals_.assign(rec_mat_.size(), 0.0);
-  rhs_vals_.assign(rhs_plan_.size() - 1, 0.0);
-  state_vals_.assign(state_plan_.size() - 1, 0.0);
+  mat_vals_.assign(ctx_.num_matrix_writes(), 0.0);
+  rhs_vals_.assign(ctx_.num_rhs_writes(), 0.0);
+  state_vals_.assign(ctx_.num_state_writes(), 0.0);
   cache_valid_.assign(static_cast<size_t>(num_devices_), 0);
   cache_epoch_.assign(static_cast<size_t>(num_devices_), 0);
   cache_ctx_epoch_.assign(static_cast<size_t>(num_devices_), 0);
   cache_dt_.assign(static_cast<size_t>(num_devices_), -1.0);
-  state_input_vals_.assign(state_plan_.size() - 1, 0.0);
+  state_input_vals_.assign(state_vals_.size(), 0.0);
   mat_vals_alt_.assign(mat_vals_.size(), 0.0);
   rhs_vals_alt_.assign(rhs_vals_.size(), 0.0);
   state_vals_alt_.assign(state_vals_.size(), 0.0);
@@ -248,25 +253,27 @@ void MnaSystem::CompilePlan() {
   input_cache_alt_.assign(input_cache_.size(), 0.0);
   state_input_vals_alt_.assign(state_input_vals_.size(), 0.0);
   state_scale_.assign(state_input_vals_.size(), 0.0);
-
-  plan_sparse_ = sparse_;
-  plan_assign_bias_ = sparse_ ? -0.0 : 0.0;
-  plan_pattern_version_ = sparse_ ? sparse_jac_.pattern_version() : 0;
-  plan_ready_ = true;
-  Metrics().plan_compiles.Increment();
 }
 
 bool MnaSystem::ReplayAssemble() {
-  phase_ = AssemblyPhase::kReplaying;
-  plan_mismatch_ = false;
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
-  mat_cursor_ = rhs_cursor_ = state_cursor_ = 0;
+  ctx_.BeginReplay();
+  if (bypass_) {
+    ctx_.set_capture(mat_vals_.data(), rhs_vals_.data(), state_vals_.data());
+  }
+  bool matched = true;
   uint64_t bypass_hits = 0;
+  uint64_t evals = 0;
   for (int i = 0; i < num_devices_; ++i) {
-    const DeviceSpan& span = spans_[static_cast<size_t>(i)];
     const int way = bypass_ ? CanBypassWay(static_cast<size_t>(i)) : -1;
     if (way >= 0) {
-      ReplayFromCache(span, way == 1);
+      if (way == 1) {
+        ctx_.ReplayValues(mat_vals_alt_.data(), rhs_vals_alt_.data(),
+                          state_vals_alt_.data());
+      } else {
+        ctx_.ReplayValues(mat_vals_.data(), rhs_vals_.data(),
+                          state_vals_.data());
+      }
       ++bypass_hits;
       continue;
     }
@@ -278,28 +285,23 @@ bool MnaSystem::ReplayAssemble() {
         cache_epoch_[static_cast<size_t>(i)] != stamp_epoch_) {
       PromoteCacheToAlt(static_cast<size_t>(i));
     }
-    netlist_->device(i).Stamp(*this);
-    // A device may legitimately take a different conditional stamp path
-    // than the recorded one (e.g. a charge companion crossing zero); the
-    // per-call checks catch wrong destinations, the span check catches a
-    // shorter call sequence.
-    if (plan_mismatch_ || mat_cursor_ != span.mat_end ||
-        rhs_cursor_ != span.rhs_end || state_cursor_ != span.state_end) {
-      plan_mismatch_ = true;
+    ++evals;
+    if (!ctx_.Replay(netlist_->device(i))) {
+      matched = false;
       break;
     }
     if (bypass_) CaptureCache(static_cast<size_t>(i));
   }
-  phase_ = AssemblyPhase::kLegacy;
+  ctx_.set_capture(nullptr, nullptr, nullptr);
   last_assemble_all_bypassed_ =
-      !plan_mismatch_ && bypass_hits == static_cast<uint64_t>(num_devices_);
+      matched && bypass_hits == static_cast<uint64_t>(num_devices_);
   if (bypass_hits > 0) Metrics().bypass_hits.Add(bypass_hits);
-  if (plan_mismatch_) {
-    plan_ready_ = false;
+  Metrics().device_evals.Add(evals);
+  if (!matched) {
+    ctx_.Invalidate();
     Metrics().plan_mismatches.Increment();
-    return false;
   }
-  return true;
+  return matched;
 }
 
 int MnaSystem::CanBypassWay(size_t index) const {
@@ -320,13 +322,13 @@ int MnaSystem::CanBypassWay(size_t index) const {
         // standard tolerance.
         if (cls != DeviceClass::kDynamic || !time_free_[index] ||
             cache_ctx_epoch_[index] != ctx_epoch_ ||
-            cache_dt_[index] != dt_) {
+            cache_dt_[index] != analysis_.dt) {
           primary_ok = false;
         } else {
-          const DeviceSpan& span = spans_[index];
+          const netlist::StampContext::Span& span = ctx_.spans()[index];
           for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
             const double prev =
-                prev_states_[static_cast<size_t>(state_plan_[k])];
+                prev_states_[static_cast<size_t>(ctx_.state_slot(k))];
             const double cached = state_input_vals_[k];
             const double scale =
                 std::max(std::fabs(cached), state_scale_[k]);
@@ -370,12 +372,13 @@ bool MnaSystem::CanBypassAlt(size_t index) const {
     return false;
   }
   if (cache_ctx_epoch_alt_[index] != ctx_epoch_ ||
-      cache_dt_alt_[index] != dt_) {
+      cache_dt_alt_[index] != analysis_.dt) {
     return false;
   }
-  const DeviceSpan& span = spans_[index];
+  const netlist::StampContext::Span& span = ctx_.spans()[index];
   for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    const double prev = prev_states_[static_cast<size_t>(state_plan_[k])];
+    const double prev =
+        prev_states_[static_cast<size_t>(ctx_.state_slot(k))];
     const double cached = state_input_vals_alt_[k];
     const double scale = std::max(std::fabs(cached), state_scale_[k]);
     if (std::fabs(prev - cached) > bypass_reltol_ * scale) {
@@ -398,7 +401,7 @@ bool MnaSystem::CanBypassAlt(size_t index) const {
 }
 
 void MnaSystem::PromoteCacheToAlt(size_t index) {
-  const DeviceSpan& span = spans_[index];
+  const netlist::StampContext::Span& span = ctx_.spans()[index];
   for (uint32_t k = span.mat_begin; k < span.mat_end; ++k) {
     mat_vals_alt_[k] = mat_vals_[k];
   }
@@ -418,30 +421,6 @@ void MnaSystem::PromoteCacheToAlt(size_t index) {
   cache_valid_alt_[index] = 1;
 }
 
-void MnaSystem::ReplayFromCache(const DeviceSpan& span, bool alt) {
-  const double* mv = alt ? mat_vals_alt_.data() : mat_vals_.data();
-  const double* rv = alt ? rhs_vals_alt_.data() : rhs_vals_.data();
-  const double* sv = alt ? state_vals_alt_.data() : state_vals_.data();
-  for (uint32_t k = span.mat_begin; k < span.mat_end; ++k) {
-    const MatrixWrite& e = mat_plan_[k];
-    const double v = mv[k];
-    if (e.key & kAssignBit) {
-      *e.target = v + plan_assign_bias_;
-    } else {
-      *e.target += v;
-    }
-  }
-  for (uint32_t k = span.rhs_begin; k < span.rhs_end; ++k) {
-    rhs_[static_cast<size_t>(rhs_plan_[k])] += rv[k];
-  }
-  for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    curr_states_[static_cast<size_t>(state_plan_[k])] = sv[k];
-  }
-  mat_cursor_ = span.mat_end;
-  rhs_cursor_ = span.rhs_end;
-  state_cursor_ = span.state_end;
-}
-
 void MnaSystem::CaptureCache(size_t index) {
   const linalg::Vector& x = *iterate_;
   const uint32_t begin = input_cache_offset_[index];
@@ -450,15 +429,16 @@ void MnaSystem::CaptureCache(size_t index) {
     const int32_t u = input_unknowns_[k];
     input_cache_[k] = u < 0 ? 0.0 : x[static_cast<size_t>(u)];
   }
-  const DeviceSpan& span = spans_[index];
+  const netlist::StampContext::Span& span = ctx_.spans()[index];
   for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    const double prev = prev_states_[static_cast<size_t>(state_plan_[k])];
+    const double prev =
+        prev_states_[static_cast<size_t>(ctx_.state_slot(k))];
     state_input_vals_[k] = prev;
     if (std::fabs(prev) > state_scale_[k]) state_scale_[k] = std::fabs(prev);
   }
   cache_epoch_[index] = stamp_epoch_;
   cache_ctx_epoch_[index] = ctx_epoch_;
-  cache_dt_[index] = dt_;
+  cache_dt_[index] = analysis_.dt;
   cache_valid_[index] = 1;
 }
 
@@ -470,110 +450,6 @@ void MnaSystem::RotateStates() {
 void MnaSystem::ResetCurrentStates() {
   curr_states_ = prev_states_;
   ++stamp_epoch_;
-}
-
-double MnaSystem::V(NodeId n) const {
-  assert(iterate_ != nullptr && "V() outside Assemble()");
-  const int u = UnknownOfNode(n);
-  return u < 0 ? 0.0 : (*iterate_)[static_cast<size_t>(u)];
-}
-
-double MnaSystem::BranchCurrent(const Device& dev, int slot) const {
-  assert(iterate_ != nullptr);
-  return (*iterate_)[static_cast<size_t>(UnknownOfBranch(dev, slot))];
-}
-
-void MnaSystem::StampMatrix(int r, int c, double v) {
-  if (phase_ == AssemblyPhase::kReplaying) {
-    const MatrixWrite& e = mat_plan_[mat_cursor_];
-    // The sentinel's null target stops a device that stamps past its
-    // recorded span. Release builds rely on that plus the per-device call
-    // count checks — sufficient because stamp destinations are a pure
-    // function of topology and context (contract on Device::Stamp); debug
-    // builds verify every destination.
-    if (e.target == nullptr) {
-      plan_mismatch_ = true;
-      return;
-    }
-#ifndef NDEBUG
-    if ((e.key & ~kAssignBit) != PackRc(r, c)) {
-      plan_mismatch_ = true;
-      return;
-    }
-#endif
-    if (bypass_) mat_vals_[mat_cursor_] = v;
-    ++mat_cursor_;
-    if (e.key & kAssignBit) {
-      // First touch of this slot: store instead of accumulating so replay
-      // can skip re-zeroing the matrix; the bias reproduces the backend's
-      // legacy signed-zero behavior (see MatrixWrite in the header).
-      *e.target = v + plan_assign_bias_;
-    } else {
-      *e.target += v;
-    }
-    return;
-  }
-  if (phase_ == AssemblyPhase::kRecording) rec_mat_.push_back({r, c});
-  if (sparse_) {
-    sparse_jac_.Add(static_cast<size_t>(r), static_cast<size_t>(c), v);
-  } else {
-    jacobian_(static_cast<size_t>(r), static_cast<size_t>(c)) += v;
-  }
-}
-
-void MnaSystem::StampRhs(int r, double v) {
-  if (phase_ == AssemblyPhase::kReplaying) {
-    if (rhs_plan_[rhs_cursor_] != static_cast<int32_t>(r)) {
-      plan_mismatch_ = true;  // includes the -1 sentinel past the end
-      return;
-    }
-    if (bypass_) rhs_vals_[rhs_cursor_] = v;
-    ++rhs_cursor_;
-    rhs_[static_cast<size_t>(r)] += v;
-    return;
-  }
-  if (phase_ == AssemblyPhase::kRecording) {
-    rhs_plan_.push_back(static_cast<int32_t>(r));
-  }
-  rhs_[static_cast<size_t>(r)] += v;
-}
-
-void MnaSystem::AddNodeMatrix(NodeId row, NodeId col, double g) {
-  const int r = UnknownOfNode(row);
-  const int c = UnknownOfNode(col);
-  if (r < 0 || c < 0) return;
-  StampMatrix(r, c, g);
-}
-
-void MnaSystem::AddNodeRhs(NodeId row, double value) {
-  const int r = UnknownOfNode(row);
-  if (r < 0) return;
-  StampRhs(r, value);
-}
-
-void MnaSystem::AddBranchNodeMatrix(const Device& dev, int slot, NodeId col,
-                                    double value) {
-  const int r = UnknownOfBranch(dev, slot);
-  const int c = UnknownOfNode(col);
-  if (c < 0) return;
-  StampMatrix(r, c, value);
-}
-
-void MnaSystem::AddNodeBranchMatrix(NodeId row, const Device& dev, int slot,
-                                    double value) {
-  const int r = UnknownOfNode(row);
-  if (r < 0) return;
-  StampMatrix(r, UnknownOfBranch(dev, slot), value);
-}
-
-void MnaSystem::AddBranchBranchMatrix(const Device& dev, int slot,
-                                      double value) {
-  const int i = UnknownOfBranch(dev, slot);
-  StampMatrix(i, i, value);
-}
-
-void MnaSystem::AddBranchRhs(const Device& dev, int slot, double value) {
-  StampRhs(UnknownOfBranch(dev, slot), value);
 }
 
 linalg::Vector MnaSystem::MultiplyJacobian(const linalg::Vector& x) const {
@@ -592,32 +468,6 @@ void MnaSystem::MultiplyJacobian(const linalg::Vector& x,
   y->assign(static_cast<size_t>(num_unknowns_), 0.0);
   sparse_jac_.ForEach(
       [&](size_t r, size_t c, double v) { (*y)[r] += v * x[c]; });
-}
-
-double MnaSystem::PrevState(const Device& dev, int slot) const {
-  const DeviceSlots& s = SlotsOf(dev);
-  assert(s.state_offset >= 0 && slot < dev.num_states());
-  return prev_states_[static_cast<size_t>(s.state_offset + slot)];
-}
-
-void MnaSystem::SetState(const Device& dev, int slot, double value) {
-  const DeviceSlots& s = SlotsOf(dev);
-  assert(s.state_offset >= 0 && slot < dev.num_states());
-  const size_t abs_slot = static_cast<size_t>(s.state_offset + slot);
-  if (phase_ == AssemblyPhase::kReplaying) {
-    if (state_plan_[state_cursor_] != static_cast<int32_t>(abs_slot)) {
-      plan_mismatch_ = true;  // includes the -1 sentinel past the end
-      return;
-    }
-    if (bypass_) state_vals_[state_cursor_] = value;
-    ++state_cursor_;
-    curr_states_[abs_slot] = value;
-    return;
-  }
-  if (phase_ == AssemblyPhase::kRecording) {
-    state_plan_.push_back(static_cast<int32_t>(abs_slot));
-  }
-  curr_states_[abs_slot] = value;
 }
 
 }  // namespace cmldft::sim

@@ -1,18 +1,19 @@
-// Modified Nodal Analysis system: unknown numbering, assembly, and the
-// StampContext implementation devices stamp into.
+// Modified Nodal Analysis system: unknown numbering, the assembled
+// Jacobian/RHS, integrator states and the analysis context devices stamp
+// against.
 //
-// Assembly fast path (see docs/performance.md, "Newton fast path"): the
-// first Assemble() records every matrix/RHS/state destination each device
-// touches and compiles the sequence into a flat plan of resolved write
-// targets (dense: pointer into the row-major Jacobian; sparse: pointer into
-// the builder's frozen slot). Steady-state Assemble() then replays the plan
-// — branch-free sequential writes with zero hash lookups — while validating
-// each stamp call against the recorded (row, col); any divergence (a device
-// taking a different conditional stamp path, or a sparsity-pattern change)
-// falls back to a full re-record. Replay is bit-identical to the legacy
-// path and on by default. Device bypass layers on top (opt-in): devices
-// whose inputs did not move since their last stamp replay cached values
-// instead of re-evaluating their model.
+// Assembly (see docs/performance.md, "Newton fast path"): devices stamp
+// through one concrete netlist::StampContext. The first Assemble() records
+// every matrix/RHS/state destination each device touches and resolves the
+// sequence into a flat plan of write targets (dense: pointer into the
+// row-major Jacobian; sparse: pointer into the builder's frozen slot).
+// Every later Assemble() replays it — each stamp writes to the next
+// target, with no index lookups. A device that takes a different stamp
+// path (a different call count; in debug builds any different
+// destination) or a sparsity-pattern change forces a re-record. Device
+// bypass layers on top (opt-in): devices whose inputs did not move since
+// their last stamp write cached values through the same targets instead
+// of re-evaluating their model.
 #pragma once
 
 #include <cstdint>
@@ -30,16 +31,16 @@ namespace cmldft::sim {
 class HierSolver;
 
 /// Owns the unknown numbering for a netlist (node voltages first, then
-/// branch currents), the assembled Jacobian/RHS, and the integrator state
-/// vectors. One MnaSystem is reused across all Newton iterations and
-/// timepoints of an analysis.
-class MnaSystem : public netlist::StampContext {
+/// branch currents), the assembled Jacobian/RHS, the integrator state
+/// vectors and the devices' model constants. One MnaSystem is reused
+/// across all Newton iterations and timepoints of an analysis.
+class MnaSystem {
  public:
   explicit MnaSystem(const netlist::Netlist& netlist);
   ~MnaSystem();  // out-of-line: hier_ is incomplete here
 
-  // The compiled stamp plan caches raw pointers into this object's own
-  // Jacobian storage; copying would alias them onto the source.
+  // The compiled stamp targets point into this object's own Jacobian
+  // storage; copying would alias them onto the source.
   MnaSystem(const MnaSystem&) = delete;
   MnaSystem& operator=(const MnaSystem&) = delete;
 
@@ -64,38 +65,55 @@ class MnaSystem : public netlist::StampContext {
   // cache, while a context-epoch change (mode, method, gmin, temperature,
   // source scale, initialization) always invalidates.
   void set_mode(netlist::AnalysisMode m) {
-    if (mode_ != m) { mode_ = m; ++stamp_epoch_; ++ctx_epoch_; }
-  }
-  void set_time(double t) {
-    if (time_ != t) { time_ = t; ++stamp_epoch_; }
-  }
-  void set_dt(double dt) {
-    if (dt_ != dt) { dt_ = dt; ++stamp_epoch_; }
-  }
-  void set_method(netlist::IntegrationMethod m) {
-    if (method_ != m) { method_ = m; ++stamp_epoch_; ++ctx_epoch_; }
-  }
-  void set_gmin(double g) {
-    if (gmin_ != g) { gmin_ = g; ++stamp_epoch_; ++ctx_epoch_; }
-  }
-  void set_temperature(double t) {
-    if (temperature_ != t) { temperature_ = t; ++stamp_epoch_; ++ctx_epoch_; }
-  }
-  // first_iteration is advisory (no device model consults it — see the
-  // contract in StampContext), so it is deliberately excluded from the
-  // stamp epoch: bumping it here would invalidate every bypass cache
-  // between the first and second iteration of each solve.
-  void set_first_iteration(bool b) { first_iteration_ = b; }
-  void set_source_scale(double s) {
-    if (source_scale_ != s) { source_scale_ = s; ++stamp_epoch_; ++ctx_epoch_; }
-  }
-  void set_initializing_state(bool b) {
-    if (initializing_state_ != b) {
-      initializing_state_ = b;
+    if (analysis_.mode != m) {
+      analysis_.mode = m;
       ++stamp_epoch_;
       ++ctx_epoch_;
     }
   }
+  void set_time(double t) {
+    if (analysis_.time != t) { analysis_.time = t; ++stamp_epoch_; }
+  }
+  void set_dt(double dt) {
+    if (analysis_.dt != dt) { analysis_.dt = dt; ++stamp_epoch_; }
+  }
+  void set_method(netlist::IntegrationMethod m) {
+    if (analysis_.method != m) {
+      analysis_.method = m;
+      ++stamp_epoch_;
+      ++ctx_epoch_;
+    }
+  }
+  void set_gmin(double g) {
+    if (analysis_.gmin != g) {
+      analysis_.gmin = g;
+      ++stamp_epoch_;
+      ++ctx_epoch_;
+    }
+  }
+  /// Also marks every device's model constants stale: they are
+  /// recomputed at the new temperature on their next stamp.
+  void set_temperature(double t);
+  // first_iteration is advisory (no device model consults it — see
+  // netlist::AnalysisState), so it is deliberately excluded from the
+  // stamp epoch: bumping it here would invalidate every bypass cache
+  // between the first and second iteration of each solve.
+  void set_first_iteration(bool b) { analysis_.first_iteration = b; }
+  void set_source_scale(double s) {
+    if (analysis_.source_scale != s) {
+      analysis_.source_scale = s;
+      ++stamp_epoch_;
+      ++ctx_epoch_;
+    }
+  }
+  void set_initializing_state(bool b) {
+    if (analysis_.initializing_state != b) {
+      analysis_.initializing_state = b;
+      ++stamp_epoch_;
+      ++ctx_epoch_;
+    }
+  }
+  const netlist::AnalysisState& analysis() const { return analysis_; }
 
   /// Assemble Jacobian and RHS at the given iterate (solving J x = rhs
   /// yields the next Newton iterate directly). In sparse mode the Jacobian
@@ -105,6 +123,7 @@ class MnaSystem : public netlist::StampContext {
 
   /// Route stamps into a sparse builder instead of the dense matrix
   /// (worth it above a few hundred unknowns; results are identical).
+  /// A change of routing re-records the stamp plan at the next Assemble().
   void set_sparse(bool sparse);
   bool sparse() const { return sparse_; }
 
@@ -123,20 +142,6 @@ class MnaSystem : public netlist::StampContext {
   /// and pivot order survive across Newton iterations *and* timepoints —
   /// callers use SparseLu::Refactor() for numeric-only refactorization.
   linalg::SparseLu& sparse_solver() { return sparse_lu_; }
-
-  // --- assembly fast path ------------------------------------------------
-  /// Compiled stamp plan policy. Replay is bit-identical to the legacy
-  /// path wherever it runs; the mode only decides *when* it runs:
-  ///  - kAuto (default): replay when it pays — sparse routing (eliminates
-  ///    the SparseBuilder hash accumulation) or device bypass (which
-  ///    replays cached stamps through the plan's resolved targets). Dense
-  ///    assembly without bypass keeps the legacy direct-index path, which
-  ///    per-stamp validation cannot beat.
-  ///  - kForce: always replay (tests and benchmarks of the replay path).
-  ///  - kOff: always legacy.
-  enum class StampPlanMode : uint8_t { kOff, kAuto, kForce };
-  void set_stamp_plan_mode(StampPlanMode mode);
-  StampPlanMode stamp_plan_mode() const { return plan_mode_; }
 
   /// Device bypass (opt-in): replay a device's cached stamp values when
   /// its terminal voltages and branch currents moved less than
@@ -168,33 +173,6 @@ class MnaSystem : public netlist::StampContext {
   /// retry starts clean).
   void ResetCurrentStates();
 
-  // --- StampContext ------------------------------------------------------
-  netlist::AnalysisMode mode() const override { return mode_; }
-  double time() const override { return time_; }
-  double dt() const override { return dt_; }
-  netlist::IntegrationMethod method() const override { return method_; }
-  double gmin() const override { return gmin_; }
-  double temperature() const override { return temperature_; }
-  bool first_iteration() const override { return first_iteration_; }
-  double source_scale() const override { return source_scale_; }
-  bool initializing_state() const override { return initializing_state_; }
-
-  double V(netlist::NodeId n) const override;
-  double BranchCurrent(const netlist::Device& dev, int slot) const override;
-
-  void AddNodeMatrix(netlist::NodeId row, netlist::NodeId col, double g) override;
-  void AddNodeRhs(netlist::NodeId row, double value) override;
-  void AddBranchNodeMatrix(const netlist::Device& dev, int slot,
-                           netlist::NodeId col, double value) override;
-  void AddNodeBranchMatrix(netlist::NodeId row, const netlist::Device& dev,
-                           int slot, double value) override;
-  void AddBranchBranchMatrix(const netlist::Device& dev, int slot,
-                             double value) override;
-  void AddBranchRhs(const netlist::Device& dev, int slot, double value) override;
-
-  double PrevState(const netlist::Device& dev, int slot) const override;
-  void SetState(const netlist::Device& dev, int slot, double value) override;
-
   /// Lazily built hierarchical bordered-block-diagonal solver over the
   /// netlist's cell-instance annotations (sim/hier.h); nullptr when the
   /// netlist carries none worth eliminating. The Newton loop consults
@@ -202,83 +180,41 @@ class MnaSystem : public netlist::StampContext {
   HierSolver* GetHierSolver();
 
  private:
-  friend class HierSolver;  // reads slots_/prev_states_/curr_states_
-  struct DeviceSlots {
-    int branch_offset = -1;  // first branch unknown (absolute index)
-    int state_offset = -1;   // first state slot
-  };
-  const DeviceSlots& SlotsOf(const netlist::Device& dev) const;
+  friend class HierSolver;  // stamps through Frame() into its own targets
+  class FlatOwner;
 
-  // --- compiled stamp plan ------------------------------------------------
-  // One resolved matrix write, packed to 16 bytes so replay validation is
-  // a single 64-bit compare: key = row << 33 | col << 1 | assign. The
-  // assign bit marks the first touch of a slot in the assembly sequence:
-  // replay stores instead of accumulating, which lets it skip the O(n^2)
-  // dense zero-fill / sparse Clear(). The stored value is
-  // `v + plan_assign_bias_` to reproduce each backend's signed-zero
-  // behavior bit for bit: dense legacy accumulates into a zeroed matrix
-  // (`0.0 += -0.0` gives +0.0, bias +0.0 normalizes the same way) while
-  // sparse legacy inserts the raw value (-0.0 survives, bias -0.0 is the
-  // IEEE identity `x + -0.0 == x`).
-  struct MatrixWrite {
-    double* target;
-    uint64_t key;
-  };
-  static constexpr uint64_t kAssignBit = 1;
-  static uint64_t PackRc(int32_t r, int32_t c) {
-    return static_cast<uint64_t>(static_cast<uint32_t>(r)) << 33 |
-           static_cast<uint64_t>(static_cast<uint32_t>(c)) << 1;
-  }
-  // Per-device ranges into the three plan streams.
-  struct DeviceSpan {
-    uint32_t mat_begin = 0, mat_end = 0;
-    uint32_t rhs_begin = 0, rhs_end = 0;
-    uint32_t state_begin = 0, state_end = 0;
-  };
+  /// The arrays a stamping pass at `iterate` reads and writes.
+  netlist::StampFrame Frame(const linalg::Vector& iterate);
+
+  void RecordAssemble();
+  bool ReplayAssemble();  // false on plan mismatch (plan is dropped)
+  /// Size the bypass caches and per-device classes to a new plan.
+  void CompileBypass();
+  // Which cache way (0 = primary, 1 = alternate) may serve this device's
+  // stamp, or -1 to re-evaluate the model.
+  int CanBypassWay(size_t index) const;
+  bool CanBypassAlt(size_t index) const;
+  void CaptureCache(size_t index);
+  void PromoteCacheToAlt(size_t index);
+
   // Bypass eligibility, decided at plan compile time.
   enum class DeviceClass : uint8_t {
     kPure,           // linear, stateless, context-free: replay always
     kContextStatic,  // linear, stateless, context-dependent: same epoch
     kDynamic,        // nonlinear or stateful: same epoch + input tolerance
   };
-  enum class AssemblyPhase : uint8_t { kLegacy, kRecording, kReplaying };
-
-  void LegacyAssemble();
-  void RecordAssemble();
-  bool ReplayAssemble();  // false on plan mismatch (plan is dropped)
-  void CompilePlan();
-  // Which cache way (0 = primary, 1 = alternate) may serve this device's
-  // stamp, or -1 to re-evaluate the model.
-  int CanBypassWay(size_t index) const;
-  bool CanBypassAlt(size_t index) const;
-  void ReplayFromCache(const DeviceSpan& span, bool alt);
-  void CaptureCache(size_t index);
-  void PromoteCacheToAlt(size_t index);
-
-  // Stamp write routing shared by all Add* overrides.
-  void StampMatrix(int r, int c, double v);
-  void StampRhs(int r, double v);
 
   const netlist::Netlist* netlist_;
   std::unique_ptr<HierSolver> hier_;
   bool hier_checked_ = false;
-  std::vector<DeviceSlots> slots_;  // indexed by Device::ordinal()
+  std::vector<netlist::DeviceSlots> slots_;  // indexed by Device::ordinal()
   int num_devices_ = 0;
   int num_node_unknowns_ = 0;
   int num_unknowns_ = 0;
   int num_states_ = 0;
 
-  netlist::AnalysisMode mode_ = netlist::AnalysisMode::kDcOperatingPoint;
-  double time_ = 0.0;
-  double dt_ = 0.0;
-  netlist::IntegrationMethod method_ = netlist::IntegrationMethod::kTrapezoidal;
-  double gmin_ = 1e-12;
-  double temperature_ = 300.15;
-  bool first_iteration_ = false;
-  double source_scale_ = 1.0;
-  bool initializing_state_ = false;
-
-  const linalg::Vector* iterate_ = nullptr;
+  netlist::AnalysisState analysis_;
+  const linalg::Vector* iterate_ = nullptr;  // during Assemble()
   bool sparse_ = false;
   linalg::SparseBuilder sparse_jac_{0};
   linalg::SparseLu sparse_lu_;
@@ -286,29 +222,20 @@ class MnaSystem : public netlist::StampContext {
   linalg::Vector rhs_;
   std::vector<double> prev_states_;
   std::vector<double> curr_states_;
+  // Model constants (Device::ComputeConstants) at constant_offset, and per
+  // device the constants_revision() they were computed at (0 = stale).
+  std::vector<double> constants_;
+  std::vector<uint64_t> constants_revision_;
 
-  // Plan state.
-  StampPlanMode plan_mode_ = StampPlanMode::kAuto;
-  bool plan_ready_ = false;
+  // The compiled plan. Replayable while it was compiled for the present
+  // routing and (sparse) builder pattern.
+  netlist::StampContext ctx_;
   bool plan_sparse_ = false;
   uint64_t plan_pattern_version_ = 0;  // sparse builder structure snapshot
-  AssemblyPhase phase_ = AssemblyPhase::kLegacy;
-  bool plan_mismatch_ = false;
-  double plan_assign_bias_ = 0.0;  // +0.0 dense, -0.0 sparse (see above)
-  // Each plan stream ends in a sentinel that can never match a real stamp
-  // (key ~0 / row -1), so the replay hot path needs no bounds checks: a
-  // device stamping past its recorded span hits the sentinel and flags a
-  // mismatch instead of running off the end.
-  std::vector<MatrixWrite> mat_plan_;
-  std::vector<int32_t> rhs_plan_;    // validated row per RHS write
-  std::vector<int32_t> state_plan_;  // absolute state slot per SetState
-  std::vector<DeviceSpan> spans_;
   std::vector<DeviceClass> device_class_;
-  std::vector<std::pair<int32_t, int32_t>> rec_mat_;  // record scratch
-  size_t mat_cursor_ = 0, rhs_cursor_ = 0, state_cursor_ = 0;
 
   // Bypass state. Caches live at plan positions so a bypassed device's
-  // contribution replays through the same MatrixWrite targets.
+  // contribution replays through the same compiled targets.
   bool bypass_ = false;
   double bypass_reltol_ = 0.0;
   double bypass_abstol_ = 0.0;
@@ -346,8 +273,8 @@ class MnaSystem : public netlist::StampContext {
   // check out (has_time_dependent_stamp() == false at compile time).
   std::vector<uint8_t> time_free_;
   // Previous-state values each SetState slot's device observed at capture
-  // time, parallel to state_plan_ (companion models read and write the
-  // same slots). Compared against the bypass tolerance relative to the
+  // time, parallel to the plan's state writes (companion models read and
+  // write the same slots). Compared against the bypass tolerance relative to the
   // slot's SCALE, not its instantaneous value: state magnitudes (charges
   // ~ C*V, junction currents) have no common absolute unit, so each slot
   // tracks the largest magnitude it has ever carried and tolerates drift

@@ -92,7 +92,13 @@ StatusOr<double> ParseSpiceNumber(std::string_view s) {
       }
     }
   }
-  return mantissa * scale;
+  const double value = mantissa * scale;
+  // strtod accepts "nan", "inf" and overflowing literals like "1e999";
+  // no circuit quantity is non-finite.
+  if (!std::isfinite(value)) {
+    return Status::ParseError("not a finite number: '" + buf + "'");
+  }
+  return value;
 }
 
 std::string StrPrintf(const char* fmt, ...) {

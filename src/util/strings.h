@@ -30,7 +30,8 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Parse a SPICE-style number with optional engineering suffix:
 /// "4k" -> 4000, "10p" -> 1e-11, "100meg" -> 1e8, "1.5u" -> 1.5e-6.
 /// Recognized suffixes: t g meg k m u n p f (case-insensitive); trailing
-/// unit letters after the suffix are ignored ("4kohm" -> 4000).
+/// unit letters after the suffix are ignored ("4kohm" -> 4000). Refuses
+/// non-finite results ("nan", "inf", "1e999").
 StatusOr<double> ParseSpiceNumber(std::string_view s);
 
 /// printf-style formatting into std::string.

@@ -57,23 +57,29 @@ TEST(Junction, EvalJunctionZeroBias) {
 
 TEST(Junction, DepletionChargeContinuousAtFcVj) {
   const double cj0 = 30e-15, vj = 0.9, m = 0.33, fc = 0.5;
+  const DepletionSplit split = DepletionSplitAt(cj0, vj, m, fc);
   double cl = 0.0, cr = 0.0;
-  const double ql = DepletionCharge(fc * vj - 1e-9, cj0, vj, m, fc, &cl);
-  const double qr = DepletionCharge(fc * vj + 1e-9, cj0, vj, m, fc, &cr);
+  const double ql =
+      DepletionCharge(fc * vj - 1e-9, cj0, vj, m, fc, split, &cl);
+  const double qr =
+      DepletionCharge(fc * vj + 1e-9, cj0, vj, m, fc, split, &cr);
   EXPECT_NEAR(ql, qr, std::fabs(ql) * 1e-5 + 1e-20);
   EXPECT_NEAR(cl, cr, cl * 1e-5);
 }
 
 TEST(Junction, DepletionCapIncreasesWithForwardBias) {
+  const DepletionSplit split = DepletionSplitAt(30e-15, 0.9, 0.33, 0.5);
   double c_rev = 0.0, c_fwd = 0.0;
-  DepletionCharge(-1.0, 30e-15, 0.9, 0.33, 0.5, &c_rev);
-  DepletionCharge(0.6, 30e-15, 0.9, 0.33, 0.5, &c_fwd);
+  DepletionCharge(-1.0, 30e-15, 0.9, 0.33, 0.5, split, &c_rev);
+  DepletionCharge(0.6, 30e-15, 0.9, 0.33, 0.5, split, &c_fwd);
   EXPECT_GT(c_fwd, c_rev);
 }
 
 TEST(Junction, ZeroCj0GivesZero) {
   double c = 1.0;
-  EXPECT_DOUBLE_EQ(DepletionCharge(0.3, 0.0, 0.9, 0.33, 0.5, &c), 0.0);
+  EXPECT_DOUBLE_EQ(DepletionCharge(0.3, 0.0, 0.9, 0.33, 0.5,
+                                   DepletionSplitAt(0.0, 0.9, 0.33, 0.5), &c),
+                   0.0);
   EXPECT_DOUBLE_EQ(c, 0.0);
 }
 

@@ -155,6 +155,45 @@ TEST(Parser, Errors) {
             util::StatusCode::kParseError);
   EXPECT_EQ(ParseSpice(".model m d (zap=2)\nd1 a 0 m").status().code(),
             util::StatusCode::kParseError);
+  // Values the device math cannot evaluate: refused with the element or
+  // model and the parameter named.
+  auto refused = [](const char* deck, const char* fragment) {
+    const util::Status st = ParseSpice(deck).status();
+    EXPECT_EQ(st.code(), util::StatusCode::kParseError) << deck;
+    EXPECT_NE(st.message().find(fragment), std::string::npos)
+        << deck << ": " << st.message();
+  };
+  refused("r1 a 0 0", "r1: resistance");
+  refused("r1 a 0 -5", "r1: resistance");
+  refused("r1 a 0 nan", "not a finite number");
+  refused("r1 a 0 1e999", "not a finite number");
+  refused("c1 a 0 -1p", "c1: capacitance");
+  refused(".model m d (m=1)\nd1 a 0 m", ".model m (d): m = 1");
+  refused(".model m d (fc=-0.1)", "fc = -0.1");
+  refused(".model m d (is=0)", "is = 0");
+  refused(".model m d (n=-1)", "n = -1");
+  refused(".model m d (vj=0)", "vj = 0");
+  refused(".model m d (tnom=0)", "tnom = 0");
+  refused(".model m d (cj0=-1f)", "cj0 = ");
+  refused(".model m d (tt=-1p)", "tt = ");
+  refused(".model m npn (nf=0)\nq1 c b 0 m", ".model m (npn): nf = 0");
+  refused(".model m npn (bf=0)", "bf = 0");
+  refused(".model m npn (br=-1)", "br = -1");
+  refused(".model m npn (nr=0)", "nr = 0");
+  refused(".model m npn (vje=0)", "vje = 0");
+  refused(".model m npn (vjc=-0.7)", "vjc = -0.7");
+  refused(".model m npn (mje=1)", "mje = 1");
+  refused(".model m npn (mjc=1.5)", "mjc = 1.5");
+  refused(".model m npn (fc=1)", "fc = 1");
+  refused(".model m npn (cje=-1f)", "cje = ");
+  refused(".model m npn (cjc=-1f)", "cjc = ");
+  refused(".model m npn (tf=-1p)", "tf = ");
+  refused(".model m npn (tr=-1p)", "tr = ");
+  refused(".model m npn (is=inf)", "not a finite number");
+  // Boundary values the math accepts still parse.
+  EXPECT_TRUE(ParseSpice(".model m npn (mje=0 fc=0 cje=0 tf=0)\n"
+                         "q1 c b 0 m\nc1 c 0 0")
+                  .ok());
   // Subcircuit instantiation with the wrong pin count.
   EXPECT_EQ(ParseSpice(".subckt u a b\nr1 a b 1k\n.ends\nxq n1 u")
                 .status()

@@ -101,6 +101,12 @@ TEST(Strings, ParseSpiceNumberRejectsGarbage) {
   EXPECT_FALSE(ParseSpiceNumber("abc").ok());
   EXPECT_FALSE(ParseSpiceNumber("").ok());
   EXPECT_FALSE(ParseSpiceNumber("   ").ok());
+  // strtod accepts these; a circuit value is never non-finite.
+  EXPECT_FALSE(ParseSpiceNumber("nan").ok());
+  EXPECT_FALSE(ParseSpiceNumber("inf").ok());
+  EXPECT_FALSE(ParseSpiceNumber("-inf").ok());
+  EXPECT_FALSE(ParseSpiceNumber("1e999").ok());
+  EXPECT_FALSE(ParseSpiceNumber("1e300t").ok());  // overflows when scaled
 }
 
 TEST(Strings, FormatEngineering) {
