@@ -9,10 +9,6 @@
 // (bench/paper_bench.h): a sharded, kill-resumed campaign over the same
 // options must reproduce this bench's JSON byte-for-byte.
 #include <cstdio>
-#include <cstdlib>
-#include <cmath>
-#include <string>
-#include <vector>
 
 #include "bench/paper_bench.h"
 #include "campaign/runner.h"
@@ -22,36 +18,7 @@
 using namespace cmldft;
 
 int main(int argc, char** argv) {
-  // --fast-newton: opt into the adaptive Newton fast path (device bypass,
-  // Jacobian reuse, warm-started defect transients). Results are
-  // tolerance-equivalent, not byte-identical, so the golden comparison
-  // only covers the default exact mode; this flag exists to measure the
-  // end-to-end speedup (docs/performance.md). Filtered out before BenchIo
-  // sees the arguments.
-  //
-  // --batch=K: screen K same-structure defects per shared Newton/transient
-  // loop (docs/performance.md "Batched defect screening"). Waveforms are
-  // tolerance-equivalent; classifications are regression-tested identical
-  // to --batch=1 (the default scalar path).
-  bool fast_newton = false;
-  int batch = 1;
-  std::vector<char*> kept;
-  kept.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast-newton") {
-      fast_newton = true;
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      batch = std::atoi(arg.c_str() + 8);
-      if (batch < 1) {
-        std::fprintf(stderr, "%s: --batch requires a positive K\n", argv[0]);
-        return 2;
-      }
-    } else {
-      kept.push_back(argv[i]);
-    }
-  }
-  report::BenchIo io(static_cast<int>(kept.size()), kept.data());
+  report::BenchIo io(argc, argv);
   report::Report& rep = io.Begin(bench::kCoverageComparisonExperiment,
                                  bench::kCoverageComparisonPaperRef,
                                  bench::kCoverageComparisonSummary);
@@ -63,11 +30,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
     return 1;
   }
-  if (fast_newton) {
-    opt->fast_newton = true;
-    opt->warm_start = true;
-  }
-  opt->batch = batch;
   auto report = core::ScreenBufferChain(*opt);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());

@@ -164,35 +164,6 @@ void BM_DefectScreening(benchmark::State& state) {
 }
 BENCHMARK(BM_DefectScreening)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// End-to-end batched defect screening on the exact coverage_comparison
-// universe (chain 3, 50 ns, full enumeration + 4 pipe values), serial so
-// the measured ratio is the batching win alone. Arg = batch K: 1 is the
-// exact scalar engine, 8 is the campaign's comparison default. This is
-// the speedup number docs/performance.md quotes, and the CI benchmark-
-// regression gate (golden_check --bench-perf) holds the family against
-// the BENCH_perf.json baseline. Classifications at any K are regression-
-// tested bit-identical (tests/batch_screening_test.cc).
-void BM_BatchedScreen(benchmark::State& state) {
-  core::ScreeningOptions opt;
-  opt.chain_length = 3;
-  opt.sim_time = 50e-9;
-  opt.detector.load_cap = 1e-12;
-  opt.enumeration.pipe_values = {1e3, 2e3, 4e3, 8e3};
-  opt.threads = 1;
-  opt.batch = static_cast<int>(state.range(0));
-  int64_t defects = 0;
-  for (auto _ : state) {
-    auto report = core::ScreenBufferChain(opt);
-    if (!report.ok()) state.SkipWithError("screening failed");
-    defects += report->total();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(defects);
-  state.SetLabel(opt.batch == 1 ? "scalar"
-                                : "batch=" + std::to_string(opt.batch));
-}
-BENCHMARK(BM_BatchedScreen)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
 // Stuck-at fault-simulation throughput on a >500-fault netlist.
 // Arg 0 = serial reference, 1 = bit-parallel single-threaded,
 // 2 = bit-parallel all cores.
@@ -219,11 +190,8 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Raw MNA assembly cost on the BM_DcOperatingPoint/32 system (133
-// unknowns), dense and sparse routing: every Assemble() after the first
-// replays the compiled stamp targets. Mode 1 additionally enables device
-// bypass with an unchanged iterate — the converged-Newton steady state
-// that latency exploitation targets, where every device writes its cached
-// contribution instead of evaluating its model.
+// unknowns), dense (Arg 0) and sparse (Arg 1) routing: every Assemble()
+// after the first replays the compiled stamp targets.
 void BM_Assemble(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
@@ -233,31 +201,20 @@ void BM_Assemble(benchmark::State& state) {
   sim::MnaSystem mna(nl);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_initializing_state(true);
-  const bool bypass = state.range(0) != 0;
-  const bool sparse = state.range(1) != 0;
-  if (bypass) {
-    mna.set_bypass(true, sim::NewtonOptions().bypass_reltol,
-                   sim::NewtonOptions().bypass_abstol);
-  }
+  const bool sparse = state.range(0) != 0;
   mna.set_sparse(sparse);
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
   for (auto _ : state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  state.SetLabel(std::string(bypass ? "bypass" : "exact") + "/" +
-                 (sparse ? "sparse" : "dense"));
+  state.SetLabel(sparse ? "sparse" : "dense");
 }
-BENCHMARK(BM_Assemble)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1});
+BENCHMARK(BM_Assemble)->Arg(0)->Arg(1);
 
-// End-to-end transient on a 16-buffer clocked chain (above the Jacobian
-// reuse economics gate) with the opt-in Newton fast path staged in:
-// exact -> device bypass -> bypass + Jacobian reuse (see NewtonOptions;
-// results are tolerance-equivalent, covered by tests/equivalence_test.cc).
+// End-to-end transient on a 32-buffer clocked chain, exact (Arg 0) and
+// with Jacobian reuse (Arg 1; see NewtonOptions — results are
+// tolerance-equivalent, covered by tests/equivalence_test.cc).
 void BM_TransientFastPath(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
@@ -269,9 +226,7 @@ void BM_TransientFastPath(benchmark::State& state) {
   cells.AddBufferChain("x", in, 32);
   sim::TransientOptions opts;
   opts.tstop = 10e-9;
-  const int mode = static_cast<int>(state.range(0));
-  if (mode >= 1) opts.dc.newton.bypass = true;
-  if (mode >= 2) opts.dc.newton.jacobian_reuse = true;
+  opts.dc.newton.jacobian_reuse = state.range(0) != 0;
   int64_t steps = 0;
   for (auto _ : state) {
     auto r = sim::RunTransient(nl, opts);
@@ -279,10 +234,9 @@ void BM_TransientFastPath(benchmark::State& state) {
     steps += r->stats().accepted_steps;
   }
   state.SetItemsProcessed(steps);
-  state.SetLabel(mode == 0 ? "exact"
-                           : (mode == 1 ? "bypass" : "bypass+jac_reuse"));
+  state.SetLabel(opts.dc.newton.jacobian_reuse ? "jac_reuse" : "exact");
 }
-BENCHMARK(BM_TransientFastPath)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TransientFastPath)->Arg(0)->Arg(1);
 
 // Hierarchical bordered-block-diagonal solver (sim/hier.h) on clocked
 // buffer chains of growing cell count. Arg = chain length; a short

@@ -6,8 +6,6 @@
 
 #include "campaign/work.h"
 #include "cml/builder.h"
-#include "core/batch_screening.h"
-#include "sim/batch.h"
 #include "sim/dc.h"
 #include "sim/transient.h"
 #include "util/logging.h"
@@ -210,10 +208,6 @@ util::StatusOr<ScreeningReport> ScreenBufferChain(
 
   sim::TransientOptions topts;
   topts.tstop = options.sim_time;
-  if (options.fast_newton) {
-    topts.dc.newton.bypass = true;
-    topts.dc.newton.jacobian_reuse = true;
-  }
   topts.dc.newton.hierarchical = options.hierarchical;
   topts.dc.newton.hier_share_quantum = options.hier_share_quantum;
   const double t0 = options.sim_time * 0.5;
@@ -261,150 +255,65 @@ util::StatusOr<ScreeningReport> ScreenBufferChain(
     CMLDFT_RETURN_IF_ERROR(sink->EmitReference(report));
   }
 
-  // Defect runs optionally seed their t=0 operating point from the
-  // fault-free bias (node-id indexed, so it survives defect-injected node
-  // splits). A failure here only loses the warm start, never the screen.
-  sim::TransientOptions defect_topts = topts;
-  if (options.warm_start) {
-    auto ff_dc = sim::SolveDc(circ.nl, topts.dc);
-    if (ff_dc.ok()) {
-      defect_topts.initial_node_voltages = std::move(ff_dc.value().node_voltages);
-    }
-  }
-
   // Defect runs are embarrassingly parallel: each one copies the netlist,
   // injects its defect, and simulates a private MnaSystem. The shared
   // inputs (circ, ref, options) are read-only, and every worker writes
   // only its own outcome slot, so the sweep is deterministic for any
-  // thread count — at batch == 1 and at any K (chunk composition depends
-  // only on the selection order, never on which thread claims a chunk).
+  // thread count.
   std::vector<util::Status> inject_errors(selected.size(), util::Status::Ok());
   std::vector<util::Status> sink_errors(selected.size(), util::Status::Ok());
-
-  // Measurement and classification shared by the scalar and batched
-  // paths, so a batch variant is judged by exactly the code that judges a
-  // one-at-a-time run. On a failed run, never drop the defect on the
-  // floor: keep the solver error, and probe the DC operating point to
-  // split "the defect destroyed the bias" (catastrophic, a real
-  // detection) from "the transient stalled" (unresolved, a simulator
-  // artifact that must not be credited as coverage).
-  auto evaluate = [&](const defects::Defect& defect,
-                      const netlist::Netlist& faulty,
-                      const util::StatusOr<sim::TransientResult>& run) {
-    DefectOutcome outcome;
-    outcome.defect = defect;
-    if (!run.ok()) {
-      outcome.converged = false;
-      outcome.error = run.status().ToString();
-      outcome.no_bias_point = !sim::SolveDc(faulty, topts.dc).ok();
-      if (!outcome.no_bias_point) metrics.unresolved.Increment();
-      return outcome;
-    }
-    outcome.converged = true;
-    const Measured m = MeasureRun(*run, circ, tech, t0, t1);
-    outcome.logic_fail =
-        !m.toggling ||
-        m.primary_swing < options.logic_swing_fraction * ref.primary_swing ||
-        m.num_crossings * 2 < ref.num_crossings;
-    outcome.delay_fail =
-        !outcome.logic_fail &&
-        std::fabs(m.median_delay - ref.median_delay) > options.delay_threshold;
-    outcome.iddq_fail =
-        std::fabs(m.supply_current - ref.supply_current) >
-        options.iddq_fraction * ref.supply_current;
-    outcome.supply_current = m.supply_current;
-    outcome.amplitude_detected =
-        m.min_detector_vout < ref.min_detector_vout - options.detector_drop;
-    outcome.max_gate_amplitude = m.max_gate_amplitude;
-    outcome.min_detector_vout = m.min_detector_vout;
-    outcome.detector_vouts = m.detector_vouts;
-    return outcome;
-  };
-  auto tally = [&](size_t d, uint64_t unit_id, DefectOutcome out,
-                   double seconds) {
-    const auto c = static_cast<size_t>(out.Classify());
-    metrics.defects_screened.Increment();
-    metrics.class_counts[c].Increment();
-    metrics.class_wall[c].RecordSeconds(seconds);
-    if (sink != nullptr) sink_errors[d] = sink->Emit(unit_id, out);
-    return out;
-  };
-
-  if (options.batch > 1) {
-    // Batched path: same-structure defects advance K at a time through
-    // one shared Newton/transient loop (sim/batch.h). Outcomes land at
-    // their selection position, so report ordering matches the scalar
-    // path exactly.
-    const std::vector<BatchChunk> chunks =
-        PlanBatches(universe, selected, options.batch);
-    report.outcomes.assign(selected.size(), DefectOutcome{});
-    util::ParallelFor(
-        chunks.size(),
-        [&](size_t ci) {
-          const auto start = std::chrono::steady_clock::now();
-          const BatchChunk& chunk = chunks[ci];
-          std::vector<netlist::Netlist> faulty;
-          std::vector<size_t> ok_positions;
-          faulty.reserve(chunk.positions.size());
-          for (size_t pos : chunk.positions) {
-            const defects::Defect& defect =
-                universe[static_cast<size_t>(selected[pos])];
-            auto f = defects::WithDefect(circ.nl, defect);
-            if (!f.ok()) {
-              inject_errors[pos] = f.status();
-              DefectOutcome outcome;
-              outcome.defect = defect;
-              report.outcomes[pos] = std::move(outcome);
-              continue;
-            }
-            faulty.push_back(std::move(f).value());
-            ok_positions.push_back(pos);
-          }
-          std::vector<const netlist::Netlist*> ptrs;
-          ptrs.reserve(faulty.size());
-          for (const netlist::Netlist& f : faulty) ptrs.push_back(&f);
-          auto runs = sim::RunBatchedTransient(ptrs, defect_topts);
-          // Wall time is measured per chunk; attribute the mean to each
-          // member (per-defect isolation does not exist in a batch).
-          const double per_defect_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count() /
-              static_cast<double>(std::max<size_t>(ok_positions.size(), 1));
-          for (size_t j = 0; j < ok_positions.size(); ++j) {
-            const size_t pos = ok_positions[j];
-            const uint64_t unit_id = selected[pos];
-            const defects::Defect& defect =
-                universe[static_cast<size_t>(unit_id)];
-            report.outcomes[pos] =
-                tally(pos, unit_id, evaluate(defect, faulty[j], runs[j]),
-                      per_defect_seconds);
-          }
-        },
-        options.threads);
-  } else {
-    report.outcomes = util::ParallelMap<DefectOutcome>(
-        selected.size(),
-        [&](size_t d) {
-          const auto start = std::chrono::steady_clock::now();
-          const uint64_t unit_id = selected[d];
-          const defects::Defect& defect =
-              universe[static_cast<size_t>(unit_id)];
-          auto faulty = defects::WithDefect(circ.nl, defect);
-          if (!faulty.ok()) {
-            inject_errors[d] = faulty.status();
-            DefectOutcome outcome;
-            outcome.defect = defect;
-            return outcome;
-          }
-          auto run = sim::RunTransient(*faulty, defect_topts);
-          return tally(d, unit_id, evaluate(defect, *faulty, run),
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count());
-        },
-        options.threads);
-  }
+  report.outcomes = util::ParallelMap<DefectOutcome>(
+      selected.size(),
+      [&](size_t d) {
+        const auto start = std::chrono::steady_clock::now();
+        const uint64_t unit_id = selected[d];
+        DefectOutcome outcome;
+        outcome.defect = universe[static_cast<size_t>(unit_id)];
+        auto faulty = defects::WithDefect(circ.nl, outcome.defect);
+        if (!faulty.ok()) {
+          inject_errors[d] = faulty.status();
+          return outcome;
+        }
+        auto run = sim::RunTransient(*faulty, topts);
+        if (run.ok()) {
+          outcome.converged = true;
+          const Measured m = MeasureRun(*run, circ, tech, t0, t1);
+          outcome.logic_fail =
+              !m.toggling ||
+              m.primary_swing < options.logic_swing_fraction * ref.primary_swing ||
+              m.num_crossings * 2 < ref.num_crossings;
+          outcome.delay_fail = !outcome.logic_fail &&
+                               std::fabs(m.median_delay - ref.median_delay) >
+                                   options.delay_threshold;
+          outcome.iddq_fail = std::fabs(m.supply_current - ref.supply_current) >
+                              options.iddq_fraction * ref.supply_current;
+          outcome.supply_current = m.supply_current;
+          outcome.amplitude_detected =
+              m.min_detector_vout < ref.min_detector_vout - options.detector_drop;
+          outcome.max_gate_amplitude = m.max_gate_amplitude;
+          outcome.min_detector_vout = m.min_detector_vout;
+          outcome.detector_vouts = m.detector_vouts;
+        } else {
+          // Never drop a failed run on the floor: keep the solver error, and
+          // probe the DC operating point to split "the defect destroyed the
+          // bias" (catastrophic, a real detection) from "the transient
+          // stalled" (unresolved, a simulator artifact that must not be
+          // credited as coverage).
+          outcome.error = run.status().ToString();
+          outcome.no_bias_point = !sim::SolveDc(*faulty, topts.dc).ok();
+          if (!outcome.no_bias_point) metrics.unresolved.Increment();
+        }
+        const auto c = static_cast<size_t>(outcome.Classify());
+        metrics.defects_screened.Increment();
+        metrics.class_counts[c].Increment();
+        metrics.class_wall[c].RecordSeconds(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
+        if (sink != nullptr) sink_errors[d] = sink->Emit(unit_id, outcome);
+        return outcome;
+      },
+      options.threads);
   for (const util::Status& st : inject_errors) {
     if (!st.ok()) return st;
   }

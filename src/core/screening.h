@@ -65,34 +65,10 @@ struct ScreeningOptions {
   /// simulates an independent netlist copy, so classifications are
   /// bit-identical for any thread count.
   int threads = 0;
-  /// Newton fast path for the simulations (device bypass + Jacobian reuse;
-  /// see docs/performance.md "Newton fast path"). Solutions are
-  /// tolerance-equivalent, not bit-identical, to the exact path — default
-  /// off so golden waveforms stay byte-stable. Thread-count determinism is
-  /// unaffected either way (each defect still solves independently).
-  bool fast_newton = false;
-  /// Warm-start every defect transient's t=0 operating point from the
-  /// fault-free DC solution (most defects only perturb the bias locally,
-  /// so the homotopy usually collapses to one plain Newton solve). Changes
-  /// iterate trajectories only, not the converged-solution tolerances;
-  /// default off.
-  bool warm_start = false;
-  /// Batched screening: advance up to this many same-structure defect
-  /// variants through one shared Newton/transient loop (sim/batch.h,
-  /// docs/performance.md "Batched defect screening"). 1 (default) is the
-  /// exact one-at-a-time path; higher values are tolerance-equivalent at
-  /// the waveform level — fault classifications are regression-tested
-  /// bit-identical against the scalar engine, and a hard variant drops
-  /// out of its batch to the exact scalar path automatically. Defaults to
-  /// 1 rather than on so golden waveforms and campaign stores stay
-  /// byte-stable; deterministic for any thread count at any K.
-  int batch = 1;
   /// Hierarchical bordered-block-diagonal solver for the per-defect
-  /// simulations (sim/hier.h, docs/performance.md "Layer 6"). Solutions
-  /// are tolerance-equivalent to the flat path, like fast_newton — default
-  /// off so golden waveforms stay byte-stable. The batched engine (batch >
-  /// 1) keeps its own shared flat loop; this flag governs the scalar
-  /// per-defect path and the fault-free reference.
+  /// simulations and the fault-free reference (sim/hier.h,
+  /// docs/performance.md "Layer 6"). Solutions are tolerance-equivalent to
+  /// the flat path — default off so golden waveforms stay byte-stable.
   bool hierarchical = false;
   /// Factor-share quantization quantum for the hierarchical solver
   /// (NewtonOptions::hier_share_quantum). 0 = exact byte matching.

@@ -22,7 +22,9 @@ Waveform Waveform::Dc(double value) {
 Waveform Waveform::Pulse(double v1, double v2, double delay, double rise,
                          double fall, double width, double period) {
   assert(rise > 0.0 && fall > 0.0 && width >= 0.0 && period > 0.0);
-  assert(delay + rise + width + fall <= period + 1e-21);
+  // The delay precedes the first period; ValueAt/NextBreakpoint fold time
+  // by the period only after subtracting it.
+  assert(delay >= 0.0 && rise + width + fall <= period + 1e-21);
   Waveform w;
   w.kind_ = Kind::kPulse;
   w.p_[0] = v1;

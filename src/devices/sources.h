@@ -16,7 +16,8 @@ class Waveform {
 
   /// Constant value.
   static Waveform Dc(double value);
-  /// SPICE PULSE(v1 v2 delay rise fall width period).
+  /// SPICE PULSE(v1 v2 delay rise fall width period): rise, fall and
+  /// period > 0, width and delay >= 0, rise + width + fall <= period.
   static Waveform Pulse(double v1, double v2, double delay, double rise,
                         double fall, double width, double period);
   /// SPICE SIN(offset amplitude freq delay damping).
@@ -58,8 +59,6 @@ class VSource : public netlist::Device {
 
   int num_branches() const override { return 1; }
   void Stamp(netlist::StampContext& ctx) const override;
-  // Linear, but the stamped E(t) follows time / mode / source_scale.
-  bool has_context_dependent_stamp() const override { return true; }
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<VSource>(*this);
   }
@@ -80,8 +79,6 @@ class ISource : public netlist::Device {
   const Waveform& waveform() const { return waveform_; }
 
   void Stamp(netlist::StampContext& ctx) const override;
-  // Linear, but the stamped I(t) follows time / mode / source_scale.
-  bool has_context_dependent_stamp() const override { return true; }
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<ISource>(*this);
   }

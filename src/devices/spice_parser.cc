@@ -235,7 +235,11 @@ class Parser {
     return netlist_.AddNode(prefix.empty() ? name : prefix + "." + name);
   }
 
-  StatusOr<Waveform> ParseSourceValue(const std::vector<std::string_view>& tok,
+  // Parses the value of source `name` from token i on. Waveform
+  // parameters outside Waveform's contract are refused here, naming the
+  // source and the parameter.
+  StatusOr<Waveform> ParseSourceValue(const std::string& name,
+                                      const std::vector<std::string_view>& tok,
                                       size_t i) {
     if (i >= tok.size()) return Status::ParseError("source missing value");
     if (EqualsIgnoreCase(tok[i], "dc")) {
@@ -250,7 +254,23 @@ class Parser {
       for (size_t k = 0; k < n && k < 7; ++k) {
         CMLDFT_ASSIGN_OR_RETURN(p[k], ParseSpiceNumber(tok[i + 1 + k]));
       }
-      return Waveform::Pulse(p[0], p[1], p[2], p[3], p[4], p[5], p[6]);
+      const double delay = p[2], rise = p[3], fall = p[4], width = p[5],
+                   period = p[6];
+      auto refuse = [&](const char* param, double v, const char* bound) {
+        return Status::ParseError(StrPrintf("%s: pulse %s = %g must be %s",
+                                            name.c_str(), param, v, bound));
+      };
+      if (!(delay >= 0.0)) return refuse("delay", delay, ">= 0");
+      if (!(rise > 0.0)) return refuse("rise", rise, "> 0");
+      if (!(fall > 0.0)) return refuse("fall", fall, "> 0");
+      if (!(width >= 0.0)) return refuse("width", width, ">= 0");
+      if (!(period > 0.0)) return refuse("period", period, "> 0");
+      if (rise + width + fall > period) {
+        return Status::ParseError(StrPrintf(
+            "%s: pulse rise + width + fall = %g exceeds period = %g",
+            name.c_str(), rise + width + fall, period));
+      }
+      return Waveform::Pulse(p[0], p[1], delay, rise, fall, width, period);
     }
     if (EqualsIgnoreCase(tok[i], "sin")) {
       double p[5] = {0, 0, 1e6, 0, 0};
@@ -266,6 +286,11 @@ class Parser {
       for (size_t k = i + 1; k + 1 < tok.size(); k += 2) {
         CMLDFT_ASSIGN_OR_RETURN(double t, ParseSpiceNumber(tok[k]));
         CMLDFT_ASSIGN_OR_RETURN(double v, ParseSpiceNumber(tok[k + 1]));
+        if (!pts.empty() && t < pts.back().first) {
+          return Status::ParseError(
+              StrPrintf("%s: pwl time %g precedes the previous time %g",
+                        name.c_str(), t, pts.back().first));
+        }
         pts.emplace_back(t, v);
       }
       if (pts.empty()) return Status::ParseError("pwl needs (t,v) pairs");
@@ -312,13 +337,13 @@ class Parser {
       }
       case 'v': {
         if (tok.size() < 4) return Status::ParseError("V needs: name p n value");
-        CMLDFT_ASSIGN_OR_RETURN(Waveform w, ParseSourceValue(tok, 3));
+        CMLDFT_ASSIGN_OR_RETURN(Waveform w, ParseSourceValue(name, tok, 3));
         netlist_.AddDevice(std::make_unique<VSource>(name, node(1), node(2), std::move(w)));
         return Status::Ok();
       }
       case 'i': {
         if (tok.size() < 4) return Status::ParseError("I needs: name p n value");
-        CMLDFT_ASSIGN_OR_RETURN(Waveform w, ParseSourceValue(tok, 3));
+        CMLDFT_ASSIGN_OR_RETURN(Waveform w, ParseSourceValue(name, tok, 3));
         netlist_.AddDevice(std::make_unique<ISource>(name, node(1), node(2), std::move(w)));
         return Status::Ok();
       }

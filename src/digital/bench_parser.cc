@@ -1,7 +1,7 @@
 #include "digital/bench_parser.h"
 
-#include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "util/strings.h"
@@ -49,6 +49,44 @@ StatusOr<std::vector<Line>> Tokenize(std::string_view text) {
   return lines;
 }
 
+// Adds the gates of one combinational definition whose fanin signals
+// `args` already exist; the last gate added carries the definition's name.
+StatusOr<SignalId> AddDefinition(GateNetlist& nl, const std::string& name,
+                                 const Line& line,
+                                 const std::vector<SignalId>& args) {
+  const std::string& fn = line.function;
+  if (fn == "buf" || fn == "buff") {
+    if (args.size() != 1) return Status::ParseError("BUF arity");
+    return nl.AddGate(GateType::kBuf, name, {args[0]});
+  }
+  if (fn == "not") {
+    if (args.size() != 1) return Status::ParseError("NOT arity");
+    return nl.AddGate(GateType::kNot, name, {args[0]});
+  }
+  GateType type;
+  if (fn == "and" || fn == "nand") {
+    type = GateType::kAnd2;
+  } else if (fn == "or" || fn == "nor") {
+    type = GateType::kOr2;
+  } else if (fn == "xor" || fn == "xnor") {
+    type = GateType::kXor2;
+  } else {
+    return Status::ParseError("unsupported .bench function '" + fn + "'");
+  }
+  if (args.size() < 2) return Status::ParseError(fn + " arity");
+  const bool inverted = fn == "nand" || fn == "nor" || fn == "xnor";
+  // A two-input tree; the inverted functions build it under inner names
+  // and let the final inversion take the gate name.
+  SignalId acc = args[0];
+  for (size_t i = 1; i < args.size(); ++i) {
+    const std::string gname = !inverted && i + 1 == args.size()
+                                  ? name
+                                  : StrPrintf("%s_t%zu", name.c_str(), i);
+    acc = nl.AddGate(type, gname, {acc, args[i]});
+  }
+  return inverted ? nl.AddGate(GateType::kNot, name, {acc}) : acc;
+}
+
 }  // namespace
 
 StatusOr<GateNetlist> ParseBench(std::string_view text) {
@@ -60,7 +98,7 @@ StatusOr<GateNetlist> ParseBench(std::string_view text) {
   // Gate lines may reference signals defined later (and DFFs close loops),
   // so resolve in two passes: declare all INPUTs and all defined names
   // first (DFFs as placeholders), then build combinational gates in
-  // dependency order via memoized recursion.
+  // dependency order.
   std::map<std::string, const Line*> defs;
   for (const Line& line : lines) {
     if (line.function == "input") {
@@ -89,72 +127,55 @@ StatusOr<GateNetlist> ParseBench(std::string_view text) {
     }
   }
 
-  // Recursive elaboration of combinational definitions.
-  std::function<StatusOr<SignalId>(const std::string&, int)> resolve =
-      [&](const std::string& name, int depth) -> StatusOr<SignalId> {
-    auto it = signals.find(name);
-    if (it != signals.end()) return it->second;
-    auto def = defs.find(name);
-    if (def == defs.end()) {
-      return Status::NotFound("undefined signal '" + name + "'");
-    }
-    if (depth > 10000) {
-      return Status::ParseError("combinational loop through '" + name + "'");
-    }
-    const Line& line = *def->second;
-    std::vector<SignalId> args;
-    for (const std::string& a : line.args) {
-      CMLDFT_ASSIGN_OR_RETURN(SignalId s, resolve(a, depth + 1));
-      args.push_back(s);
-    }
-    const std::string& fn = line.function;
-    auto tree = [&](GateType type) -> SignalId {
-      SignalId acc = args[0];
-      for (size_t i = 1; i < args.size(); ++i) {
-        const std::string gname =
-            i + 1 == args.size() ? name : StrPrintf("%s_t%zu", name.c_str(), i);
-        acc = nl.AddGate(type, gname, {acc, args[i]});
-      }
-      return acc;
+  // Elaborates `root` and every definition it depends on, deepest first,
+  // on an explicit stack, so no deck depth reaches the C++ stack. The marks
+  // are GateNetlist::TopologicalOrder's: a name in `signals` is done, one
+  // in `visiting` is on the stack, and meeting a visiting definition again
+  // closes a combinational loop.
+  std::set<const Line*> visiting;
+  auto resolve = [&](const std::string& root) -> StatusOr<SignalId> {
+    struct Frame {
+      const std::string* name;
+      const Line* line;
+      size_t next_arg;
     };
-    SignalId out;
-    if (fn == "buf" || fn == "buff") {
-      if (args.size() != 1) return Status::ParseError("BUF arity");
-      out = nl.AddGate(GateType::kBuf, name, {args[0]});
-    } else if (fn == "not") {
-      if (args.size() != 1) return Status::ParseError("NOT arity");
-      out = nl.AddGate(GateType::kNot, name, {args[0]});
-    } else if (fn == "and" || fn == "or" || fn == "xor") {
-      if (args.size() < 2) return Status::ParseError(fn + " arity");
-      out = tree(fn == "and"  ? GateType::kAnd2
-                 : fn == "or" ? GateType::kOr2
-                              : GateType::kXor2);
-    } else if (fn == "nand" || fn == "nor" || fn == "xnor") {
-      if (args.size() < 2) return Status::ParseError(fn + " arity");
-      // Tree under an inner name, then the inversion takes the gate name.
-      SignalId acc = args[0];
-      const GateType type = fn == "nand"  ? GateType::kAnd2
-                            : fn == "nor" ? GateType::kOr2
-                                          : GateType::kXor2;
-      for (size_t i = 1; i < args.size(); ++i) {
-        acc = nl.AddGate(type, StrPrintf("%s_t%zu", name.c_str(), i),
-                         {acc, args[i]});
+    std::vector<Frame> stack;
+    const std::string* want = &root;
+    while (true) {
+      if (want != nullptr && signals.count(*want) == 0) {
+        auto def = defs.find(*want);
+        if (def == defs.end()) {
+          return Status::NotFound("undefined signal '" + *want + "'");
+        }
+        if (!visiting.insert(def->second).second) {
+          return Status::ParseError("combinational loop through '" + *want +
+                                    "'");
+        }
+        stack.push_back({&def->first, def->second, 0});
       }
-      out = nl.AddGate(GateType::kNot, name, {acc});
-    } else {
-      return Status::ParseError("unsupported .bench function '" + fn + "'");
+      if (stack.empty()) return signals.at(root);
+      Frame& top = stack.back();
+      if (top.next_arg < top.line->args.size()) {
+        want = &top.line->args[top.next_arg++];
+        continue;
+      }
+      std::vector<SignalId> args;
+      for (const std::string& a : top.line->args) args.push_back(signals.at(a));
+      CMLDFT_ASSIGN_OR_RETURN(SignalId out,
+                              AddDefinition(nl, *top.name, *top.line, args));
+      signals[*top.name] = out;
+      visiting.erase(top.line);
+      stack.pop_back();
+      want = nullptr;
     }
-    signals[name] = out;
-    return out;
   };
 
   for (const auto& [name, line] : defs) {
     if (line->function == "dff") continue;
-    CMLDFT_ASSIGN_OR_RETURN(SignalId s, resolve(name, 0));
-    (void)s;
+    CMLDFT_RETURN_IF_ERROR(resolve(name).status());
   }
   for (auto& [dff, d_name] : dff_patches) {
-    CMLDFT_ASSIGN_OR_RETURN(SignalId d, resolve(d_name, 0));
+    CMLDFT_ASSIGN_OR_RETURN(SignalId d, resolve(d_name));
     nl.PatchDffInput(dff, d);
   }
   for (const std::string& out_name : outputs) {

@@ -13,17 +13,8 @@ const util::telemetry::Counter& DenseFactorCounter() {
       util::telemetry::GetCounter("linalg.dense_lu.factors");
   return c;
 }
-// Shared with SparseLu::SolveMulti (the registry keys metrics by name, so
-// both call sites resolve to one slot). The "sim." prefix matches where
-// the batched screening engine — the only multi-RHS consumer — lives.
-const util::telemetry::Counter& MultiRhsCounter() {
-  static const util::telemetry::Counter c =
-      util::telemetry::GetCounter("sim.linalg.multi_rhs_solves");
-  return c;
-}
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const util::telemetry::Counter& kEagerRegistration = DenseFactorCounter();
-[[maybe_unused]] const util::telemetry::Counter& kEagerMultiRhs = MultiRhsCounter();
 }  // namespace
 
 template <typename T>
@@ -107,44 +98,6 @@ util::Status LuFactorizationT<T>::SolveInto(const std::vector<T>& b,
     x[i] = acc / lu_(i, i);
   }
   return util::Status::Ok();
-}
-
-template <typename T>
-util::StatusOr<std::vector<std::vector<T>>> LuFactorizationT<T>::SolveMulti(
-    const std::vector<std::vector<T>>& b) const {
-  if (!factored_) {
-    return util::Status::FailedPrecondition("SolveMulti called before Factor");
-  }
-  const size_t n = lu_.rows();
-  for (const std::vector<T>& col : b) {
-    if (col.size() != n) {
-      return util::Status::InvalidArgument("rhs dimension mismatch");
-    }
-  }
-  MultiRhsCounter().Increment();
-  const size_t k = b.size();
-  std::vector<std::vector<T>> x(k);
-  for (size_t c = 0; c < k; ++c) {
-    x[c].resize(n);
-    for (size_t i = 0; i < n; ++i) x[c][i] = b[c][perm_[i]];
-  }
-  // Row-outer, column-inner: each L/U row is read once and applied to every
-  // column. Per column this performs exactly the Solve() recurrence.
-  for (size_t i = 1; i < n; ++i) {
-    for (size_t c = 0; c < k; ++c) {
-      T acc = x[c][i];
-      for (size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[c][j];
-      x[c][i] = acc;
-    }
-  }
-  for (size_t i = n; i-- > 0;) {
-    for (size_t c = 0; c < k; ++c) {
-      T acc = x[c][i];
-      for (size_t j = i + 1; j < n; ++j) acc -= lu_(i, j) * x[c][j];
-      x[c][i] = acc / lu_(i, i);
-    }
-  }
-  return x;
 }
 
 template <typename T>

@@ -28,16 +28,6 @@ class LuFactorizationT {
   /// once it has the capacity, never reallocated. `x` must not alias `b`.
   util::Status SolveInto(const std::vector<T>& b, std::vector<T>* x) const;
 
-  /// Solve A X = B for several right-hand sides against one factorization
-  /// in a single blocked substitution pass. Column j of the result is
-  /// bit-identical to Solve(b[j]): the per-column operation order is
-  /// unchanged — the row-outer loop only interleaves columns, whose
-  /// substitutions are independent — so batching is a pure cache-locality
-  /// win (the L/U rows stream through cache once per pass instead of once
-  /// per right-hand side). O(k n^2) for k columns.
-  util::StatusOr<std::vector<std::vector<T>>> SolveMulti(
-      const std::vector<std::vector<T>>& b) const;
-
   /// Iterative refinement against the original matrix. Cheap insurance for
   /// ill-conditioned MNA systems.
   util::StatusOr<std::vector<T>> SolveRefined(const MatrixT<T>& original,

@@ -71,9 +71,8 @@ class MatrixT {
   }
 
   /// y = A x into a caller-owned buffer (resized as needed). Bit-identical
-  /// to Multiply(); exists so per-iteration hot loops (the batched
-  /// screening engine forms one residual per variant per Newton round)
-  /// can reuse their scratch instead of allocating.
+  /// to Multiply(); exists so per-iteration hot loops (the hierarchical
+  /// solver's Schur updates) can reuse their scratch instead of allocating.
   void MultiplyInto(const std::vector<T>& x, std::vector<T>* y) const {
     assert(x.size() == cols_);
     y->resize(rows_);

@@ -24,12 +24,6 @@ const SparseLuMetrics& Metrics() {
   static const SparseLuMetrics m;
   return m;
 }
-// Same slot as the dense kernel's multi-RHS counter (name-keyed registry).
-const util::telemetry::Counter& MultiRhsCounter() {
-  static const util::telemetry::Counter c =
-      util::telemetry::GetCounter("sim.linalg.multi_rhs_solves");
-  return c;
-}
 // Register at load time so snapshots list these metrics even when no
 // sparse solve ran — the telemetry schema must not depend on code paths.
 [[maybe_unused]] const SparseLuMetrics& kEagerRegistration = Metrics();
@@ -358,41 +352,6 @@ util::Status SparseLu::SolveInto(const Vector& b, Vector* x) const {
     y[col_of_step_[k]] = acc / pivots_[k];
   }
   return util::Status::Ok();
-}
-
-util::StatusOr<std::vector<Vector>> SparseLu::SolveMulti(
-    const std::vector<Vector>& b) const {
-  if (!factored_) {
-    return util::Status::FailedPrecondition("SolveMulti called before Factor");
-  }
-  for (const Vector& col : b) {
-    if (col.size() != n_) {
-      return util::Status::InvalidArgument("rhs dimension mismatch");
-    }
-  }
-  MultiRhsCounter().Increment();
-  // Each factor row is read once and applied to every column; per column
-  // this is the SolveInto() recurrence exactly.
-  std::vector<Vector> x(b.size(), Vector(n_));
-  for (size_t k = 0; k < n_; ++k) {
-    for (size_t c = 0; c < b.size(); ++c) {
-      double acc = b[c][row_of_step_[k]];
-      for (uint32_t p = row_start_[k]; p < upper_start_[k]; ++p) {
-        acc -= val_[p] * x[c][col_[p]];
-      }
-      x[c][col_of_step_[k]] = acc;
-    }
-  }
-  for (size_t k = n_; k-- > 0;) {
-    for (size_t c = 0; c < b.size(); ++c) {
-      double acc = x[c][col_of_step_[k]];
-      for (uint32_t p = upper_start_[k]; p < row_start_[k + 1]; ++p) {
-        acc -= val_[p] * x[c][col_[p]];
-      }
-      x[c][col_of_step_[k]] = acc / pivots_[k];
-    }
-  }
-  return x;
 }
 
 }  // namespace cmldft::linalg

@@ -109,14 +109,6 @@ class SparseLu {
   /// once it has the capacity, never reallocated. `x` must not alias `b`.
   util::Status SolveInto(const Vector& b, Vector* x) const;
 
-  /// Solve A X = B for several right-hand sides against one factorization.
-  /// Column j of the result is bit-identical to Solve(b[j]): the factor
-  /// rows are streamed once in pivot order and applied to every column,
-  /// which leaves each column's operation order unchanged and reads the
-  /// L/U entry lists k times fewer than k separate Solve() calls.
-  util::StatusOr<std::vector<Vector>> SolveMulti(
-      const std::vector<Vector>& b) const;
-
   bool factored() const { return factored_; }
   /// Nonzeros in L+U after fill-in (diagnostics).
   size_t factor_nonzeros() const { return n_ + col_.size(); }

@@ -65,28 +65,6 @@ class Device {
   /// One-word device kind for reports ("resistor", "bjt", ...).
   virtual std::string_view kind() const = 0;
 
-  /// True when Stamp() reads analysis context beyond the iterate (time,
-  /// source scale, mode, ...). Linear context-free devices (resistors,
-  /// controlled sources) keep the default: their stamps are constant for
-  /// the lifetime of an analysis, which the assembly fast path exploits.
-  /// Nonlinear or state-carrying devices are context-dependent implicitly.
-  virtual bool has_context_dependent_stamp() const { return false; }
-
-  /// True when Stamp() reads the simulation clock (ctx.time()) directly.
-  /// Device bypass uses this to decide whether a nonlinear/stateful
-  /// device's cached stamp may survive a timepoint change: companion
-  /// models (BJTs, diodes, capacitors) read only the iterate, their
-  /// previous state, and dt — all of which the bypass check re-validates —
-  /// so they keep the default false via their untouched
-  /// has_context_dependent_stamp(). Waveform sources return true. A new
-  /// device that evaluates ctx.time() inside Stamp() MUST return true
-  /// here (or inherit it by overriding has_context_dependent_stamp());
-  /// returning false would let bypass replay stamps from a stale
-  /// timepoint.
-  virtual bool has_time_dependent_stamp() const {
-    return has_context_dependent_stamp();
-  }
-
   /// Model constants: values Stamp() reads through ctx.Constants(*this)
   /// that depend only on the parameters and the analysis temperature
   /// (saturation current, depletion split points). Each system computes
@@ -160,7 +138,6 @@ inline void StampContext::SetState(const Device& dev, int slot,
       mismatch_ = true;  // includes the -1 sentinel past the end
       return;
     }
-    if (capture_state_ != nullptr) capture_state_[state_pos_] = value;
     ++state_pos_;
   }
   frame_.curr_states[abs_slot] = value;

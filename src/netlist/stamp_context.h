@@ -117,13 +117,6 @@ class StampContext {
     kStoreRaw,
   };
 
-  /// One device's ranges in the three compiled streams.
-  struct Span {
-    uint32_t mat_begin = 0, mat_end = 0;
-    uint32_t rhs_begin = 0, rhs_end = 0;
-    uint32_t state_begin = 0, state_end = 0;
-  };
-
   StampContext() = default;
   // Compiled targets point into the owner's storage; a copy would alias it.
   StampContext(const StampContext&) = delete;
@@ -233,52 +226,26 @@ class StampContext {
   void Record(const Device& dev);
   bool EndRecord(FirstTouch first_touch);
 
-  /// Replay pass: BeginReplay, then Replay() or ReplayValues() for each
-  /// recorded device in order. Replay() stamps the device through its
-  /// compiled targets and returns false when its writes no longer match
-  /// them (a different call count, or in debug builds a different
-  /// destination); the caller must then Invalidate() and record afresh.
+  /// Replay pass: BeginReplay, then Replay() each recorded device in
+  /// order. Replay() stamps the device through its compiled targets and
+  /// returns false when its writes no longer match them (a different call
+  /// count, or in debug builds a different destination); the caller must
+  /// then Invalidate() and record afresh.
   void BeginReplay() {
     mismatch_ = false;
     mat_pos_ = rhs_pos_ = state_pos_ = 0;
     device_pos_ = 0;
   }
   bool Replay(const Device& dev);  // defined in netlist/device.h
-  /// Write the next device's cached values (arrays indexed like the
-  /// capture arrays below) through its targets without stamping it.
-  void ReplayValues(const double* mat, const double* rhs,
-                    const double* state) {
-    const Span& span = spans_[device_pos_++];
-    for (uint32_t k = span.mat_begin; k < span.mat_end; ++k) {
-      Apply(mat_[k], mat[k]);
-    }
-    for (uint32_t k = span.rhs_begin; k < span.rhs_end; ++k) {
-      *rhs_[k].target += rhs[k];
-    }
-    for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-      frame_.curr_states[state_[k]] = state[k];
-    }
-    mat_pos_ = span.mat_end;
-    rhs_pos_ = span.rhs_end;
-    state_pos_ = span.state_end;
-  }
-  /// While set, Replay() also stores every value it writes at its plan
-  /// position (device bypass caches). Null pointers switch it off.
-  void set_capture(double* mat, double* rhs, double* state) {
-    capture_mat_ = mat;
-    capture_rhs_ = rhs;
-    capture_state_ = state;
-  }
-
-  /// Plan layout, for owners that cache per-position values.
-  const std::vector<Span>& spans() const { return spans_; }
-  size_t num_matrix_writes() const { return mat_.size() - 1; }
-  size_t num_rhs_writes() const { return rhs_.size() - 1; }
-  size_t num_state_writes() const { return state_.size() - 1; }
-  /// Absolute state slot of state write k.
-  int32_t state_slot(size_t k) const { return state_[k]; }
 
  private:
+  // One device's ranges in the three compiled streams.
+  struct Span {
+    uint32_t mat_begin = 0, mat_end = 0;
+    uint32_t rhs_begin = 0, rhs_end = 0;
+    uint32_t state_begin = 0, state_end = 0;
+  };
+
   // One compiled write, packed to 16 bytes: key = row << 33 | col << 1 |
   // assign. The assign bit marks the first touch of a target (FirstTouch).
   struct Target {
@@ -325,7 +292,6 @@ class StampContext {
       return;
     }
 #endif
-    if (capture_mat_ != nullptr) capture_mat_[mat_pos_] = v;
     ++mat_pos_;
     Apply(e, v);
   }
@@ -346,7 +312,6 @@ class StampContext {
       return;
     }
 #endif
-    if (capture_rhs_ != nullptr) capture_rhs_[rhs_pos_] = v;
     ++rhs_pos_;
     *e.target += v;
   }
@@ -369,10 +334,6 @@ class StampContext {
   std::vector<Span> spans_;
   uint32_t mat_pos_ = 0, rhs_pos_ = 0, state_pos_ = 0;
   size_t device_pos_ = 0;
-
-  double* capture_mat_ = nullptr;
-  double* capture_rhs_ = nullptr;
-  double* capture_state_ = nullptr;
 };
 
 }  // namespace cmldft::netlist

@@ -13,6 +13,7 @@
 
 #include "report/json.h"
 #include "util/clock.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 namespace cmldft::service {
@@ -50,12 +51,33 @@ const ServiceMetrics& Metrics() {
 
 [[maybe_unused]] const ServiceMetrics& kEagerRegistration = Metrics();
 
+// An API request is a request line, a few headers and a small JSON body.
+// The header counts through its blank line.
+constexpr size_t kMaxHttpHeaderBytes = 16 * 1024;
+constexpr size_t kMaxHttpBodyBytes = 1024 * 1024;
+
+// A content-length value: decimal digits between optional blanks. Values
+// past kMaxHttpBodyBytes saturate rather than overflow.
+bool ParseContentLength(std::string_view v, size_t* out) {
+  v = util::StripWhitespace(v);
+  if (v.empty()) return false;
+  size_t n = 0;
+  for (char ch : v) {
+    if (ch < '0' || ch > '9') return false;
+    if (n <= kMaxHttpBodyBytes) n = n * 10 + static_cast<size_t>(ch - '0');
+  }
+  *out = n;
+  return true;
+}
+
 const char* HttpStatusText(int code) {
   switch (code) {
     case 200: return "OK";
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 413: return "Payload Too Large";
+    case 431: return "Request Header Fields Too Large";
     default: return "Internal Server Error";
   }
 }
@@ -337,7 +359,24 @@ bool Scheduler::ProcessWorkerFrames(Conn& conn, double now) {
 }
 
 void Scheduler::ProcessHttpRequest(Conn& conn) {
+  // One request per connection: once answered, later bytes are dropped.
+  if (conn.close_after_write) {
+    conn.in.clear();
+    return;
+  }
+  auto refuse = [&](int status_code, const char* body) {
+    conn.in.clear();
+    QueueHttpResponse(conn, status_code, body);
+  };
   const size_t header_end = conn.in.find("\r\n\r\n");
+  // Without its blank line yet, the header is at least one byte longer.
+  const size_t header_bytes = header_end == std::string::npos
+                                  ? conn.in.size() + 1
+                                  : header_end + 4;
+  if (header_bytes > kMaxHttpHeaderBytes) {
+    refuse(431, "{\"error\":\"request header too large\"}");
+    return;
+  }
   if (header_end == std::string::npos) return;  // need more bytes
   const std::string head = conn.in.substr(0, header_end);
 
@@ -348,10 +387,17 @@ void Scheduler::ProcessHttpRequest(Conn& conn) {
     if (line_end == std::string::npos) line_end = head.size();
     std::string line = head.substr(line_start, line_end - line_start);
     for (char& ch : line) ch = static_cast<char>(std::tolower(ch));
-    if (line.rfind("content-length:", 0) == 0) {
-      content_length = std::strtoull(line.c_str() + 15, nullptr, 10);
+    if (line.rfind("content-length:", 0) == 0 &&
+        !ParseContentLength(std::string_view(line).substr(15),
+                            &content_length)) {
+      refuse(400, "{\"error\":\"malformed content-length\"}");
+      return;
     }
     line_start = line_end + 2;
+  }
+  if (content_length > kMaxHttpBodyBytes) {
+    refuse(413, "{\"error\":\"request body too large\"}");
+    return;
   }
   if (conn.in.size() < header_end + 4 + content_length) return;
   const std::string body = conn.in.substr(header_end + 4, content_length);
@@ -434,6 +480,12 @@ bool Scheduler::ReadConn(Conn& conn, double now) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<size_t>(n));
+      // Past the largest request allowed, stop buffering: what is
+      // buffered already decides whether the request is served or refused.
+      if (conn.is_http &&
+          conn.in.size() > kMaxHttpHeaderBytes + kMaxHttpBodyBytes) {
+        break;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

@@ -210,8 +210,6 @@ util::StatusOr<std::vector<DcSweepPoint>> DcSweepVSource(
   bool have_guess = false;
   for (double v : values) {
     vsrc->set_waveform(devices::Waveform::Dc(v));
-    // The device mutated in place: cached bypass stamps are now stale.
-    mna.InvalidateDeviceCaches();
     auto hr = internal::SolveDcHomotopy(
         mna, options,
         have_guess ? guess

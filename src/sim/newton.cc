@@ -50,17 +50,14 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
   linalg::Vector x = initial_guess;
   // Hierarchical path (opt-in): the bordered-block-diagonal solver
   // replaces assembly + factorization + solve wholesale; it ignores
-  // bypass/jacobian_reuse (its factor-share cache plays the analogous
-  // role) and falls through to the flat path when the netlist carries no
-  // usable cell annotations.
+  // jacobian_reuse (its factor-share cache plays the analogous role) and
+  // falls through to the flat path when the netlist carries no usable
+  // cell annotations.
   HierSolver* hier = opts.hierarchical ? mna.GetHierSolver() : nullptr;
   const bool use_sparse =
       opts.solver == NewtonOptions::Solver::kSparse ||
       (opts.solver == NewtonOptions::Solver::kAuto && n > 256);
-  if (hier == nullptr) {
-    mna.set_sparse(use_sparse);
-    mna.set_bypass(opts.bypass, opts.bypass_reltol, opts.bypass_abstol);
-  }
+  if (hier == nullptr) mna.set_sparse(use_sparse);
   linalg::LuFactorization lu;
   // The sparse solver lives in the MnaSystem so its symbolic factorization
   // and pivot order are reused across iterations and timepoints; Refactor

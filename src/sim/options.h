@@ -1,8 +1,6 @@
 // Solver option structs shared by DC and transient analyses.
 #pragma once
 
-#include <vector>
-
 #include "netlist/stamp_context.h"
 
 namespace cmldft::sim {
@@ -27,20 +25,7 @@ struct NewtonOptions {
   enum class Solver { kAuto, kDense, kSparse };
   Solver solver = Solver::kAuto;
 
-  // --- Newton fast path (opt-in; see docs/performance.md) ----------------
-  /// Device bypass: replay a device's cached stamp contributions when its
-  /// terminal voltages (and branch currents) moved less than
-  /// |dV| < bypass_abstol + bypass_reltol * |V| since they were cached.
-  /// Linear context-free devices (resistors, controlled sources) replay
-  /// bit-identically; nonlinear/dynamic devices introduce a model error
-  /// bounded by their conductance times the bypass tolerance, so solutions
-  /// are tolerance-equivalent (not bit-identical) to the exact path.
-  /// Default off; the stamp plan itself is always on and bit-exact.
-  bool bypass = false;
-  /// Bypass tolerances — kept one to two decades tighter than the Newton
-  /// convergence tolerances above so a bypassed solve still satisfies them.
-  double bypass_reltol = 1e-5;
-  double bypass_abstol = 1e-8;
+  // --- Jacobian reuse (opt-in; see docs/performance.md) ------------------
   /// Jacobian reuse (modified Newton): keep the LU factors from a previous
   /// iteration while the step norm is contracting by at least
   /// jacobian_reuse_rate per iteration, and apply them to the fresh
@@ -72,7 +57,7 @@ struct NewtonOptions {
   /// Same linear system as the flat solve in a different elimination
   /// order, so solutions are tolerance-equivalent (gated like dense ==
   /// sparse). Falls back to the flat path when the netlist carries no
-  /// usable cell annotations. Ignores bypass/jacobian_reuse; default off.
+  /// usable cell annotations. Ignores jacobian_reuse; default off.
   bool hierarchical = false;
   /// Factor-share quantum: an absolute step in the block entries' own
   /// units, not a fraction of each entry. 0 (the default) shares a
@@ -114,13 +99,6 @@ struct TransientOptions {
   /// Grow dt by this factor when steps are comfortably small.
   double growth_factor = 1.5;
   DcOptions dc;                  ///< used for the t=0 operating point
-  /// Optional warm start for the t=0 operating point: node voltages
-  /// indexed by NodeId (entry 0 = ground, ignored). Nodes beyond the
-  /// vector's size (and all branch currents) seed at zero, so a guess
-  /// recorded on a fault-free netlist stays usable on a faulty copy whose
-  /// defect injection appended split nodes. Changes the DC iterate
-  /// trajectory only, not the converged-solution tolerance contract.
-  std::vector<double> initial_node_voltages;
 };
 
 }  // namespace cmldft::sim

@@ -9,7 +9,6 @@
 #include "sim/dc_internal.h"
 #include "sim/mna.h"
 #include "sim/newton.h"
-#include "sim/transient_internal.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/telemetry.h"
@@ -45,8 +44,31 @@ const TranMetrics& Metrics() {
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const TranMetrics& kEagerRegistration = Metrics();
 
-using internal::CollectSourceWaveforms;
-using internal::NextSourceBreakpoint;
+// Source waveforms collected once per analysis — the stepping loop asks
+// for the next breakpoint on every step, and scanning all devices with
+// string kind() comparisons each time is measurable on long transients.
+std::vector<const devices::Waveform*> CollectSourceWaveforms(
+    const netlist::Netlist& nl) {
+  std::vector<const devices::Waveform*> out;
+  nl.ForEachDevice([&](const netlist::Device& dev) {
+    if (dev.kind() == "vsource") {
+      out.push_back(&static_cast<const devices::VSource&>(dev).waveform());
+    } else if (dev.kind() == "isource") {
+      out.push_back(&static_cast<const devices::ISource&>(dev).waveform());
+    }
+  });
+  return out;
+}
+
+// Earliest waveform corner strictly after `t` across the cached sources.
+double NextSourceBreakpoint(const std::vector<const devices::Waveform*>& sources,
+                            double t) {
+  double next = std::numeric_limits<double>::infinity();
+  for (const devices::Waveform* w : sources) {
+    next = std::min(next, w->NextBreakpoint(t));
+  }
+  return next;
+}
 }  // namespace
 
 TransientResult::TransientResult(std::vector<std::string> node_names,
@@ -122,18 +144,7 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
   mna.set_initializing_state(true);
   mna.set_time(0.0);
   mna.set_dt(0.0);
-  linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
-  // Optional warm start: seed node voltages by NodeId where provided (a
-  // guess from a fault-free variant stays usable when defect injection
-  // appended split nodes — those, and branch currents, start at zero).
-  const size_t num_seeded =
-      std::min(options.initial_node_voltages.size(),
-               static_cast<size_t>(netlist.num_nodes()));
-  for (size_t node = 1; node < num_seeded; ++node) {
-    guess[static_cast<size_t>(
-        mna.UnknownOfNode(static_cast<netlist::NodeId>(node)))] =
-        options.initial_node_voltages[node];
-  }
+  const linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
   auto op = internal::SolveDcHomotopy(mna, options.dc, guess);
   if (!op.ok()) {
     return util::Status::NoConvergence("transient t=0 operating point: " +

@@ -78,42 +78,6 @@ TEST(ScreeningDeterminism, ParallelMatchesSerialBitExact) {
   EXPECT_EQ(serial->CombinedCoverage(), parallel->CombinedCoverage());
 }
 
-// The Newton fast path (device bypass + Jacobian reuse) and warm-started
-// defect transients change *how* each defect is simulated, never *which*
-// result a given defect produces — so thread count must still be invisible.
-TEST(ScreeningDeterminism, FastNewtonWarmStartThreadInvariant) {
-  core::ScreeningOptions serial_opt = SmallScreening();
-  serial_opt.fast_newton = true;
-  serial_opt.warm_start = true;
-  serial_opt.threads = 1;
-  core::ScreeningOptions parallel_opt = serial_opt;
-  parallel_opt.threads = 4;
-
-  auto serial = core::ScreenBufferChain(serial_opt);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = core::ScreenBufferChain(parallel_opt);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  ASSERT_GT(serial->total(), 0);
-  ASSERT_EQ(serial->total(), parallel->total());
-  for (int i = 0; i < serial->total(); ++i) {
-    const core::DefectOutcome& a = serial->outcomes[static_cast<size_t>(i)];
-    const core::DefectOutcome& b = parallel->outcomes[static_cast<size_t>(i)];
-    ASSERT_EQ(a.defect.Id(), b.defect.Id());
-    EXPECT_EQ(a.Classify(), b.Classify()) << a.defect.Id();
-    EXPECT_EQ(a.converged, b.converged);
-    EXPECT_EQ(a.logic_fail, b.logic_fail);
-    EXPECT_EQ(a.delay_fail, b.delay_fail);
-    EXPECT_EQ(a.iddq_fail, b.iddq_fail);
-    EXPECT_EQ(a.amplitude_detected, b.amplitude_detected);
-    EXPECT_EQ(a.min_detector_vout, b.min_detector_vout) << a.defect.Id();
-    EXPECT_EQ(a.max_gate_amplitude, b.max_gate_amplitude) << a.defect.Id();
-    EXPECT_EQ(a.supply_current, b.supply_current) << a.defect.Id();
-  }
-  EXPECT_EQ(serial->ConventionalCoverage(), parallel->ConventionalCoverage());
-  EXPECT_EQ(serial->CombinedCoverage(), parallel->CombinedCoverage());
-}
-
 // The hierarchical BBD solver runs its per-cell phases on a thread pool,
 // but every parallel phase writes disjoint per-cell storage and every
 // reduction is serial in cell order — so its solutions are bit-identical

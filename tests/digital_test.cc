@@ -10,6 +10,7 @@
 #include "digital/logic.h"
 #include "digital/patterns.h"
 #include "digital/simulator.h"
+#include "util/strings.h"
 
 namespace cmldft::digital {
 namespace {
@@ -407,7 +408,32 @@ TEST(BenchParser, Errors) {
   EXPECT_FALSE(ParseBench("INPUT(a)\nINPUT(b)\n = AND(a, b)").ok());
   EXPECT_FALSE(ParseBench("INPUT(a)\nq = DFF(a, a)").ok());  // DFF arity
   // Combinational loop without a DFF to break it.
-  EXPECT_FALSE(ParseBench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)").ok());
+  auto loop = ParseBench("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)");
+  ASSERT_FALSE(loop.ok());
+  EXPECT_NE(loop.status().message().find("combinational loop"),
+            std::string::npos)
+      << loop.status().ToString();
+}
+
+TEST(BenchParser, DeepChainParses) {
+  // n00000 = NOT(n00001), ..., n19999 = NOT(a): the deepest gate sorts
+  // first, so resolving it walks the whole chain before anything else
+  // exists. Depth is bounded by the deck, not by the parser.
+  constexpr int kDepth = 20000;
+  std::string deck = "INPUT(a)\nOUTPUT(n00000)\n";
+  for (int i = 0; i < kDepth; ++i) {
+    const std::string fanin =
+        i + 1 == kDepth ? "a" : util::StrPrintf("n%05d", i + 1);
+    deck += util::StrPrintf("n%05d = NOT(%s)\n", i, fanin.c_str());
+  }
+  auto nl = ParseBench(deck);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
+  EXPECT_EQ(nl->num_signals(), kDepth + 1);
+  LogicSimulator sim(*nl);
+  sim.SetInput(nl->inputs()[0], Logic::k1);
+  sim.Evaluate();
+  // An even number of inversions passes the input through.
+  EXPECT_EQ(sim.OutputValues(), std::vector<Logic>{Logic::k1});
 }
 
 TEST(BenchParser, C17RoundTripThroughWriter) {

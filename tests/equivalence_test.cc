@@ -172,32 +172,11 @@ TEST(IntegrationEquivalence, MethodsAgreeOnDcOperatingPoint) {
   EXPECT_EQ(vt, vb);
 }
 
-// --- Newton fast path (opt-in): tolerance-equivalent, never bit-exact ----
+// --- Jacobian reuse (opt-in): tolerance-equivalent, never bit-exact -----
 //
-// Device bypass and Jacobian reuse change the iterate trajectory (and, for
-// bypass, introduce a model error bounded by the bypass tolerances), so
-// their contract is agreement within solver tolerances — unlike the stamp
-// plan itself, which is bit-exact and covered by stamp_plan_test.cc.
-
-TEST(FastPathEquivalence, DcBypassMatchesExact) {
-  for (const auto solver :
-       {sim::NewtonOptions::Solver::kDense, sim::NewtonOptions::Solver::kSparse}) {
-    Chain c = MakeChain(100e6);
-    sim::DcOptions exact, fast;
-    exact.newton = WithSolver(solver);
-    fast.newton = WithSolver(solver);
-    fast.newton.bypass = true;
-    auto re = sim::SolveDc(c.nl, exact);
-    auto rf = sim::SolveDc(c.nl, fast);
-    ASSERT_TRUE(re.ok()) << re.status().ToString();
-    ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-    ASSERT_EQ(re->node_voltages.size(), rf->node_voltages.size());
-    for (size_t i = 0; i < re->node_voltages.size(); ++i) {
-      EXPECT_NEAR(re->node_voltages[i], rf->node_voltages[i], 1e-4)
-          << "node " << i;
-    }
-  }
-}
+// Jacobian reuse changes the iterate trajectory, so its contract is
+// agreement within solver tolerances — unlike the stamp plan itself, which
+// is bit-exact and covered by stamp_plan_test.cc.
 
 TEST(FastPathEquivalence, DcJacobianReuseMatchesExact) {
   Chain c = MakeChain(100e6);
@@ -221,7 +200,6 @@ TEST(FastPathEquivalence, TransientFastPathMatchesExact) {
     Chain c = MakeChain(100e6);
     sim::TransientOptions opts;
     opts.tstop = 12e-9;
-    opts.dc.newton.bypass = fast;
     opts.dc.newton.jacobian_reuse = fast;
     opts.dc.newton.jacobian_reuse_min_unknowns = 1;
     auto r = sim::RunTransient(c.nl, opts);

@@ -97,57 +97,6 @@ TEST(Lu, RhsDimensionMismatch) {
   EXPECT_FALSE(lu.Solve({1.0, 2.0}).ok());
 }
 
-TEST(Lu, SolveMultiMatchesPerRhsSolveBitExact) {
-  // The batched screening engine solves every sharing variant's Newton
-  // update through one factorization; classifications stay bit-identical
-  // to the scalar engine only because each SolveMulti column reproduces
-  // the exact bits of a standalone Solve.
-  util::Rng rng(20260809);
-  for (int n : {1, 2, 5, 17}) {
-    Matrix a(static_cast<size_t>(n), static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      double row = 0.0;
-      for (int c = 0; c < n; ++c) {
-        a(static_cast<size_t>(r), static_cast<size_t>(c)) =
-            rng.NextDouble(-1, 1);
-        row += std::fabs(a(static_cast<size_t>(r), static_cast<size_t>(c)));
-      }
-      a(static_cast<size_t>(r), static_cast<size_t>(r)) = row + 1.0;
-    }
-    LuFactorization lu;
-    ASSERT_TRUE(lu.Factor(a).ok());
-    std::vector<Vector> rhs;
-    for (int k = 0; k < 7; ++k) {
-      Vector b(static_cast<size_t>(n));
-      for (double& v : b) v = rng.NextDouble(-1, 1);
-      rhs.push_back(std::move(b));
-    }
-    auto multi = lu.SolveMulti(rhs);
-    ASSERT_TRUE(multi.ok());
-    ASSERT_EQ(multi->size(), rhs.size());
-    for (size_t k = 0; k < rhs.size(); ++k) {
-      auto single = lu.Solve(rhs[k]);
-      ASSERT_TRUE(single.ok());
-      for (int i = 0; i < n; ++i) {
-        EXPECT_EQ((*multi)[k][static_cast<size_t>(i)],
-                  (*single)[static_cast<size_t>(i)])
-            << "n=" << n << " rhs=" << k << " row=" << i;
-      }
-    }
-  }
-}
-
-TEST(Lu, SolveMultiEmptyAndPreconditions) {
-  LuFactorization lu;
-  EXPECT_EQ(lu.SolveMulti({{1.0}}).status().code(),
-            util::StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(lu.Factor(Matrix::Identity(2)).ok());
-  auto empty = lu.SolveMulti({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  EXPECT_FALSE(lu.SolveMulti({{1.0}}).ok());  // dimension mismatch
-}
-
 TEST(Lu, LogAbsDeterminant) {
   Matrix a = Matrix::Identity(3);
   a(0, 0) = 2.0;

@@ -190,10 +190,25 @@ TEST(Parser, Errors) {
   refused(".model m npn (tf=-1p)", "tf = ");
   refused(".model m npn (tr=-1p)", "tr = ");
   refused(".model m npn (is=inf)", "not a finite number");
+  // PULSE(v1 v2 delay rise fall width period) and PWL outside the
+  // waveform contract.
+  refused("v1 a 0 pulse(0 1 0 0 1n 5n 20n)", "v1: pulse rise = 0");
+  refused("v1 a 0 pulse(0 1 0 1n -1n 5n 20n)", "v1: pulse fall = -1e-09");
+  refused("i1 a 0 pulse(0 1 0 1n 1n -5n 20n)", "i1: pulse width = -5e-09");
+  refused("v1 a 0 pulse(0 1 0 1n 1n 5n 0)", "v1: pulse period = 0");
+  refused("v1 a 0 pulse(0 1 -1n 1n 1n 5n 20n)", "v1: pulse delay = -1e-09");
+  refused("v1 a 0 pulse(0 1 0 1n 1n 19n 20n)",
+          "v1: pulse rise + width + fall = 2.1e-08 exceeds period");
+  refused("v1 a 0 pwl(0 0 2n 1 1n 0)", "v1: pwl time 1e-09 precedes");
   // Boundary values the math accepts still parse.
   EXPECT_TRUE(ParseSpice(".model m npn (mje=0 fc=0 cje=0 tf=0)\n"
                          "q1 c b 0 m\nc1 c 0 0")
                   .ok());
+  // A delayed pulse whose delay plus shape exceeds one period, a pulse
+  // that fills its period exactly, and a PWL step (repeated time).
+  EXPECT_TRUE(ParseSpice("v1 a 0 pulse(0 1 15n 1n 1n 8n 20n)").ok());
+  EXPECT_TRUE(ParseSpice("v1 a 0 pulse(0 1 0 1n 1n 18n 20n)").ok());
+  EXPECT_TRUE(ParseSpice("v1 a 0 pwl(0 0 1n 0 1n 1)").ok());
   // Subcircuit instantiation with the wrong pin count.
   EXPECT_EQ(ParseSpice(".subckt u a b\nr1 a b 1k\n.ends\nxq n1 u")
                 .status()

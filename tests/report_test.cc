@@ -295,15 +295,15 @@ Json GbenchPerf(std::initializer_list<std::pair<const char*, double>> runs,
   return j;
 }
 
-const std::vector<std::string> kGatedFamilies = {
-    "BM_TransientFastPath", "BM_BatchedScreen", "BM_HierTransient"};
+const std::vector<std::string> kGatedFamilies = {"BM_TransientFastPath",
+                                                 "BM_HierTransient"};
 
 TEST(Golden, BenchPerfWithinToleranceAndFasterPass) {
   const Json base = GbenchPerf({{"BM_TransientFastPath/0", 100.0},
-                               {"BM_BatchedScreen/8", 200.0}});
+                               {"BM_HierTransient/256", 200.0}});
   // +15% and -40%: both inside a 20% regression gate.
   const Json run = GbenchPerf({{"BM_TransientFastPath/0", 115.0},
-                              {"BM_BatchedScreen/8", 120.0}});
+                              {"BM_HierTransient/256", 120.0}});
   const GoldenDiff d = CompareGbenchPerf(run, base, 0.20, kGatedFamilies);
   EXPECT_TRUE(d.ok()) << d.Summary();
   EXPECT_EQ(d.values_compared, 2);
@@ -328,7 +328,7 @@ TEST(Golden, BenchPerfIgnoresUngatedFamilies) {
 }
 
 TEST(Golden, BenchPerfMissingGatedBenchmarkIsDrift) {
-  const Json base = GbenchPerf({{"BM_BatchedScreen/8", 200.0}});
+  const Json base = GbenchPerf({{"BM_HierTransient/256", 200.0}});
   const Json run = GbenchPerf({{"BM_TransientFastPath/0", 100.0}});
   EXPECT_FALSE(CompareGbenchPerf(run, base, 0.20, kGatedFamilies).ok());
 }

@@ -7,7 +7,9 @@
 // coverage converging to the final merged value.
 #include <gtest/gtest.h>
 #include <csignal>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -575,6 +577,75 @@ TEST(ServiceEndToEnd, HttpLiveCoverageConvergesToMergedValue) {
   EXPECT_TRUE(merge.complete());
   EXPECT_DOUBLE_EQ(last_coverage, merge.LiveCoverage());
   std::system(("rm -rf " + dir + "/state").c_str());
+}
+
+/// Sends `request` as is and reads the reply until the scheduler closes
+/// the connection (`closed`) or 10 s pass without a byte.
+struct RawReply {
+  std::string text;
+  bool closed = false;
+};
+RawReply HttpRaw(uint16_t port, const std::string& request) {
+  RawReply reply;
+  auto fd = util::TcpConnect("127.0.0.1", port);
+  if (!fd.ok()) return reply;
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  if (util::WriteAll(*fd, request.data(), request.size()).ok()) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(*fd, buf, sizeof buf)) > 0) reply.text.append(buf, n);
+    reply.closed = n == 0;
+  }
+  util::CloseFd(*fd);
+  return reply;
+}
+
+// The HTTP reader is bounded: a header past 16 KiB (even one that never
+// ends) is answered 431, a content-length past 1 MiB 413 before any body
+// is buffered, and one that is not a number 400 — each followed by the
+// close. A well-formed request is still served afterwards.
+TEST(ServiceEndToEnd, HttpRequestsAreSizeBounded) {
+  const std::string dir = TempPath("e2e_http_bounds");
+  std::system(("rm -rf " + dir).c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  const std::string ports = dir + "/ports.json";
+  ASSERT_NE(std::system((std::string(SCHEDULER_BIN) + " --state-dir " + dir +
+                         "/state --port-file " + ports +
+                         " >/dev/null 2>&1 & echo $! > " + dir + "/sched.pid")
+                            .c_str()),
+            -1);
+  ChildReaper reaper;
+  uint16_t http = 0;
+  const double start = util::MonotonicSeconds();
+  while (http == 0 && util::MonotonicSeconds() - start < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    reaper.pid = static_cast<pid_t>(
+        std::atol(ReadWholeFile(dir + "/sched.pid").c_str()));
+    http = PortFromFile(ports, "http_port");
+  }
+  ASSERT_NE(http, 0) << "scheduler did not publish its ports";
+
+  auto expect_refused = [&](const std::string& request, const char* status) {
+    const RawReply reply = HttpRaw(http, request);
+    EXPECT_EQ(reply.text.rfind(std::string("HTTP/1.1 ") + status, 0), 0u)
+        << reply.text.substr(0, 80);
+    EXPECT_TRUE(reply.closed) << status;
+  };
+  expect_refused("GET /campaigns HTTP/1.1\r\nX-Pad: " +
+                     std::string(17 * 1024, 'a'),
+                 "431");
+  expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+                 "413");
+  expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n",
+                 "400");
+  expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                 "400");
+  const RawReply ok = HttpRaw(http, "GET /campaigns HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(ok.text.rfind("HTTP/1.1 200", 0), 0u) << ok.text;
+  EXPECT_TRUE(ok.closed);
+  std::system(("rm -rf " + dir).c_str());
 }
 
 #endif  // SCHEDULER_BIN && WORKER_BIN && ...

@@ -47,52 +47,6 @@ TEST(SparseLu, SolvesHandSystem) {
   EXPECT_NEAR((*x)[1], 3.0, 1e-12);
 }
 
-TEST(SparseLu, SolveMultiMatchesPerRhsSolveBitExact) {
-  // Mirrors the dense LU property: the batched engine's multi-RHS path
-  // must reproduce standalone Solve() bit-for-bit, including under the
-  // permuted elimination order a pivoted sparse factor uses.
-  util::Rng rng(20260809);
-  for (int n : {2, 6, 23}) {
-    SparseBuilder b(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      double row = 0.0;
-      for (int c = 0; c < n; ++c) {
-        if (r != c && rng.NextBool(0.7)) continue;  // keep it sparse
-        const double v = rng.NextDouble(-1, 1);
-        b.Add(static_cast<size_t>(r), static_cast<size_t>(c), v);
-        row += std::fabs(v);
-      }
-      b.Add(static_cast<size_t>(r), static_cast<size_t>(r), row + 1.0);
-    }
-    SparseLu lu;
-    ASSERT_TRUE(lu.Factor(b).ok());
-    std::vector<Vector> rhs;
-    for (int k = 0; k < 5; ++k) {
-      Vector v(static_cast<size_t>(n));
-      for (double& e : v) e = rng.NextDouble(-1, 1);
-      rhs.push_back(std::move(v));
-    }
-    auto multi = lu.SolveMulti(rhs);
-    ASSERT_TRUE(multi.ok());
-    ASSERT_EQ(multi->size(), rhs.size());
-    for (size_t k = 0; k < rhs.size(); ++k) {
-      auto single = lu.Solve(rhs[k]);
-      ASSERT_TRUE(single.ok());
-      for (int i = 0; i < n; ++i) {
-        EXPECT_EQ((*multi)[k][static_cast<size_t>(i)],
-                  (*single)[static_cast<size_t>(i)])
-            << "n=" << n << " rhs=" << k << " row=" << i;
-      }
-    }
-  }
-}
-
-TEST(SparseLu, SolveMultiBeforeFactorFails) {
-  SparseLu lu;
-  EXPECT_EQ(lu.SolveMulti({{1.0}}).status().code(),
-            util::StatusCode::kFailedPrecondition);
-}
-
 TEST(SparseLu, HandlesZeroDiagonalViaPivoting) {
   // The MNA pattern that breaks naive elimination: a voltage-source branch
   // row has a structurally zero diagonal.

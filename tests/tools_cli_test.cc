@@ -102,13 +102,6 @@ TEST(CampaignRunCli, UsageErrors) {
       RunTool(bin + " --store /tmp/x.campaign --shard 5/2").exit_code, 2);
   EXPECT_EQ(
       RunTool(bin + " --store /tmp/x.campaign --preset nope").exit_code, 2);
-  // --batch must be a positive K; the tool rejects it before touching the
-  // store so no campaign file is created as a side effect.
-  auto r = RunTool(bin + " --store /tmp/x.campaign --batch 0");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.stderr_text.find("--batch"), std::string::npos) << r.stderr_text;
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --batch -3").exit_code, 2);
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --batch").exit_code, 2);
 }
 
 TEST(CampaignRunCli, HierFlagErrors) {

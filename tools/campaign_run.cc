@@ -2,7 +2,7 @@
 //
 //   campaign_run --store <path.campaign> [--shard i/N] [--preset NAME]
 //                [--resume] [--overwrite] [--threads N] [--fsync-batch N]
-//                [--batch K] [--hier] [--hier-quantum Q]
+//                [--hier] [--hier-quantum Q]
 //                [--telemetry <path.json>] [--abort-after-bytes N]
 //
 // The store is an append-only, CRC-checked binary file (docs/campaign.md):
@@ -47,7 +47,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --store <path.campaign> [--shard i/N] [--preset NAME]\n"
       "          [--resume] [--overwrite] [--threads N] [--fsync-batch N]\n"
-      "          [--batch K] [--hier] [--hier-quantum Q]\n"
+      "          [--hier] [--hier-quantum Q]\n"
       "          [--telemetry <path.json>]\n"
       "          [--abort-after-bytes N] [--progress]\n"
       "presets: coverage_comparison (default), quick, pattern_coverage, "
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   bool overwrite = false;
   bool progress = false;
   int threads = 0;
-  int batch = 1;
   bool hier = false;
   double hier_quantum = 0.0;
   int fsync_batch = 8;
@@ -98,19 +97,10 @@ int main(int argc, char** argv) {
       progress = true;
     } else if (arg == "--threads") {
       threads = std::atoi(next("--threads"));
-    } else if (arg == "--batch") {
-      // Batched screening (docs/performance.md): K defect variants per
-      // shared Newton/transient loop. Classifications are identical to
-      // the scalar path, so shards produced at different K merge cleanly.
-      batch = std::atoi(next("--batch"));
-      if (batch < 1) {
-        std::fprintf(stderr, "%s: --batch requires a positive K\n", argv[0]);
-        return 2;
-      }
     } else if (arg == "--hier") {
       // Hierarchical bordered-block-diagonal solver (docs/performance.md
       // "Layer 6"): per-cell elimination with factor sharing. Solutions
-      // are tolerance-equivalent to the flat path, like the fast path.
+      // are tolerance-equivalent to the flat path.
       hier = true;
     } else if (arg == "--hier-quantum") {
       hier_quantum = std::atof(next("--hier-quantum"));
@@ -205,7 +195,6 @@ int main(int argc, char** argv) {
     }
     opt.screening = *screening;
     opt.screening.threads = threads;
-    opt.screening.batch = batch;
     opt.screening.hierarchical = hier;
     opt.screening.hier_share_quantum = hier_quantum;
     opt.shard = *shard;

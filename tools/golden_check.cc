@@ -19,8 +19,7 @@
 //       consistent google-benchmark library_build_type). Options:
 //       --tolerance=0.20 (fraction) and --families=A,B (benchmark name
 //       prefixes up to the first '/'); defaults gate
-//       BM_TransientFastPath, BM_BatchedScreen, and BM_HierTransient at
-//       +20%.
+//       BM_TransientFastPath and BM_HierTransient at +20%.
 //
 //   golden_check --telemetry-schema <actual.json> <golden.json>
 //       Structural check for "cmldft-telemetry-v1" snapshots: the metric
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   Mode mode = Mode::kReport;
   double tolerance = 0.20;
   std::vector<std::string> families = {"BM_TransientFastPath",
-                                       "BM_BatchedScreen", "BM_HierTransient"};
+                                       "BM_HierTransient"};
   int arg = 1;
   if (arg < argc && std::strcmp(argv[arg], "--gbench") == 0) {
     mode = Mode::kGbench;
