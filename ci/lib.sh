@@ -1,4 +1,5 @@
-# Shared helpers for the CI durability drills (ci/*_kill_resume.sh).
+# Shared helpers for the CI durability drills (ci/campaign_kill_resume.sh,
+# ci/service_kill_resume.sh).
 # Source from a drill after `set -euo pipefail`:
 #
 #   . "$(dirname "$0")/lib.sh"
@@ -46,26 +47,28 @@ ci_check_report() {
 }
 
 # ci_kill_resume_drill <preset> <abort-bytes> <golden.json> <bench-name> —
-# the shared shape of the single-payload drills: SIGKILL shard 0/2
-# mid-record-write, resume it, run shard 1/2 uninterrupted with a
+# one payload's drill, in a scratch directory of its own: SIGKILL shard
+# 0/2 mid-record-write, resume it, run shard 1/2 uninterrupted with a
 # different (odd) thread count, merge both stores, and verify the report
 # against the golden snapshot (and the bench binary, when present).
 ci_kill_resume_drill() {
   local preset=$1 abort_bytes=$2 golden=$3 bench_name=$4
+  local dir="$WORK/$preset"
+  mkdir -p "$dir"
 
-  echo "== shard 0/2: forced kill -9 mid-write =="
-  ci_expect_sigkill "$RUN" --store "$WORK/s0.campaign" --preset "$preset" \
+  echo "== $preset shard 0/2: forced kill -9 mid-write =="
+  ci_expect_sigkill "$RUN" --store "$dir/s0.campaign" --preset "$preset" \
       --shard 0/2 --abort-after-bytes "$abort_bytes"
-  echo "shard killed as expected (exit 137, store at $(stat -c%s "$WORK/s0.campaign") bytes)"
+  echo "shard killed as expected (exit 137, store at $(stat -c%s "$dir/s0.campaign") bytes)"
 
-  echo "== shard 0/2: resume to completion =="
-  "$RUN" --store "$WORK/s0.campaign" --preset "$preset" --shard 0/2 --resume
+  echo "== $preset shard 0/2: resume to completion =="
+  "$RUN" --store "$dir/s0.campaign" --preset "$preset" --shard 0/2 --resume
 
-  echo "== shard 1/2: uninterrupted, 7 worker threads =="
-  "$RUN" --store "$WORK/s1.campaign" --preset "$preset" --shard 1/2 --threads 7
+  echo "== $preset shard 1/2: uninterrupted, 7 worker threads =="
+  "$RUN" --store "$dir/s1.campaign" --preset "$preset" --shard 1/2 --threads 7
 
-  echo "== merge and check against the golden snapshot =="
-  "$MERGE" --coverage-report "$WORK/report.json" \
-           "$WORK/s0.campaign" "$WORK/s1.campaign"
-  ci_check_report "$WORK/report.json" "$golden" "$BUILD/bench/$bench_name"
+  echo "== $preset: merge and check against the golden snapshot =="
+  "$MERGE" --coverage-report "$dir/report.json" \
+           "$dir/s0.campaign" "$dir/s1.campaign"
+  ci_check_report "$dir/report.json" "$golden" "$BUILD/bench/$bench_name"
 }

@@ -4,33 +4,26 @@
 //   cmldft_cli tran <netlist.cir> <tstop_seconds> [node ...]
 //   cmldft_cli ac  <netlist.cir> <source> <f_start> <f_stop> [node ...]
 //   cmldft_cli detect <netlist.cir> <tstop> <vout_node>   (swing-detector verdict)
-//   cmldft_cli screen --store <path.campaign> [--shard i/N] [--preset NAME]
-//                     [--resume] [--overwrite] [--threads N]
 //
-// `screen` runs one shard of a durable defect-screening campaign on the
-// paper's instrumented buffer chain (docs/campaign.md); it takes no
-// netlist file — the preset names the circuit and the defect universe.
-// Prints tables/CSV to stdout; ASCII plots for tran/ac when nodes are
-// given. Exit code 0 on success (and "pass" for detect), 1 otherwise.
+// Durable defect-screening campaigns run through tools/campaign_run
+// (docs/campaign.md). Prints tables/CSV to stdout; ASCII plots for
+// tran/ac when nodes are given. Exit code 0 on success (and "pass" for
+// detect), 1 otherwise.
 // The global flag --stats appends a solver-telemetry digest (Newton
 // iterations, homotopy stages, step rejections, LU counts) after any
 // command — see docs/observability.md.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "campaign/planner.h"
-#include "campaign/runner.h"
 #include "devices/spice_parser.h"
 #include "sim/ac.h"
 #include "sim/dc.h"
 #include "sim/transient.h"
-#include "util/file_io.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -48,8 +41,6 @@ int Usage() {
                "  cmldft_cli tran   <netlist.cir> <tstop> [node ...]\n"
                "  cmldft_cli ac     <netlist.cir> <source> <fstart> <fstop> [node ...]\n"
                "  cmldft_cli detect <netlist.cir> <tstop> <vout_node>\n"
-               "  cmldft_cli screen --store <path.campaign> [--shard i/N]\n"
-               "             [--preset NAME] [--resume] [--overwrite] [--threads N]\n"
                "any command also accepts --stats (print solver telemetry)\n");
   return 1;
 }
@@ -166,88 +157,8 @@ int RunDetect(const netlist::Netlist& nl, double tstop, const std::string& node)
   return fired ? 2 : 0;
 }
 
-int RunScreen(const std::vector<std::string>& args) {
-  campaign::CampaignOptions opt;
-  std::string preset = "coverage_comparison";
-  std::string shard_spec = "0/1";
-  bool resume = false;
-  bool overwrite = false;
-  int threads = 0;
-  for (size_t i = 2; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string& {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "screen: missing value for %s\n", flag);
-        std::exit(1);
-      }
-      return args[++i];
-    };
-    if (arg == "--store") {
-      opt.store_path = next("--store");
-    } else if (arg == "--shard") {
-      shard_spec = next("--shard");
-    } else if (arg == "--preset") {
-      preset = next("--preset");
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--overwrite") {
-      overwrite = true;
-    } else if (arg == "--threads") {
-      threads = std::atoi(next("--threads").c_str());
-    } else {
-      std::fprintf(stderr, "screen: unknown argument '%s'\n", arg.c_str());
-      return Usage();
-    }
-  }
-  if (opt.store_path.empty()) {
-    std::fprintf(stderr, "screen: --store is required\n");
-    return Usage();
-  }
-  auto screening = campaign::ScreeningPreset(preset);
-  if (!screening.ok()) {
-    std::fprintf(stderr, "%s\n", screening.status().ToString().c_str());
-    return 1;
-  }
-  opt.screening = *screening;
-  opt.screening.threads = threads;
-  auto shard = campaign::ParseShardSpec(shard_spec);
-  if (!shard.ok()) {
-    std::fprintf(stderr, "%s\n", shard.status().ToString().c_str());
-    return 1;
-  }
-  opt.shard = *shard;
-  const bool store_exists = util::FileSizeOf(opt.store_path).ok();
-  if (store_exists && !resume && !overwrite) {
-    std::fprintf(stderr,
-                 "screen: store %s already exists — pass --resume to continue "
-                 "or --overwrite to discard it\n",
-                 opt.store_path.c_str());
-    return 1;
-  }
-  if (store_exists && overwrite) std::remove(opt.store_path.c_str());
-  auto stats = campaign::RunScreeningCampaign(opt);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "screen failed: %s\n",
-                 stats.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("shard %s complete: %llu of %llu universe unit(s), "
-              "%llu resumed, %llu executed%s\n",
-              opt.shard.ToString().c_str(),
-              static_cast<unsigned long long>(stats->shard_units),
-              static_cast<unsigned long long>(stats->total_units),
-              static_cast<unsigned long long>(stats->resumed_skips),
-              static_cast<unsigned long long>(stats->executed),
-              stats->torn_tail_recovered ? " (torn tail truncated)" : "");
-  std::printf("merge with: campaign_merge %s\n", opt.store_path.c_str());
-  return 0;
-}
-
 int Dispatch(const std::vector<std::string>& args) {
   const int argc = static_cast<int>(args.size());
-  if (argc >= 2 && args[1] == "screen") {
-    return RunScreen(args);
-  }
   if (argc < 3) return Usage();
   auto nl = Load(args[2].c_str());
   if (!nl.ok()) {

@@ -1,5 +1,5 @@
 // Explicit little-endian byte writer/reader shared by the `.campaign`
-// record codecs (codec.cc, pattern_campaign.cc). memcpy through
+// record codecs (codec.cc and the payload files). memcpy through
 // fixed-width integers keeps the format independent of host struct
 // layout; the byte-order loop keeps it independent of host endianness —
 // a record written anywhere decodes bit-identically everywhere, which is
@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace cmldft::campaign {
 
@@ -51,6 +53,18 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// Ok when the whole `what` record was read and nothing is left over.
+  util::Status Finish(std::string_view what) const {
+    if (!ok_) {
+      return util::Status::ParseError("truncated " + std::string(what) +
+                                      " record");
+    }
+    if (!AtEnd()) {
+      return util::Status::ParseError("trailing bytes in " +
+                                      std::string(what) + " record");
+    }
+    return util::Status::Ok();
+  }
 
   uint8_t U8() {
     if (!Need(1)) return 0;

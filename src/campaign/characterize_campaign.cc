@@ -1,39 +1,16 @@
 #include "campaign/characterize_campaign.h"
 
-#include <mutex>
-#include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "campaign/bytes.h"
-#include "campaign/progress.h"
-#include "campaign/store.h"
-#include "util/parallel.h"
-#include "util/telemetry.h"
+#include "report/report.h"
 
 namespace cmldft::campaign {
 
 namespace {
 
-// Same registry names as the other runners: the campaign.* counters
-// measure the shared durable-store machinery, whichever payload rides it.
-struct CharacterizationMetrics {
-  util::telemetry::Counter runs =
-      util::telemetry::GetCounter("campaign.runs");
-  util::telemetry::Counter records_written =
-      util::telemetry::GetCounter("campaign.records_written");
-  util::telemetry::Counter resumed_skips =
-      util::telemetry::GetCounter("campaign.resumed_skips");
-  util::telemetry::Counter torn_tail_recoveries =
-      util::telemetry::GetCounter("campaign.torn_tail_recoveries");
-  util::telemetry::Counter merges =
-      util::telemetry::GetCounter("campaign.merges");
-};
-
-const CharacterizationMetrics& Metrics() {
-  static const CharacterizationMetrics m;
-  return m;
-}
+constexpr std::string_view kPresets[] = {"characterization",
+                                         "characterization_quick"};
 
 util::Status ValidateConfig(const core::CharacterizationConfig& config) {
   if (config.temperatures_c.empty()) {
@@ -62,7 +39,108 @@ util::Status ValidateConfig(const core::CharacterizationConfig& config) {
   return util::Status::Ok();
 }
 
+class CharacterizationPlan : public PayloadPlan {
+ public:
+  explicit CharacterizationPlan(core::CharacterizationConfig config)
+      : PayloadPlan(kCharacterizationPayload,
+                    core::CharacterizationFingerprint(config),
+                    config.unit_count()),
+        config_(std::move(config)) {}
+
+  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
+                       const Emit& emit) const override {
+    return ExecuteEachUnit(
+        EncodeCharacterizationSuiteRecord(config_), ids, threads, emit,
+        [this](uint64_t id) -> util::StatusOr<std::string> {
+          auto unit = core::EvaluateCharacterizationUnit(config_, id);
+          if (!unit.ok()) return unit.status();
+          return EncodeCharacterizationUnitRecord(id, *unit);
+        });
+  }
+
+ private:
+  core::CharacterizationConfig config_;
+};
+
+util::StatusOr<std::unique_ptr<const PayloadPlan>> PresetPlan(
+    std::string_view preset) {
+  auto config = CharacterizationPreset(preset);
+  if (!config.ok()) return config.status();
+  return MakeCharacterizationPlan(*config);
+}
+
+util::Status CheckSuite(std::string_view singleton, uint64_t fingerprint,
+                        uint64_t total_units) {
+  auto config = DecodeCharacterizationSuiteRecord(singleton);
+  if (!config.ok()) return config.status();
+  if (core::CharacterizationFingerprint(*config) != fingerprint) {
+    return util::Status::FailedPrecondition(
+        "suite record does not hash to the store header fingerprint — the "
+        "store is corrupt or the characterization engines changed since the "
+        "campaign ran");
+  }
+  if (config->unit_count() != total_units) {
+    return util::Status::FailedPrecondition(
+        "suite record describes " + std::to_string(config->unit_count()) +
+        " units but the store header claims " + std::to_string(total_units));
+  }
+  return util::Status::Ok();
+}
+
+util::StatusOr<UnitRecordInfo> CornerDieUnit(std::string_view record,
+                                             std::string_view singleton) {
+  auto rec = DecodeCharacterizationUnitRecord(record);
+  if (!rec.ok()) return rec.status();
+  const uint64_t id = rec->unit_id;
+  if (!singleton.empty()) {
+    auto config = DecodeCharacterizationSuiteRecord(singleton);
+    if (!config.ok()) return config.status();
+    const uint64_t dies = static_cast<uint64_t>(config->trials) + 1;
+    if (config->trials < 0 || id >= config->unit_count() ||
+        rec->unit.corner != id / dies || rec->unit.die != id % dies) {
+      return util::Status::FailedPrecondition(
+          "unit " + std::to_string(id) + " records corner " +
+          std::to_string(rec->unit.corner) + " die " +
+          std::to_string(rec->unit.die) +
+          ", not the corner x die its unit id implies");
+    }
+  }
+  // Clean: every measurement of the unit succeeded.
+  return UnitRecordInfo{id, rec->unit.measure_failures == 0 ? 1u : 0u, 1};
+}
+
+util::Status ManifestTallies(const MergedStores& merged, report::Report& rep) {
+  auto result = DecodeCharacterizationCampaign(merged);
+  if (!result.ok()) return result.status();
+  rep.AddInt("corners", static_cast<long long>(result->config.corner_count()));
+  rep.AddInt("dies_per_corner", result->config.trials + 1);
+  uint64_t hysteresis_found = 0;
+  uint64_t measure_failures = 0;
+  for (const core::CharacterizationUnitResult& u : result->units) {
+    if (u.hysteresis_found) ++hysteresis_found;
+    if (u.measure_failures != 0) ++measure_failures;
+  }
+  rep.AddInt("hysteresis_found", static_cast<long long>(hysteresis_found));
+  rep.AddInt("units_with_failures",
+             static_cast<long long>(measure_failures));
+  return util::Status::Ok();
+}
+
 }  // namespace
+
+const Payload kCharacterizationPayload = {
+    "characterization",
+    RecordType::kCharacterizationSuite,
+    RecordType::kCharacterizationUnit,
+    kPresets,
+    &PresetPlan,
+    &CheckSuite,
+    &CornerDieUnit,
+    {"characterization_campaign_manifest",
+     "§6 detection thresholds taken off-corner, recombined from shards",
+     "merged shard stores of a durable characterization campaign", "units",
+     &ManifestTallies},
+};
 
 std::string EncodeCharacterizationSuiteRecord(
     const core::CharacterizationConfig& config) {
@@ -112,233 +190,60 @@ std::string EncodeCharacterizationUnitRecord(
   return w.Take();
 }
 
-util::StatusOr<DecodedCharacterizationRecord> DecodeCharacterizationRecord(
+util::StatusOr<core::CharacterizationConfig> DecodeCharacterizationSuiteRecord(
     std::string_view payload) {
   ByteReader r(payload);
-  DecodedCharacterizationRecord rec;
-  const uint8_t type = r.U8();
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kCharacterizationSuite: {
-      rec.type = RecordType::kCharacterizationSuite;
-      rec.suite.temperatures_c = r.F64Vec();
-      rec.suite.supplies = r.F64Vec();
-      rec.suite.vtests = r.F64Vec();
-      rec.suite.trials = r.I32();
-      rec.suite.seed = r.U32();
-      rec.suite.variation.load_resistance_spread = r.F64();
-      rec.suite.variation.wire_cap_spread = r.F64();
-      rec.suite.variation.is_spread = r.F64();
-      rec.suite.variation.beta_spread = r.F64();
-      rec.suite.excursion_levels = r.F64Vec();
-      rec.suite.response_window = r.F64();
-      rec.suite.response_load_cap = r.F64();
-      rec.suite.load_gates = r.I32();
-      rec.suite.load_pipe = r.F64();
-      rec.suite.probe_max = r.F64();
-      rec.suite.probe_step = r.F64();
-      rec.suite.hysteresis_step = r.F64();
-      break;
-    }
-    case RecordType::kCharacterizationUnit: {
-      rec.type = RecordType::kCharacterizationUnit;
-      rec.unit_id = r.U64();
-      rec.unit.corner = r.U32();
-      rec.unit.die = r.U32();
-      rec.unit.v1_static_excursion = r.F64();
-      rec.unit.v2_static_excursion = r.F64();
-      rec.unit.v2_clean_drop = r.F64();
-      rec.unit.v2_dynamic_threshold = r.F64();
-      rec.unit.trip_up = r.F64();
-      rec.unit.trip_down = r.F64();
-      rec.unit.vfb_pass = r.F64();
-      rec.unit.vfb_fail = r.F64();
-      rec.unit.hysteresis_found = r.Bool();
-      rec.unit.load_clean_flagged = r.Bool();
-      rec.unit.load_pipe_flagged = r.Bool();
-      rec.unit.load_clean_vout = r.F64();
-      rec.unit.load_pipe_vout = r.F64();
-      rec.unit.measure_failures = r.U32();
-      break;
-    }
-    case RecordType::kReference:
-    case RecordType::kOutcome:
-      return util::Status::FailedPrecondition(
-          "store holds defect-screening records, not characterization "
-          "records — merge it with the screening campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    case RecordType::kPatternSuite:
-    case RecordType::kPatternUnit:
-      return util::Status::FailedPrecondition(
-          "store holds pattern-coverage records, not characterization "
-          "records — merge it with the pattern campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    default:
-      return util::Status::ParseError("unknown campaign record type " +
-                                      std::to_string(type));
+  if (static_cast<RecordType>(r.U8()) != RecordType::kCharacterizationSuite) {
+    return util::Status::ParseError("not a characterization suite record");
   }
-  if (!r.ok()) {
-    return util::Status::ParseError(
-        "truncated characterization record payload");
+  core::CharacterizationConfig suite;
+  suite.temperatures_c = r.F64Vec();
+  suite.supplies = r.F64Vec();
+  suite.vtests = r.F64Vec();
+  suite.trials = r.I32();
+  suite.seed = r.U32();
+  suite.variation.load_resistance_spread = r.F64();
+  suite.variation.wire_cap_spread = r.F64();
+  suite.variation.is_spread = r.F64();
+  suite.variation.beta_spread = r.F64();
+  suite.excursion_levels = r.F64Vec();
+  suite.response_window = r.F64();
+  suite.response_load_cap = r.F64();
+  suite.load_gates = r.I32();
+  suite.load_pipe = r.F64();
+  suite.probe_max = r.F64();
+  suite.probe_step = r.F64();
+  suite.hysteresis_step = r.F64();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("characterization suite"));
+  return suite;
+}
+
+util::StatusOr<CharacterizationUnitRecord> DecodeCharacterizationUnitRecord(
+    std::string_view payload) {
+  ByteReader r(payload);
+  if (static_cast<RecordType>(r.U8()) != RecordType::kCharacterizationUnit) {
+    return util::Status::ParseError("not a characterization unit record");
   }
-  if (!r.AtEnd()) {
-    return util::Status::ParseError(
-        "trailing bytes in characterization record");
-  }
+  CharacterizationUnitRecord rec;
+  rec.unit_id = r.U64();
+  rec.unit.corner = r.U32();
+  rec.unit.die = r.U32();
+  rec.unit.v1_static_excursion = r.F64();
+  rec.unit.v2_static_excursion = r.F64();
+  rec.unit.v2_clean_drop = r.F64();
+  rec.unit.v2_dynamic_threshold = r.F64();
+  rec.unit.trip_up = r.F64();
+  rec.unit.trip_down = r.F64();
+  rec.unit.vfb_pass = r.F64();
+  rec.unit.vfb_fail = r.F64();
+  rec.unit.hysteresis_found = r.Bool();
+  rec.unit.load_clean_flagged = r.Bool();
+  rec.unit.load_pipe_flagged = r.Bool();
+  rec.unit.load_clean_vout = r.F64();
+  rec.unit.load_pipe_vout = r.F64();
+  rec.unit.measure_failures = r.U32();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("characterization unit"));
   return rec;
-}
-
-util::StatusOr<bool> StoreIsCharacterizationCampaign(const std::string& path) {
-  auto scan = ScanStore(path);
-  if (!scan.ok()) return scan.status();
-  if (scan->records.empty()) {
-    return util::Status::FailedPrecondition(
-        path + ": store has no records yet — its campaign kind is "
-               "undetermined; run (or resume) the shard first");
-  }
-  const uint8_t type = static_cast<uint8_t>(scan->records.front()[0]);
-  return type == static_cast<uint8_t>(RecordType::kCharacterizationSuite) ||
-         type == static_cast<uint8_t>(RecordType::kCharacterizationUnit);
-}
-
-util::StatusOr<CampaignRunStats> RunCharacterizationCampaign(
-    const CharacterizationCampaignOptions& options) {
-  Metrics().runs.Increment();
-  CMLDFT_RETURN_IF_ERROR(ValidateConfig(options.config));
-
-  CampaignRunStats stats;
-  stats.total_units = options.config.unit_count();
-  stats.shard_units = options.shard.UnitsOf(stats.total_units);
-  const StoreHeader header{core::CharacterizationFingerprint(options.config),
-                           options.shard.index, options.shard.count,
-                           stats.total_units};
-  const std::string suite_record =
-      EncodeCharacterizationSuiteRecord(options.config);
-
-  std::unordered_set<uint64_t> completed;
-  std::optional<StoreWriter> writer;
-  bool need_suite_record = true;
-
-  const bool store_exists = util::FileSizeOf(options.store_path).ok();
-  if (store_exists) {
-    auto scan = ScanStore(options.store_path);
-    if (!scan.ok()) return scan.status();
-    if (scan->header.fingerprint != header.fingerprint) {
-      return util::Status::FailedPrecondition(
-          options.store_path +
-          ": store fingerprint does not match the requested characterization "
-          "— it belongs to a different corner grid/variation model/seed; use "
-          "a fresh store path (or delete the stale file)");
-    }
-    if (scan->header.shard_index != header.shard_index ||
-        scan->header.shard_count != header.shard_count) {
-      return util::Status::FailedPrecondition(
-          options.store_path + ": store holds shard " +
-          ShardPlan{scan->header.shard_index, scan->header.shard_count}
-              .ToString() +
-          " but this run requested shard " + options.shard.ToString());
-    }
-    if (scan->header.total_units != header.total_units) {
-      return util::Status::FailedPrecondition(
-          options.store_path + ": store planned " +
-          std::to_string(scan->header.total_units) +
-          " units but the sweep now has " +
-          std::to_string(header.total_units));
-    }
-    if (scan->torn_tail) {
-      CMLDFT_RETURN_IF_ERROR(RepairStore(options.store_path, *scan));
-      stats.torn_tail_recovered = true;
-      Metrics().torn_tail_recoveries.Increment();
-    }
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodeCharacterizationRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            options.store_path +
-                                ": undecodable record in valid region: " +
-                                rec.status().message());
-      }
-      if (rec->type == RecordType::kCharacterizationSuite) {
-        // The fingerprint already pins the configuration; a divergent
-        // suite record under a matching fingerprint is tampering.
-        if (payload != suite_record) {
-          return util::Status::FailedPrecondition(
-              options.store_path +
-              ": suite record does not match the requested characterization "
-              "despite a matching fingerprint — the store is corrupt; "
-              "restart the campaign with a fresh store");
-        }
-        need_suite_record = false;
-      } else {
-        completed.insert(rec->unit_id);
-      }
-    }
-    stats.resumed = true;
-    stats.resumed_skips = completed.size();
-    Metrics().resumed_skips.Add(completed.size());
-    auto w = StoreWriter::OpenAppend(options.store_path, options.fsync_batch);
-    if (!w.ok()) return w.status();
-    writer.emplace(std::move(*w));
-  } else {
-    auto w = StoreWriter::Create(options.store_path, header,
-                                 options.fsync_batch);
-    if (!w.ok()) return w.status();
-    writer.emplace(std::move(*w));
-  }
-
-  if (options.abort_at_bytes != 0) writer->SetKillAtSize(options.abort_at_bytes);
-  if (need_suite_record) {
-    CMLDFT_RETURN_IF_ERROR(writer->AppendRecord(suite_record));
-    Metrics().records_written.Increment();
-  }
-
-  std::vector<uint64_t> pending;
-  for (uint64_t id = 0; id < stats.total_units; ++id) {
-    if (options.shard.Contains(id) && completed.find(id) == completed.end()) {
-      pending.push_back(id);
-    }
-  }
-  stats.executed = pending.size();
-
-  // Units evaluate in parallel; the store append is the serialization
-  // point. Record order in the file follows completion order, which merge
-  // does not care about — every unit record carries its universe id.
-  ProgressMeter meter(options.progress, stats.shard_units,
-                      stats.resumed_skips);
-  std::mutex mu;
-  util::Status first_error = util::Status::Ok();
-  util::ParallelFor(
-      pending.size(),
-      [&](size_t i) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!first_error.ok()) return;
-        }
-        auto unit =
-            core::EvaluateCharacterizationUnit(options.config, pending[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error.ok()) return;
-        if (!unit.ok()) {
-          first_error = unit.status();
-          return;
-        }
-        util::Status st = writer->AppendRecord(
-            EncodeCharacterizationUnitRecord(pending[i], *unit));
-        if (!st.ok()) {
-          first_error = st;
-          return;
-        }
-        Metrics().records_written.Increment();
-        meter.Tick();
-      },
-      options.threads);
-  CMLDFT_RETURN_IF_ERROR(first_error);
-  CMLDFT_RETURN_IF_ERROR(writer->Close());
-  meter.Finish();
-  return stats;
-}
-
-bool IsCharacterizationPreset(std::string_view name) {
-  return name.size() >= 16 && name.substr(0, 16) == "characterization";
 }
 
 util::StatusOr<core::CharacterizationConfig> CharacterizationPreset(
@@ -368,109 +273,27 @@ util::StatusOr<core::CharacterizationConfig> CharacterizationPreset(
       "' (available: characterization, characterization_quick)");
 }
 
-util::StatusOr<CharacterizationMergeResult> MergeCharacterizationStores(
-    const std::vector<std::string>& paths) {
-  Metrics().merges.Increment();
-  if (paths.empty()) {
-    return util::Status::InvalidArgument("no campaign stores to merge");
-  }
+util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeCharacterizationPlan(
+    const core::CharacterizationConfig& config) {
+  CMLDFT_RETURN_IF_ERROR(ValidateConfig(config));
+  return std::unique_ptr<const PayloadPlan>(
+      std::make_unique<CharacterizationPlan>(config));
+}
 
+util::StatusOr<CharacterizationMergeResult> DecodeCharacterizationCampaign(
+    const MergedStores& merged) {
+  if (merged.payload != &kCharacterizationPayload) {
+    return ForeignRecords(*merged.payload, kCharacterizationPayload);
+  }
   CharacterizationMergeResult out;
-  std::optional<std::string> suite_bytes;
-  std::vector<std::optional<core::CharacterizationUnitResult>> units;
-
-  for (const std::string& path : paths) {
-    auto scan = ScanStore(path);
-    if (!scan.ok()) return scan.status();
-    if (scan->torn_tail) {
-      return util::Status::FailedPrecondition(
-          path + ": store has a torn tail — the shard was interrupted; "
-                 "resume it to completion before merging");
-    }
-    if (out.shard_count == 0) {
-      out.fingerprint = scan->header.fingerprint;
-      out.total_units = scan->header.total_units;
-      out.shard_count = scan->header.shard_count;
-      units.resize(out.total_units);
-    } else if (scan->header.fingerprint != out.fingerprint ||
-               scan->header.total_units != out.total_units ||
-               scan->header.shard_count != out.shard_count) {
-      return util::Status::FailedPrecondition(
-          path + ": store does not belong to this campaign (fingerprint, "
-                 "universe size, or shard plan differs from " +
-          paths.front() + ")");
-    }
-
-    uint64_t unit_records = 0;
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodeCharacterizationRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            path + ": " + rec.status().message());
-      }
-      if (rec->type == RecordType::kCharacterizationSuite) {
-        if (suite_bytes.has_value() && *suite_bytes != payload) {
-          return util::Status::FailedPrecondition(
-              path + ": suite records differ between shard stores; the "
-                     "shards were not produced by the same characterization "
-                     "configuration");
-        }
-        if (!suite_bytes.has_value()) {
-          suite_bytes = payload;
-          out.config = std::move(rec->suite);
-          if (core::CharacterizationFingerprint(out.config) !=
-              out.fingerprint) {
-            return util::Status::FailedPrecondition(
-                path + ": suite record does not hash to the store header "
-                       "fingerprint — the store is corrupt or the "
-                       "characterization engines changed since the campaign "
-                       "ran");
-          }
-        }
-        continue;
-      }
-      if (rec->unit_id >= out.total_units) {
-        return util::Status::FailedPrecondition(
-            path + ": record for unit " + std::to_string(rec->unit_id) +
-            " outside the universe of " + std::to_string(out.total_units));
-      }
-      if (units[rec->unit_id].has_value()) {
-        return util::Status::FailedPrecondition(
-            path + ": unit " + std::to_string(rec->unit_id) +
-            " already provided by another record — overlapping or "
-            "duplicated shard stores");
-      }
-      units[rec->unit_id] = rec->unit;
-      ++unit_records;
-    }
-    out.shard_units.emplace_back(scan->header.shard_index, unit_records);
-  }
-
-  if (!suite_bytes.has_value()) {
-    return util::Status::FailedPrecondition(
-        "no store carries the characterization suite record");
-  }
-
-  uint64_t missing = 0;
-  uint64_t first_missing = 0;
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    if (!units[id].has_value()) {
-      if (missing == 0) first_missing = id;
-      ++missing;
-    }
-  }
-  if (missing != 0) {
-    return util::Status::FailedPrecondition(
-        "campaign incomplete: " + std::to_string(missing) + " of " +
-        std::to_string(out.total_units) + " units missing (first missing id " +
-        std::to_string(first_missing) +
-        ") — run the remaining shards (or resume interrupted ones) before "
-        "merging");
-  }
-
-  out.units.reserve(out.total_units);
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    out.units.push_back(*units[id]);
+  auto config = DecodeCharacterizationSuiteRecord(merged.singleton);
+  if (!config.ok()) return config.status();
+  out.config = std::move(*config);
+  out.units.reserve(merged.units.size());
+  for (const std::string& record : merged.units) {
+    auto rec = DecodeCharacterizationUnitRecord(record);
+    if (!rec.ok()) return rec.status();
+    out.units.push_back(rec->unit);
   }
   return out;
 }

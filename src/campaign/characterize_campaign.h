@@ -1,35 +1,32 @@
-// Characterization sweeps as first-class campaigns — the third payload on
-// the durable machinery, after defect screening and pattern coverage.
+// The characterization payload: the off-corner detector thresholds
+// (core/characterize.h) as a campaign — the third payload on the durable
+// machinery, after defect screening and pattern coverage.
 //
 // The universe is (corner × die): temperature × supply × vtest corners,
-// each evaluating the nominal die plus Monte-Carlo process draws
-// (core/characterize.h). Every unit is an independent pure function of
-// (config, unit_id), so shards are striped by `id % count`, results append
-// to the CRC-framed `.campaign` store, `kill -9` leaves a valid prefix
-// that --resume continues, and MergeCharacterizationStores recombines
-// shards into unit results bit-identical to a monolithic run — the same
-// contract the other payloads honor.
-//
-// A characterization store is distinguished by its record types
-// (kCharacterizationSuite / kCharacterizationUnit in codec.h). The suite
-// record — written first — carries the full configuration, so merge needs
-// no side-channel preset, and the header fingerprint
-// (core::CharacterizationFingerprint) cross-checks it.
+// each evaluating the nominal die plus Monte-Carlo process draws. A unit,
+// `id = corner_id * (trials + 1) + die_index`, is an independent pure
+// function of (config, unit_id). The singleton record is the suite — the
+// full configuration — so merge needs no side-channel preset, and the
+// header fingerprint (core::CharacterizationFingerprint) cross-checks it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "campaign/codec.h"
-#include "campaign/planner.h"
+#include "campaign/merge.h"
+#include "campaign/payload.h"
 #include "campaign/runner.h"
 #include "core/characterize.h"
 #include "util/status.h"
 
 namespace cmldft::campaign {
+
+extern const Payload kCharacterizationPayload;
 
 // ---- Record codec (framing and CRC belong to store.h) ----
 
@@ -38,55 +35,19 @@ std::string EncodeCharacterizationSuiteRecord(
 std::string EncodeCharacterizationUnitRecord(
     uint64_t unit_id, const core::CharacterizationUnitResult& unit);
 
-/// A parsed characterization-store record: `type` says which payload is
-/// live.
-struct DecodedCharacterizationRecord {
-  RecordType type = RecordType::kCharacterizationUnit;
-  /// kCharacterizationSuite only.
-  core::CharacterizationConfig suite;
-  /// kCharacterizationUnit only.
+struct CharacterizationUnitRecord {
   uint64_t unit_id = 0;
   core::CharacterizationUnitResult unit;
 };
 
-/// Rejects truncated payloads, trailing garbage, unknown types — and
-/// screening/pattern records, with a message pointing at the right path.
-util::StatusOr<DecodedCharacterizationRecord> DecodeCharacterizationRecord(
+/// The decoders reject truncated payloads, trailing garbage and records
+/// of any other type.
+util::StatusOr<core::CharacterizationConfig> DecodeCharacterizationSuiteRecord(
+    std::string_view payload);
+util::StatusOr<CharacterizationUnitRecord> DecodeCharacterizationUnitRecord(
     std::string_view payload);
 
-/// Peek at a store's first record to tell the campaign kinds apart
-/// (tools/campaign_merge dispatches on this). Errors on an unreadable or
-/// empty store.
-util::StatusOr<bool> StoreIsCharacterizationCampaign(const std::string& path);
-
-// ---- Shard execution ----
-
-struct CharacterizationCampaignOptions {
-  core::CharacterizationConfig config;
-  ShardPlan shard;
-  /// Path of this shard's `.campaign` result store.
-  std::string store_path;
-  /// Worker threads for unit evaluation (0 = auto, see util/parallel.h).
-  int threads = 0;
-  /// fsync after this many appended records (and always on completion).
-  int fsync_batch = 8;
-  /// Crash injection for tests/CI: SIGKILL this process the moment the
-  /// store would exceed this many bytes (0 = off). See util::AppendFile.
-  uint64_t abort_at_bytes = 0;
-  /// Print a rate-limited units-done/ETA line to stderr (campaign_run
-  /// --progress). Never affects stores or reports.
-  bool progress = false;
-};
-
-/// Run (or resume) one shard of a characterization sweep. Same contract as
-/// RunPatternCampaign: the store is created if absent; an existing store
-/// must match the current fingerprint/shard/universe.
-util::StatusOr<CampaignRunStats> RunCharacterizationCampaign(
-    const CharacterizationCampaignOptions& options);
-
-/// True for preset names the characterization path owns ("characterization"
-/// prefix) — tools/campaign_run dispatches on this.
-bool IsCharacterizationPreset(std::string_view name);
+// ---- Presets and plans ----
 
 /// Named presets shared by tools/campaign_run and the bench:
 ///   "characterization" — exactly the bench/characterization.cc grid, so a
@@ -95,24 +56,48 @@ bool IsCharacterizationPreset(std::string_view name);
 util::StatusOr<core::CharacterizationConfig> CharacterizationPreset(
     std::string_view name);
 
-// ---- Recombination ----
+/// The plan of a configuration; refuses an empty or invalid grid.
+util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeCharacterizationPlan(
+    const core::CharacterizationConfig& config);
+
+// ---- Run and merge ----
+
+struct CharacterizationCampaignOptions : RunOptions {
+  core::CharacterizationConfig config;
+  /// Worker threads for unit evaluation (0 = auto, see util/parallel.h).
+  int threads = 0;
+};
 
 struct CharacterizationMergeResult {
   /// The configuration recovered from the suite record.
   core::CharacterizationConfig config;
   /// Unit results in universe order — bit-identical to a monolithic run.
   std::vector<core::CharacterizationUnitResult> units;
-  uint64_t fingerprint = 0;
-  uint64_t total_units = 0;
-  uint32_t shard_count = 0;
-  /// (shard index, unit records contributed), in input order.
-  std::vector<std::pair<uint32_t, uint64_t>> shard_units;
 };
 
-/// Merge one or more characterization shard stores. Every store must carry
-/// the same fingerprint, universe size, shard count, and bit-identical
-/// suite record; together they must cover every unit id exactly once.
-util::StatusOr<CharacterizationMergeResult> MergeCharacterizationStores(
-    const std::vector<std::string>& paths);
+/// The typed result of merged characterization stores.
+util::StatusOr<CharacterizationMergeResult> DecodeCharacterizationCampaign(
+    const MergedStores& merged);
+
+// The two entry points below are defined inline: bench/characterization
+// links this payload's file for its preset alone, and must not link the
+// run loop and merge, whose campaign.* metrics its telemetry golden
+// (golden/characterization.telemetry.json) does not list.
+
+/// RunCampaign over MakeCharacterizationPlan(options.config).
+inline util::StatusOr<CampaignRunStats> RunCharacterizationCampaign(
+    const CharacterizationCampaignOptions& options) {
+  auto plan = MakeCharacterizationPlan(options.config);
+  if (!plan.ok()) return plan.status();
+  return RunCampaign(**plan, options.threads, options);
+}
+
+/// MergeStores + DecodeCharacterizationCampaign.
+inline util::StatusOr<CharacterizationMergeResult> MergeCharacterizationStores(
+    const std::vector<std::string>& paths) {
+  auto merged = MergeStores(paths);
+  if (!merged.ok()) return merged.status();
+  return DecodeCharacterizationCampaign(*merged);
+}
 
 }  // namespace cmldft::campaign

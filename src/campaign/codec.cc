@@ -62,59 +62,42 @@ std::string EncodeOutcomeRecord(uint64_t unit_id,
   return w.Take();
 }
 
-util::StatusOr<DecodedRecord> DecodeRecord(std::string_view payload) {
+util::StatusOr<core::ScreeningReport> DecodeReferenceRecord(
+    std::string_view payload) {
   ByteReader r(payload);
-  DecodedRecord rec;
-  const uint8_t type = r.U8();
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kReference: {
-      rec.type = RecordType::kReference;
-      rec.reference.nominal_swing = r.F64();
-      rec.reference.reference_delay = r.F64();
-      rec.reference.reference_detector_vout = r.F64();
-      rec.reference.reference_supply_current = r.F64();
-      rec.reference.reference_detector_vouts = r.F64Vec();
-      break;
-    }
-    case RecordType::kOutcome: {
-      rec.type = RecordType::kOutcome;
-      rec.unit_id = r.U64();
-      rec.outcome.defect = ReadDefect(r);
-      rec.outcome.converged = r.Bool();
-      rec.outcome.no_bias_point = r.Bool();
-      rec.outcome.error = r.Str();
-      rec.outcome.logic_fail = r.Bool();
-      rec.outcome.delay_fail = r.Bool();
-      rec.outcome.iddq_fail = r.Bool();
-      rec.outcome.amplitude_detected = r.Bool();
-      rec.outcome.max_gate_amplitude = r.F64();
-      rec.outcome.min_detector_vout = r.F64();
-      rec.outcome.detector_vouts = r.F64Vec();
-      rec.outcome.supply_current = r.F64();
-      break;
-    }
-    case RecordType::kPatternSuite:
-    case RecordType::kPatternUnit:
-      return util::Status::FailedPrecondition(
-          "store holds pattern-coverage records, not defect-screening "
-          "records — merge it with the pattern campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    case RecordType::kCharacterizationSuite:
-    case RecordType::kCharacterizationUnit:
-      return util::Status::FailedPrecondition(
-          "store holds characterization records, not defect-screening "
-          "records — merge it with the characterization campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    default:
-      return util::Status::ParseError("unknown campaign record type " +
-                                      std::to_string(type));
+  if (static_cast<RecordType>(r.U8()) != RecordType::kReference) {
+    return util::Status::ParseError("not a screening reference record");
   }
-  if (!r.ok()) {
-    return util::Status::ParseError("truncated campaign record payload");
+  core::ScreeningReport reference;
+  reference.nominal_swing = r.F64();
+  reference.reference_delay = r.F64();
+  reference.reference_detector_vout = r.F64();
+  reference.reference_supply_current = r.F64();
+  reference.reference_detector_vouts = r.F64Vec();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("screening reference"));
+  return reference;
+}
+
+util::StatusOr<OutcomeRecord> DecodeOutcomeRecord(std::string_view payload) {
+  ByteReader r(payload);
+  if (static_cast<RecordType>(r.U8()) != RecordType::kOutcome) {
+    return util::Status::ParseError("not a defect-outcome record");
   }
-  if (!r.AtEnd()) {
-    return util::Status::ParseError("trailing bytes in campaign record");
-  }
+  OutcomeRecord rec;
+  rec.unit_id = r.U64();
+  rec.outcome.defect = ReadDefect(r);
+  rec.outcome.converged = r.Bool();
+  rec.outcome.no_bias_point = r.Bool();
+  rec.outcome.error = r.Str();
+  rec.outcome.logic_fail = r.Bool();
+  rec.outcome.delay_fail = r.Bool();
+  rec.outcome.iddq_fail = r.Bool();
+  rec.outcome.amplitude_detected = r.Bool();
+  rec.outcome.max_gate_amplitude = r.F64();
+  rec.outcome.min_detector_vout = r.F64();
+  rec.outcome.detector_vouts = r.F64Vec();
+  rec.outcome.supply_current = r.F64();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("defect-outcome"));
   return rec;
 }
 

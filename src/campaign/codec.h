@@ -24,9 +24,9 @@ enum class RecordType : uint8_t {
   /// One completed defect outcome, keyed by its universe unit id.
   kOutcome = 2,
   /// Pattern-coverage sweep suite description (pattern_campaign.h; one per
-  /// store, written first). Tagged here so all `.campaign` record types
-  /// share one registry and a store of the wrong kind decodes to a clear
-  /// error instead of garbage.
+  /// store, written first). All `.campaign` record types share this one
+  /// enum, so the payload registry (payload.h) can tell any record's
+  /// payload from its first byte.
   kPatternSuite = 3,
   /// One completed pattern-coverage sweep unit (pattern_campaign.h).
   kPatternUnit = 4,
@@ -37,22 +37,21 @@ enum class RecordType : uint8_t {
   kCharacterizationUnit = 6,
 };
 
-/// A parsed store record: `type` says which of the two payloads is live.
-struct DecodedRecord {
-  RecordType type = RecordType::kOutcome;
-  /// kOutcome only.
+struct OutcomeRecord {
   uint64_t unit_id = 0;
   core::DefectOutcome outcome;
-  /// kReference only: reference fields populated, outcomes empty.
-  core::ScreeningReport reference;
 };
 
 std::string EncodeReferenceRecord(const core::ScreeningReport& reference);
 std::string EncodeOutcomeRecord(uint64_t unit_id,
                                 const core::DefectOutcome& outcome);
 
-/// Rejects truncated payloads, trailing garbage, and unknown record types.
-util::StatusOr<DecodedRecord> DecodeRecord(std::string_view payload);
+/// The decoders reject truncated payloads, trailing garbage and records of
+/// any other type. The reference decodes into a report's reference fields,
+/// with no outcomes.
+util::StatusOr<core::ScreeningReport> DecodeReferenceRecord(
+    std::string_view payload);
+util::StatusOr<OutcomeRecord> DecodeOutcomeRecord(std::string_view payload);
 
 /// Stable digest of *what is being screened*: every ScreeningOptions field
 /// that affects classification (never `threads` — execution layout must

@@ -4,12 +4,12 @@
 
 namespace cmldft::campaign {
 
-report::Report BuildCampaignManifest(const MergeResult& merged) {
+util::StatusOr<report::Report> BuildCampaignManifest(
+    const MergedStores& merged) {
   using report::Tol;
-  report::Report rep(
-      "campaign_manifest",
-      "§6 (defect-universe coverage, recombined from campaign shards)",
-      "merged shard stores of a durable screening campaign");
+  const ManifestSpec& spec = merged.payload->manifest;
+  report::Report rep(std::string(spec.experiment), std::string(spec.paper_ref),
+                     std::string(spec.summary));
 
   rep.AddText("fingerprint",
               util::StrPrintf("%016llx",
@@ -17,96 +17,14 @@ report::Report BuildCampaignManifest(const MergeResult& merged) {
                                   merged.fingerprint)));
   rep.AddInt("total_units", static_cast<long long>(merged.total_units));
   rep.AddInt("shard_count", static_cast<long long>(merged.shard_count));
-
-  const core::ScreeningReport& r = merged.report;
-  for (int c = 0; c < core::kNumFaultClasses; ++c) {
-    const auto fc = static_cast<core::FaultClass>(c);
-    rep.AddInt("class_" + std::string(core::FaultClassName(fc)),
-               r.CountClass(fc));
-  }
-  rep.AddScalar("conventional_coverage_pct", r.ConventionalCoverage() * 100,
-                "%", Tol::Exact());
-  rep.AddScalar("combined_coverage_pct", r.CombinedCoverage() * 100, "%",
-                Tol::Exact());
-
-  rep.AddScalar("nominal_swing", r.nominal_swing, "V", Tol::Abs(0.02));
-  rep.AddScalar("reference_delay_ps", r.reference_delay * 1e12, "ps",
-                Tol::Rel(0.1, 1.0));
-  rep.AddScalar("reference_detector_vout", r.reference_detector_vout, "V",
-                Tol::Abs(0.02));
+  CMLDFT_RETURN_IF_ERROR(spec.tallies(merged, rep));
 
   // Per-store contribution: how the campaign was decomposed. Informational
   // — the same universe merged from a different shard split is still the
   // same campaign result.
   report::Table& shards = rep.AddTable(
-      "shards", {{"shard", Tol::Info()}, {"outcomes", Tol::Info()}});
-  for (const auto& [index, count] : merged.shard_outcomes) {
-    shards.NewRow().Int(index).Int(static_cast<long long>(count));
-  }
-  return rep;
-}
-
-report::Report BuildPatternCampaignManifest(const PatternMergeResult& merged) {
-  using report::Tol;
-  report::Report rep(
-      "pattern_campaign_manifest",
-      "§6.6 (toggle coverage vs pattern count, recombined from shards)",
-      "merged shard stores of a durable pattern-coverage campaign");
-
-  rep.AddText("fingerprint",
-              util::StrPrintf("%016llx",
-                              static_cast<unsigned long long>(
-                                  merged.fingerprint)));
-  rep.AddInt("total_units", static_cast<long long>(merged.total_units));
-  rep.AddInt("shard_count", static_cast<long long>(merged.shard_count));
-  rep.AddInt("benchmarks", static_cast<long long>(merged.sweep.benchmarks.size()));
-
-  uint64_t transitions = 0;
-  uint64_t residual_x = 0;
-  for (const testgen::SweepUnitResult& u : merged.units) {
-    transitions += u.transitions;
-    residual_x += u.residual_x;
-  }
-  rep.AddInt("total_transitions", static_cast<long long>(transitions));
-  rep.AddInt("total_residual_x", static_cast<long long>(residual_x));
-
-  report::Table& shards = rep.AddTable(
-      "shards", {{"shard", Tol::Info()}, {"units", Tol::Info()}});
-  for (const auto& [index, count] : merged.shard_units) {
-    shards.NewRow().Int(index).Int(static_cast<long long>(count));
-  }
-  return rep;
-}
-
-report::Report BuildCharacterizationCampaignManifest(
-    const CharacterizationMergeResult& merged) {
-  using report::Tol;
-  report::Report rep(
-      "characterization_campaign_manifest",
-      "§6 detection thresholds taken off-corner, recombined from shards",
-      "merged shard stores of a durable characterization campaign");
-
-  rep.AddText("fingerprint",
-              util::StrPrintf("%016llx",
-                              static_cast<unsigned long long>(
-                                  merged.fingerprint)));
-  rep.AddInt("total_units", static_cast<long long>(merged.total_units));
-  rep.AddInt("shard_count", static_cast<long long>(merged.shard_count));
-  rep.AddInt("corners", static_cast<long long>(merged.config.corner_count()));
-  rep.AddInt("dies_per_corner", merged.config.trials + 1);
-
-  uint64_t hysteresis_found = 0;
-  uint64_t measure_failures = 0;
-  for (const core::CharacterizationUnitResult& u : merged.units) {
-    if (u.hysteresis_found) ++hysteresis_found;
-    if (u.measure_failures != 0) ++measure_failures;
-  }
-  rep.AddInt("hysteresis_found", static_cast<long long>(hysteresis_found));
-  rep.AddInt("units_with_failures",
-             static_cast<long long>(measure_failures));
-
-  report::Table& shards = rep.AddTable(
-      "shards", {{"shard", Tol::Info()}, {"units", Tol::Info()}});
+      "shards",
+      {{"shard", Tol::Info()}, {std::string(spec.shard_column), Tol::Info()}});
   for (const auto& [index, count] : merged.shard_units) {
     shards.NewRow().Int(index).Int(static_cast<long long>(count));
   }

@@ -1,31 +1,21 @@
 // Campaign manifest: the JSON face of a merged campaign, built on the
 // report library so the golden-regression pipeline can pin it like any
-// bench report. Coverage tallies are Exact-tolerance (recomputed from
-// merged outcomes — drift means classification changed), analog reference
-// measurements carry the same tolerance classes coverage_comparison uses,
-// and the fingerprint is Exact so a silently different universe or
-// configuration cannot masquerade as the golden campaign.
+// bench report. Every payload's manifest carries the fingerprint (Exact,
+// so a silently different universe or configuration cannot masquerade as
+// the golden campaign), the universe and shard plan, the payload's own
+// tallies (payload.h, ManifestSpec; recomputed from the merged records —
+// drift means results changed) and each store's contribution.
 #pragma once
 
-#include "campaign/characterize_campaign.h"
 #include "campaign/merge.h"
-#include "campaign/pattern_campaign.h"
 #include "report/report.h"
+#include "util/status.h"
 
 namespace cmldft::campaign {
 
-/// Build the manifest report for a merged campaign. Deterministic: the
-/// same merged campaign yields byte-identical JSON.
-report::Report BuildCampaignManifest(const MergeResult& merged);
-
-/// Pattern-campaign counterpart: decomposition and headline tallies of a
-/// merged pattern-coverage sweep. Equally deterministic.
-report::Report BuildPatternCampaignManifest(const PatternMergeResult& merged);
-
-/// Characterization-campaign counterpart: decomposition and headline
-/// tallies of a merged corner/Monte-Carlo characterization. Equally
-/// deterministic.
-report::Report BuildCharacterizationCampaignManifest(
-    const CharacterizationMergeResult& merged);
+/// Build the manifest report for merged stores. Deterministic: the same
+/// merged campaign yields byte-identical JSON.
+util::StatusOr<report::Report> BuildCampaignManifest(
+    const MergedStores& merged);
 
 }  // namespace cmldft::campaign

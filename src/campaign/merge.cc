@@ -1,35 +1,38 @@
 #include "campaign/merge.h"
 
-#include <optional>
+#include <map>
 
-#include "campaign/characterize_campaign.h"
-#include "campaign/codec.h"
-#include "campaign/pattern_campaign.h"
+#include "campaign/runner.h"
 #include "campaign/store.h"
 #include "util/hash.h"
-#include "util/telemetry.h"
 
 namespace cmldft::campaign {
 
-util::StatusOr<MergeResult> MergeCampaignStores(
-    const std::vector<std::string>& paths) {
-  static const auto& merges = [] {
-    struct M {
-      util::telemetry::Counter c =
-          util::telemetry::GetCounter("campaign.merges");
-    } static const m;
-    return m;
-  }();
-  merges.c.Increment();
+namespace {
 
+RecordType TypeOf(std::string_view record) {
+  return static_cast<RecordType>(static_cast<uint8_t>(record[0]));
+}
+
+util::Status UnknownType(std::string_view record) {
+  return util::Status::ParseError(
+      "unknown campaign record type " +
+      std::to_string(static_cast<uint8_t>(record[0])));
+}
+
+}  // namespace
+
+util::StatusOr<MergedStores> MergeStores(
+    const std::vector<std::string>& paths) {
+  Metrics().merges.Increment();
   if (paths.empty()) {
     return util::Status::InvalidArgument("no campaign stores to merge");
   }
 
-  MergeResult out;
-  std::optional<std::string> reference_bytes;
-  std::vector<std::optional<core::DefectOutcome>> outcomes;
-
+  // Pass 1: headers, payload and singleton of every store.
+  MergedStores out;
+  std::vector<ScannedStore> scans;
+  scans.reserve(paths.size());
   for (const std::string& path : paths) {
     auto scan = ScanStore(path);
     if (!scan.ok()) return scan.status();
@@ -38,11 +41,10 @@ util::StatusOr<MergeResult> MergeCampaignStores(
           path + ": store has a torn tail — the shard was interrupted; "
                  "resume it to completion before merging");
     }
-    if (out.shard_count == 0) {
+    if (scans.empty()) {
       out.fingerprint = scan->header.fingerprint;
       out.total_units = scan->header.total_units;
       out.shard_count = scan->header.shard_count;
-      outcomes.resize(out.total_units);
     } else if (scan->header.fingerprint != out.fingerprint ||
                scan->header.total_units != out.total_units ||
                scan->header.shard_count != out.shard_count) {
@@ -51,251 +53,151 @@ util::StatusOr<MergeResult> MergeCampaignStores(
                  "universe size, or shard plan differs from " +
           paths.front() + ")");
     }
-
-    uint64_t outcome_records = 0;
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodeRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            path + ": " + rec.status().message());
+    for (const std::string& record : scan->records) {
+      const Payload* payload = FindPayload(TypeOf(record));
+      if (payload == nullptr) return UnknownType(record);
+      if (out.payload == nullptr) out.payload = payload;
+      if (payload != out.payload) {
+        const util::Status foreign = ForeignRecords(*payload, *out.payload);
+        return util::Status(foreign.code(), path + ": " + foreign.message());
       }
-      if (rec->type == RecordType::kReference) {
-        if (reference_bytes.has_value() && *reference_bytes != payload) {
-          return util::Status::FailedPrecondition(
-              path + ": reference measurements differ between shard stores; "
-                     "the shards were not produced by the same engine and "
-                     "configuration");
-        }
-        if (!reference_bytes.has_value()) {
-          reference_bytes = payload;
-          out.report.nominal_swing = rec->reference.nominal_swing;
-          out.report.reference_delay = rec->reference.reference_delay;
-          out.report.reference_detector_vout =
-              rec->reference.reference_detector_vout;
-          out.report.reference_supply_current =
-              rec->reference.reference_supply_current;
-          out.report.reference_detector_vouts =
-              rec->reference.reference_detector_vouts;
-        }
-        continue;
-      }
-      if (rec->unit_id >= out.total_units) {
+      if (TypeOf(record) != payload->singleton_type) continue;
+      if (out.singleton.empty()) {
+        out.singleton = record;
+      } else if (record != out.singleton) {
         return util::Status::FailedPrecondition(
-            path + ": record for unit " + std::to_string(rec->unit_id) +
+            path + ": singleton (reference/suite) records differ between "
+                   "shard stores; the shards were not produced by the same "
+                   "engine and configuration");
+      }
+    }
+    scans.push_back(std::move(*scan));
+  }
+  if (out.singleton.empty()) {
+    return util::Status::FailedPrecondition(
+        "no store carries the campaign's singleton (reference/suite) record");
+  }
+  const Payload& payload = *out.payload;
+
+  // Pass 2: unit records, keyed by id. Memory grows with the records
+  // present, never with what a header claims.
+  std::map<uint64_t, std::string> units;
+  for (size_t s = 0; s < scans.size(); ++s) {
+    const std::string& path = paths[s];
+    uint64_t unit_records = 0;
+    for (std::string& record : scans[s].records) {
+      if (TypeOf(record) == payload.singleton_type) continue;
+      auto unit = payload.unit(record, out.singleton);
+      if (!unit.ok()) {
+        return util::Status(unit.status().code(),
+                            path + ": " + unit.status().message());
+      }
+      if (unit->id >= out.total_units) {
+        return util::Status::FailedPrecondition(
+            path + ": record for unit " + std::to_string(unit->id) +
             " outside the universe of " + std::to_string(out.total_units));
       }
-      if (outcomes[rec->unit_id].has_value()) {
+      if (!units.emplace(unit->id, std::move(record)).second) {
         return util::Status::FailedPrecondition(
-            path + ": unit " + std::to_string(rec->unit_id) +
+            path + ": unit " + std::to_string(unit->id) +
             " already provided by another record — overlapping or "
             "duplicated shard stores");
       }
-      outcomes[rec->unit_id] = std::move(rec->outcome);
-      ++outcome_records;
+      ++unit_records;
     }
-    out.shard_outcomes.emplace_back(scan->header.shard_index, outcome_records);
+    out.shard_units.emplace_back(scans[s].header.shard_index, unit_records);
   }
 
-  if (!reference_bytes.has_value()) {
-    return util::Status::FailedPrecondition(
-        "no store carries the fault-free reference record");
-  }
-
-  // Completeness: recompute coverage strictly from what is present. A
-  // missing unit is a hard error, not a smaller denominator.
-  uint64_t missing = 0;
-  uint64_t first_missing = 0;
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    if (!outcomes[id].has_value()) {
-      if (missing == 0) first_missing = id;
-      ++missing;
+  // Completeness: a missing unit is a hard error, not a smaller
+  // denominator.
+  if (units.size() != out.total_units) {
+    uint64_t first_missing = 0;
+    for (const auto& entry : units) {
+      if (entry.first != first_missing) break;
+      ++first_missing;
     }
-  }
-  if (missing != 0) {
     return util::Status::FailedPrecondition(
-        "campaign incomplete: " + std::to_string(missing) + " of " +
+        "campaign incomplete: " +
+        std::to_string(out.total_units - units.size()) + " of " +
         std::to_string(out.total_units) + " units missing (first missing id " +
         std::to_string(first_missing) +
         ") — run the remaining shards (or resume interrupted ones) before "
         "merging");
   }
+  CMLDFT_RETURN_IF_ERROR(payload.check_singleton(out.singleton,
+                                                 out.fingerprint,
+                                                 out.total_units));
 
-  out.report.outcomes.reserve(out.total_units);
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    out.report.outcomes.push_back(std::move(*outcomes[id]));
-  }
+  out.units.reserve(units.size());
+  for (auto& entry : units) out.units.push_back(std::move(entry.second));
   return out;
 }
 
 // ------------------------------------------------ streaming merge --
-
-namespace {
-
-uint64_t PayloadHash(std::string_view payload) {
-  return util::ContentHasher().Str(payload).Digest();
-}
-
-bool IsSingletonType(RecordType t) {
-  return t == RecordType::kReference || t == RecordType::kPatternSuite ||
-         t == RecordType::kCharacterizationSuite;
-}
-
-}  // namespace
 
 StreamingMerge::StreamingMerge(uint64_t total_units)
     : total_units_(total_units),
       seen_(total_units, 0),
       unit_hash_(total_units, 0) {}
 
-util::StatusOr<bool> StreamingMerge::FoldSingleton(RecordType type,
-                                                   std::string_view payload) {
-  for (const auto& [t, bytes] : singletons_) {
-    if (t != type) continue;
-    if (bytes != payload) {
-      return util::Status::FailedPrecondition(
-          "singleton record (reference/suite) differs from the one already "
-          "folded: the contributing workers do not run the same engine and "
-          "configuration");
-    }
-    return false;  // bit-identical repeat
-  }
-  singletons_.emplace_back(type, std::string(payload));
-  return true;
-}
-
 util::StatusOr<StreamingMerge::FoldResult> StreamingMerge::Fold(
     std::string_view payload) {
   if (payload.empty()) {
     return util::Status::ParseError("empty record payload");
   }
-  const auto type = static_cast<RecordType>(
-      static_cast<uint8_t>(payload[0]));
-
-  Kind kind;
-  switch (type) {
-    case RecordType::kReference:
-    case RecordType::kOutcome:
-      kind = Kind::kScreening;
-      break;
-    case RecordType::kPatternSuite:
-    case RecordType::kPatternUnit:
-      kind = Kind::kPattern;
-      break;
-    case RecordType::kCharacterizationSuite:
-    case RecordType::kCharacterizationUnit:
-      kind = Kind::kCharacterization;
-      break;
-    default:
-      return util::Status::ParseError(
-          "unknown campaign record type " +
-          std::to_string(static_cast<uint8_t>(payload[0])));
-  }
-  if (kind_ == Kind::kUnknown) {
-    kind_ = kind;
-  } else if (kind != kind_) {
-    return util::Status::FailedPrecondition(
-        "record belongs to a different campaign payload kind than the one "
-        "already folded — screening, pattern, and characterization records "
-        "cannot mix in one campaign");
-  }
+  const Payload* owner = FindPayload(TypeOf(payload));
+  if (owner == nullptr) return UnknownType(payload);
+  if (payload_ == nullptr) payload_ = owner;
+  if (owner != payload_) return ForeignRecords(*owner, *payload_);
 
   FoldResult result;
-  if (IsSingletonType(type)) {
-    auto first = FoldSingleton(type, payload);
-    if (!first.ok()) return first.status();
-    result.new_singleton = *first;
-    result.duplicate = !*first;
+  if (TypeOf(payload) == payload_->singleton_type) {
+    if (singleton_.empty()) {
+      singleton_ = std::string(payload);
+      result.new_singleton = true;
+    } else if (singleton_ != payload) {
+      return util::Status::FailedPrecondition(
+          "singleton record (reference/suite) differs from the one already "
+          "folded: the contributing workers do not run the same engine and "
+          "configuration");
+    } else {
+      result.duplicate = true;
+    }
     return result;
   }
 
   // Unit records: decode (validates the payload), dedup by id, tally.
-  uint64_t unit_id = 0;
-  switch (kind_) {
-    case Kind::kScreening: {
-      auto rec = DecodeRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id]) {
-        ++class_counts_[static_cast<int>(rec->outcome.Classify())];
-      }
-      break;
-    }
-    case Kind::kPattern: {
-      auto rec = DecodePatternRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id]) {
-        toggled_ += rec->unit.toggled;
-        togglable_ += rec->unit.togglable;
-      }
-      break;
-    }
-    case Kind::kCharacterization: {
-      auto rec = DecodeCharacterizationRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id] && rec->unit.measure_failures == 0) {
-        ++clean_units_;
-      }
-      break;
-    }
-    case Kind::kUnknown:
-      return util::Status::Internal("unreachable: unlatched payload kind");
-  }
-  if (unit_id >= total_units_) {
+  auto unit = payload_->unit(payload, singleton_);
+  if (!unit.ok()) return unit.status();
+  if (unit->id >= total_units_) {
     return util::Status::FailedPrecondition(
-        "record for unit " + std::to_string(unit_id) +
+        "record for unit " + std::to_string(unit->id) +
         " outside the universe of " + std::to_string(total_units_));
   }
-
-  result.unit_id = unit_id;
-  const uint64_t hash = PayloadHash(payload);
-  if (seen_[unit_id]) {
-    if (unit_hash_[unit_id] != hash) {
+  result.unit_id = unit->id;
+  const uint64_t hash = util::ContentHasher().Str(payload).Digest();
+  if (seen_[unit->id]) {
+    if (unit_hash_[unit->id] != hash) {
       return util::Status::FailedPrecondition(
-          "unit " + std::to_string(unit_id) +
+          "unit " + std::to_string(unit->id) +
           " delivered twice with different bytes — the contributing workers "
           "do not run the same engine and configuration");
     }
     result.duplicate = true;
     return result;
   }
-  seen_[unit_id] = 1;
-  unit_hash_[unit_id] = hash;
+  seen_[unit->id] = 1;
+  unit_hash_[unit->id] = hash;
   ++units_done_;
+  covered_ += unit->covered;
+  coverable_ += unit->coverable;
   result.new_unit = true;
   return result;
 }
 
 double StreamingMerge::LiveCoverage() const {
-  switch (kind_) {
-    case Kind::kScreening: {
-      if (units_done_ == 0) return 0.0;
-      // The CombinedCoverage formula over the outcomes folded so far: at
-      // completion the denominator is the full universe and the value is
-      // exactly the merged report's CombinedCoverage.
-      const uint64_t detected =
-          class_counts_[static_cast<int>(core::FaultClass::kLogicVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kDelayVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kIddqVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kCatastrophic)] +
-          class_counts_[static_cast<int>(core::FaultClass::kAmplitudeOnly)];
-      return static_cast<double>(detected) / static_cast<double>(units_done_);
-    }
-    case Kind::kPattern:
-      if (togglable_ == 0) return 0.0;
-      return static_cast<double>(toggled_) / static_cast<double>(togglable_);
-    case Kind::kCharacterization:
-      if (units_done_ == 0) return 0.0;
-      return static_cast<double>(clean_units_) /
-             static_cast<double>(units_done_);
-    case Kind::kUnknown:
-      return 0.0;
-  }
-  return 0.0;
+  if (coverable_ == 0) return 0.0;
+  return static_cast<double>(covered_) / static_cast<double>(coverable_);
 }
 
 }  // namespace cmldft::campaign

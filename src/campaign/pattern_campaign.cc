@@ -1,39 +1,16 @@
 #include "campaign/pattern_campaign.h"
 
-#include <mutex>
-#include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "campaign/bytes.h"
-#include "campaign/progress.h"
-#include "campaign/store.h"
-#include "util/parallel.h"
-#include "util/telemetry.h"
+#include "campaign/merge.h"
+#include "report/report.h"
 
 namespace cmldft::campaign {
 
 namespace {
 
-// Same registry names as the screening runner: the campaign.* counters
-// measure the shared durable-store machinery, whichever payload rides it.
-struct PatternMetrics {
-  util::telemetry::Counter runs =
-      util::telemetry::GetCounter("campaign.runs");
-  util::telemetry::Counter records_written =
-      util::telemetry::GetCounter("campaign.records_written");
-  util::telemetry::Counter resumed_skips =
-      util::telemetry::GetCounter("campaign.resumed_skips");
-  util::telemetry::Counter torn_tail_recoveries =
-      util::telemetry::GetCounter("campaign.torn_tail_recoveries");
-  util::telemetry::Counter merges =
-      util::telemetry::GetCounter("campaign.merges");
-};
-
-const PatternMetrics& Metrics() {
-  static const PatternMetrics m;
-  return m;
-}
+constexpr std::string_view kPresets[] = {"pattern_coverage", "pattern_quick"};
 
 util::Status ValidateSweep(const testgen::PatternSweepConfig& sweep) {
   if (sweep.benchmarks.empty()) {
@@ -55,7 +32,106 @@ util::Status ValidateSweep(const testgen::PatternSweepConfig& sweep) {
   return util::Status::Ok();
 }
 
+class PatternPlan : public PayloadPlan {
+ public:
+  explicit PatternPlan(testgen::PatternSweepConfig sweep)
+      : PayloadPlan(kPatternPayload, testgen::SweepFingerprint(sweep),
+                    sweep.unit_count()),
+        sweep_(std::move(sweep)) {}
+
+  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
+                       const Emit& emit) const override {
+    return ExecuteEachUnit(
+        EncodePatternSuiteRecord(sweep_), ids, threads, emit,
+        [this](uint64_t id) -> util::StatusOr<std::string> {
+          auto unit = testgen::EvaluateSweepUnit(sweep_, id);
+          if (!unit.ok()) return unit.status();
+          return EncodePatternUnitRecord(id, *unit);
+        });
+  }
+
+ private:
+  testgen::PatternSweepConfig sweep_;
+};
+
+util::StatusOr<std::unique_ptr<const PayloadPlan>> PresetPlan(
+    std::string_view preset) {
+  auto sweep = PatternSweepPreset(preset);
+  if (!sweep.ok()) return sweep.status();
+  return MakePatternPlan(*sweep);
+}
+
+util::Status CheckSuite(std::string_view singleton, uint64_t fingerprint,
+                        uint64_t total_units) {
+  auto sweep = DecodePatternSuiteRecord(singleton);
+  if (!sweep.ok()) return sweep.status();
+  if (testgen::SweepFingerprint(*sweep) != fingerprint) {
+    return util::Status::FailedPrecondition(
+        "suite record does not hash to the store header fingerprint — the "
+        "store is corrupt or the benchmark generators changed since the "
+        "campaign ran");
+  }
+  if (sweep->unit_count() != total_units) {
+    return util::Status::FailedPrecondition(
+        "suite record describes " + std::to_string(sweep->unit_count()) +
+        " units but the store header claims " + std::to_string(total_units));
+  }
+  return util::Status::Ok();
+}
+
+util::StatusOr<UnitRecordInfo> SweepUnit(std::string_view record,
+                                         std::string_view singleton) {
+  auto rec = DecodePatternUnitRecord(record);
+  if (!rec.ok()) return rec.status();
+  const uint64_t id = rec->unit_id;
+  if (!singleton.empty()) {
+    auto sweep = DecodePatternSuiteRecord(singleton);
+    if (!sweep.ok()) return sweep.status();
+    const uint64_t ladder = sweep->pattern_counts.size();
+    if (id >= sweep->unit_count() || rec->unit.benchmark != id / ladder ||
+        rec->unit.patterns !=
+            static_cast<uint32_t>(sweep->pattern_counts[id % ladder])) {
+      return util::Status::FailedPrecondition(
+          "unit " + std::to_string(id) + " records benchmark " +
+          std::to_string(rec->unit.benchmark) + " at " +
+          std::to_string(rec->unit.patterns) +
+          " patterns, not the cell its unit id implies in the sweep");
+    }
+  }
+  return UnitRecordInfo{id, rec->unit.toggled, rec->unit.togglable};
+}
+
+util::Status ManifestTallies(const MergedStores& merged, report::Report& rep) {
+  auto result = DecodePatternCampaign(merged);
+  if (!result.ok()) return result.status();
+  rep.AddInt("benchmarks",
+             static_cast<long long>(result->sweep.benchmarks.size()));
+  uint64_t transitions = 0;
+  uint64_t residual_x = 0;
+  for (const testgen::SweepUnitResult& u : result->units) {
+    transitions += u.transitions;
+    residual_x += u.residual_x;
+  }
+  rep.AddInt("total_transitions", static_cast<long long>(transitions));
+  rep.AddInt("total_residual_x", static_cast<long long>(residual_x));
+  return util::Status::Ok();
+}
+
 }  // namespace
+
+const Payload kPatternPayload = {
+    "pattern",
+    RecordType::kPatternSuite,
+    RecordType::kPatternUnit,
+    kPresets,
+    &PresetPlan,
+    &CheckSuite,
+    &SweepUnit,
+    {"pattern_campaign_manifest",
+     "§6.6 (toggle coverage vs pattern count, recombined from shards)",
+     "merged shard stores of a durable pattern-coverage campaign", "units",
+     &ManifestTallies},
+};
 
 std::string EncodePatternSuiteRecord(const testgen::PatternSweepConfig& sweep) {
   ByteWriter w;
@@ -85,214 +161,45 @@ std::string EncodePatternUnitRecord(uint64_t unit_id,
   return w.Take();
 }
 
-util::StatusOr<DecodedPatternRecord> DecodePatternRecord(
+util::StatusOr<testgen::PatternSweepConfig> DecodePatternSuiteRecord(
     std::string_view payload) {
   ByteReader r(payload);
-  DecodedPatternRecord rec;
-  const uint8_t type = r.U8();
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kPatternSuite: {
-      rec.type = RecordType::kPatternSuite;
-      const uint32_t benchmarks = r.U32();
-      for (uint32_t i = 0; i < benchmarks && r.ok(); ++i) {
-        rec.suite.benchmarks.push_back(r.Str());
-      }
-      const uint32_t counts = r.U32();
-      for (uint32_t i = 0; i < counts && r.ok(); ++i) {
-        rec.suite.pattern_counts.push_back(r.I32());
-      }
-      rec.suite.seed = r.U32();
-      rec.suite.init_max_cycles = r.I32();
-      break;
-    }
-    case RecordType::kPatternUnit: {
-      rec.type = RecordType::kPatternUnit;
-      rec.unit_id = r.U64();
-      rec.unit.benchmark = r.U32();
-      rec.unit.patterns = r.U32();
-      rec.unit.toggled = r.U32();
-      rec.unit.togglable = r.U32();
-      rec.unit.transitions = r.U64();
-      rec.unit.init_cycles = r.U32();
-      rec.unit.residual_x = r.U32();
-      rec.unit.dffs = r.U32();
-      break;
-    }
-    case RecordType::kReference:
-    case RecordType::kOutcome:
-      return util::Status::FailedPrecondition(
-          "store holds defect-screening records, not pattern-coverage "
-          "records — merge it with the screening campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    case RecordType::kCharacterizationSuite:
-    case RecordType::kCharacterizationUnit:
-      return util::Status::FailedPrecondition(
-          "store holds characterization records, not pattern-coverage "
-          "records — merge it with the characterization campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    default:
-      return util::Status::ParseError("unknown campaign record type " +
-                                      std::to_string(type));
+  if (static_cast<RecordType>(r.U8()) != RecordType::kPatternSuite) {
+    return util::Status::ParseError("not a pattern suite record");
   }
-  if (!r.ok()) {
-    return util::Status::ParseError("truncated pattern record payload");
+  testgen::PatternSweepConfig suite;
+  const uint32_t benchmarks = r.U32();
+  for (uint32_t i = 0; i < benchmarks && r.ok(); ++i) {
+    suite.benchmarks.push_back(r.Str());
   }
-  if (!r.AtEnd()) {
-    return util::Status::ParseError("trailing bytes in pattern record");
+  const uint32_t counts = r.U32();
+  for (uint32_t i = 0; i < counts && r.ok(); ++i) {
+    suite.pattern_counts.push_back(r.I32());
   }
+  suite.seed = r.U32();
+  suite.init_max_cycles = r.I32();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("pattern suite"));
+  return suite;
+}
+
+util::StatusOr<PatternUnitRecord> DecodePatternUnitRecord(
+    std::string_view payload) {
+  ByteReader r(payload);
+  if (static_cast<RecordType>(r.U8()) != RecordType::kPatternUnit) {
+    return util::Status::ParseError("not a pattern unit record");
+  }
+  PatternUnitRecord rec;
+  rec.unit_id = r.U64();
+  rec.unit.benchmark = r.U32();
+  rec.unit.patterns = r.U32();
+  rec.unit.toggled = r.U32();
+  rec.unit.togglable = r.U32();
+  rec.unit.transitions = r.U64();
+  rec.unit.init_cycles = r.U32();
+  rec.unit.residual_x = r.U32();
+  rec.unit.dffs = r.U32();
+  CMLDFT_RETURN_IF_ERROR(r.Finish("pattern unit"));
   return rec;
-}
-
-util::StatusOr<bool> StoreIsPatternCampaign(const std::string& path) {
-  auto scan = ScanStore(path);
-  if (!scan.ok()) return scan.status();
-  if (scan->records.empty()) {
-    return util::Status::FailedPrecondition(
-        path + ": store has no records yet — its campaign kind is "
-               "undetermined; run (or resume) the shard first");
-  }
-  const uint8_t type = static_cast<uint8_t>(scan->records.front()[0]);
-  return type == static_cast<uint8_t>(RecordType::kPatternSuite) ||
-         type == static_cast<uint8_t>(RecordType::kPatternUnit);
-}
-
-util::StatusOr<CampaignRunStats> RunPatternCampaign(
-    const PatternCampaignOptions& options) {
-  Metrics().runs.Increment();
-  CMLDFT_RETURN_IF_ERROR(ValidateSweep(options.sweep));
-
-  CampaignRunStats stats;
-  stats.total_units = options.sweep.unit_count();
-  stats.shard_units = options.shard.UnitsOf(stats.total_units);
-  const StoreHeader header{testgen::SweepFingerprint(options.sweep),
-                           options.shard.index, options.shard.count,
-                           stats.total_units};
-  const std::string suite_record = EncodePatternSuiteRecord(options.sweep);
-
-  std::unordered_set<uint64_t> completed;
-  std::optional<StoreWriter> writer;
-  bool need_suite_record = true;
-
-  const bool store_exists = util::FileSizeOf(options.store_path).ok();
-  if (store_exists) {
-    auto scan = ScanStore(options.store_path);
-    if (!scan.ok()) return scan.status();
-    if (scan->header.fingerprint != header.fingerprint) {
-      return util::Status::FailedPrecondition(
-          options.store_path +
-          ": store fingerprint does not match the requested sweep — it "
-          "belongs to a different benchmark set/ladder/seed; use a fresh "
-          "store path (or delete the stale file)");
-    }
-    if (scan->header.shard_index != header.shard_index ||
-        scan->header.shard_count != header.shard_count) {
-      return util::Status::FailedPrecondition(
-          options.store_path + ": store holds shard " +
-          ShardPlan{scan->header.shard_index, scan->header.shard_count}
-              .ToString() +
-          " but this run requested shard " + options.shard.ToString());
-    }
-    if (scan->header.total_units != header.total_units) {
-      return util::Status::FailedPrecondition(
-          options.store_path + ": store planned " +
-          std::to_string(scan->header.total_units) +
-          " units but the sweep now has " +
-          std::to_string(header.total_units));
-    }
-    if (scan->torn_tail) {
-      CMLDFT_RETURN_IF_ERROR(RepairStore(options.store_path, *scan));
-      stats.torn_tail_recovered = true;
-      Metrics().torn_tail_recoveries.Increment();
-    }
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodePatternRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            options.store_path +
-                                ": undecodable record in valid region: " +
-                                rec.status().message());
-      }
-      if (rec->type == RecordType::kPatternSuite) {
-        // The fingerprint already pins the configuration; a divergent
-        // suite record under a matching fingerprint is tampering.
-        if (payload != suite_record) {
-          return util::Status::FailedPrecondition(
-              options.store_path +
-              ": suite record does not match the requested sweep despite a "
-              "matching fingerprint — the store is corrupt; restart the "
-              "campaign with a fresh store");
-        }
-        need_suite_record = false;
-      } else {
-        completed.insert(rec->unit_id);
-      }
-    }
-    stats.resumed = true;
-    stats.resumed_skips = completed.size();
-    Metrics().resumed_skips.Add(completed.size());
-    auto w = StoreWriter::OpenAppend(options.store_path, options.fsync_batch);
-    if (!w.ok()) return w.status();
-    writer.emplace(std::move(*w));
-  } else {
-    auto w = StoreWriter::Create(options.store_path, header,
-                                 options.fsync_batch);
-    if (!w.ok()) return w.status();
-    writer.emplace(std::move(*w));
-  }
-
-  if (options.abort_at_bytes != 0) writer->SetKillAtSize(options.abort_at_bytes);
-  if (need_suite_record) {
-    CMLDFT_RETURN_IF_ERROR(writer->AppendRecord(suite_record));
-    Metrics().records_written.Increment();
-  }
-
-  std::vector<uint64_t> pending;
-  for (uint64_t id = 0; id < stats.total_units; ++id) {
-    if (options.shard.Contains(id) && completed.find(id) == completed.end()) {
-      pending.push_back(id);
-    }
-  }
-  stats.executed = pending.size();
-
-  // Units evaluate in parallel; the store append is the serialization
-  // point. Record order in the file follows completion order, which merge
-  // does not care about — every unit record carries its universe id.
-  ProgressMeter meter(options.progress, stats.shard_units,
-                      stats.resumed_skips);
-  std::mutex mu;
-  util::Status first_error = util::Status::Ok();
-  util::ParallelFor(
-      pending.size(),
-      [&](size_t i) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!first_error.ok()) return;
-        }
-        auto unit = testgen::EvaluateSweepUnit(options.sweep, pending[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error.ok()) return;
-        if (!unit.ok()) {
-          first_error = unit.status();
-          return;
-        }
-        util::Status st =
-            writer->AppendRecord(EncodePatternUnitRecord(pending[i], *unit));
-        if (!st.ok()) {
-          first_error = st;
-          return;
-        }
-        Metrics().records_written.Increment();
-        meter.Tick();
-      },
-      options.threads);
-  CMLDFT_RETURN_IF_ERROR(first_error);
-  CMLDFT_RETURN_IF_ERROR(writer->Close());
-  meter.Finish();
-  return stats;
-}
-
-bool IsPatternPreset(std::string_view name) {
-  return name.size() >= 8 && name.substr(0, 8) == "pattern_";
 }
 
 util::StatusOr<testgen::PatternSweepConfig> PatternSweepPreset(
@@ -316,107 +223,27 @@ util::StatusOr<testgen::PatternSweepConfig> PatternSweepPreset(
       "' (available: pattern_coverage, pattern_quick)");
 }
 
-util::StatusOr<PatternMergeResult> MergePatternStores(
-    const std::vector<std::string>& paths) {
-  Metrics().merges.Increment();
-  if (paths.empty()) {
-    return util::Status::InvalidArgument("no campaign stores to merge");
+util::StatusOr<std::unique_ptr<const PayloadPlan>> MakePatternPlan(
+    const testgen::PatternSweepConfig& sweep) {
+  CMLDFT_RETURN_IF_ERROR(ValidateSweep(sweep));
+  return std::unique_ptr<const PayloadPlan>(
+      std::make_unique<PatternPlan>(sweep));
+}
+
+util::StatusOr<PatternCampaignResult> DecodePatternCampaign(
+    const MergedStores& merged) {
+  if (merged.payload != &kPatternPayload) {
+    return ForeignRecords(*merged.payload, kPatternPayload);
   }
-
-  PatternMergeResult out;
-  std::optional<std::string> suite_bytes;
-  std::vector<std::optional<testgen::SweepUnitResult>> units;
-
-  for (const std::string& path : paths) {
-    auto scan = ScanStore(path);
-    if (!scan.ok()) return scan.status();
-    if (scan->torn_tail) {
-      return util::Status::FailedPrecondition(
-          path + ": store has a torn tail — the shard was interrupted; "
-                 "resume it to completion before merging");
-    }
-    if (out.shard_count == 0) {
-      out.fingerprint = scan->header.fingerprint;
-      out.total_units = scan->header.total_units;
-      out.shard_count = scan->header.shard_count;
-      units.resize(out.total_units);
-    } else if (scan->header.fingerprint != out.fingerprint ||
-               scan->header.total_units != out.total_units ||
-               scan->header.shard_count != out.shard_count) {
-      return util::Status::FailedPrecondition(
-          path + ": store does not belong to this campaign (fingerprint, "
-                 "universe size, or shard plan differs from " +
-          paths.front() + ")");
-    }
-
-    uint64_t unit_records = 0;
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodePatternRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            path + ": " + rec.status().message());
-      }
-      if (rec->type == RecordType::kPatternSuite) {
-        if (suite_bytes.has_value() && *suite_bytes != payload) {
-          return util::Status::FailedPrecondition(
-              path + ": suite records differ between shard stores; the "
-                     "shards were not produced by the same sweep "
-                     "configuration");
-        }
-        if (!suite_bytes.has_value()) {
-          suite_bytes = payload;
-          out.sweep = std::move(rec->suite);
-          if (testgen::SweepFingerprint(out.sweep) != out.fingerprint) {
-            return util::Status::FailedPrecondition(
-                path + ": suite record does not hash to the store header "
-                       "fingerprint — the store is corrupt or the benchmark "
-                       "generators changed since the campaign ran");
-          }
-        }
-        continue;
-      }
-      if (rec->unit_id >= out.total_units) {
-        return util::Status::FailedPrecondition(
-            path + ": record for unit " + std::to_string(rec->unit_id) +
-            " outside the universe of " + std::to_string(out.total_units));
-      }
-      if (units[rec->unit_id].has_value()) {
-        return util::Status::FailedPrecondition(
-            path + ": unit " + std::to_string(rec->unit_id) +
-            " already provided by another record — overlapping or "
-            "duplicated shard stores");
-      }
-      units[rec->unit_id] = rec->unit;
-      ++unit_records;
-    }
-    out.shard_units.emplace_back(scan->header.shard_index, unit_records);
-  }
-
-  if (!suite_bytes.has_value()) {
-    return util::Status::FailedPrecondition(
-        "no store carries the sweep suite record");
-  }
-
-  uint64_t missing = 0;
-  uint64_t first_missing = 0;
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    if (!units[id].has_value()) {
-      if (missing == 0) first_missing = id;
-      ++missing;
-    }
-  }
-  if (missing != 0) {
-    return util::Status::FailedPrecondition(
-        "campaign incomplete: " + std::to_string(missing) + " of " +
-        std::to_string(out.total_units) + " units missing (first missing id " +
-        std::to_string(first_missing) +
-        ") — run the remaining shards (or resume interrupted ones) before "
-        "merging");
-  }
-
-  out.units.reserve(out.total_units);
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    out.units.push_back(*units[id]);
+  PatternCampaignResult out;
+  auto sweep = DecodePatternSuiteRecord(merged.singleton);
+  if (!sweep.ok()) return sweep.status();
+  out.sweep = std::move(*sweep);
+  out.units.reserve(merged.units.size());
+  for (const std::string& record : merged.units) {
+    auto rec = DecodePatternUnitRecord(record);
+    if (!rec.ok()) return rec.status();
+    out.units.push_back(rec->unit);
   }
   return out;
 }

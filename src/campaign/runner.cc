@@ -1,238 +1,158 @@
 #include "campaign/runner.h"
 
-#include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
-#include "campaign/codec.h"
 #include "campaign/progress.h"
 #include "campaign/store.h"
-#include "campaign/work.h"
-#include "util/telemetry.h"
 
 namespace cmldft::campaign {
-
-namespace {
-
-struct CampaignMetrics {
-  util::telemetry::Counter runs =
-      util::telemetry::GetCounter("campaign.runs");
-  util::telemetry::Counter records_written =
-      util::telemetry::GetCounter("campaign.records_written");
-  util::telemetry::Counter resumed_skips =
-      util::telemetry::GetCounter("campaign.resumed_skips");
-  util::telemetry::Counter torn_tail_recoveries =
-      util::telemetry::GetCounter("campaign.torn_tail_recoveries");
-  util::telemetry::Counter merges =
-      util::telemetry::GetCounter("campaign.merges");
-};
 
 const CampaignMetrics& Metrics() {
   static const CampaignMetrics m;
   return m;
 }
+
+namespace {
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const CampaignMetrics& kEagerRegistration = Metrics();
-
-/// Shard membership intersected with "not already in the store".
-class ShardResumeSource : public WorkSource {
- public:
-  ShardResumeSource(ShardPlan plan, std::unordered_set<uint64_t> completed,
-                    uint64_t expected_units)
-      : plan_(plan),
-        completed_(std::move(completed)),
-        expected_units_(expected_units) {}
-
-  util::Status BeginUniverse(uint64_t total_units) override {
-    if (total_units != expected_units_) {
-      return util::Status::FailedPrecondition(
-          "universe size changed between planning and execution: planned " +
-          std::to_string(expected_units_) + ", enumerated " +
-          std::to_string(total_units));
-    }
-    return util::Status::Ok();
-  }
-
-  bool ShouldRun(uint64_t id) const override {
-    return plan_.Contains(id) && completed_.find(id) == completed_.end();
-  }
-
- private:
-  ShardPlan plan_;
-  std::unordered_set<uint64_t> completed_;
-  uint64_t expected_units_;
-};
-
-/// Serializes worker emits into CRC-framed store appends.
-class StoreSink : public Sink {
- public:
-  StoreSink(StoreWriter writer, std::optional<std::string> existing_reference,
-            ProgressMeter* meter)
-      : writer_(std::move(writer)),
-        existing_reference_(std::move(existing_reference)),
-        meter_(meter) {}
-
-  util::Status EmitReference(const core::ScreeningReport& reference) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string encoded = EncodeReferenceRecord(reference);
-    if (existing_reference_.has_value()) {
-      // Resume path: the reference is re-simulated deterministically, so
-      // anything but a bit-identical match means the store belongs to a
-      // different engine build — refuse rather than merge apples with
-      // oranges (the fingerprint can't see engine-internal changes).
-      if (encoded != *existing_reference_) {
-        return util::Status::FailedPrecondition(
-            "fault-free reference measurements diverge from the ones in the "
-            "store: the engine changed since this campaign started; restart "
-            "the campaign with a fresh store");
-      }
-      return util::Status::Ok();
-    }
-    CMLDFT_RETURN_IF_ERROR(writer_.AppendRecord(encoded));
-    Metrics().records_written.Increment();
-    return util::Status::Ok();
-  }
-
-  util::Status Emit(uint64_t id, const core::DefectOutcome& outcome) override {
-    const std::string encoded = EncodeOutcomeRecord(id, outcome);
-    std::lock_guard<std::mutex> lock(mu_);
-    CMLDFT_RETURN_IF_ERROR(writer_.AppendRecord(encoded));
-    Metrics().records_written.Increment();
-    if (meter_ != nullptr) meter_->Tick();
-    return util::Status::Ok();
-  }
-
-  util::Status Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return writer_.Close();
-  }
-
-  void SetKillAtSize(uint64_t n) { writer_.SetKillAtSize(n); }
-
- private:
-  std::mutex mu_;
-  StoreWriter writer_;
-  std::optional<std::string> existing_reference_;
-  ProgressMeter* meter_;
-};
-
 }  // namespace
 
-util::StatusOr<CampaignRunStats> RunScreeningCampaign(
-    const CampaignOptions& options) {
-  Metrics().runs.Increment();
+util::StatusOr<CampaignRunStats> RunCampaign(const PayloadPlan& plan,
+                                             int threads,
+                                             const RunOptions& options) {
+  const CampaignMetrics& metrics = Metrics();
+  metrics.runs.Increment();
+  const Payload& payload = plan.payload();
+  const std::string& path = options.store_path;
+
   CampaignRunStats stats;
+  stats.total_units = plan.total_units();
+  stats.shard_units = options.shard.UnitsOf(stats.total_units);
+  const StoreHeader header{plan.fingerprint(), options.shard.index,
+                           options.shard.count, stats.total_units};
 
-  const std::vector<defects::Defect> universe =
-      core::ScreeningUniverse(options.screening);
-  stats.total_units = universe.size();
-  stats.shard_units = options.shard.UnitsOf(universe.size());
-  const StoreHeader header{CampaignFingerprint(options.screening, universe),
-                           options.shard.index, options.shard.count,
-                           universe.size()};
-
-  std::unordered_set<uint64_t> completed;
-  std::optional<std::string> existing_reference;
+  std::vector<bool> completed(stats.total_units, false);
+  std::optional<std::string> stored_singleton;
   std::optional<StoreWriter> writer;
 
-  const bool store_exists = util::FileSizeOf(options.store_path).ok();
-  if (store_exists) {
-    auto scan = ScanStore(options.store_path);
+  if (util::FileSizeOf(path).ok()) {
+    auto scan = ScanStore(path);
     if (!scan.ok()) return scan.status();
     if (scan->header.fingerprint != header.fingerprint) {
       return util::Status::FailedPrecondition(
-          options.store_path +
-          ": store fingerprint does not match the requested screening "
-          "configuration — it belongs to a different netlist/options; use a "
-          "fresh store path (or delete the stale file)");
+          path + ": store fingerprint does not match the requested " +
+          std::string(payload.name) +
+          " configuration — it belongs to a different campaign; use a fresh "
+          "store path (or delete the stale file)");
     }
     if (scan->header.shard_index != header.shard_index ||
         scan->header.shard_count != header.shard_count) {
       return util::Status::FailedPrecondition(
-          options.store_path + ": store holds shard " +
+          path + ": store holds shard " +
           ShardPlan{scan->header.shard_index, scan->header.shard_count}
               .ToString() +
           " but this run requested shard " + options.shard.ToString());
     }
     if (scan->header.total_units != header.total_units) {
       return util::Status::FailedPrecondition(
-          options.store_path + ": store planned " +
+          path + ": store planned " +
           std::to_string(scan->header.total_units) +
           " units but the universe now has " +
           std::to_string(header.total_units));
     }
     if (scan->torn_tail) {
-      CMLDFT_RETURN_IF_ERROR(RepairStore(options.store_path, *scan));
+      CMLDFT_RETURN_IF_ERROR(RepairStore(path, *scan));
       stats.torn_tail_recovered = true;
-      Metrics().torn_tail_recoveries.Increment();
+      metrics.torn_tail_recoveries.Increment();
     }
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodeRecord(payload);
-      if (!rec.ok()) {
-        // The frame CRC passed but the payload didn't decode: that is not
-        // a torn write, it is a format bug or deliberate tampering.
-        return util::Status(rec.status().code(),
-                            options.store_path +
-                                ": undecodable record in valid region: " +
-                                rec.status().message());
+    for (const std::string& record : scan->records) {
+      if (static_cast<RecordType>(record[0]) == payload.singleton_type) {
+        stored_singleton = record;
+        continue;
       }
-      if (rec->type == RecordType::kReference) {
-        existing_reference = payload;
-      } else {
-        completed.insert(rec->unit_id);
+      // The frame CRC passed but the payload didn't decode: that is not a
+      // torn write, it is a format bug or deliberate tampering.
+      auto unit = payload.unit(record, stored_singleton.value_or(""));
+      if (!unit.ok()) {
+        return util::Status(unit.status().code(),
+                            path + ": undecodable record in valid region: " +
+                                unit.status().message());
+      }
+      if (unit->id >= stats.total_units) {
+        return util::Status::FailedPrecondition(
+            path + ": record for unit " + std::to_string(unit->id) +
+            " outside the universe of " + std::to_string(stats.total_units));
+      }
+      if (!completed[unit->id]) {
+        completed[unit->id] = true;
+        ++stats.resumed_skips;
       }
     }
     stats.resumed = true;
-    stats.resumed_skips = completed.size();
-    Metrics().resumed_skips.Add(completed.size());
-    auto w = StoreWriter::OpenAppend(options.store_path, options.fsync_batch);
+    metrics.resumed_skips.Add(stats.resumed_skips);
+    auto w = StoreWriter::OpenAppend(path, options.fsync_batch);
     if (!w.ok()) return w.status();
     writer.emplace(std::move(*w));
   } else {
-    auto w = StoreWriter::Create(options.store_path, header,
-                                 options.fsync_batch);
+    auto w = StoreWriter::Create(path, header, options.fsync_batch);
     if (!w.ok()) return w.status();
     writer.emplace(std::move(*w));
   }
+  if (options.abort_at_bytes != 0) writer->SetKillAtSize(options.abort_at_bytes);
 
-  stats.executed = stats.shard_units - stats.resumed_skips;
+  std::vector<uint64_t> pending;
+  for (uint64_t id = 0; id < stats.total_units; ++id) {
+    if (options.shard.Contains(id) && !completed[id]) pending.push_back(id);
+  }
+  stats.executed = pending.size();
 
-  ShardResumeSource source(options.shard, std::move(completed),
-                           universe.size());
+  // Record order in the file follows completion order, which merge does
+  // not care about — every unit record carries its universe id.
   ProgressMeter meter(options.progress, stats.shard_units,
                       stats.resumed_skips);
-  StoreSink sink(std::move(*writer), std::move(existing_reference), &meter);
-  if (options.abort_at_bytes != 0) sink.SetKillAtSize(options.abort_at_bytes);
-
-  auto report = core::ScreenBufferChain(options.screening, &source, &sink);
-  if (!report.ok()) return report.status();
-  CMLDFT_RETURN_IF_ERROR(sink.Close());
+  CMLDFT_RETURN_IF_ERROR(plan.Execute(
+      pending, threads, [&](std::string record) -> util::Status {
+        const bool singleton =
+            static_cast<RecordType>(record[0]) == payload.singleton_type;
+        if (singleton && stored_singleton.has_value()) {
+          if (record != *stored_singleton) {
+            return util::Status::FailedPrecondition(
+                path + ": the " + std::string(payload.name) +
+                " singleton record (reference/suite) this run produced "
+                "differs from the one in the store: the engine or "
+                "configuration changed since this campaign started; restart "
+                "the campaign with a fresh store");
+          }
+          return util::Status::Ok();
+        }
+        CMLDFT_RETURN_IF_ERROR(writer->AppendRecord(record));
+        metrics.records_written.Increment();
+        if (!singleton) meter.Tick();
+        return util::Status::Ok();
+      }));
+  CMLDFT_RETURN_IF_ERROR(writer->Close());
   meter.Finish();
   return stats;
 }
 
-util::StatusOr<core::ScreeningOptions> ScreeningPreset(std::string_view name) {
-  core::ScreeningOptions opt;
-  if (name == "coverage_comparison") {
-    // Must stay bit-identical to bench/coverage_comparison.cc: the CI
-    // kill+resume campaign merges into that bench's golden snapshot.
-    opt.chain_length = 3;
-    opt.sim_time = 50e-9;
-    opt.detector.load_cap = 1e-12;
-    opt.enumeration.pipe_values = {1e3, 2e3, 4e3, 8e3};
-    return opt;
+util::StatusOr<std::vector<std::string>> EvaluateUnits(
+    const PayloadPlan& plan, const std::vector<uint64_t>& ids, int threads) {
+  for (uint64_t id : ids) {
+    if (id >= plan.total_units()) {
+      return util::Status::OutOfRange(
+          "unit " + std::to_string(id) + " outside the universe of " +
+          std::to_string(plan.total_units()));
+    }
   }
-  if (name == "quick") {
-    opt.chain_length = 2;
-    opt.sim_time = 20e-9;
-    opt.detector.load_cap = 1e-12;
-    opt.enumeration.pipe_values = {1e3, 4e3};
-    return opt;
-  }
-  return util::Status::InvalidArgument(
-      "unknown screening preset '" + std::string(name) +
-      "' (available: coverage_comparison, quick)");
+  std::vector<std::string> records;
+  records.reserve(ids.size() + 1);
+  CMLDFT_RETURN_IF_ERROR(
+      plan.Execute(ids, threads, [&records](std::string record) {
+        records.push_back(std::move(record));
+        return util::Status::Ok();
+      }));
+  return records;
 }
 
 }  // namespace cmldft::campaign

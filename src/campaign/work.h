@@ -1,24 +1,16 @@
-// The two seams between the screening engine and the campaign runtime.
+// The seam between the screening engine and the campaign runtime.
 //
 // core::ScreenBufferChain enumerates a deterministically-ordered defect
-// universe and, by default, executes all of it in one process. A campaign
-// turns that single pass into a durable, shardable run by injecting:
+// universe and runs the unit ids it is given (all of them by default). A
+// Sink receives every completed outcome, plus the fault-free reference
+// measurements, as they are produced; the screening payload
+// (screening_campaign.cc) encodes them as store records, and the engine
+// itself stays oblivious to files, shards, and restarts.
 //
-//   WorkSource — decides which unit ids (indices into the stable universe
-//     ordering) *this* process executes. The campaign runner composes a
-//     shard filter (id mod shard_count == shard_index) with the set of
-//     units already completed in the result store (resume).
-//
-//   Sink — receives every completed outcome, plus the fault-free
-//     reference measurements, as they are produced. The campaign runner
-//     appends them to the crash-safe result store; the engine itself
-//     stays oblivious to files, shards, and restarts.
-//
-// Both are called from worker threads: ShouldRun must be const-thread-safe
-// (it is called concurrently with itself), and Emit must be internally
-// synchronized. Determinism contract: whatever subset a WorkSource
-// selects, each selected unit's outcome is bit-identical to the same unit
-// in a monolithic serial run — selection never changes computation.
+// Emit is called from worker threads and must be internally
+// synchronized. Determinism contract: whatever subset of ids runs, each
+// unit's outcome is bit-identical to the same unit in a monolithic serial
+// run — selection never changes computation.
 #pragma once
 
 #include <cstdint>
@@ -27,18 +19,6 @@
 #include "util/status.h"
 
 namespace cmldft::campaign {
-
-/// Selects which units of the enumerated universe this process runs.
-class WorkSource {
- public:
-  virtual ~WorkSource() = default;
-  /// Called once, after enumeration and before any ShouldRun, with the
-  /// universe size. A source that planned against a different universe
-  /// (stale store, changed options) must refuse here.
-  virtual util::Status BeginUniverse(uint64_t total_units) = 0;
-  /// True if unit `id` should execute in this process. Thread-safe, pure.
-  virtual bool ShouldRun(uint64_t id) const = 0;
-};
 
 /// Receives completed screening results. Implementations are internally
 /// synchronized; Emit is called from worker threads in completion order

@@ -195,7 +195,7 @@ std::vector<defects::Defect> ScreeningUniverse(const ScreeningOptions& options) 
 }
 
 util::StatusOr<ScreeningReport> ScreenBufferChain(
-    const ScreeningOptions& options, campaign::WorkSource* source,
+    const ScreeningOptions& options, const std::vector<uint64_t>* ids,
     campaign::Sink* sink) {
   const ScreeningMetrics& metrics = Metrics();
   metrics.campaigns.Increment();
@@ -230,19 +230,24 @@ util::StatusOr<ScreeningReport> ScreenBufferChain(
   const std::vector<defects::Defect> universe =
       defects::EnumerateDefects(circ.nl, eopt);
 
-  // Campaign seams: the source narrows the universe to this process's
+  // Campaign seams: `ids` narrows the universe to this process's
   // shard/resume subset; the sink makes each outcome durable as it lands.
   // Unit ids are indices into the stable enumeration order above.
-  std::vector<uint64_t> selected;
-  selected.reserve(universe.size());
-  if (source != nullptr) {
-    CMLDFT_RETURN_IF_ERROR(source->BeginUniverse(universe.size()));
-    for (uint64_t id = 0; id < universe.size(); ++id) {
-      if (source->ShouldRun(id)) selected.push_back(id);
-    }
-  } else {
-    for (uint64_t id = 0; id < universe.size(); ++id) selected.push_back(id);
+  std::vector<uint64_t> all;
+  if (ids == nullptr) {
+    all.resize(universe.size());
+    for (uint64_t id = 0; id < universe.size(); ++id) all[id] = id;
+    ids = &all;
   }
+  for (uint64_t id : *ids) {
+    if (id >= universe.size()) {
+      return util::Status::FailedPrecondition(
+          "unit " + std::to_string(id) + " outside the enumerated universe of " +
+          std::to_string(universe.size()) +
+          " defects — planned against a different universe");
+    }
+  }
+  const std::vector<uint64_t>& selected = *ids;
 
   ScreeningReport report;
   report.nominal_swing = ref.primary_swing;

@@ -6,6 +6,7 @@
 // by the amplitude detectors.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "util/status.h"
 
 namespace cmldft::campaign {
-class WorkSource;
 class Sink;
 }  // namespace cmldft::campaign
 
@@ -120,14 +120,16 @@ struct ScreeningReport {
 /// Screen the defect universe of an instrumented buffer chain.
 ///
 /// By default the whole universe runs in-process and the returned report
-/// is the complete result. A campaign run injects `source` to restrict
-/// execution to a shard/resume subset and `sink` to stream every outcome
-/// (and the fault-free reference) into a durable store as it completes;
-/// the returned report then holds only the units executed *here* — the
-/// campaign merge stage reassembles the full, bit-identical report from
-/// the stores. Either pointer may be null independently.
+/// is the complete result. A campaign passes `ids`, the ascending unit ids
+/// (indices into ScreeningUniverse) this process runs, and `sink` to
+/// stream every outcome (and the fault-free reference) into a durable
+/// store as it completes; the returned report then holds only those units
+/// — the campaign merge stage reassembles the full, bit-identical report
+/// from the stores. Either pointer may be null independently; an id
+/// outside the universe is refused.
 util::StatusOr<ScreeningReport> ScreenBufferChain(
-    const ScreeningOptions& options = {}, campaign::WorkSource* source = nullptr,
+    const ScreeningOptions& options = {},
+    const std::vector<uint64_t>* ids = nullptr,
     campaign::Sink* sink = nullptr);
 
 /// The defect universe `ScreenBufferChain` would screen under `options`,

@@ -21,7 +21,7 @@ LeaseTable::LeaseTable(uint64_t total_units, uint64_t chunk_units)
   }
 }
 
-void LeaseTable::MarkUnitDone(uint64_t unit_id) {
+void LeaseTable::MarkDone(uint64_t unit_id) {
   if (unit_id >= total_units_ || unit_done_[unit_id]) return;
   unit_done_[unit_id] = 1;
   ++units_done_;

@@ -67,7 +67,7 @@ class LeaseTable {
   /// Mark a unit complete (store rebuild on scheduler restart, and every
   /// new unit the streaming merge folds). Idempotent. Completing the last
   /// unit of a chunk retires the chunk and drops its active leases.
-  void MarkUnitDone(uint64_t unit_id);
+  void MarkDone(uint64_t unit_id);
 
   /// Grant a lease to `worker`: the lowest-indexed pending chunk, or — when
   /// none is pending — steal the leased chunk with the nearest deadline

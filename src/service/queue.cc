@@ -33,24 +33,26 @@ util::Status EnsureDirectory(const std::string& path) {
 
 // ------------------------------------------------------------ Campaign --
 
-Campaign::Campaign(CampaignSpec spec, PayloadPlan plan, std::string store_path)
+Campaign::Campaign(CampaignSpec spec,
+                   std::unique_ptr<const campaign::PayloadPlan> plan,
+                   std::string store_path)
     : spec_(std::move(spec)),
       plan_(std::move(plan)),
       store_path_(std::move(store_path)),
-      leases_(plan_.total_units, spec_.chunk_units),
-      merge_(plan_.total_units) {}
+      leases_(plan_->total_units(), spec_.chunk_units),
+      merge_(plan_->total_units()) {}
 
 util::StatusOr<std::unique_ptr<Campaign>> Campaign::Create(
     const CampaignSpec& spec, const std::string& store_path,
     int fsync_batch) {
-  auto plan = PlanForPreset(spec.preset);
+  auto plan = campaign::PlanForPreset(spec.preset);
   if (!plan.ok()) return plan.status();
 
   campaign::StoreHeader header;
-  header.fingerprint = plan->fingerprint;
+  header.fingerprint = (*plan)->fingerprint();
   header.shard_index = 0;
   header.shard_count = 1;
-  header.total_units = plan->total_units;
+  header.total_units = (*plan)->total_units();
   auto writer = campaign::StoreWriter::Create(store_path, header, fsync_batch);
   if (!writer.ok()) return writer.status();
 
@@ -63,13 +65,13 @@ util::StatusOr<std::unique_ptr<Campaign>> Campaign::Create(
 util::StatusOr<std::unique_ptr<Campaign>> Campaign::Recover(
     const CampaignSpec& spec, const std::string& store_path,
     int fsync_batch) {
-  auto plan = PlanForPreset(spec.preset);
+  auto plan = campaign::PlanForPreset(spec.preset);
   if (!plan.ok()) return plan.status();
 
   auto scan = campaign::ScanStore(store_path);
   if (!scan.ok()) return scan.status();
-  if (scan->header.fingerprint != plan->fingerprint ||
-      scan->header.total_units != plan->total_units ||
+  if (scan->header.fingerprint != (*plan)->fingerprint() ||
+      scan->header.total_units != (*plan)->total_units() ||
       scan->header.shard_count != 1) {
     return util::Status::FailedPrecondition(
         "store " + store_path +
@@ -85,7 +87,7 @@ util::StatusOr<std::unique_ptr<Campaign>> Campaign::Recover(
     auto fold = c->merge_.Fold(record);
     if (!fold.ok()) return fold.status();
     if (fold->new_unit) {
-      c->leases_.MarkUnitDone(fold->unit_id);
+      c->leases_.MarkDone(fold->unit_id);
       ++c->recovered_units_;
     }
   }
@@ -124,7 +126,7 @@ util::StatusOr<Campaign::FoldStats> Campaign::FoldRecords(
     // recovery instead of losing it.
     CMLDFT_RETURN_IF_ERROR(writer_->AppendRecord(record));
     if (fold->new_unit) {
-      leases_.MarkUnitDone(fold->unit_id);
+      leases_.MarkDone(fold->unit_id);
       ++stats.new_units;
     }
   }

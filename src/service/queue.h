@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "campaign/merge.h"
+#include "campaign/payload.h"
 #include "campaign/store.h"
 #include "service/lease.h"
-#include "service/payload.h"
 #include "util/status.h"
 
 namespace cmldft::service {
@@ -50,6 +50,10 @@ struct CampaignSpec {
 class Campaign {
  public:
   /// Fresh submission: create the store (header only) and an empty table.
+  /// The scheduler writes no record itself: the payload's singleton
+  /// record (screening reference, pattern/characterization suite) leads
+  /// every worker batch (campaign::EvaluateUnits), and the first batch
+  /// folded appends it ahead of its units.
   static util::StatusOr<std::unique_ptr<Campaign>> Create(
       const CampaignSpec& spec, const std::string& store_path,
       int fsync_batch);
@@ -61,7 +65,7 @@ class Campaign {
       int fsync_batch);
 
   const CampaignSpec& spec() const { return spec_; }
-  const PayloadPlan& plan() const { return plan_; }
+  const campaign::PayloadPlan& plan() const { return *plan_; }
   const std::string& store_path() const { return store_path_; }
   LeaseTable& leases() { return leases_; }
   const LeaseTable& leases() const { return leases_; }
@@ -93,10 +97,11 @@ class Campaign {
   void SetKillAtSize(uint64_t bytes);
 
  private:
-  Campaign(CampaignSpec spec, PayloadPlan plan, std::string store_path);
+  Campaign(CampaignSpec spec, std::unique_ptr<const campaign::PayloadPlan> plan,
+           std::string store_path);
 
   CampaignSpec spec_;
-  PayloadPlan plan_;
+  std::unique_ptr<const campaign::PayloadPlan> plan_;
   std::string store_path_;
   LeaseTable leases_;
   campaign::StreamingMerge merge_;

@@ -87,8 +87,7 @@ report::Json CampaignSummaryJson(const Campaign& c) {
   obj.Set("id", report::Json::Int(static_cast<long long>(c.spec().id)));
   obj.Set("preset", report::Json::Str(c.spec().preset));
   obj.Set("priority", report::Json::Int(c.spec().priority));
-  obj.Set("payload",
-          report::Json::Str(std::string(PayloadKindName(c.plan().kind))));
+  obj.Set("payload", report::Json::Str(std::string(c.plan().payload().name)));
   obj.Set("total_units",
           report::Json::Int(static_cast<long long>(c.merge().total_units())));
   obj.Set("units_done",
@@ -281,7 +280,7 @@ void Scheduler::HandleWorkerMessage(Conn& conn, const Message& msg,
         reply.campaign_id = c->spec().id;
         reply.lease_id = grant->lease_id;
         reply.preset = c->spec().preset;
-        reply.fingerprint = c->plan().fingerprint;
+        reply.fingerprint = c->plan().fingerprint();
         reply.lease_seconds = options_.lease_seconds;
         reply.unit_ids = std::move(grant->unit_ids);
         SendToWorker(conn, reply);

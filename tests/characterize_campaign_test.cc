@@ -1,29 +1,23 @@
-// Characterization campaign tests: record codec round-trips, Monte-Carlo
-// sampling statistics, shard bit-identity at odd thread counts, kill/resume
-// durability (in-process truncation and a real SIGKILL'd child), store-kind
-// cross-refusal, and the report byte-identity seam shared with the
-// monolithic bench.
+// Characterization payload tests: record codec round-trips, Monte-Carlo
+// sampling statistics, the report byte-identity seam shared with the
+// monolithic bench, fingerprint perturbation, and the preset table.
+// Durability (shards, resume, SIGKILL, refusals, tampered records) is
+// covered for every payload by tests/campaign_test.cc.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "campaign/characterize_campaign.h"
 #include "campaign/manifest.h"
 #include "campaign/merge.h"
-#include "campaign/pattern_campaign.h"
 #include "campaign/runner.h"
-#include "campaign/store.h"
 #include "cml/variation.h"
 #include "core/characterize.h"
 #include "report/report.h"
-#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace cmldft {
@@ -57,41 +51,56 @@ const std::vector<CharacterizationUnitResult>& DirectQuickUnits() {
   return units;
 }
 
+/// Runs shard i of paths.size() into paths[i] at `threads`.
+void RunShards(const CharacterizationConfig& config,
+               const std::vector<std::string>& paths, int threads) {
+  for (size_t i = 0; i < paths.size(); ++i) {
+    std::remove(paths[i].c_str());
+    campaign::CharacterizationCampaignOptions opt;
+    opt.config = config;
+    opt.shard = {static_cast<uint32_t>(i),
+                 static_cast<uint32_t>(paths.size())};
+    opt.store_path = paths[i];
+    opt.threads = threads;
+    auto stats = campaign::RunCharacterizationCampaign(opt);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  }
+}
+
 // ------------------------------------------------------------------ codec --
 
 TEST(CharacterizationCodec, SuiteRecordRoundTrips) {
   const CharacterizationConfig config = QuickConfig();
   const std::string encoded =
       campaign::EncodeCharacterizationSuiteRecord(config);
-  auto decoded = campaign::DecodeCharacterizationRecord(encoded);
+  auto decoded = campaign::DecodeCharacterizationSuiteRecord(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->type, campaign::RecordType::kCharacterizationSuite);
-  EXPECT_EQ(decoded->suite.temperatures_c, config.temperatures_c);
-  EXPECT_EQ(decoded->suite.supplies, config.supplies);
-  EXPECT_EQ(decoded->suite.vtests, config.vtests);
-  EXPECT_EQ(decoded->suite.trials, config.trials);
-  EXPECT_EQ(decoded->suite.seed, config.seed);
-  EXPECT_EQ(decoded->suite.variation.load_resistance_spread,
+  EXPECT_EQ(decoded->temperatures_c, config.temperatures_c);
+  EXPECT_EQ(decoded->supplies, config.supplies);
+  EXPECT_EQ(decoded->vtests, config.vtests);
+  EXPECT_EQ(decoded->trials, config.trials);
+  EXPECT_EQ(decoded->seed, config.seed);
+  EXPECT_EQ(decoded->variation.load_resistance_spread,
             config.variation.load_resistance_spread);
-  EXPECT_EQ(decoded->suite.variation.wire_cap_spread,
+  EXPECT_EQ(decoded->variation.wire_cap_spread,
             config.variation.wire_cap_spread);
-  EXPECT_EQ(decoded->suite.variation.is_spread, config.variation.is_spread);
-  EXPECT_EQ(decoded->suite.variation.beta_spread,
+  EXPECT_EQ(decoded->variation.is_spread, config.variation.is_spread);
+  EXPECT_EQ(decoded->variation.beta_spread,
             config.variation.beta_spread);
-  EXPECT_EQ(decoded->suite.excursion_levels, config.excursion_levels);
-  EXPECT_EQ(decoded->suite.response_window, config.response_window);
-  EXPECT_EQ(decoded->suite.response_load_cap, config.response_load_cap);
-  EXPECT_EQ(decoded->suite.load_gates, config.load_gates);
-  EXPECT_EQ(decoded->suite.load_pipe, config.load_pipe);
-  EXPECT_EQ(decoded->suite.probe_max, config.probe_max);
-  EXPECT_EQ(decoded->suite.probe_step, config.probe_step);
-  EXPECT_EQ(decoded->suite.hysteresis_step, config.hysteresis_step);
+  EXPECT_EQ(decoded->excursion_levels, config.excursion_levels);
+  EXPECT_EQ(decoded->response_window, config.response_window);
+  EXPECT_EQ(decoded->response_load_cap, config.response_load_cap);
+  EXPECT_EQ(decoded->load_gates, config.load_gates);
+  EXPECT_EQ(decoded->load_pipe, config.load_pipe);
+  EXPECT_EQ(decoded->probe_max, config.probe_max);
+  EXPECT_EQ(decoded->probe_step, config.probe_step);
+  EXPECT_EQ(decoded->hysteresis_step, config.hysteresis_step);
   // The round-tripped config hashes to the same fingerprint: the merge
   // header cross-check relies on this.
-  EXPECT_EQ(core::CharacterizationFingerprint(decoded->suite),
+  EXPECT_EQ(core::CharacterizationFingerprint(*decoded),
             core::CharacterizationFingerprint(config));
   // Same config, same bytes: the merge divergence check relies on this.
-  EXPECT_EQ(campaign::EncodeCharacterizationSuiteRecord(decoded->suite),
+  EXPECT_EQ(campaign::EncodeCharacterizationSuiteRecord(*decoded),
             encoded);
 }
 
@@ -115,9 +124,8 @@ TEST(CharacterizationCodec, UnitRecordRoundTrips) {
   unit.measure_failures = 0b10010;
   const std::string encoded =
       campaign::EncodeCharacterizationUnitRecord(42, unit);
-  auto decoded = campaign::DecodeCharacterizationRecord(encoded);
+  auto decoded = campaign::DecodeCharacterizationUnitRecord(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->type, campaign::RecordType::kCharacterizationUnit);
   EXPECT_EQ(decoded->unit_id, 42u);
   EXPECT_TRUE(decoded->unit == unit);
 }
@@ -125,47 +133,13 @@ TEST(CharacterizationCodec, UnitRecordRoundTrips) {
 TEST(CharacterizationCodec, RejectsTruncationAndTrailingBytes) {
   const std::string encoded =
       campaign::EncodeCharacterizationUnitRecord(7, {});
-  EXPECT_FALSE(campaign::DecodeCharacterizationRecord(
+  EXPECT_FALSE(campaign::DecodeCharacterizationUnitRecord(
                    encoded.substr(0, encoded.size() - 1))
                    .ok());
-  EXPECT_FALSE(campaign::DecodeCharacterizationRecord(encoded + "x").ok());
-  EXPECT_FALSE(campaign::DecodeCharacterizationRecord("\x0ajunk").ok());
-}
-
-TEST(CharacterizationCodec, ForeignRecordsRefusedWithPointer) {
-  // Records of the other two payloads fed to the characterization decoder
-  // fail FailedPrecondition with a message that names the right path — and
-  // symmetrically, a characterization record through the other decoders.
-  core::ScreeningReport reference;
-  auto st = campaign::DecodeCharacterizationRecord(
-      campaign::EncodeReferenceRecord(reference));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.status().message().find("defect-screening"),
-            std::string::npos);
-
-  testgen::PatternSweepConfig sweep;
-  sweep.benchmarks = {"counter4"};
-  sweep.pattern_counts = {8};
-  auto st2 = campaign::DecodeCharacterizationRecord(
-      campaign::EncodePatternSuiteRecord(sweep));
-  ASSERT_FALSE(st2.ok());
-  EXPECT_EQ(st2.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(st2.status().message().find("pattern-coverage"),
-            std::string::npos);
-
-  const std::string suite =
-      campaign::EncodeCharacterizationSuiteRecord(QuickConfig());
-  auto st3 = campaign::DecodeRecord(suite);
-  ASSERT_FALSE(st3.ok());
-  EXPECT_EQ(st3.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(st3.status().message().find("characterization"),
-            std::string::npos);
-  auto st4 = campaign::DecodePatternRecord(suite);
-  ASSERT_FALSE(st4.ok());
-  EXPECT_EQ(st4.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(st4.status().message().find("characterization"),
-            std::string::npos);
+  EXPECT_FALSE(campaign::DecodeCharacterizationUnitRecord(encoded + "x").ok());
+  EXPECT_FALSE(campaign::DecodeCharacterizationUnitRecord("\x0ajunk").ok());
+  // Each decoder takes its own record type only.
+  EXPECT_FALSE(campaign::DecodeCharacterizationSuiteRecord(encoded).ok());
 }
 
 // ------------------------------------------------------ sampling statistics --
@@ -234,46 +208,7 @@ TEST(CharacterizationStatistics, ZeroBetaSpreadKeepsLegacyStream) {
   EXPECT_EQ(rng_a.NextDouble(0.0, 1.0), rng_b.NextDouble(0.0, 1.0));
 }
 
-// -------------------------------------------------------- shard/merge ------
-
-void RunShards(const CharacterizationConfig& config,
-               const std::vector<std::string>& paths, int threads) {
-  for (size_t i = 0; i < paths.size(); ++i) {
-    std::remove(paths[i].c_str());
-    campaign::CharacterizationCampaignOptions opt;
-    opt.config = config;
-    opt.shard = {static_cast<uint32_t>(i),
-                 static_cast<uint32_t>(paths.size())};
-    opt.store_path = paths[i];
-    opt.threads = threads;
-    auto stats = campaign::RunCharacterizationCampaign(opt);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->total_units, config.unit_count());
-    EXPECT_EQ(stats->executed, opt.shard.UnitsOf(config.unit_count()));
-  }
-}
-
-TEST(CharacterizationCampaign, ThreeShardsMergeBitIdenticallyAtOddThreads) {
-  const CharacterizationConfig config = QuickConfig();
-  const std::vector<std::string> paths = {TempPath("m0.campaign"),
-                                          TempPath("m1.campaign"),
-                                          TempPath("m2.campaign")};
-  // Odd/mismatched thread counts must not leak into the merged result:
-  // records land in completion order, but merge keys on unit ids.
-  for (int threads : {1, 3, 5}) {
-    RunShards(config, paths, threads);
-    auto merged = campaign::MergeCharacterizationStores(paths);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(merged->total_units, config.unit_count());
-    EXPECT_EQ(merged->shard_count, 3u);
-    ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
-    for (size_t i = 0; i < merged->units.size(); ++i) {
-      EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
-          << "unit " << i << " threads=" << threads;
-    }
-  }
-  for (const auto& p : paths) std::remove(p.c_str());
-}
+// ------------------------------------------------------------- campaign --
 
 TEST(CharacterizationCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   // The byte-identity seam itself: the report assembled from merged shard
@@ -284,6 +219,10 @@ TEST(CharacterizationCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   RunShards(config, paths, 2);
   auto merged = campaign::MergeCharacterizationStores(paths);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
+  for (size_t i = 0; i < merged->units.size(); ++i) {
+    EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i]) << "unit " << i;
+  }
 
   report::Report from_merge(core::kCharacterizationExperiment,
                             core::kCharacterizationPaperRef,
@@ -295,130 +234,11 @@ TEST(CharacterizationCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   core::FillCharacterizationReport(config, DirectQuickUnits(), from_direct);
   EXPECT_EQ(from_merge.ToJson().Dump(), from_direct.ToJson().Dump());
 
-  const report::Report manifest =
-      campaign::BuildCharacterizationCampaignManifest(*merged);
-  EXPECT_EQ(manifest.experiment(), "characterization_campaign_manifest");
-  for (const auto& p : paths) std::remove(p.c_str());
-}
-
-TEST(CharacterizationCampaign, TruncatedStoreResumesToSameResult) {
-  const CharacterizationConfig config = QuickConfig();
-  const std::string path = TempPath("trunc.campaign");
-  std::vector<std::string> paths = {path};
-  RunShards(config, paths, 1);
-  auto size = util::FileSizeOf(path);
-  ASSERT_TRUE(size.ok());
-
-  // Cut the store mid-record at several points; resume must complete it
-  // and merge must reproduce the monolithic units every time.
-  std::mt19937 rng(20260809);  // seeded: failures reproduce exactly
-  std::uniform_int_distribution<uint64_t> cut(campaign::kStoreHeaderBytes + 1,
-                                              *size - 1);
-  for (int iter = 0; iter < 4; ++iter) {
-    const uint64_t at = cut(rng);
-    {
-      util::Status st = util::TruncateFile(path, at);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-    }
-    campaign::CharacterizationCampaignOptions opt;
-    opt.config = config;
-    opt.store_path = path;
-    auto stats = campaign::RunCharacterizationCampaign(opt);
-    ASSERT_TRUE(stats.ok()) << "cut at " << at << ": "
-                            << stats.status().ToString();
-    EXPECT_TRUE(stats->resumed);
-    auto merged = campaign::MergeCharacterizationStores({path});
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    for (size_t i = 0; i < merged->units.size(); ++i) {
-      EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
-          << "unit " << i << " cut at " << at;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CharacterizationCampaign, RefusesForeignAndMismatchedStores) {
-  const CharacterizationConfig config = QuickConfig();
-  const std::string path = TempPath("foreign.campaign");
-  std::vector<std::string> paths = {path};
-  RunShards(config, paths, 1);
-
-  // Same store, different corner grid: the fingerprint must refuse the
-  // resume (a drifted grid silently reusing old units would corrupt the
-  // yield surface).
-  campaign::CharacterizationCampaignOptions opt;
-  opt.config = config;
-  opt.config.vtests.push_back(3.9);
-  opt.store_path = path;
-  auto stats = campaign::RunCharacterizationCampaign(opt);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_NE(stats.status().message().find("fingerprint"), std::string::npos);
-
-  // Perturbing only the variation seed must also change the fingerprint.
-  opt.config = config;
-  opt.config.seed ^= 1;
-  auto stats2 = campaign::RunCharacterizationCampaign(opt);
-  ASSERT_FALSE(stats2.ok());
-  EXPECT_NE(stats2.status().message().find("fingerprint"),
-            std::string::npos);
-
-  // A characterization store through the screening and pattern merges
-  // fails with a pointer to the characterization path, not a parse error.
-  auto screening_merge = campaign::MergeCampaignStores({path});
-  ASSERT_FALSE(screening_merge.ok());
-  EXPECT_NE(screening_merge.status().message().find("characterization"),
-            std::string::npos);
-  auto pattern_merge = campaign::MergePatternStores({path});
-  ASSERT_FALSE(pattern_merge.ok());
-  EXPECT_NE(pattern_merge.status().message().find("characterization"),
-            std::string::npos);
-  auto is_characterization =
-      campaign::StoreIsCharacterizationCampaign(path);
-  ASSERT_TRUE(is_characterization.ok())
-      << is_characterization.status().ToString();
-  EXPECT_TRUE(*is_characterization);
-
-  // And a screening store through the characterization merge, symmetrically.
-  const std::string screening_path = TempPath("screening.campaign");
-  std::remove(screening_path.c_str());
-  campaign::CampaignOptions sopt;
-  auto preset = campaign::ScreeningPreset("quick");
-  ASSERT_TRUE(preset.ok());
-  sopt.screening = *preset;
-  sopt.screening.threads = 1;
-  sopt.store_path = screening_path;
-  auto sstats = campaign::RunScreeningCampaign(sopt);
-  ASSERT_TRUE(sstats.ok()) << sstats.status().ToString();
-  auto characterization_merge =
-      campaign::MergeCharacterizationStores({screening_path});
-  ASSERT_FALSE(characterization_merge.ok());
-  EXPECT_EQ(characterization_merge.status().code(),
-            util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(
-      characterization_merge.status().message().find("defect-screening"),
-      std::string::npos);
-  auto is_characterization2 =
-      campaign::StoreIsCharacterizationCampaign(screening_path);
-  ASSERT_TRUE(is_characterization2.ok())
-      << is_characterization2.status().ToString();
-  EXPECT_FALSE(*is_characterization2);
-
-  std::remove(path.c_str());
-  std::remove(screening_path.c_str());
-}
-
-TEST(CharacterizationCampaign, MergeRefusesIncompleteCoverage) {
-  const CharacterizationConfig config = QuickConfig();
-  const std::vector<std::string> paths = {TempPath("i0.campaign"),
-                                          TempPath("i1.campaign")};
-  RunShards(config, paths, 1);
-  // Only shard 0: half the universe is missing.
-  auto merged = campaign::MergeCharacterizationStores({paths[0]});
-  ASSERT_FALSE(merged.ok());
-  EXPECT_NE(merged.status().message().find("incomplete"), std::string::npos);
-  // Shard 0 twice: duplicate units.
-  auto dup = campaign::MergeCharacterizationStores({paths[0], paths[0]});
-  ASSERT_FALSE(dup.ok());
+  auto stores = campaign::MergeStores(paths);
+  ASSERT_TRUE(stores.ok());
+  auto manifest = campaign::BuildCampaignManifest(*stores);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->experiment(), "characterization_campaign_manifest");
   for (const auto& p : paths) std::remove(p.c_str());
 }
 
@@ -454,10 +274,6 @@ TEST(CharacterizationCampaign, FingerprintPerturbationTripsTheGolden) {
 }
 
 TEST(CharacterizationCampaign, PresetValidation) {
-  EXPECT_TRUE(campaign::IsCharacterizationPreset("characterization"));
-  EXPECT_TRUE(campaign::IsCharacterizationPreset("characterization_quick"));
-  EXPECT_FALSE(campaign::IsCharacterizationPreset("quick"));
-  EXPECT_FALSE(campaign::IsCharacterizationPreset("pattern_quick"));
   EXPECT_FALSE(campaign::CharacterizationPreset("characterization_nope").ok());
   auto full = campaign::CharacterizationPreset("characterization");
   ASSERT_TRUE(full.ok());
@@ -466,6 +282,9 @@ TEST(CharacterizationCampaign, PresetValidation) {
   // surface, and the full grid must include the nominal corner so the
   // report's *_nominal anchors resolve.
   for (const char* name : {"characterization", "characterization_quick"}) {
+    auto plan = campaign::PlanForPreset(name);
+    ASSERT_TRUE(plan.ok()) << name;
+    EXPECT_EQ((*plan)->payload().name, "characterization");
     auto c = campaign::CharacterizationPreset(name);
     ASSERT_TRUE(c.ok());
     EXPECT_NE(std::find(c->excursion_levels.begin(),
@@ -478,56 +297,6 @@ TEST(CharacterizationCampaign, PresetValidation) {
         << name;
   }
 }
-
-// ------------------------------------------- real SIGKILL'd child process --
-
-#ifdef CAMPAIGN_RUN_BIN
-
-int RunChild(const std::string& cmd) {
-  const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
-  EXPECT_NE(status, -1);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-TEST(CharacterizationCampaign, SigkilledChildResumesBitIdentically) {
-  const std::string bin = CAMPAIGN_RUN_BIN;
-  const std::string path = TempPath("child.campaign");
-  const std::string base = bin + " --store " + path +
-                           " --preset characterization_quick --threads 2";
-
-  // Final store size of an uninterrupted run bounds the injection points.
-  std::remove(path.c_str());
-  ASSERT_EQ(RunChild(base), 0);
-  auto size = util::FileSizeOf(path);
-  ASSERT_TRUE(size.ok());
-
-  std::mt19937 rng(8675309);  // seeded: failures reproduce exactly
-  std::uniform_int_distribution<uint64_t> cut(campaign::kStoreHeaderBytes + 1,
-                                              *size - 1);
-  for (int iter = 0; iter < 3; ++iter) {
-    const uint64_t at = cut(rng);
-    std::remove(path.c_str());
-    // The child SIGKILLs itself mid-write at `at` bytes: shell reports 137.
-    ASSERT_EQ(RunChild(base + " --abort-after-bytes " + std::to_string(at)),
-              137)
-        << "injection at " << at;
-    auto partial = util::FileSizeOf(path);
-    ASSERT_TRUE(partial.ok());
-    EXPECT_EQ(*partial, at) << "torn write should stop at the kill point";
-    ASSERT_EQ(RunChild(base + " --resume"), 0)
-        << "resume after kill at " << at;
-    auto merged = campaign::MergeCharacterizationStores({path});
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
-    for (size_t i = 0; i < merged->units.size(); ++i) {
-      EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
-          << "unit " << i << " kill at " << at;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-#endif  // CAMPAIGN_RUN_BIN
 
 }  // namespace
 }  // namespace cmldft

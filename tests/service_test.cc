@@ -24,10 +24,11 @@
 
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
+#include "campaign/payload.h"
+#include "campaign/runner.h"
 #include "campaign/store.h"
 #include "report/json.h"
 #include "service/lease.h"
-#include "service/payload.h"
 #include "service/protocol.h"
 #include "service/queue.h"
 #include "util/clock.h"
@@ -200,19 +201,19 @@ TEST(ServiceLease, ExpiryReturnsChunkToPending) {
   EXPECT_EQ(again->unit_ids, g->unit_ids);
 }
 
-TEST(ServiceLease, MarkUnitDoneRetiresChunksAndFiltersGrants) {
+TEST(ServiceLease, MarkDoneRetiresChunksAndFiltersGrants) {
   service::LeaseTable table(4, 4);
-  table.MarkUnitDone(1);
-  table.MarkUnitDone(1);  // idempotent
+  table.MarkDone(1);
+  table.MarkDone(1);  // idempotent
   EXPECT_EQ(table.units_done(), 1u);
 
   auto g = table.Acquire("w1", 0, 10);
   ASSERT_TRUE(g);
   EXPECT_EQ(g->unit_ids, (std::vector<uint64_t>{0, 2, 3}));
 
-  table.MarkUnitDone(0);
-  table.MarkUnitDone(2);
-  table.MarkUnitDone(3);
+  table.MarkDone(0);
+  table.MarkDone(2);
+  table.MarkDone(3);
   EXPECT_TRUE(table.AllDone());
   // Retiring the chunk dropped its active lease.
   EXPECT_TRUE(table.ActiveLeases().empty());
@@ -223,31 +224,31 @@ TEST(ServiceLease, MarkUnitDoneRetiresChunksAndFiltersGrants) {
 // -------------------------------------------------- payload / merge --
 
 TEST(ServicePayload, PlansResolveAllThreePayloads) {
-  auto quick = service::PlanForPreset("quick");
-  auto pattern = service::PlanForPreset("pattern_quick");
-  auto character = service::PlanForPreset("characterization_quick");
+  auto quick = campaign::PlanForPreset("quick");
+  auto pattern = campaign::PlanForPreset("pattern_quick");
+  auto character = campaign::PlanForPreset("characterization_quick");
   ASSERT_TRUE(quick.ok() && pattern.ok() && character.ok());
-  EXPECT_EQ(quick->kind, service::PayloadKind::kScreening);
-  EXPECT_EQ(pattern->kind, service::PayloadKind::kPattern);
-  EXPECT_EQ(character->kind, service::PayloadKind::kCharacterization);
-  EXPECT_EQ(quick->total_units, 62u);
-  EXPECT_EQ(pattern->total_units, 4u);
-  EXPECT_GT(character->total_units, 0u);
-  // Screening's singleton (the reference) is simulated, not enumerated.
-  EXPECT_TRUE(quick->suite_record.empty());
-  EXPECT_FALSE(pattern->suite_record.empty());
-  EXPECT_NE(quick->fingerprint, pattern->fingerprint);
-  EXPECT_FALSE(service::PlanForPreset("no_such_preset").ok());
+  EXPECT_EQ((*quick)->payload().name, "screening");
+  EXPECT_EQ((*pattern)->payload().name, "pattern");
+  EXPECT_EQ((*character)->payload().name, "characterization");
+  EXPECT_EQ((*quick)->total_units(), 62u);
+  EXPECT_EQ((*pattern)->total_units(), 4u);
+  EXPECT_GT((*character)->total_units(), 0u);
+  EXPECT_NE((*quick)->fingerprint(), (*pattern)->fingerprint());
+  EXPECT_FALSE(campaign::PlanForPreset("no_such_preset").ok());
+  // A lease grant arrives over the network: ids outside the universe are
+  // refused before anything is evaluated.
+  EXPECT_FALSE(campaign::EvaluateUnits(**pattern, {4}, 1).ok());
 }
 
 TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {
-  auto plan = service::PlanForPreset("pattern_quick");
+  auto plan = campaign::PlanForPreset("pattern_quick");
   ASSERT_TRUE(plan.ok());
-  auto records = service::EvaluateChunk(*plan, {0, 1, 2, 3}, /*threads=*/2);
+  auto records = campaign::EvaluateUnits(**plan, {0, 1, 2, 3}, /*threads=*/2);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 5u);  // suite + 4 units
 
-  campaign::StreamingMerge merge(plan->total_units);
+  campaign::StreamingMerge merge((*plan)->total_units());
   uint64_t new_units = 0;
   for (const std::string& record : *records) {
     auto fold = merge.Fold(record);
@@ -275,9 +276,9 @@ TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {
   EXPECT_FALSE(merge.Fold(tampered).ok());
 
   // A foreign payload kind is refused outright.
-  auto screening = service::PlanForPreset("quick");
+  auto screening = campaign::PlanForPreset("quick");
   ASSERT_TRUE(screening.ok());
-  auto other = service::EvaluateChunk(*screening, {0}, 1);
+  auto other = campaign::EvaluateUnits(**screening, {0}, 1);
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(merge.Fold(other->front()).ok());
 }
@@ -333,9 +334,9 @@ TEST(ServiceQueue, SubmitRecoverAndPriorityOrder) {
 TEST(ServiceQueue, FoldedBatchesRecoverAfterReopen) {
   const std::string dir = TempPath("queue_fold_dir");
   std::system(("rm -rf " + dir).c_str());
-  auto plan = service::PlanForPreset("pattern_quick");
+  auto plan = campaign::PlanForPreset("pattern_quick");
   ASSERT_TRUE(plan.ok());
-  auto records = service::EvaluateChunk(*plan, {0, 1}, 1);
+  auto records = campaign::EvaluateUnits(**plan, {0, 1}, 1);
   ASSERT_TRUE(records.ok());
 
   {
@@ -462,13 +463,13 @@ TEST(ServiceEndToEnd, KilledWorkerLeaseIsReassignedDeterministically) {
   std::map<uint64_t, int> unit_seen;
   int suites = 0;
   for (const std::string& record : scan->records) {
-    auto decoded = campaign::DecodePatternRecord(record);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    if (decoded->type == campaign::RecordType::kPatternSuite) {
+    if (campaign::DecodePatternSuiteRecord(record).ok()) {
       ++suites;
-    } else {
-      ++unit_seen[decoded->unit_id];
+      continue;
     }
+    auto decoded = campaign::DecodePatternUnitRecord(record);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ++unit_seen[decoded->unit_id];
   }
   EXPECT_EQ(suites, 1);
   ASSERT_EQ(unit_seen.size(), 4u);

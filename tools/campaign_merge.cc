@@ -1,33 +1,35 @@
-// Merge completed campaign shard stores into the final screening report.
+// Merge completed campaign shard stores into the campaign's final report.
 //
 //   campaign_merge [--manifest <out.json>] [--coverage-report <out.json>]
 //                  [--preset NAME] <store.campaign> [more stores ...]
 //
-// Verifies that the stores belong to one campaign (same fingerprint,
-// universe, shard plan), that every universe unit is present exactly once
-// (a truncated or unfinished shard is a hard error — coverage totals are
-// recomputed from the outcome records, never trusted from headers), and
-// that all shards agree bit-for-bit on the fault-free reference.
+// Verifies that the stores belong to one campaign (same payload,
+// fingerprint, universe, shard plan), that every universe unit is present
+// exactly once with the coordinates its id implies (a truncated or
+// unfinished shard is a hard error — results are recomputed from the unit
+// records, never trusted from headers), and that all shards agree
+// bit-for-bit on the singleton record (screening reference or suite).
 //
-// The campaign kind is auto-detected from the stores' record types:
+// The payload is read off the stores' record types (campaign/payload.h):
 // defect-screening stores merge into the coverage_comparison report,
-// pattern-coverage stores (campaign/pattern_campaign.h) into the
-// pattern_coverage report, and characterization stores
-// (campaign/characterize_campaign.h) into the characterization report —
-// the suite record inside a pattern or characterization store carries its
-// own configuration, so --preset is screening-only.
+// pattern-coverage stores into the pattern_coverage report, and
+// characterization stores into the characterization report. The suite
+// record inside a pattern or characterization store carries its own
+// configuration, so --preset is screening-only.
 //
 //   --manifest         write the campaign manifest JSON (golden-checkable)
 //   --coverage-report  write the bench report derived from the merged
 //                      records; byte-identical to the monolithic bench run
 //   --preset           screening preset the campaign ran (for the
 //                      coverage report's thresholds; default
-//                      coverage_comparison; ignored for pattern stores)
+//                      coverage_comparison; ignored for other payloads)
 //
 // Exit codes: 0 = merged, 1 = merge refused (incomplete/corrupt/foreign
 // stores) or write failure, 2 = usage error.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/paper_bench.h"
@@ -35,7 +37,7 @@
 #include "campaign/manifest.h"
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
-#include "campaign/runner.h"
+#include "campaign/screening_campaign.h"
 #include "report/json.h"
 #include "report/report.h"
 #include "testgen/pattern_sweep.h"
@@ -50,6 +52,65 @@ int Usage(const char* argv0) {
                "<out.json>] [--preset NAME] <store.campaign> [more ...]\n",
                argv0);
   return 2;
+}
+
+util::StatusOr<report::Report> FillScreening(
+    const campaign::MergedStores& merged, const std::string& preset) {
+  auto opt = campaign::ScreeningPreset(preset);
+  if (!opt.ok()) return opt.status();
+  auto screening = campaign::DecodeScreeningCampaign(merged);
+  if (!screening.ok()) return screening.status();
+  report::Report rep(bench::kCoverageComparisonExperiment,
+                     bench::kCoverageComparisonPaperRef,
+                     bench::kCoverageComparisonSummary);
+  bench::FillCoverageComparisonReport(*screening, *opt, rep);
+  return rep;
+}
+
+util::StatusOr<report::Report> FillPattern(
+    const campaign::MergedStores& merged, const std::string&) {
+  auto sweep = campaign::DecodePatternCampaign(merged);
+  if (!sweep.ok()) return sweep.status();
+  report::Report rep(testgen::kPatternCoverageExperiment,
+                     testgen::kPatternCoveragePaperRef,
+                     testgen::kPatternCoverageSummary);
+  testgen::FillPatternCoverageReport(sweep->sweep, sweep->units, rep);
+  return rep;
+}
+
+util::StatusOr<report::Report> FillCharacterization(
+    const campaign::MergedStores& merged, const std::string&) {
+  auto result = campaign::DecodeCharacterizationCampaign(merged);
+  if (!result.ok()) return result.status();
+  report::Report rep(core::kCharacterizationExperiment,
+                     core::kCharacterizationPaperRef,
+                     core::kCharacterizationSummary);
+  core::FillCharacterizationReport(result->config, result->units, rep);
+  return rep;
+}
+
+/// Each payload's bench report, assembled from the merged records. The
+/// screening report's assembly lives in bench/, outside the payload.
+struct ReportFill {
+  const campaign::Payload* payload;
+  util::StatusOr<report::Report> (*fill)(const campaign::MergedStores&,
+                                         const std::string& preset);
+};
+const ReportFill kReportFills[] = {
+    {&campaign::kScreeningPayload, &FillScreening},
+    {&campaign::kPatternPayload, &FillPattern},
+    {&campaign::kCharacterizationPayload, &FillCharacterization},
+};
+
+int WriteReport(const std::string& path,
+                const util::StatusOr<report::Report>& rep) {
+  util::Status st =
+      rep.ok() ? report::WriteJsonFile(path, rep->ToJson()) : rep.status();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -87,148 +148,26 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  auto is_characterization =
-      campaign::StoreIsCharacterizationCampaign(stores.front());
-  if (!is_characterization.ok()) {
-    std::fprintf(stderr, "merge failed: %s\n",
-                 is_characterization.status().ToString().c_str());
-    return 1;
-  }
-  if (*is_characterization) {
-    auto merged = campaign::MergeCharacterizationStores(stores);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-                stores.size(),
-                static_cast<unsigned long long>(merged->total_units),
-                static_cast<unsigned long long>(merged->fingerprint));
-    std::printf("  %llu corner(s) x %d die(s) per corner\n",
-                static_cast<unsigned long long>(
-                    merged->config.corner_count()),
-                merged->config.trials + 1);
-
-    if (!manifest_path.empty()) {
-      const report::Report manifest =
-          campaign::BuildCharacterizationCampaignManifest(*merged);
-      util::Status st =
-          report::WriteJsonFile(manifest_path, manifest.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!coverage_path.empty()) {
-      report::Report rep(core::kCharacterizationExperiment,
-                         core::kCharacterizationPaperRef,
-                         core::kCharacterizationSummary);
-      core::FillCharacterizationReport(merged->config, merged->units, rep);
-      util::Status st = report::WriteJsonFile(coverage_path, rep.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  auto is_pattern = campaign::StoreIsPatternCampaign(stores.front());
-  if (!is_pattern.ok()) {
-    std::fprintf(stderr, "merge failed: %s\n",
-                 is_pattern.status().ToString().c_str());
-    return 1;
-  }
-  if (*is_pattern) {
-    auto merged = campaign::MergePatternStores(stores);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-                stores.size(),
-                static_cast<unsigned long long>(merged->total_units),
-                static_cast<unsigned long long>(merged->fingerprint));
-    for (size_t b = 0; b < merged->sweep.benchmarks.size(); ++b) {
-      const size_t ladder = merged->sweep.pattern_counts.size();
-      const testgen::SweepUnitResult& top = merged->units[(b + 1) * ladder - 1];
-      const double cov = top.togglable == 0
-                             ? 100.0
-                             : 100.0 * top.toggled / top.togglable;
-      std::printf("  %-12s : %.1f%% toggle coverage at %u patterns, "
-                  "%u residual X\n",
-                  merged->sweep.benchmarks[b].c_str(), cov, top.patterns,
-                  top.residual_x);
-    }
-
-    if (!manifest_path.empty()) {
-      const report::Report manifest =
-          campaign::BuildPatternCampaignManifest(*merged);
-      util::Status st =
-          report::WriteJsonFile(manifest_path, manifest.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!coverage_path.empty()) {
-      report::Report cover(testgen::kPatternCoverageExperiment,
-                           testgen::kPatternCoveragePaperRef,
-                           testgen::kPatternCoverageSummary);
-      testgen::FillPatternCoverageReport(merged->sweep, merged->units, cover);
-      util::Status st = report::WriteJsonFile(coverage_path, cover.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  auto merged = campaign::MergeCampaignStores(stores);
+  auto merged = campaign::MergeStores(stores);
   if (!merged.ok()) {
     std::fprintf(stderr, "merge failed: %s\n",
                  merged.status().ToString().c_str());
     return 1;
   }
-  const core::ScreeningReport& rep = merged->report;
-  std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-              stores.size(),
+  std::printf("merged %zu %s store(s): %llu units, fingerprint %016llx\n",
+              stores.size(), std::string(merged->payload->name).c_str(),
               static_cast<unsigned long long>(merged->total_units),
               static_cast<unsigned long long>(merged->fingerprint));
-  for (int c = 0; c < core::kNumFaultClasses; ++c) {
-    const auto fc = static_cast<core::FaultClass>(c);
-    std::printf("  %-14s : %d\n",
-                std::string(core::FaultClassName(fc)).c_str(),
-                rep.CountClass(fc));
-  }
-  std::printf("coverage: conventional %.1f%%, with detectors %.1f%%\n",
-              rep.ConventionalCoverage() * 100, rep.CombinedCoverage() * 100);
 
-  if (!manifest_path.empty()) {
-    const report::Report manifest = campaign::BuildCampaignManifest(*merged);
-    util::Status st = report::WriteJsonFile(manifest_path, manifest.ToJson());
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
+  if (!manifest_path.empty() &&
+      WriteReport(manifest_path, campaign::BuildCampaignManifest(*merged)) !=
+          0) {
+    return 1;
   }
   if (!coverage_path.empty()) {
-    auto opt = campaign::ScreeningPreset(preset);
-    if (!opt.ok()) {
-      std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-      return 2;
-    }
-    report::Report cover(bench::kCoverageComparisonExperiment,
-                         bench::kCoverageComparisonPaperRef,
-                         bench::kCoverageComparisonSummary);
-    bench::FillCoverageComparisonReport(rep, *opt, cover);
-    util::Status st = report::WriteJsonFile(coverage_path, cover.ToJson());
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
+    for (const ReportFill& row : kReportFills) {
+      if (row.payload != merged->payload) continue;
+      if (WriteReport(coverage_path, row.fill(*merged, preset)) != 0) return 1;
     }
   }
   return 0;

@@ -1,38 +1,38 @@
-// Run (or resume) one shard of a durable defect-screening campaign.
+// Run (or resume) one shard of a durable campaign.
 //
 //   campaign_run --store <path.campaign> [--shard i/N] [--preset NAME]
 //                [--resume] [--overwrite] [--threads N] [--fsync-batch N]
 //                [--hier] [--hier-quantum Q]
 //                [--telemetry <path.json>] [--abort-after-bytes N]
 //
+// The preset picks the payload (campaign/payload.h): defect screening
+// (coverage_comparison, quick), a toggle-coverage sweep over sequential
+// benchmarks (pattern_coverage, pattern_quick) or a corner/Monte-Carlo
+// characterization (characterization, characterization_quick) — one
+// store format, durability and resume semantics for all of them.
+//
 // The store is an append-only, CRC-checked binary file (docs/campaign.md):
 // `kill -9` at any instant leaves a valid prefix, and rerunning the same
-// command with --resume continues where the file ends — completed defects
-// are never re-simulated. When every shard's store is complete,
+// command with --resume continues where the file ends — completed units
+// are never re-evaluated. When every shard's store is complete,
 // campaign_merge reassembles the monolithic report bit-identically.
 //
 // An existing store is only touched when --resume (continue it) or
-// --overwrite (discard it) says so. Screening presets:
-// coverage_comparison, quick. Presets with a "pattern_" prefix
-// (pattern_coverage, pattern_quick) run a toggle-coverage sweep over
-// sequential benchmarks instead (campaign/pattern_campaign.h), and
-// presets with a "characterization" prefix (characterization,
-// characterization_quick) run a corner/Monte-Carlo characterization
-// (campaign/characterize_campaign.h) — same store format, durability,
-// and resume semantics, different payloads.
+// --overwrite (discard it) says so. --hier/--hier-quantum select the
+// hierarchical solver and apply to screening presets only.
 // --abort-after-bytes is the crash-injection hook used by tests and CI:
 // the process SIGKILLs itself mid-write once the store reaches that size.
 //
-// Exit codes: 0 = shard complete, 1 = screening/store failure,
+// Exit codes: 0 = shard complete, 1 = evaluation/store failure,
 // 2 = usage error (bad flags, store/flag mismatch).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "campaign/characterize_campaign.h"
-#include "campaign/pattern_campaign.h"
+#include "campaign/payload.h"
 #include "campaign/runner.h"
 #include "report/telemetry_json.h"
 #include "util/file_io.h"
@@ -98,9 +98,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = std::atoi(next("--threads"));
     } else if (arg == "--hier") {
-      // Hierarchical bordered-block-diagonal solver (docs/performance.md
-      // "Layer 6"): per-cell elimination with factor sharing. Solutions
-      // are tolerance-equivalent to the flat path.
       hier = true;
     } else if (arg == "--hier-quantum") {
       hier_quantum = std::atof(next("--hier-quantum"));
@@ -142,68 +139,34 @@ int main(int argc, char** argv) {
     std::remove(store_path.c_str());
   }
 
-  util::StatusOr<campaign::CampaignRunStats> stats =
-      util::Status::Internal("unreachable");
-  // --hier only applies to defect-screening presets; reject it elsewhere so
-  // a typo'd invocation fails loudly instead of silently running flat.
-  if ((hier || hier_quantum != 0.0) &&
-      (campaign::IsCharacterizationPreset(preset) ||
-       campaign::IsPatternPreset(preset))) {
-    std::fprintf(stderr,
-                 "%s: --hier/--hier-quantum only apply to screening presets "
-                 "(preset '%s' is not one)\n",
-                 argv[0], preset.c_str());
-    return 2;
-  }
-
-  if (campaign::IsCharacterizationPreset(preset)) {
-    campaign::CharacterizationCampaignOptions opt;
-    auto config = campaign::CharacterizationPreset(preset);
-    if (!config.ok()) {
-      std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-      return 2;
-    }
-    opt.config = *config;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.threads = threads;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunCharacterizationCampaign(opt);
-  } else if (campaign::IsPatternPreset(preset)) {
-    campaign::PatternCampaignOptions opt;
-    auto sweep = campaign::PatternSweepPreset(preset);
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "%s\n", sweep.status().ToString().c_str());
-      return 2;
-    }
-    opt.sweep = *sweep;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.threads = threads;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunPatternCampaign(opt);
-  } else {
-    campaign::CampaignOptions opt;
+  auto plan =
+      [&]() -> util::StatusOr<std::unique_ptr<const campaign::PayloadPlan>> {
+    if (!hier && hier_quantum == 0.0) return campaign::PlanForPreset(preset);
+    // Hierarchical bordered-block-diagonal solver (docs/performance.md
+    // "Layer 6"): per-cell elimination with factor sharing, for the
+    // screening transients only. Any other preset is refused loudly
+    // instead of silently running flat.
     auto screening = campaign::ScreeningPreset(preset);
     if (!screening.ok()) {
-      std::fprintf(stderr, "%s\n", screening.status().ToString().c_str());
-      return 2;
+      return util::Status::InvalidArgument(
+          "--hier/--hier-quantum only apply to screening presets (preset '" +
+          preset + "' is not one)");
     }
-    opt.screening = *screening;
-    opt.screening.threads = threads;
-    opt.screening.hierarchical = hier;
-    opt.screening.hier_share_quantum = hier_quantum;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunScreeningCampaign(opt);
+    screening->hierarchical = hier;
+    screening->hier_share_quantum = hier_quantum;
+    return campaign::MakeScreeningPlan(*screening);
+  }();
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
+    return 2;
   }
+  campaign::RunOptions opt;
+  opt.shard = *shard;
+  opt.store_path = store_path;
+  opt.fsync_batch = fsync_batch;
+  opt.abort_at_bytes = abort_at_bytes;
+  opt.progress = progress;
+  auto stats = campaign::RunCampaign(**plan, threads, opt);
   if (!stats.ok()) {
     std::fprintf(stderr, "campaign shard failed: %s\n",
                  stats.status().ToString().c_str());

@@ -33,8 +33,9 @@
 #include <thread>
 #include <unistd.h>
 
+#include "campaign/payload.h"
+#include "campaign/runner.h"
 #include "report/json.h"
-#include "service/payload.h"
 #include "service/protocol.h"
 #include "util/clock.h"
 #include "util/net.h"
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
         std::raise(SIGKILL);
       }
 
-      auto plan = service::PlanForPreset(reply->preset);
+      auto plan = campaign::PlanForPreset(reply->preset);
       if (!plan.ok()) {
         std::fprintf(stderr, "[%s] unknown preset '%s': %s\n", name.c_str(),
                      reply->preset.c_str(),
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
         util::CloseFd(*fd);
         return 1;
       }
-      if (plan->fingerprint != reply->fingerprint) {
+      if ((*plan)->fingerprint() != reply->fingerprint) {
         std::fprintf(stderr,
                      "[%s] fingerprint mismatch for preset '%s' — this "
                      "worker's engine drifted from the scheduler's; "
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      auto records = service::EvaluateChunk(*plan, reply->unit_ids, threads);
+      auto records = campaign::EvaluateUnits(**plan, reply->unit_ids, threads);
       if (!records.ok()) {
         std::fprintf(stderr, "[%s] chunk evaluation failed: %s\n",
                      name.c_str(), records.status().ToString().c_str());
