@@ -212,21 +212,19 @@ void BM_Assemble(benchmark::State& state) {
 }
 BENCHMARK(BM_Assemble)->Arg(0)->Arg(1);
 
-// End-to-end transient on a 32-buffer clocked chain, exact (Arg 0) and
-// with Jacobian reuse (Arg 1; see NewtonOptions — results are
-// tolerance-equivalent, covered by tests/equivalence_test.cc).
+// End-to-end transient on a 32-buffer clocked chain. The name and the
+// single Arg(0) ("exact") row are kept for the committed baselines and the
+// CI regression gate, which track this family.
 void BM_TransientFastPath(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
   cml::CellBuilder cells(nl, tech);
   const cml::DiffPort in = cells.AddDifferentialClock("in", 100e6);
-  // Same 32-buffer chain (133 unknowns) as BM_Assemble: large enough that
-  // the dense kAuto solver is used and the Jacobian-reuse economics gate
-  // (jacobian_reuse_min_unknowns) is open.
+  // Same 32-buffer chain (133 unknowns) as BM_Assemble, solved by the
+  // dense kAuto solver.
   cells.AddBufferChain("x", in, 32);
   sim::TransientOptions opts;
   opts.tstop = 10e-9;
-  opts.dc.newton.jacobian_reuse = state.range(0) != 0;
   int64_t steps = 0;
   for (auto _ : state) {
     auto r = sim::RunTransient(nl, opts);
@@ -234,9 +232,9 @@ void BM_TransientFastPath(benchmark::State& state) {
     steps += r->stats().accepted_steps;
   }
   state.SetItemsProcessed(steps);
-  state.SetLabel(opts.dc.newton.jacobian_reuse ? "jac_reuse" : "exact");
+  state.SetLabel("exact");
 }
-BENCHMARK(BM_TransientFastPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_TransientFastPath)->Arg(0);
 
 // Hierarchical bordered-block-diagonal solver (sim/hier.h) on clocked
 // buffer chains of growing cell count. Arg = chain length; a short

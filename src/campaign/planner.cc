@@ -1,25 +1,8 @@
 #include "campaign/planner.h"
 
-#include <cctype>
-
 #include "util/strings.h"
 
 namespace cmldft::campaign {
-
-namespace {
-
-bool ParseU32(std::string_view s, uint32_t* out) {
-  if (s.empty() || s.size() > 9) return false;
-  uint32_t v = 0;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    v = v * 10 + static_cast<uint32_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 std::string ShardPlan::ToString() const {
   return util::StrPrintf("%u/%u", index, count);
@@ -29,8 +12,8 @@ util::StatusOr<ShardPlan> ParseShardSpec(std::string_view spec) {
   const size_t slash = spec.find('/');
   ShardPlan plan;
   if (slash == std::string_view::npos ||
-      !ParseU32(spec.substr(0, slash), &plan.index) ||
-      !ParseU32(spec.substr(slash + 1), &plan.count)) {
+      !util::ParseU32(spec.substr(0, slash), &plan.index) ||
+      !util::ParseU32(spec.substr(slash + 1), &plan.count)) {
     return util::Status::InvalidArgument(
         "bad shard spec '" + std::string(spec) +
         "': expected i/N with 0-based shard index, e.g. 0/4");

@@ -208,8 +208,6 @@ util::StatusOr<ScreeningReport> ScreenBufferChain(
 
   sim::TransientOptions topts;
   topts.tstop = options.sim_time;
-  topts.dc.newton.hierarchical = options.hierarchical;
-  topts.dc.newton.hier_share_quantum = options.hier_share_quantum;
   const double t0 = options.sim_time * 0.5;
   const double t1 = options.sim_time;
 

@@ -65,14 +65,6 @@ struct ScreeningOptions {
   /// simulates an independent netlist copy, so classifications are
   /// bit-identical for any thread count.
   int threads = 0;
-  /// Hierarchical bordered-block-diagonal solver for the per-defect
-  /// simulations and the fault-free reference (sim/hier.h,
-  /// docs/performance.md "Layer 6"). Solutions are tolerance-equivalent to
-  /// the flat path — default off so golden waveforms stay byte-stable.
-  bool hierarchical = false;
-  /// Factor-share quantization quantum for the hierarchical solver
-  /// (NewtonOptions::hier_share_quantum). 0 = exact byte matching.
-  double hier_share_quantum = 0.0;
 };
 
 struct DefectOutcome {

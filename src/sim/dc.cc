@@ -69,14 +69,6 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
   }
   CMLDFT_LOG(kDebug) << "DC plain newton failed: " << plain.status().ToString();
 
-  // The fallback stages are the robustness recovery path: once plain
-  // Newton has failed, run them with exact (fresh-factor) iterations.
-  // Jacobian reuse only perturbs the iterate trajectory, and far from the
-  // solution a stale step can walk into a singular region and sink every
-  // rung of the ladder the same way.
-  NewtonOptions fallback_newton = options.newton;
-  fallback_newton.jacobian_reuse = false;
-
   // Stage 1: gmin stepping — converge with a large junction shunt, then
   // tighten stage by stage, each solution seeding the next.
   int stages = 0;
@@ -85,7 +77,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
     bool ladder_ok = true;
     for (double g = options.gmin_start; g >= options.newton.gmin;
          g /= options.gmin_reduction) {
-      auto r = TryNewton(mna, g, 1.0, x, fallback_newton);
+      auto r = TryNewton(mna, g, 1.0, x, options.newton);
       ++stages;
       metrics.gmin_stages.Increment();
       if (!r.ok()) {
@@ -95,8 +87,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
       x = std::move(r).value().solution;
     }
     if (ladder_ok) {
-      auto final_r =
-          TryNewton(mna, options.newton.gmin, 1.0, x, fallback_newton);
+      auto final_r = TryNewton(mna, options.newton.gmin, 1.0, x, options.newton);
       ++stages;
       metrics.gmin_stages.Increment();
       if (final_r.ok()) {
@@ -111,7 +102,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
   for (int step = 1; step <= options.source_steps; ++step) {
     const double alpha =
         static_cast<double>(step) / static_cast<double>(options.source_steps);
-    auto r = TryNewton(mna, options.newton.gmin, alpha, x, fallback_newton);
+    auto r = TryNewton(mna, options.newton.gmin, alpha, x, options.newton);
     ++stages;
     metrics.source_steps.Increment();
     if (!r.ok()) {
@@ -123,7 +114,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
     }
     x = std::move(r).value().solution;
   }
-  auto final_r = TryNewton(mna, options.newton.gmin, 1.0, x, fallback_newton);
+  auto final_r = TryNewton(mna, options.newton.gmin, 1.0, x, options.newton);
   if (!final_r.ok()) {
     metrics.failures.Increment();
     return final_r.status();

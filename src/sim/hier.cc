@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
 #include "netlist/device.h"
 #include "sim/mna.h"
-#include "util/parallel.h"
 #include "util/telemetry.h"
 
 namespace cmldft::sim {
@@ -45,29 +43,6 @@ const HierMetrics& Metrics() {
 }
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const HierMetrics& kEagerRegistration = Metrics();
-
-/// One block entry's share-key word. quantum == 0 keys on the raw bits.
-/// Otherwise the entry keys on round(v / quantum) — unless that quotient
-/// is non-finite or outside the int64 range, where rounding is undefined;
-/// such entries key on their raw bits, tagged so that they never equal a
-/// rounded word.
-struct KeyWord {
-  uint64_t bits;
-  bool raw;
-  bool operator==(const KeyWord&) const = default;
-};
-
-KeyWord KeyOf(double v, double quantum) {
-  if (quantum > 0.0) {
-    const double q = v / quantum;
-    if (q >= -0x1p63 && q < 0x1p63) {  // false for NaN
-      return {static_cast<uint64_t>(std::llround(q)), false};
-    }
-  }
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return {bits, true};
-}
 
 /// Word-at-a-time 64-bit hash (the xxHash64 round and avalanche); every
 /// cell hashes its blocks on every solve, so util::ContentHasher's
@@ -226,8 +201,7 @@ size_t HierSolver::AssembleCell(Cell& cell, const netlist::StampFrame& frame) {
 }
 
 size_t HierSolver::AssembleBorder(const netlist::StampFrame& frame) {
-  // Serial in cell order then netlist device order — a fixed summation
-  // order keeps results thread-count independent.
+  // Cell order then netlist device order: a fixed summation order.
   std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
   if (border_sparse_) {
     // A global device that stamped a new slot last time moved the
@@ -438,8 +412,9 @@ void HierSolver::BuildPartition() {
   if (!usable_) return;
 
   // Border solver storage: same dense/sparse crossover as the flat kAuto
-  // solver (~256 unknowns).
-  border_sparse_ = border_unknowns_.size() > 256;
+  // solver.
+  border_sparse_ =
+      border_unknowns_.size() > static_cast<size_t>(kMaxDenseUnknowns);
   if (border_sparse_) {
     border_builder_ = linalg::SparseBuilder(border_unknowns_.size());
   } else {
@@ -460,7 +435,6 @@ void HierSolver::BuildPartition() {
   cur_used_.reserve(cells_.size());
   prev_used_.reserve(cells_.size());
   to_factor_.reserve(cells_.size());
-  status_.resize(cells_.size());
 }
 
 void HierSolver::CompileBorderSlots() {
@@ -493,7 +467,7 @@ void HierSolver::CompileBorderSlots() {
   border_slots_version_ = border_builder_.pattern_version();
 }
 
-uint64_t HierSolver::KeyHash(const Cell& cell, double quantum) {
+uint64_t HierSolver::KeyHash(const Cell& cell) {
   KeyHasher h;
   h.Add(static_cast<uint64_t>(cell.type));
   h.Add(cell.internal.size());
@@ -501,15 +475,13 @@ uint64_t HierSolver::KeyHash(const Cell& cell, double quantum) {
   for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
     const double* data = m->data();
     for (size_t i = 0; i < m->rows() * m->cols(); ++i) {
-      const KeyWord w = KeyOf(data[i], quantum);
-      h.Add(w.raw ? ~w.bits : w.bits);
+      h.Add(std::bit_cast<uint64_t>(data[i]));
     }
   }
   return h.Digest();
 }
 
-bool HierSolver::SameKey(const SharedFactors& entry, const Cell& cell,
-                         double quantum) {
+bool HierSolver::SameKey(const SharedFactors& entry, const Cell& cell) {
   if (entry.hash != cell.key_hash || entry.type != cell.type ||
       entry.ni != cell.internal.size() || entry.nb != cell.border.size()) {
     return false;
@@ -517,17 +489,9 @@ bool HierSolver::SameKey(const SharedFactors& entry, const Cell& cell,
   const double* key = entry.key.data();
   for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
     const size_t len = m->rows() * m->cols();
-    if (quantum == 0.0) {
-      // An empty block has no storage: memcmp must not see its nullptr.
-      if (len > 0 && std::memcmp(key, m->data(), len * sizeof(double)) != 0) {
-        return false;
-      }
-    } else {
-      for (size_t i = 0; i < len; ++i) {
-        if (KeyOf(key[i], quantum) != KeyOf(m->data()[i], quantum)) {
-          return false;
-        }
-      }
+    // An empty block has no storage: memcmp must not see its nullptr.
+    if (len > 0 && std::memcmp(key, m->data(), len * sizeof(double)) != 0) {
+      return false;
     }
     key += len;
   }
@@ -540,7 +504,7 @@ int HierSolver::FindShared(const std::vector<int>& table,
   for (size_t i = cell.key_hash & mask;; i = (i + 1) & mask) {
     const int entry = table[i];
     if (entry < 0) return -1;
-    if (SameKey(pool_[static_cast<size_t>(entry)], cell, quantum_)) {
+    if (SameKey(pool_[static_cast<size_t>(entry)], cell)) {
       return entry;
     }
   }
@@ -566,50 +530,32 @@ void HierSolver::ResetShares() {
 
 util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
                                           linalg::Vector* x_new,
-                                          const NewtonOptions& opts) {
+                                          const NewtonOptions& /*opts*/) {
   assert(usable_);
   const size_t nu = static_cast<size_t>(mna_->num_unknowns());
   assert(iterate.size() == nu);
-  const int threads = opts.hier_threads;
-  // A quantum that is not a positive finite step means exact sharing.
-  quantum_ =
-      std::isfinite(opts.hier_share_quantum) && opts.hier_share_quantum > 0.0
-          ? opts.hier_share_quantum
-          : 0.0;
   const HierMetrics& metrics = Metrics();
   const netlist::StampFrame frame = mna_->Frame(iterate);
 
   {
     util::telemetry::ScopedTimer span(metrics.assemble_wall);
-    // P1: per-cell assembly — disjoint per-cell storage, and each device's
-    // state slots and model constants are written by exactly one worker.
-    util::ParallelFor(
-        cells_.size(),
-        [this, &frame](size_t k) {
-          Cell& cell = cells_[k];
-          cell.stamps = AssembleCell(cell, frame);
-          cell.key_hash = KeyHash(cell, quantum_);
-        },
-        threads);
-
-    // S1: factor-share grouping, serial in cell order so the chosen
-    // representatives (and thus all shared factors) are deterministic.
-    size_t stamps = 0;
-    for (const Cell& cell : cells_) stamps += cell.stamps;
-    metrics.device_evals.Add(stamps);
-    metrics.cells.Add(cells_.size());
-    metrics.border_unknowns.Add(border_unknowns_.size());
     ++solves_;
     std::fill(cur_table_.begin(), cur_table_.end(), -1);
     cur_used_.clear();
     to_factor_.clear();
+    size_t stamps = 0;
     for (size_t k = 0; k < cells_.size(); ++k) {
+      // P1: per-cell assembly.
       Cell& cell = cells_[k];
+      stamps += AssembleCell(cell, frame);
+      cell.key_hash = KeyHash(cell);
+
+      // S1: factor-share grouping; the first cell with a block is its
+      // representative.
       cell.factors = FindShared(cur_table_, cell);
       if (cell.factors >= 0) continue;
       // Cross-timepoint hit: the previous solve factored a bit-identical
-      // (or quantized-identical) block — deep in a settled chain this is
-      // the common case.
+      // block — deep in a settled chain this is the common case.
       cell.factors = FindShared(prev_table_, cell);
       if (cell.factors < 0) {
         if (free_.empty()) {
@@ -635,29 +581,25 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
       InsertShared(&cur_table_, cell.factors);
       cur_used_.push_back(cell.factors);
     }
+    metrics.device_evals.Add(stamps);
+    metrics.cells.Add(cells_.size());
+    metrics.border_unknowns.Add(border_unknowns_.size());
     metrics.cell_refactors.Add(to_factor_.size());
     metrics.schur_factor_shares.Add(cells_.size() - to_factor_.size());
   }
 
   {
     util::telemetry::ScopedTimer span(metrics.factor_wall);
-    // P2: factor the unique representatives, each into a pool entry no
-    // other cell reads until this phase is over.
-    util::ParallelFor(
-        to_factor_.size(),
-        [this](size_t i) {
-          const Cell& cell = cells_[to_factor_[i]];
-          status_[i] = pool_[static_cast<size_t>(cell.factors)].factors.Factor(
-              cell.a_ii, cell.a_ib, cell.a_bi);
-        },
-        threads);
-    for (size_t i = 0; i < to_factor_.size(); ++i) {
-      if (!status_[i].ok()) {
-        ResetShares();  // never share a half-factored block
-        return util::Status(status_[i].code(),
-                            "hierarchical cell block '" +
-                                cells_[to_factor_[i]].name +
-                                "': " + std::string(status_[i].message()));
+    // P2: factor the unique representatives. A block that fails leaves
+    // nothing to share, from this solve or the previous one.
+    for (size_t k : to_factor_) {
+      const Cell& cell = cells_[k];
+      util::Status st = pool_[static_cast<size_t>(cell.factors)].factors.Factor(
+          cell.a_ii, cell.a_ib, cell.a_bi);
+      if (!st.ok()) {
+        ResetShares();
+        return util::Status(st.code(), "hierarchical cell block '" +
+                                           cell.name + "': " + st.message());
       }
     }
     // Age the share tables: the next solve's lookups see this solve's
@@ -671,16 +613,13 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
     std::swap(prev_table_, cur_table_);
 
     // P3: per-cell rhs reduction against the (possibly shared) factors.
-    util::ParallelFor(
-        cells_.size(),
-        [this](size_t k) {
-          Cell& cell = cells_[k];
-          status_[k] = pool_[static_cast<size_t>(cell.factors)]
-                           .factors.ReduceRhs(cell.rhs_i, &cell.y, &cell.c);
-        },
-        threads);
-    for (size_t k = 0; k < cells_.size(); ++k) {
-      if (!status_[k].ok()) return status_[k];
+    for (Cell& cell : cells_) {
+      util::Status st = pool_[static_cast<size_t>(cell.factors)]
+                            .factors.ReduceRhs(cell.rhs_i, &cell.y, &cell.c);
+      if (!st.ok()) {
+        ResetShares();
+        return st;
+      }
     }
   }
 
@@ -702,29 +641,24 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
   }
 
   util::telemetry::ScopedTimer span(metrics.backsub_wall);
-  // P4: back-substitution. Border values land first (serial), internal
-  // writes are disjoint across cells.
+  // P4: back-substitution, border values first.
   x_new->assign(nu, 0.0);
   for (size_t b = 0; b < border_unknowns_.size(); ++b) {
     (*x_new)[static_cast<size_t>(border_unknowns_[b])] = border_x_[b];
   }
-  util::ParallelFor(
-      cells_.size(),
-      [this, x_new](size_t k) {
-        Cell& cell = cells_[k];
-        const size_t nb = cell.border.size();
-        cell.x_b.resize(nb);
-        for (size_t j = 0; j < nb; ++j) {
-          cell.x_b[j] = border_x_[static_cast<size_t>(
-              border_index_of_[static_cast<size_t>(cell.border[j])])];
-        }
-        pool_[static_cast<size_t>(cell.factors)].factors.BackSubstitute(
-            cell.y, cell.x_b, &cell.x_i);
-        for (size_t i = 0; i < cell.internal.size(); ++i) {
-          (*x_new)[static_cast<size_t>(cell.internal[i])] = cell.x_i[i];
-        }
-      },
-      threads);
+  for (Cell& cell : cells_) {
+    const size_t nb = cell.border.size();
+    cell.x_b.resize(nb);
+    for (size_t j = 0; j < nb; ++j) {
+      cell.x_b[j] = border_x_[static_cast<size_t>(
+          border_index_of_[static_cast<size_t>(cell.border[j])])];
+    }
+    pool_[static_cast<size_t>(cell.factors)].factors.BackSubstitute(
+        cell.y, cell.x_b, &cell.x_i);
+    for (size_t i = 0; i < cell.internal.size(); ++i) {
+      (*x_new)[static_cast<size_t>(cell.internal[i])] = cell.x_i[i];
+    }
+  }
   return util::Status::Ok();
 }
 

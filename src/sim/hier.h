@@ -7,31 +7,29 @@
 // the *live* topology (so defect node-splits reclassify correctly): an
 // unknown is internal to cell k iff every device touching it belongs to
 // cell k, everything else — interconnect, rails, sources, detectors,
-// fault devices — is border. Each Newton iteration then runs:
+// fault devices — is border. Each Newton iteration then runs, serially
+// and in cell order:
 //
-//   P1 (parallel)  per-cell assembly straight into the four blocks
-//                  A_II, A_IB, A_BI, A_BB (each cell replays its devices'
-//                  compiled stamp targets), plus a 64-bit block hash
-//   S1 (serial)    factor-share grouping: hash lookup confirmed by an
-//                  exact compare of the blocks
-//   P2 (parallel)  LU + Schur complement of each unique block
-//                  (linalg/bbd.h), shared across matching cells
-//   P3 (parallel)  per-cell rhs reduction
-//   S2 (serial)    border assembly in cell order (through slot pointers
-//                  compiled once) + global devices (through their
-//                  compiled stamp targets)
-//   --             border solve (dense, or sparse above the same
-//                  crossover as the flat kAuto solver)
-//   P4 (parallel)  per-cell back-substitution
+//   P1  per-cell assembly straight into the four blocks A_II, A_IB,
+//       A_BI, A_BB (each cell replays its devices' compiled stamp
+//       targets), plus a 64-bit block hash
+//   S1  factor-share grouping: hash lookup confirmed by an exact compare
+//       of the blocks, so only bit-identical blocks share factors
+//   P2  LU + Schur complement of each unique block (linalg/bbd.h)
+//   P3  per-cell rhs reduction
+//   S2  border assembly (through slot pointers compiled once) + global
+//       devices (through their compiled stamp targets)
+//   --  border solve (dense, or sparse above kMaxDenseUnknowns like the
+//       flat kAuto solver)
+//   P4  per-cell back-substitution
 //
 // All storage — cell blocks, factors, share tables, border system — is
 // sized once and reused, so a steady-state solve allocates nothing.
 //
-// Every parallel phase writes to disjoint per-cell storage and every
-// reduction runs serially in cell order, so results are bit-identical
-// for any thread count. The elimination order differs from the flat
-// solve, so solutions are tolerance-equivalent (not bitwise) to flat —
-// gated in tests exactly like dense == sparse.
+// Sharing only ever replaces a factorization with a bit-identical one,
+// so it never changes a result. The elimination order differs from the
+// flat solve, so solutions are tolerance-equivalent (not bitwise) to
+// flat — gated in tests exactly like dense == sparse.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +69,8 @@ class HierSolver {
   /// (same convention as flat Assemble + solve). SingularMatrix when a
   /// cell block or the border has no stable pivot — the Newton loop
   /// reports it exactly like a flat factorization failure so the DC
-  /// homotopy ladder reacts normally.
+  /// homotopy ladder reacts normally. `opts` is unused; the end-to-end
+  /// benchmark (e2ebench/) still passes it.
   util::Status AssembleAndSolve(const linalg::Vector& iterate,
                                 linalg::Vector* x_new,
                                 const NewtonOptions& opts);
@@ -92,12 +91,10 @@ class HierSolver {
     /// The cell's devices' compiled stamp targets, into the blocks below.
     netlist::StampContext ctx;
 
-    // Per-solve scratch (each cell's is touched by exactly one worker in
-    // the parallel phases, so the writes are disjoint by construction).
+    // Per-solve scratch.
     linalg::Matrix a_ii, a_ib, a_bi, a_bb;
     linalg::Vector rhs_i, rhs_b;
     uint64_t key_hash = 0;    ///< hash of type, shape, A_II, A_IB, A_BI
-    size_t stamps = 0;        ///< Stamp() calls of this solve's assembly
     int factors = -1;         ///< pool_ entry this solve's factors live in
     linalg::Vector y, c;      ///< rhs reduction outputs
     linalg::Vector x_b, x_i;  ///< back-substitution scratch
@@ -126,17 +123,15 @@ class HierSolver {
   /// matrix, or into the sparse builder's slots (creating them first, so
   /// no later insertion in the same pass can move an earlier target).
   void CompileBorderSlots();
-  /// Factor-share key hash: cell type + dims + the block entries (raw
-  /// bits when quantum == 0, quantized otherwise).
-  static uint64_t KeyHash(const Cell& cell, double quantum);
-  /// True when `cell`'s blocks key equal, at `quantum`, to the ones
-  /// `entry` was built from (the exact confirmation behind a hash match).
-  static bool SameKey(const SharedFactors& entry, const Cell& cell,
-                      double quantum);
-  /// Pool entry in `table` whose key matches `cell` at quantum_, or -1.
+  /// Factor-share key hash: cell type + dims + the block entries' bits.
+  static uint64_t KeyHash(const Cell& cell);
+  /// True when `cell`'s blocks equal, bit for bit, the ones `entry` was
+  /// built from (the exact confirmation behind a hash match).
+  static bool SameKey(const SharedFactors& entry, const Cell& cell);
+  /// Pool entry in `table` whose key matches `cell`, or -1.
   int FindShared(const std::vector<int>& table, const Cell& cell) const;
   void InsertShared(std::vector<int>* table, int entry) const;
-  /// Forget every factorization (after a failed factor, nothing may be
+  /// Forget every factorization (after a failed block, nothing may be
   /// shared from this solve or the previous one).
   void ResetShares();
 
@@ -151,10 +146,10 @@ class HierSolver {
   std::vector<int> local_of_;
   std::vector<int> global_devices_;   ///< ordinals outside every cell
 
-  // Border system storage. Dense below the same ~256-unknown crossover
-  // the flat kAuto solver uses; sparse above it, where the builder keeps
-  // its pattern across solves (values are zeroed, not cleared) so the
-  // numeric Refactor replays the recorded elimination.
+  // Border system storage. Dense up to the same kMaxDenseUnknowns
+  // crossover the flat kAuto solver uses; sparse above it, where the
+  // builder keeps its pattern across solves (values are zeroed, not
+  // cleared) so the numeric Refactor replays the recorded elimination.
   linalg::Matrix border_mat_;
   linalg::LuFactorization border_dense_lu_;
   linalg::Vector border_rhs_;
@@ -173,15 +168,13 @@ class HierSolver {
   // hit this solve's table first, then the previous solve's (deep in a
   // settled chain the same blocks recur timepoint after timepoint). A
   // new factorization only takes an entry that neither table references,
-  // so no cell can read factors that another cell is rewriting.
+  // so it never overwrites factors an earlier cell of this solve reads.
   std::vector<SharedFactors> pool_;
   std::vector<int> cur_table_, prev_table_;
   std::vector<int> cur_used_, prev_used_;  ///< entries each table holds
   std::vector<int> free_;                  ///< entries no table holds
   uint64_t solves_ = 0;
-  double quantum_ = 0.0;  ///< share quantum of the solve in progress
-  std::vector<size_t> to_factor_;      ///< cells whose block is factored
-  std::vector<util::Status> status_;   ///< per-worker-item phase status
+  std::vector<size_t> to_factor_;  ///< cells whose block is factored
 };
 
 }  // namespace cmldft::sim

@@ -200,12 +200,4 @@ void MnaSystem::RotateStates() { prev_states_ = curr_states_; }
 
 void MnaSystem::ResetCurrentStates() { curr_states_ = prev_states_; }
 
-linalg::Vector MnaSystem::MultiplyJacobian(const linalg::Vector& x) const {
-  assert(static_cast<int>(x.size()) == num_unknowns_);
-  if (!sparse_) return jacobian_.Multiply(x);
-  linalg::Vector y(static_cast<size_t>(num_unknowns_), 0.0);
-  sparse_jac_.ForEach([&](size_t r, size_t c, double v) { y[r] += v * x[c]; });
-  return y;
-}
-
 }  // namespace cmldft::sim

@@ -81,10 +81,6 @@ class MnaSystem {
   const linalg::SparseBuilder& sparse_jacobian() const { return sparse_jac_; }
   const linalg::Vector& rhs() const { return rhs_; }
 
-  /// y = J x with the currently assembled Jacobian (dense or sparse).
-  /// Used by the Jacobian-reuse path to form residuals without factoring.
-  linalg::Vector MultiplyJacobian(const linalg::Vector& x) const;
-
   /// Persistent sparse solver: because the MNA sparsity pattern is fixed
   /// for the lifetime of this system, the solver's symbolic factorization
   /// and pivot order survive across Newton iterations *and* timepoints —

@@ -61,6 +61,17 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+bool ParseU32(std::string_view s, uint32_t* out) {
+  if (s.empty() || s.size() > 9) return false;
+  uint32_t v = 0;
+  for (char c : s) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    v = v * 10 + static_cast<uint32_t>(c - '0');
+  }
+  *out = v;
+  return true;
+}
+
 StatusOr<double> ParseSpiceNumber(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return Status::ParseError("empty number");

@@ -1,6 +1,7 @@
 // Small string utilities shared by the netlist parser and reporting code.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// unit letters after the suffix are ignored ("4kohm" -> 4000). Refuses
 /// non-finite results ("nan", "inf", "1e999").
 StatusOr<double> ParseSpiceNumber(std::string_view s);
+
+/// Parse 1 to 9 ASCII decimal digits — no sign, no whitespace — into
+/// `*out`. False (and `*out` untouched) for anything else.
+bool ParseU32(std::string_view s, uint32_t* out);
 
 /// printf-style formatting into std::string.
 std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -7,9 +7,12 @@
 //    thread count (technologies are pre-sampled serially).
 //  - telemetry counters and histograms (never timers) are bit-identical
 //    across thread counts for the same workload.
+//  - the hierarchical solver's reused factor storage matches a fresh
+//    solver bit for bit, and only bit-identical cell blocks share factors.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "cml/builder.h"
@@ -78,183 +81,111 @@ TEST(ScreeningDeterminism, ParallelMatchesSerialBitExact) {
   EXPECT_EQ(serial->CombinedCoverage(), parallel->CombinedCoverage());
 }
 
-// The hierarchical BBD solver runs its per-cell phases on a thread pool,
-// but every parallel phase writes disjoint per-cell storage and every
-// reduction is serial in cell order — so its solutions are bit-identical
-// for any worker count, not merely tolerance-equivalent.
-TEST(HierDeterminism, SolverThreadCountInvariantBitExact) {
-  auto solve = [](int hier_threads) {
-    netlist::Netlist nl;
+// A 64-cell chain at its DC operating point, with every cell's nodes set
+// to the values deep in the chain: cells 1..63 then stamp bit-identical
+// blocks and share one factorization, computed by cell 1.
+class HierDeterminism : public ::testing::Test {
+ protected:
+  static constexpr int kCells = 64;
+
+  void SetUp() override {
     cml::CmlTechnology tech;
-    cml::CellBuilder cells(nl, tech);
-    const cml::DiffPort in = cells.AddDifferentialClock("in", 500e6);
-    cells.AddBufferChain("x", in, 8);
-    sim::DcOptions opt;
-    opt.newton.hierarchical = true;
-    opt.newton.hier_threads = hier_threads;
-    auto r = sim::SolveDc(nl, opt);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? r->node_voltages : std::vector<double>{};
-  };
-  const std::vector<double> one = solve(1);
-  ASSERT_FALSE(one.empty());
-  for (int threads : {2, 4, 7}) {
-    const std::vector<double> many = solve(threads);
-    ASSERT_EQ(one.size(), many.size()) << "threads=" << threads;
-    for (size_t i = 0; i < one.size(); ++i) {
-      // Bit-exact, not NEAR: the reduction order is thread-independent.
-      EXPECT_EQ(one[i], many[i]) << "node " << i << " threads=" << threads;
+    cml::CellBuilder cells(nl_, tech);
+    cells.AddBufferChain("x", cells.AddDifferentialDc("in", true), kCells);
+    auto dc = sim::SolveDc(nl_);
+    ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+    layout_ = std::make_unique<sim::MnaSystem>(nl_);
+    x_.assign(static_cast<size_t>(layout_->num_unknowns()), 0.0);
+    for (netlist::NodeId n = 1; n < nl_.num_nodes(); ++n) {
+      x_[static_cast<size_t>(layout_->UnknownOfNode(n))] = dc->V(n);
+    }
+    for (int k = 0; k < kCells; ++k) {
+      for (const char* node : {"e", "ve", "op", "opb"}) {
+        x_[Unknown(k, node)] = x_[Unknown(kCells / 2, node)];
+      }
     }
   }
-}
+
+  size_t Unknown(int cell, const char* node) const {
+    const netlist::NodeId id =
+        nl_.FindNode(util::StrPrintf("x%d.%s", cell, node));
+    return static_cast<size_t>(layout_->UnknownOfNode(id));
+  }
+
+  /// One hierarchical solve of `iterate` by a solver that has never
+  /// solved before; `*refactors` gets the cell factorizations it ran.
+  linalg::Vector FreshSolve(const linalg::Vector& iterate,
+                            uint64_t* refactors = nullptr) const {
+    sim::MnaSystem mna(nl_);
+    mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+    sim::HierSolver* hier = mna.GetHierSolver();
+    EXPECT_NE(hier, nullptr);
+    linalg::Vector x;
+    if (hier == nullptr) return x;
+    const auto before = util::telemetry::Capture();
+    const util::Status st = hier->AssembleAndSolve(iterate, &x, {});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (refactors != nullptr) {
+      *refactors = util::telemetry::Capture().Value("sim.hier.cell_refactors") -
+                   before.Value("sim.hier.cell_refactors");
+    }
+    return x;
+  }
+
+  netlist::Netlist nl_;
+  std::unique_ptr<sim::MnaSystem> layout_;
+  linalg::Vector x_;
+};
 
 // The solver reuses its factor storage across solves. A cell served by
 // the previous solve's factors must read exactly those factors even when
 // the cell that computed them is refactored in the same solve: the
 // second solve below mixes such cross-timepoint shares with fresh
 // factorizations and must match a solver that has never solved before.
-TEST(HierDeterminism, ReusedFactorStorageMatchesFreshSolverBitExact) {
-  constexpr int kCells = 64;
-  netlist::Netlist nl;
-  cml::CmlTechnology tech;
-  cml::CellBuilder cells(nl, tech);
-  cells.AddBufferChain("x", cells.AddDifferentialDc("in", true), kCells);
-  auto dc = sim::SolveDc(nl);
-  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
-
-  // The operating point, with every cell's nodes set to the values deep in
-  // the chain: cells 1..63 then stamp bit-identical blocks and share one
-  // factorization, computed by cell 1.
-  auto unknown = [&](const sim::MnaSystem& mna, int cell, const char* node) {
-    const netlist::NodeId id =
-        nl.FindNode(util::StrPrintf("x%d.%s", cell, node));
-    return static_cast<size_t>(mna.UnknownOfNode(id));
-  };
-  sim::MnaSystem layout(nl);
-  linalg::Vector x(static_cast<size_t>(layout.num_unknowns()), 0.0);
-  for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
-    x[static_cast<size_t>(layout.UnknownOfNode(n))] = dc->V(n);
-  }
-  for (int k = 0; k < kCells; ++k) {
-    for (const char* node : {"e", "ve", "op", "opb"}) {
-      x[unknown(layout, k, node)] = x[unknown(layout, kCells / 2, node)];
-    }
-  }
-
+TEST_F(HierDeterminism, ReusedFactorStorageMatchesFreshSolverBitExact) {
   for (int parity : {0, 1}) {
     // Move the internal nodes of every other cell (including cell 1 when
     // parity is 1), each by its own amount.
-    linalg::Vector y = x;
+    linalg::Vector y = x_;
     for (int k = parity; k < kCells; k += 2) {
       for (const char* node : {"e", "ve"}) {
-        y[unknown(layout, k, node)] += 1e-4 * (k + 1);
+        y[Unknown(k, node)] += 1e-4 * (k + 1);
       }
     }
-    for (int threads : {1, 4}) {
-      sim::NewtonOptions opts;
-      opts.hierarchical = true;
-      opts.hier_threads = threads;
-
-      sim::MnaSystem warm_mna(nl);
-      warm_mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
-      sim::HierSolver* warm = warm_mna.GetHierSolver();
-      ASSERT_NE(warm, nullptr);
-      linalg::Vector first, reused;
-      ASSERT_TRUE(warm->AssembleAndSolve(x, &first, opts).ok());
-      const auto before = util::telemetry::Capture();
-      ASSERT_TRUE(warm->AssembleAndSolve(y, &reused, opts).ok());
-      const auto after = util::telemetry::Capture();
-      EXPECT_GT(after.Value("sim.hier.schur_factor_shares"),
-                before.Value("sim.hier.schur_factor_shares"));
-      EXPECT_GT(after.Value("sim.hier.cell_refactors"),
-                before.Value("sim.hier.cell_refactors"));
-
-      sim::MnaSystem fresh_mna(nl);
-      fresh_mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
-      linalg::Vector fresh;
-      ASSERT_TRUE(
-          fresh_mna.GetHierSolver()->AssembleAndSolve(y, &fresh, opts).ok());
-      ASSERT_EQ(reused.size(), fresh.size());
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ(reused[i], fresh[i])
-            << "unknown " << i << " parity=" << parity
-            << " threads=" << threads;
-      }
-    }
-  }
-}
-
-// A share quantum so small that every nonzero block entry divided by it
-// overflows int64 must key those entries on their raw bits — the same
-// sharing as quantum 0 — instead of collapsing them onto one value.
-TEST(HierDeterminism, TinyShareQuantumSharesLikeExactKeys) {
-  auto run = [](double quantum, uint64_t* shares) {
-    netlist::Netlist nl;
-    cml::CmlTechnology tech;
-    cml::CellBuilder cells(nl, tech);
-    cells.AddBufferChain("x", cells.AddDifferentialClock("in", 500e6), 64);
-    sim::TransientOptions opt;
-    opt.tstop = 2e-10;
-    opt.dc.newton.hierarchical = true;
-    opt.dc.newton.hier_threads = 1;
-    opt.dc.newton.hier_share_quantum = quantum;
+    sim::MnaSystem warm_mna(nl_);
+    warm_mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+    sim::HierSolver* warm = warm_mna.GetHierSolver();
+    ASSERT_NE(warm, nullptr);
+    linalg::Vector first, reused;
+    ASSERT_TRUE(warm->AssembleAndSolve(x_, &first, {}).ok());
     const auto before = util::telemetry::Capture();
-    auto r = sim::RunTransient(nl, opt);
-    *shares = util::telemetry::Capture().Value("sim.hier.schur_factor_shares") -
-              before.Value("sim.hier.schur_factor_shares");
-    EXPECT_TRUE(r.ok()) << "quantum " << quantum << ": "
-                        << r.status().ToString();
-    std::vector<double> waves;
-    if (!r.ok()) return waves;
-    for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
-      const waveform::Trace t = r->Voltage(nl.NodeName(n));
-      waves.insert(waves.end(), t.value.begin(), t.value.end());
+    ASSERT_TRUE(warm->AssembleAndSolve(y, &reused, {}).ok());
+    const auto after = util::telemetry::Capture();
+    EXPECT_GT(after.Value("sim.hier.schur_factor_shares"),
+              before.Value("sim.hier.schur_factor_shares"));
+    EXPECT_GT(after.Value("sim.hier.cell_refactors"),
+              before.Value("sim.hier.cell_refactors"));
+
+    const linalg::Vector fresh = FreshSolve(y);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(reused[i], fresh[i]) << "unknown " << i << " parity=" << parity;
     }
-    return waves;
-  };
-  uint64_t exact_shares = 0, tiny_shares = 0;
-  const std::vector<double> exact = run(0.0, &exact_shares);
-  const std::vector<double> tiny = run(1e-300, &tiny_shares);
-  ASSERT_FALSE(exact.empty());
-  EXPECT_EQ(exact_shares, tiny_shares);
-  ASSERT_EQ(exact.size(), tiny.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(exact[i], tiny[i]) << "sample " << i;
   }
 }
 
-// End-to-end: a hierarchical screening campaign classifies every defect
-// identically whether the defect sweep and the solver run serial or wide.
-TEST(ScreeningDeterminism, HierThreadInvariant) {
-  core::ScreeningOptions serial_opt = SmallScreening();
-  serial_opt.hierarchical = true;
-  serial_opt.threads = 1;
-  core::ScreeningOptions parallel_opt = serial_opt;
-  parallel_opt.threads = 4;
-
-  auto serial = core::ScreenBufferChain(serial_opt);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = core::ScreenBufferChain(parallel_opt);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  ASSERT_GT(serial->total(), 0);
-  ASSERT_EQ(serial->total(), parallel->total());
-  for (int i = 0; i < serial->total(); ++i) {
-    const core::DefectOutcome& a = serial->outcomes[static_cast<size_t>(i)];
-    const core::DefectOutcome& b = parallel->outcomes[static_cast<size_t>(i)];
-    ASSERT_EQ(a.defect.Id(), b.defect.Id());
-    EXPECT_EQ(a.Classify(), b.Classify()) << a.defect.Id();
-    EXPECT_EQ(a.converged, b.converged);
-    EXPECT_EQ(a.logic_fail, b.logic_fail);
-    EXPECT_EQ(a.delay_fail, b.delay_fail);
-    EXPECT_EQ(a.iddq_fail, b.iddq_fail);
-    EXPECT_EQ(a.amplitude_detected, b.amplitude_detected);
-    EXPECT_EQ(a.min_detector_vout, b.min_detector_vout) << a.defect.Id();
-    EXPECT_EQ(a.max_gate_amplitude, b.max_gate_amplitude) << a.defect.Id();
-    EXPECT_EQ(a.supply_current, b.supply_current) << a.defect.Id();
-  }
-  EXPECT_EQ(serial->ConventionalCoverage(), parallel->ConventionalCoverage());
-  EXPECT_EQ(serial->CombinedCoverage(), parallel->CombinedCoverage());
+// Factors are shared only between bit-identical blocks. Moving one deep
+// cell's internal node by 1e-9 V, far inside the Newton tolerance
+// (abstol_v = 1e-6), must still cost that cell a factorization of its own.
+TEST_F(HierDeterminism, SubToleranceBlockDifferenceIsNeverShared) {
+  linalg::Vector y = x_;
+  y[Unknown(kCells * 3 / 4, "e")] += 1e-9;
+  ASSERT_NE(y, x_);
+  uint64_t settled = 0, moved = 0;
+  FreshSolve(x_, &settled);
+  FreshSolve(y, &moved);
+  EXPECT_GT(settled, 0u);
+  EXPECT_EQ(moved, settled + 1);
 }
 
 void ExpectFaultSimEquivalence(const digital::GateNetlist& nl,

@@ -172,63 +172,6 @@ TEST(IntegrationEquivalence, MethodsAgreeOnDcOperatingPoint) {
   EXPECT_EQ(vt, vb);
 }
 
-// --- Jacobian reuse (opt-in): tolerance-equivalent, never bit-exact -----
-//
-// Jacobian reuse changes the iterate trajectory, so its contract is
-// agreement within solver tolerances — unlike the stamp plan itself, which
-// is bit-exact and covered by stamp_plan_test.cc.
-
-TEST(FastPathEquivalence, DcJacobianReuseMatchesExact) {
-  Chain c = MakeChain(100e6);
-  sim::DcOptions exact, fast;
-  fast.newton.jacobian_reuse = true;
-  // The test chain is below the default economics gate; force reuse on so
-  // the trajectory change is actually exercised.
-  fast.newton.jacobian_reuse_min_unknowns = 1;
-  auto re = sim::SolveDc(c.nl, exact);
-  auto rf = sim::SolveDc(c.nl, fast);
-  ASSERT_TRUE(re.ok()) << re.status().ToString();
-  ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-  for (size_t i = 0; i < re->node_voltages.size(); ++i) {
-    EXPECT_NEAR(re->node_voltages[i], rf->node_voltages[i], 1e-4)
-        << "node " << i;
-  }
-}
-
-TEST(FastPathEquivalence, TransientFastPathMatchesExact) {
-  auto run = [&](bool fast) {
-    Chain c = MakeChain(100e6);
-    sim::TransientOptions opts;
-    opts.tstop = 12e-9;
-    opts.dc.newton.jacobian_reuse = fast;
-    opts.dc.newton.jacobian_reuse_min_unknowns = 1;
-    auto r = sim::RunTransient(c.nl, opts);
-    // Lambdas returning values can't use ASSERT_*; hard-stop instead of
-    // dereferencing an error StatusOr.
-    if (!r.ok()) {
-      ADD_FAILURE() << r.status().ToString();
-      std::abort();
-    }
-    return std::make_pair(std::move(*r), c.outs.back());
-  };
-  auto [re, out_e] = run(false);
-  auto [rf, out_f] = run(true);
-  const auto se = waveform::MeasureSwing(re.Voltage(out_e.p_name), 5e-9, 12e-9);
-  const auto sf = waveform::MeasureSwing(rf.Voltage(out_f.p_name), 5e-9, 12e-9);
-  EXPECT_NEAR(se.vhigh, sf.vhigh, 2e-3);
-  EXPECT_NEAR(se.vlow, sf.vlow, 2e-3);
-  EXPECT_NEAR(se.swing, sf.swing, 2e-3);
-  const auto ce = waveform::Crossings(re.Voltage(out_e.p_name), 3.175,
-                                      waveform::Edge::kRising);
-  const auto cf = waveform::Crossings(rf.Voltage(out_f.p_name), 3.175,
-                                      waveform::Edge::kRising);
-  ASSERT_FALSE(ce.empty());
-  ASSERT_EQ(ce.size(), cf.size());
-  for (size_t i = 0; i < ce.size(); ++i) {
-    EXPECT_NEAR(ce[i], cf[i], 5e-12) << "crossing " << i;
-  }
-}
-
 // --- transient stepper properties on the paper's Fig. 4 chain -------------
 
 // One structural contract, checked two ways at once: the per-run Stats the

@@ -98,45 +98,29 @@ TEST(CampaignRunCli, UsageErrors) {
   EXPECT_EQ(RunTool(bin).exit_code, 2);                       // no --store
   EXPECT_EQ(RunTool(bin + " --bogus").exit_code, 2);          // unknown flag
   EXPECT_EQ(RunTool(bin + " --store").exit_code, 2);          // missing value
-  EXPECT_EQ(
-      RunTool(bin + " --store /tmp/x.campaign --shard 5/2").exit_code, 2);
-  EXPECT_EQ(
-      RunTool(bin + " --store /tmp/x.campaign --preset nope").exit_code, 2);
-}
-
-TEST(CampaignRunCli, HierFlagErrors) {
-  const std::string bin = CAMPAIGN_RUN_BIN;
-  // --hier-quantum must be finite and >= 0, and needs a value.
-  auto r = RunTool(bin + " --store /tmp/x.campaign --hier-quantum -1e-6");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.stderr_text.find("--hier-quantum"), std::string::npos)
-      << r.stderr_text;
-  EXPECT_EQ(
-      RunTool(bin + " --store /tmp/x.campaign --hier-quantum").exit_code, 2);
-  // Non-finite quanta are refused: inf would key every block entry on 0
-  // and share unrelated factorizations; nan would silently mean 0.
-  for (const char* bad : {"nan", "inf", "-inf"}) {
-    r = RunTool(bin + " --store /tmp/x.campaign --hier-quantum " + bad);
-    EXPECT_EQ(r.exit_code, 2) << bad;
-    EXPECT_NE(r.stderr_text.find("finite"), std::string::npos)
-        << bad << ": " << r.stderr_text;
+  // A store in a directory that does not exist: a flag the tool accepted
+  // would run into a store failure (exit 1), so exit 2 can only come from
+  // the flag itself.
+  const std::string store = " --store /nonexistent/cmldft/x.campaign";
+  EXPECT_EQ(RunTool(bin + store + " --shard 5/2").exit_code, 2);
+  EXPECT_EQ(RunTool(bin + store + " --preset nope").exit_code, 2);
+  // Numeric flags take 1 to 9 decimal digits and name themselves when
+  // they refuse a value.
+  for (const char* flag : {"--threads", "--fsync-batch"}) {
+    for (const char* bad : {"abc", "-3", "4x", "1234567890", "''"}) {
+      const auto r = RunTool(bin + store + " " + flag + " " + bad);
+      EXPECT_EQ(r.exit_code, 2) << flag << " " << bad;
+      EXPECT_NE(r.stderr_text.find(flag), std::string::npos)
+          << flag << " " << bad << ": " << r.stderr_text;
+    }
   }
-  // The hierarchical solver only applies to defect-screening presets;
-  // pattern and characterization campaigns reject it loudly instead of
-  // silently running flat.
-  r = RunTool(bin +
-              " --store /tmp/x.campaign --preset pattern_quick --hier");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.stderr_text.find("screening presets"), std::string::npos)
-      << r.stderr_text;
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --preset "
-                          "characterization_quick --hier")
-                .exit_code,
-            2);
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --preset pattern_quick "
-                          "--hier-quantum 1e-9")
-                .exit_code,
-            2);
+  // The hierarchical solver is not a campaign option.
+  for (const char* gone : {"--hier", "--hier-quantum 1e-9"}) {
+    const auto r = RunTool(bin + store + " " + gone);
+    EXPECT_EQ(r.exit_code, 2) << gone;
+    EXPECT_NE(r.stderr_text.find("unknown argument"), std::string::npos)
+        << gone << ": " << r.stderr_text;
+  }
 }
 
 TEST(CampaignRunCli, ExistingStoreNeedsResumeOrOverwrite) {

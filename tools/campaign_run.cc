@@ -2,7 +2,6 @@
 //
 //   campaign_run --store <path.campaign> [--shard i/N] [--preset NAME]
 //                [--resume] [--overwrite] [--threads N] [--fsync-batch N]
-//                [--hier] [--hier-quantum Q]
 //                [--telemetry <path.json>] [--abort-after-bytes N]
 //
 // The preset picks the payload (campaign/payload.h): defect screening
@@ -18,17 +17,17 @@
 // campaign_merge reassembles the monolithic report bit-identically.
 //
 // An existing store is only touched when --resume (continue it) or
-// --overwrite (discard it) says so. --hier/--hier-quantum select the
-// hierarchical solver and apply to screening presets only.
+// --overwrite (discard it) says so. --threads (0 = all cores) and
+// --fsync-batch take 1 to 9 decimal digits; anything else is a usage
+// error, refused before any work starts.
 // --abort-after-bytes is the crash-injection hook used by tests and CI:
 // the process SIGKILLs itself mid-write once the store reaches that size.
 //
 // Exit codes: 0 = shard complete, 1 = evaluation/store failure,
 // 2 = usage error (bad flags, store/flag mismatch).
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "campaign/runner.h"
 #include "report/telemetry_json.h"
 #include "util/file_io.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 using namespace cmldft;
@@ -47,7 +47,6 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --store <path.campaign> [--shard i/N] [--preset NAME]\n"
       "          [--resume] [--overwrite] [--threads N] [--fsync-batch N]\n"
-      "          [--hier] [--hier-quantum Q]\n"
       "          [--telemetry <path.json>]\n"
       "          [--abort-after-bytes N] [--progress]\n"
       "presets: coverage_comparison (default), quick, pattern_coverage, "
@@ -67,8 +66,6 @@ int main(int argc, char** argv) {
   bool overwrite = false;
   bool progress = false;
   int threads = 0;
-  bool hier = false;
-  double hier_quantum = 0.0;
   int fsync_batch = 8;
   unsigned long long abort_at_bytes = 0;
 
@@ -80,6 +77,17 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto count = [&](const char* flag) -> int {
+      const char* value = next(flag);
+      uint32_t v = 0;
+      if (!util::ParseU32(value, &v)) {
+        std::fprintf(stderr,
+                     "%s: %s takes 1 to 9 decimal digits, not '%s'\n",
+                     argv[0], flag, value);
+        std::exit(2);
+      }
+      return static_cast<int>(v);
     };
     if (arg == "--store") {
       store_path = next("--store");
@@ -96,19 +104,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--progress") {
       progress = true;
     } else if (arg == "--threads") {
-      threads = std::atoi(next("--threads"));
-    } else if (arg == "--hier") {
-      hier = true;
-    } else if (arg == "--hier-quantum") {
-      hier_quantum = std::atof(next("--hier-quantum"));
-      if (!std::isfinite(hier_quantum) || hier_quantum < 0.0) {
-        std::fprintf(stderr,
-                     "%s: --hier-quantum requires a finite value >= 0\n",
-                     argv[0]);
-        return 2;
-      }
+      threads = count("--threads");
     } else if (arg == "--fsync-batch") {
-      fsync_batch = std::atoi(next("--fsync-batch"));
+      fsync_batch = count("--fsync-batch");
     } else if (arg == "--abort-after-bytes") {
       abort_at_bytes = std::strtoull(next("--abort-after-bytes"), nullptr, 10);
     } else {
@@ -139,23 +137,7 @@ int main(int argc, char** argv) {
     std::remove(store_path.c_str());
   }
 
-  auto plan =
-      [&]() -> util::StatusOr<std::unique_ptr<const campaign::PayloadPlan>> {
-    if (!hier && hier_quantum == 0.0) return campaign::PlanForPreset(preset);
-    // Hierarchical bordered-block-diagonal solver (docs/performance.md
-    // "Layer 6"): per-cell elimination with factor sharing, for the
-    // screening transients only. Any other preset is refused loudly
-    // instead of silently running flat.
-    auto screening = campaign::ScreeningPreset(preset);
-    if (!screening.ok()) {
-      return util::Status::InvalidArgument(
-          "--hier/--hier-quantum only apply to screening presets (preset '" +
-          preset + "' is not one)");
-    }
-    screening->hierarchical = hier;
-    screening->hier_share_quantum = hier_quantum;
-    return campaign::MakeScreeningPlan(*screening);
-  }();
+  auto plan = campaign::PlanForPreset(preset);
   if (!plan.ok()) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 2;
