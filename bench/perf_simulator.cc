@@ -173,11 +173,12 @@ void BM_StuckAtFaultSim(benchmark::State& state) {
   const auto patterns = digital::GeneratePatterns(
       static_cast<int>(nl.inputs().size()), 128, 0xACE1u);
   digital::FaultSimOptions opt;
-  opt.bit_parallel = state.range(0) != 0;
   opt.threads = state.range(0) == 1 ? 1 : 0;
   int64_t sims = 0;
   for (auto _ : state) {
-    auto r = digital::RunStuckAtFaultSim(nl, faults, patterns, opt);
+    auto r = state.range(0) == 0
+                 ? digital::RunStuckAtFaultSimSerial(nl, faults, patterns)
+                 : digital::RunStuckAtFaultSim(nl, faults, patterns, opt);
     benchmark::DoNotOptimize(r);
     sims += r.total_faults;
   }
@@ -239,9 +240,9 @@ BENCHMARK(BM_TransientFastPath)->Arg(0);
 // Hierarchical bordered-block-diagonal solver (sim/hier.h) on clocked
 // buffer chains of growing cell count. Arg = chain length; a short
 // transient window keeps the 1024-cell point tractable while still
-// exercising the factor-share cache across timepoints. Flat-vs-hier
-// equivalence is gated in tests/equivalence_test.cc; this benchmark
-// tracks throughput only (items = accepted steps).
+// covering both clock edges. Flat-vs-hier equivalence is gated in
+// tests/equivalence_test.cc; this benchmark tracks throughput only
+// (items = accepted steps).
 void BM_HierTransient(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;

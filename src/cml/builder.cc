@@ -90,11 +90,9 @@ void CellBuilder::AddOutputLoad(const std::string& cell,
   }
 }
 
-void CellBuilder::RegisterCell(const std::string& name, const std::string& type,
-                               int first_device) {
+void CellBuilder::RegisterCell(const std::string& name, int first_device) {
   netlist::CellInstance cell;
   cell.name = name;
-  cell.type = type;
   for (int i = first_device; i < netlist_->num_devices(); ++i) {
     cell.devices.push_back(netlist_->device(i).name());
   }
@@ -111,7 +109,7 @@ DiffPort CellBuilder::AddBuffer(const std::string& name, const DiffPort& in) {
   AddOutputLoad(name, "rc1", out.n);
   AddOutputLoad(name, "rc2", out.p);
   AddTailSource(name, e);
-  RegisterCell(name, "buffer", mark);
+  RegisterCell(name, mark);
   return out;
 }
 
@@ -125,7 +123,7 @@ DiffPort CellBuilder::AddLevelShifter(const std::string& name,
       name + ".r1", out.p, netlist::kGroundNode, tech_.level_shift_pulldown));
   netlist_->AddDevice(std::make_unique<Resistor>(
       name + ".r2", out.n, netlist::kGroundNode, tech_.level_shift_pulldown));
-  RegisterCell(name, "levelshifter", mark);
+  RegisterCell(name, mark);
   return out;
 }
 
@@ -145,7 +143,7 @@ DiffPort CellBuilder::AddAnd2(const std::string& name, const DiffPort& a,
   AddOutputLoad(name, "rc1", out.n);
   AddOutputLoad(name, "rc2", out.p);
   AddTailSource(name, e0);
-  RegisterCell(name, "and2", mark);
+  RegisterCell(name, mark);
   return out;
 }
 
@@ -178,7 +176,7 @@ DiffPort CellBuilder::AddXor2(const std::string& name, const DiffPort& a,
   AddOutputLoad(name, "rc1", out.n);
   AddOutputLoad(name, "rc2", out.p);
   AddTailSource(name, e0);
-  RegisterCell(name, "xor2", mark);
+  RegisterCell(name, mark);
   return out;
 }
 
@@ -199,7 +197,7 @@ DiffPort CellBuilder::AddMux2(const std::string& name, const DiffPort& a,
   AddOutputLoad(name, "rc1", out.n);
   AddOutputLoad(name, "rc2", out.p);
   AddTailSource(name, e0);
-  RegisterCell(name, "mux2", mark);
+  RegisterCell(name, mark);
   return out;
 }
 
@@ -223,7 +221,7 @@ DiffPort CellBuilder::AddLatch(const std::string& name, const DiffPort& d,
   AddOutputLoad(name, "rc1", out.n);
   AddOutputLoad(name, "rc2", out.p);
   AddTailSource(name, e0);
-  RegisterCell(name, "latch", mark);
+  RegisterCell(name, mark);
   return out;
 }
 

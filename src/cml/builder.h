@@ -94,10 +94,9 @@ class CellBuilder {
   /// Collector load resistor + wire capacitance on an output node.
   void AddOutputLoad(const std::string& cell, const std::string& res_name,
                      netlist::NodeId out);
-  /// Register devices [first_device, num_devices()) as one `type` cell
-  /// instance named `name` (hierarchy metadata for sim/hier.h).
-  void RegisterCell(const std::string& name, const std::string& type,
-                    int first_device);
+  /// Register devices [first_device, num_devices()) as one cell instance
+  /// named `name` (hierarchy metadata for sim/hier.h).
+  void RegisterCell(const std::string& name, int first_device);
 
   netlist::Netlist* netlist_;
   CmlTechnology tech_;

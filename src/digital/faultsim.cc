@@ -239,11 +239,6 @@ FaultSimResult RunStuckAtFaultSim(
   metrics.runs.Increment();
   metrics.faults_simulated.Add(faults.size());
   util::telemetry::ScopedTimer span(metrics.wall);
-  if (!options.bit_parallel) {
-    FaultSimResult serial = RunStuckAtFaultSimSerial(netlist, faults, patterns);
-    metrics.faults_detected.Add(static_cast<uint64_t>(serial.detected));
-    return serial;
-  }
   FaultSimResult result;
   result.total_faults = static_cast<int>(faults.size());
   result.detected_at.assign(faults.size(), 0);

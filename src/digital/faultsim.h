@@ -26,9 +26,6 @@ struct FaultSimResult {
 };
 
 struct FaultSimOptions {
-  /// 64 faulty machines per packed simulation pass (PPSFP). Disable to run
-  /// the one-fault-at-a-time reference path.
-  bool bit_parallel = true;
   /// Worker threads over fault batches: 0 = auto (CMLDFT_THREADS /
   /// hardware), 1 = single-threaded. Results are identical either way.
   int threads = 0;
@@ -49,8 +46,7 @@ FaultSimResult RunStuckAtFaultSim(const GateNetlist& netlist,
                                   const FaultSimOptions& options = {});
 
 /// The serial one-fault-at-a-time reference implementation (used by the
-/// determinism tests to verify the packed engine, and by
-/// RunStuckAtFaultSim when options.bit_parallel is false).
+/// determinism tests to verify the packed engine).
 FaultSimResult RunStuckAtFaultSimSerial(
     const GateNetlist& netlist, const std::vector<StuckAtFault>& faults,
     const std::vector<std::vector<Logic>>& patterns);

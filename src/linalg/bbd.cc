@@ -26,16 +26,16 @@ util::Status BbdBlockFactors::Factor(const Matrix& a_ii, const Matrix& a_ib,
     for (size_t r = 0; r < ni; ++r) w_(r, c) = solved_[r];
   }
 
-  a_bi_ = a_bi;
-  a_bi_.MultiplyInto(w_, &schur_);
+  a_bi.MultiplyInto(w_, &schur_);
   return util::Status::Ok();
 }
 
-util::Status BbdBlockFactors::ReduceRhs(const Vector& b_i, Vector* y,
-                                        Vector* c) const {
+util::Status BbdBlockFactors::ReduceRhs(const Matrix& a_bi, const Vector& b_i,
+                                        Vector* y, Vector* c) const {
   assert(b_i.size() == ni());
+  assert(a_bi.rows() == nb() && a_bi.cols() == ni());
   CMLDFT_RETURN_IF_ERROR(lu_.SolveInto(b_i, y));
-  a_bi_.MultiplyInto(*y, c);
+  a_bi.MultiplyInto(*y, c);
   return util::Status::Ok();
 }
 

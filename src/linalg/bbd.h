@@ -11,10 +11,7 @@
 //
 // This is the same linear system as the flat solve in a different
 // elimination order, so results are tolerance-equivalent (not bitwise)
-// to flat dense/sparse — gated exactly like dense==sparse today. A
-// factored block depends only on (A_II, A_IB, A_BI), which is what lets
-// same-type cells with matching internal operating points share one
-// factorization (sim/hier.h's signature cache).
+// to flat dense/sparse — gated exactly like dense==sparse today.
 #pragma once
 
 #include "linalg/lu.h"
@@ -35,7 +32,9 @@ class BbdBlockFactors {
 
   /// y = A_II^{-1} b_I and the border rhs contribution c = A_BI y, into
   /// caller storage (resized; no allocation once it has the capacity).
-  util::Status ReduceRhs(const Vector& b_i, Vector* y, Vector* c) const;
+  /// `a_bi` is the block the factors were computed from.
+  util::Status ReduceRhs(const Matrix& a_bi, const Vector& b_i, Vector* y,
+                         Vector* c) const;
 
   /// x_I = y - W x_B_local, where x_B_local holds the solved border
   /// values at this cell's touched border columns (a_ib's column order).
@@ -54,7 +53,6 @@ class BbdBlockFactors {
   LuFactorization lu_;  // LU(A_II)
   Matrix w_;            // ni x nb
   Matrix schur_;        // nb x nb
-  Matrix a_bi_;         // nb x ni (kept for ReduceRhs)
   Vector column_;       // Factor scratch: one column of A_IB ...
   Vector solved_;       // ... and A_II^{-1} times it
 };

@@ -100,31 +100,6 @@ util::Status LuFactorizationT<T>::SolveInto(const std::vector<T>& b,
   return util::Status::Ok();
 }
 
-template <typename T>
-util::StatusOr<std::vector<T>> LuFactorizationT<T>::SolveRefined(
-    const MatrixT<T>& original, const std::vector<T>& b,
-    int refine_steps) const {
-  auto first = Solve(b);
-  if (!first.ok()) return first.status();
-  std::vector<T> x = std::move(first).value();
-  for (int step = 0; step < refine_steps; ++step) {
-    std::vector<T> residual = original.Multiply(x);
-    for (size_t i = 0; i < residual.size(); ++i) residual[i] = b[i] - residual[i];
-    auto correction = Solve(residual);
-    if (!correction.ok()) return correction.status();
-    for (size_t i = 0; i < x.size(); ++i) x[i] += (*correction)[i];
-  }
-  return x;
-}
-
-template <typename T>
-double LuFactorizationT<T>::LogAbsDeterminant() const {
-  if (!factored_) return -1e300;
-  double acc = 0.0;
-  for (size_t i = 0; i < lu_.rows(); ++i) acc += std::log(std::abs(lu_(i, i)));
-  return acc;
-}
-
 template class LuFactorizationT<double>;
 template class LuFactorizationT<std::complex<double>>;
 

@@ -1,7 +1,7 @@
-// Dense LU factorization with partial pivoting, plus solve and iterative
-// refinement. This is the linear kernel under every Newton iteration of
-// the circuit simulator (real scalars) and under each AC frequency point
-// (complex scalars): factor once, solve many right-hand sides.
+// Dense LU factorization with partial pivoting, plus solve. This is the
+// linear kernel under every Newton iteration of the circuit simulator
+// (real scalars) and under each AC frequency point (complex scalars):
+// factor once, solve many right-hand sides.
 #pragma once
 
 #include <complex>
@@ -28,17 +28,8 @@ class LuFactorizationT {
   /// once it has the capacity, never reallocated. `x` must not alias `b`.
   util::Status SolveInto(const std::vector<T>& b, std::vector<T>* x) const;
 
-  /// Iterative refinement against the original matrix. Cheap insurance for
-  /// ill-conditioned MNA systems.
-  util::StatusOr<std::vector<T>> SolveRefined(const MatrixT<T>& original,
-                                              const std::vector<T>& b,
-                                              int refine_steps = 1) const;
-
   bool factored() const { return factored_; }
   size_t dimension() const { return lu_.rows(); }
-
-  /// log|det(A)| via the product of pivot magnitudes (log-domain safe).
-  double LogAbsDeterminant() const;
 
  private:
   MatrixT<T> lu_;             // packed L (unit diag, below) and U (on/above)

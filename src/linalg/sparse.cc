@@ -12,6 +12,11 @@
 namespace cmldft::linalg {
 
 namespace {
+/// A pivot candidate must satisfy |a| >= kPivotThreshold * max|column|.
+constexpr double kPivotThreshold = 0.1;
+/// Relative singularity floor (vs the largest entry in the matrix).
+constexpr double kSingularityFloor = 1e-15;
+
 struct SparseLuMetrics {
   util::telemetry::Counter factors =
       util::telemetry::GetCounter("linalg.sparse_lu.factors");
@@ -112,7 +117,7 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
     max_entry = std::max(max_entry, std::fabs(v));
   });
   const double floor_mag =
-      (max_entry > 0 ? max_entry : 1.0) * options_.singularity_floor;
+      (max_entry > 0 ? max_entry : 1.0) * kSingularityFloor;
 
   std::vector<char> row_active(n_, 1);
   std::vector<double> colmax(n_);
@@ -139,7 +144,7 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
       for (const auto& [c, v] : work[r]) {
         const double mag = std::fabs(v);
         if (mag <= floor_mag) continue;
-        if (mag < options_.pivot_threshold * colmax[c]) continue;
+        if (mag < kPivotThreshold * colmax[c]) continue;
         const size_t cost = (row_nnz - 1) * (col_rows[c].size() - 1);
         if (cost < best_cost || (cost == best_cost && mag > best_mag)) {
           best_cost = cost;
@@ -251,7 +256,7 @@ bool SparseLu::Eliminate(const SparseBuilder& builder, bool check_pivots) {
         max_entry = std::max(max_entry, std::fabs(v));
       }
     }
-    floor_mag = (max_entry > 0 ? max_entry : 1.0) * options_.singularity_floor;
+    floor_mag = (max_entry > 0 ? max_entry : 1.0) * kSingularityFloor;
   }
   double* w = work_.data();
   for (size_t k = 0; k < n_; ++k) {

@@ -76,16 +76,6 @@ class SparseBuilder {
 /// Sparse LU with Markowitz pivoting under a magnitude threshold.
 class SparseLu {
  public:
-  struct Options {
-    /// A pivot candidate must satisfy |a| >= threshold * max|column|.
-    double pivot_threshold = 0.1;
-    /// Relative singularity floor (vs the largest entry in the matrix).
-    double singularity_floor = 1e-15;
-  };
-
-  explicit SparseLu() = default;
-  explicit SparseLu(const Options& options) : options_(options) {}
-
   /// Factor the system in `builder`: a Markowitz search over the nonzero
   /// entries chooses the pivot order, then the filled pattern of that
   /// order is recorded over *every* builder slot — including slots whose
@@ -124,7 +114,6 @@ class SparseLu {
   /// pivot is unacceptable; the factors are then unusable.
   bool Eliminate(const SparseBuilder& builder, bool check_pivots);
 
-  Options options_;
   size_t n_ = 0;
   bool factored_ = false;
   // Factor row k (the original row eliminated at step k) occupies

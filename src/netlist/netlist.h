@@ -23,7 +23,6 @@ namespace cmldft::netlist {
 /// names that no longer resolve.
 struct CellInstance {
   std::string name;                  ///< instance name, e.g. "x1"
-  std::string type;                  ///< cell type id, e.g. "buffer"
   std::vector<std::string> devices;  ///< member device names
 };
 

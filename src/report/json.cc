@@ -45,6 +45,12 @@ std::string FormatNumber(double v) {
   return util::StrPrintf("%.17g", v);
 }
 
+/// Deepest array/object nesting Parse accepts. Each level is one
+/// recursive call, so an unbounded depth lets a hostile document (an HTTP
+/// body of a million '[') overflow the stack; committed JSON nests at most
+/// 6 levels.
+constexpr int kMaxNestingDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -97,8 +103,16 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNestingDepth) {
+        return Error(util::StrPrintf("nesting deeper than %d levels",
+                                     kMaxNestingDepth));
+      }
+      ++depth_;
+      auto nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       auto s = ParseString();
       if (!s.ok()) return s.status();
@@ -224,6 +238,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

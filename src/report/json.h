@@ -67,6 +67,7 @@ class Json {
   std::string Dump(int indent = 2) const;
 
   /// Parse a complete JSON document (trailing non-whitespace is an error).
+  /// Arrays and objects nested more than 64 levels deep are a ParseError.
   static util::StatusOr<Json> Parse(std::string_view text);
 
  private:

@@ -16,6 +16,14 @@ namespace cmldft::sim {
 namespace internal {
 
 namespace {
+/// Junction shunt conductance [S] of every solve but the gmin ladder's.
+constexpr double kGmin = 1e-12;
+/// gmin stepping ladder: start value and per-stage reduction factor.
+constexpr double kGminStart = 1e-3;
+constexpr double kGminReduction = 10.0;
+/// Source-stepping stages used if gmin stepping also fails.
+constexpr int kSourceSteps = 10;
+
 // Stage counters mirror HomotopyResult::stages exactly: gmin_stages counts
 // every ladder rung plus the ladder's final-polish solve, source_steps every
 // source-ramp solve — so gmin_stages + source_steps sums DcResult::
@@ -48,9 +56,7 @@ util::StatusOr<NewtonResult> TryNewton(MnaSystem& mna, double gmin,
                                        const NewtonOptions& newton) {
   mna.set_gmin(gmin);
   mna.set_source_scale(source_scale);
-  NewtonOptions opts = newton;
-  opts.gmin = gmin;
-  return SolveNewton(mna, guess, opts);
+  return SolveNewton(mna, guess, newton);
 }
 }  // namespace
 
@@ -62,7 +68,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
   util::telemetry::ScopedTimer span(metrics.wall);
 
   // Stage 0: plain Newton.
-  auto plain = TryNewton(mna, options.newton.gmin, 1.0, guess, options.newton);
+  auto plain = TryNewton(mna, kGmin, 1.0, guess, options.newton);
   if (plain.ok()) {
     metrics.plain_newton_successes.Increment();
     return HomotopyResult{std::move(plain).value(), 0};
@@ -75,8 +81,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
   {
     linalg::Vector x = guess;
     bool ladder_ok = true;
-    for (double g = options.gmin_start; g >= options.newton.gmin;
-         g /= options.gmin_reduction) {
+    for (double g = kGminStart; g >= kGmin; g /= kGminReduction) {
       auto r = TryNewton(mna, g, 1.0, x, options.newton);
       ++stages;
       metrics.gmin_stages.Increment();
@@ -87,7 +92,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
       x = std::move(r).value().solution;
     }
     if (ladder_ok) {
-      auto final_r = TryNewton(mna, options.newton.gmin, 1.0, x, options.newton);
+      auto final_r = TryNewton(mna, kGmin, 1.0, x, options.newton);
       ++stages;
       metrics.gmin_stages.Increment();
       if (final_r.ok()) {
@@ -99,10 +104,10 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
 
   // Stage 2: source stepping — ramp all independent sources from zero.
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
-  for (int step = 1; step <= options.source_steps; ++step) {
+  for (int step = 1; step <= kSourceSteps; ++step) {
     const double alpha =
-        static_cast<double>(step) / static_cast<double>(options.source_steps);
-    auto r = TryNewton(mna, options.newton.gmin, alpha, x, options.newton);
+        static_cast<double>(step) / static_cast<double>(kSourceSteps);
+    auto r = TryNewton(mna, kGmin, alpha, x, options.newton);
     ++stages;
     metrics.source_steps.Increment();
     if (!r.ok()) {
@@ -114,7 +119,7 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
     }
     x = std::move(r).value().solution;
   }
-  auto final_r = TryNewton(mna, options.newton.gmin, 1.0, x, options.newton);
+  auto final_r = TryNewton(mna, kGmin, 1.0, x, options.newton);
   if (!final_r.ok()) {
     metrics.failures.Increment();
     return final_r.status();

@@ -1,10 +1,7 @@
 #include "sim/hier.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdint>
-#include <cstring>
 
 #include "netlist/device.h"
 #include "sim/mna.h"
@@ -19,14 +16,11 @@ struct HierMetrics {
       util::telemetry::GetCounter("sim.hier.cells");
   util::telemetry::Counter border_unknowns =
       util::telemetry::GetCounter("sim.hier.border_unknowns");
-  util::telemetry::Counter schur_factor_shares =
-      util::telemetry::GetCounter("sim.hier.schur_factor_shares");
   util::telemetry::Counter cell_refactors =
       util::telemetry::GetCounter("sim.hier.cell_refactors");
   util::telemetry::Counter device_evals =
       util::telemetry::GetCounter("sim.device.evals");
-  // Phase walls of AssembleAndSolve: P1 + S1, P2 + P3, S2 + border solve,
-  // P4 (see sim/hier.h).
+  // Phase walls of AssembleAndSolve (see sim/hier.h).
   util::telemetry::Timer assemble_wall =
       util::telemetry::GetTimer("sim.hier.assemble_wall");
   util::telemetry::Timer factor_wall =
@@ -43,29 +37,6 @@ const HierMetrics& Metrics() {
 }
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const HierMetrics& kEagerRegistration = Metrics();
-
-/// Word-at-a-time 64-bit hash (the xxHash64 round and avalanche); every
-/// cell hashes its blocks on every solve, so util::ContentHasher's
-/// byte-at-a-time FNV would cost several times more.
-class KeyHasher {
- public:
-  void Add(uint64_t word) {
-    h_ = std::rotl(h_ + word * kPrime2, 31) * kPrime1;
-  }
-  uint64_t Digest() const {
-    uint64_t h = h_ ^ (h_ >> 33);
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    return h ^ (h >> 32);
-  }
-
- private:
-  static constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
-  static constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
-  static constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
-  uint64_t h_ = kPrime3;
-};
 
 /// Replays `ordinals` through `ctx`'s compiled targets, counting the
 /// Stamp() calls in `*stamps`. False at the first device whose writes no
@@ -215,8 +186,7 @@ size_t HierSolver::AssembleBorder(const netlist::StampFrame& frame) {
   }
   for (const Cell& cell : cells_) {
     const size_t nb = cell.border.size();
-    const linalg::Matrix& schur =
-        pool_[static_cast<size_t>(cell.factors)].factors.schur();
+    const linalg::Matrix& schur = cell.factors.schur();
     double* const* slot = cell.border_slots.data();
     for (size_t i = 0; i < nb; ++i) {
       const int gr = border_index_of_[static_cast<size_t>(cell.border[i])];
@@ -255,13 +225,9 @@ void HierSolver::BuildPartition() {
   // Defect injection may have removed members (shorted resistors) — skip
   // missing names; a device claimed twice stays with its first cell.
   std::vector<int> cell_of_device(static_cast<size_t>(num_devices), -1);
-  std::vector<std::string> types;
   for (const netlist::CellInstance& inst : nl.cell_instances()) {
     Cell cell;
     cell.name = inst.name;
-    cell.type = static_cast<int>(
-        std::find(types.begin(), types.end(), inst.type) - types.begin());
-    if (cell.type == static_cast<int>(types.size())) types.push_back(inst.type);
     for (const std::string& dev_name : inst.devices) {
       const netlist::Device* dev = nl.FindDevice(dev_name);
       if (dev == nullptr) continue;
@@ -423,18 +389,6 @@ void HierSolver::BuildPartition() {
   }
   border_rhs_.assign(border_unknowns_.size(), 0.0);
   CompileBorderSlots();
-
-  // Share tables at load factor <= 1/4: a solve inserts at most one entry
-  // per cell. The pool holds at most two solves' worth of entries.
-  size_t capacity = 1;
-  while (capacity < 4 * cells_.size()) capacity <<= 1;
-  cur_table_.assign(capacity, -1);
-  prev_table_.assign(capacity, -1);
-  pool_.reserve(2 * cells_.size());
-  free_.reserve(2 * cells_.size());
-  cur_used_.reserve(cells_.size());
-  prev_used_.reserve(cells_.size());
-  to_factor_.reserve(cells_.size());
 }
 
 void HierSolver::CompileBorderSlots() {
@@ -467,67 +421,6 @@ void HierSolver::CompileBorderSlots() {
   border_slots_version_ = border_builder_.pattern_version();
 }
 
-uint64_t HierSolver::KeyHash(const Cell& cell) {
-  KeyHasher h;
-  h.Add(static_cast<uint64_t>(cell.type));
-  h.Add(cell.internal.size());
-  h.Add(cell.border.size());
-  for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
-    const double* data = m->data();
-    for (size_t i = 0; i < m->rows() * m->cols(); ++i) {
-      h.Add(std::bit_cast<uint64_t>(data[i]));
-    }
-  }
-  return h.Digest();
-}
-
-bool HierSolver::SameKey(const SharedFactors& entry, const Cell& cell) {
-  if (entry.hash != cell.key_hash || entry.type != cell.type ||
-      entry.ni != cell.internal.size() || entry.nb != cell.border.size()) {
-    return false;
-  }
-  const double* key = entry.key.data();
-  for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
-    const size_t len = m->rows() * m->cols();
-    // An empty block has no storage: memcmp must not see its nullptr.
-    if (len > 0 && std::memcmp(key, m->data(), len * sizeof(double)) != 0) {
-      return false;
-    }
-    key += len;
-  }
-  return true;
-}
-
-int HierSolver::FindShared(const std::vector<int>& table,
-                           const Cell& cell) const {
-  const size_t mask = table.size() - 1;
-  for (size_t i = cell.key_hash & mask;; i = (i + 1) & mask) {
-    const int entry = table[i];
-    if (entry < 0) return -1;
-    if (SameKey(pool_[static_cast<size_t>(entry)], cell)) {
-      return entry;
-    }
-  }
-}
-
-void HierSolver::InsertShared(std::vector<int>* table, int entry) const {
-  const size_t mask = table->size() - 1;
-  size_t i = pool_[static_cast<size_t>(entry)].hash & mask;
-  while ((*table)[i] >= 0) i = (i + 1) & mask;
-  (*table)[i] = entry;
-}
-
-void HierSolver::ResetShares() {
-  std::fill(cur_table_.begin(), cur_table_.end(), -1);
-  std::fill(prev_table_.begin(), prev_table_.end(), -1);
-  cur_used_.clear();
-  prev_used_.clear();
-  free_.clear();
-  for (size_t e = 0; e < pool_.size(); ++e) {
-    free_.push_back(static_cast<int>(e));
-  }
-}
-
 util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
                                           linalg::Vector* x_new,
                                           const NewtonOptions& /*opts*/) {
@@ -539,93 +432,29 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
 
   {
     util::telemetry::ScopedTimer span(metrics.assemble_wall);
-    ++solves_;
-    std::fill(cur_table_.begin(), cur_table_.end(), -1);
-    cur_used_.clear();
-    to_factor_.clear();
     size_t stamps = 0;
-    for (size_t k = 0; k < cells_.size(); ++k) {
-      // P1: per-cell assembly.
-      Cell& cell = cells_[k];
-      stamps += AssembleCell(cell, frame);
-      cell.key_hash = KeyHash(cell);
-
-      // S1: factor-share grouping; the first cell with a block is its
-      // representative.
-      cell.factors = FindShared(cur_table_, cell);
-      if (cell.factors >= 0) continue;
-      // Cross-timepoint hit: the previous solve factored a bit-identical
-      // block — deep in a settled chain this is the common case.
-      cell.factors = FindShared(prev_table_, cell);
-      if (cell.factors < 0) {
-        if (free_.empty()) {
-          cell.factors = static_cast<int>(pool_.size());
-          pool_.emplace_back();
-        } else {
-          cell.factors = free_.back();
-          free_.pop_back();
-        }
-        SharedFactors& entry = pool_[static_cast<size_t>(cell.factors)];
-        entry.key.clear();
-        for (const linalg::Matrix* m : {&cell.a_ii, &cell.a_ib, &cell.a_bi}) {
-          entry.key.insert(entry.key.end(), m->data(),
-                           m->data() + m->rows() * m->cols());
-        }
-        entry.hash = cell.key_hash;
-        entry.type = cell.type;
-        entry.ni = cell.internal.size();
-        entry.nb = cell.border.size();
-        to_factor_.push_back(k);
-      }
-      pool_[static_cast<size_t>(cell.factors)].last_used = solves_;
-      InsertShared(&cur_table_, cell.factors);
-      cur_used_.push_back(cell.factors);
-    }
+    for (Cell& cell : cells_) stamps += AssembleCell(cell, frame);
     metrics.device_evals.Add(stamps);
     metrics.cells.Add(cells_.size());
     metrics.border_unknowns.Add(border_unknowns_.size());
-    metrics.cell_refactors.Add(to_factor_.size());
-    metrics.schur_factor_shares.Add(cells_.size() - to_factor_.size());
+    metrics.cell_refactors.Add(cells_.size());
   }
 
   {
     util::telemetry::ScopedTimer span(metrics.factor_wall);
-    // P2: factor the unique representatives. A block that fails leaves
-    // nothing to share, from this solve or the previous one.
-    for (size_t k : to_factor_) {
-      const Cell& cell = cells_[k];
-      util::Status st = pool_[static_cast<size_t>(cell.factors)].factors.Factor(
-          cell.a_ii, cell.a_ib, cell.a_bi);
+    for (Cell& cell : cells_) {
+      util::Status st = cell.factors.Factor(cell.a_ii, cell.a_ib, cell.a_bi);
       if (!st.ok()) {
-        ResetShares();
         return util::Status(st.code(), "hierarchical cell block '" +
                                            cell.name + "': " + st.message());
       }
-    }
-    // Age the share tables: the next solve's lookups see this solve's
-    // factors, and entries this solve no longer uses become free.
-    for (int e : prev_used_) {
-      if (pool_[static_cast<size_t>(e)].last_used != solves_) {
-        free_.push_back(e);
-      }
-    }
-    std::swap(prev_used_, cur_used_);
-    std::swap(prev_table_, cur_table_);
-
-    // P3: per-cell rhs reduction against the (possibly shared) factors.
-    for (Cell& cell : cells_) {
-      util::Status st = pool_[static_cast<size_t>(cell.factors)]
-                            .factors.ReduceRhs(cell.rhs_i, &cell.y, &cell.c);
-      if (!st.ok()) {
-        ResetShares();
-        return st;
-      }
+      CMLDFT_RETURN_IF_ERROR(
+          cell.factors.ReduceRhs(cell.a_bi, cell.rhs_i, &cell.y, &cell.c));
     }
   }
 
   {
     util::telemetry::ScopedTimer span(metrics.border_wall);
-    // S2: border assembly.
     metrics.device_evals.Add(AssembleBorder(frame));
 
     // Border solve. Refactor runs a full Factor the first time and
@@ -641,7 +470,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
   }
 
   util::telemetry::ScopedTimer span(metrics.backsub_wall);
-  // P4: back-substitution, border values first.
+  // Back-substitution, border values first.
   x_new->assign(nu, 0.0);
   for (size_t b = 0; b < border_unknowns_.size(); ++b) {
     (*x_new)[static_cast<size_t>(border_unknowns_[b])] = border_x_[b];
@@ -653,8 +482,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
       cell.x_b[j] = border_x_[static_cast<size_t>(
           border_index_of_[static_cast<size_t>(cell.border[j])])];
     }
-    pool_[static_cast<size_t>(cell.factors)].factors.BackSubstitute(
-        cell.y, cell.x_b, &cell.x_i);
+    cell.factors.BackSubstitute(cell.y, cell.x_b, &cell.x_i);
     for (size_t i = 0; i < cell.internal.size(); ++i) {
       (*x_new)[static_cast<size_t>(cell.internal[i])] = cell.x_i[i];
     }

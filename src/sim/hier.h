@@ -7,29 +7,27 @@
 // the *live* topology (so defect node-splits reclassify correctly): an
 // unknown is internal to cell k iff every device touching it belongs to
 // cell k, everything else — interconnect, rails, sources, detectors,
-// fault devices — is border. Each Newton iteration then runs, serially
-// and in cell order:
+// fault devices — is border. Each Newton iteration then runs four
+// phases, serially and in cell order, each timed by its
+// sim.hier.<phase>_wall timer:
 //
-//   P1  per-cell assembly straight into the four blocks A_II, A_IB,
-//       A_BI, A_BB (each cell replays its devices' compiled stamp
-//       targets), plus a 64-bit block hash
-//   S1  factor-share grouping: hash lookup confirmed by an exact compare
-//       of the blocks, so only bit-identical blocks share factors
-//   P2  LU + Schur complement of each unique block (linalg/bbd.h)
-//   P3  per-cell rhs reduction
-//   S2  border assembly (through slot pointers compiled once) + global
-//       devices (through their compiled stamp targets)
-//   --  border solve (dense, or sparse above kMaxDenseUnknowns like the
-//       flat kAuto solver)
-//   P4  per-cell back-substitution
+//   assemble  per-cell assembly straight into the four blocks A_II,
+//             A_IB, A_BI, A_BB (each cell replays its devices' compiled
+//             stamp targets)
+//   factor    per cell: LU + Schur complement of its block and the rhs
+//             reduction (linalg/bbd.h)
+//   border    border assembly (through slot pointers compiled once) +
+//             global devices (through their compiled stamp targets), then
+//             the border solve (dense, or sparse above kMaxDenseUnknowns
+//             like the flat kAuto solver)
+//   backsub   per-cell back-substitution
 //
-// All storage — cell blocks, factors, share tables, border system — is
-// sized once and reused, so a steady-state solve allocates nothing.
+// All storage — cell blocks, factors, border system — is sized once and
+// reused, so a steady-state solve allocates nothing.
 //
-// Sharing only ever replaces a factorization with a bit-identical one,
-// so it never changes a result. The elimination order differs from the
-// flat solve, so solutions are tolerance-equivalent (not bitwise) to
-// flat — gated in tests exactly like dense == sparse.
+// The elimination order differs from the flat solve, so solutions are
+// tolerance-equivalent (not bitwise) to flat — gated in tests exactly
+// like dense == sparse.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +79,6 @@ class HierSolver {
 
   struct Cell {
     std::string name;
-    int type = 0;  ///< interned cell type; factors are shared within a type
     std::vector<int> device_ordinals;
     std::vector<int> internal;  ///< global unknown ids, ascending
     std::vector<int> border;    ///< touched border unknowns, ascending
@@ -94,28 +91,16 @@ class HierSolver {
     // Per-solve scratch.
     linalg::Matrix a_ii, a_ib, a_bi, a_bb;
     linalg::Vector rhs_i, rhs_b;
-    uint64_t key_hash = 0;    ///< hash of type, shape, A_II, A_IB, A_BI
-    int factors = -1;         ///< pool_ entry this solve's factors live in
+    linalg::BbdBlockFactors factors;
     linalg::Vector y, c;      ///< rhs reduction outputs
     linalg::Vector x_b, x_i;  ///< back-substitution scratch
   };
 
-  /// One factored block, shared by every cell whose key matches.
-  struct SharedFactors {
-    linalg::BbdBlockFactors factors;
-    /// The A_II | A_IB | A_BI entries the factors were computed from.
-    std::vector<double> key;
-    uint64_t hash = 0;
-    int type = 0;
-    size_t ni = 0, nb = 0;
-    uint64_t last_used = 0;  ///< solves_ of the last solve that used it
-  };
-
   void BuildPartition();
-  /// P1 for one cell: replay its devices' compiled targets, or record
+  /// Assembly of one cell: replay its devices' compiled targets, or record
   /// them (zeroing the blocks first). Returns the Stamp() calls made.
   size_t AssembleCell(Cell& cell, const netlist::StampFrame& frame);
-  /// S2: the cells' A_BB - S and rhs_b - c contributions in cell order,
+  /// The cells' A_BB - S and rhs_b - c contributions in cell order,
   /// then the global devices through their compiled border targets.
   /// Returns the Stamp() calls made.
   size_t AssembleBorder(const netlist::StampFrame& frame);
@@ -123,17 +108,6 @@ class HierSolver {
   /// matrix, or into the sparse builder's slots (creating them first, so
   /// no later insertion in the same pass can move an earlier target).
   void CompileBorderSlots();
-  /// Factor-share key hash: cell type + dims + the block entries' bits.
-  static uint64_t KeyHash(const Cell& cell);
-  /// True when `cell`'s blocks equal, bit for bit, the ones `entry` was
-  /// built from (the exact confirmation behind a hash match).
-  static bool SameKey(const SharedFactors& entry, const Cell& cell);
-  /// Pool entry in `table` whose key matches `cell`, or -1.
-  int FindShared(const std::vector<int>& table, const Cell& cell) const;
-  void InsertShared(std::vector<int>* table, int entry) const;
-  /// Forget every factorization (after a failed block, nothing may be
-  /// shared from this solve or the previous one).
-  void ResetShares();
 
   MnaSystem* mna_;
   std::vector<Cell> cells_;
@@ -162,19 +136,6 @@ class HierSolver {
   /// they point into (sparse border).
   netlist::StampContext border_ctx_;
   uint64_t border_plan_version_ = 0;
-
-  // Factor-share pool. Each solve's shares are double-buffered tables of
-  // pool indices (open addressing on the key hash, -1 = empty): lookups
-  // hit this solve's table first, then the previous solve's (deep in a
-  // settled chain the same blocks recur timepoint after timepoint). A
-  // new factorization only takes an entry that neither table references,
-  // so it never overwrites factors an earlier cell of this solve reads.
-  std::vector<SharedFactors> pool_;
-  std::vector<int> cur_table_, prev_table_;
-  std::vector<int> cur_used_, prev_used_;  ///< entries each table holds
-  std::vector<int> free_;                  ///< entries no table holds
-  uint64_t solves_ = 0;
-  std::vector<size_t> to_factor_;  ///< cells whose block is factored
 };
 
 }  // namespace cmldft::sim

@@ -13,6 +13,14 @@
 namespace cmldft::sim {
 
 namespace {
+/// Iterations before a solve reports NoConvergence.
+constexpr int kMaxIterations = 150;
+/// Node-voltage convergence: |dV| < kAbstolV + kReltol * |V|.
+constexpr double kAbstolV = 1e-6;
+/// Branch-current convergence: |dI| < kAbstolI + kReltol * |I|.
+constexpr double kAbstolI = 1e-9;
+constexpr double kReltol = 1e-4;
+
 // Registered eagerly on first solve so every metric appears in snapshots
 // even when its branch never fires (stable schema for golden checks).
 struct NewtonMetrics {
@@ -60,7 +68,7 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
   linalg::SparseLu& sparse_lu = mna.sparse_solver();
   const int n_nodes = mna.num_node_unknowns();
 
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     metrics.iterations.Increment();
     mna.set_first_iteration(iter == 0);
 
@@ -105,8 +113,8 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
       const double xi = x[static_cast<size_t>(i)];
       const double delta = x_new[static_cast<size_t>(i)] - xi;
       const double step = (i < n_nodes ? damp : 1.0) * delta;
-      const double tol = (i < n_nodes ? opts.abstol_v : opts.abstol_i) +
-                         opts.reltol * std::fabs(xi + step);
+      const double tol = (i < n_nodes ? kAbstolV : kAbstolI) +
+                         kReltol * std::fabs(xi + step);
       if (std::fabs(delta) > tol) converged = false;
       x[static_cast<size_t>(i)] = xi + step;
       if (!std::isfinite(x[static_cast<size_t>(i)])) {
@@ -119,11 +127,11 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
       return NewtonResult{std::move(x), iter + 1};
     }
   }
-  CMLDFT_LOG(kDebug) << "newton exhausted " << opts.max_iterations
+  CMLDFT_LOG(kDebug) << "newton exhausted " << kMaxIterations
                      << " iterations";
   metrics.convergence_failures.Increment();
   return util::Status::NoConvergence(util::StrPrintf(
-      "newton did not converge in %d iterations", opts.max_iterations));
+      "newton did not converge in %d iterations", kMaxIterations));
 }
 
 }  // namespace cmldft::sim

@@ -11,19 +11,12 @@ namespace cmldft::sim {
 /// recorded pattern (see docs/simulator.md).
 inline constexpr int kMaxDenseUnknowns = 256;
 
-/// Newton-Raphson controls.
+/// Newton-Raphson controls. The iteration limit and convergence
+/// tolerances are constants of sim/newton.cc.
 struct NewtonOptions {
-  int max_iterations = 150;
-  /// Node-voltage convergence: |dV| < abstol_v + reltol * |V|.
-  double abstol_v = 1e-6;
-  /// Branch-current convergence: |dI| < abstol_i + reltol * |I|.
-  double abstol_i = 1e-9;
-  double reltol = 1e-4;
   /// Per-iteration clamp on node-voltage updates [V]; tames the exponential
   /// BJT characteristics without per-junction limiting state.
   double max_delta_v = 0.25;
-  /// Junction shunt conductance [S].
-  double gmin = 1e-12;
   /// Linear solver. kAuto uses the dense LU up to kMaxDenseUnknowns
   /// unknowns and the sparse LU above.
   enum class Solver { kAuto, kDense, kSparse };
@@ -32,26 +25,21 @@ struct NewtonOptions {
   // --- hierarchical solver (opt-in; see docs/performance.md Layer 6) -----
   /// Bordered-block-diagonal elimination over the netlist's cell-instance
   /// annotations (sim/hier.h): per-cell internal blocks are factored and
-  /// Schur-eliminated into a small interconnect border, with one
-  /// factorization shared by every same-type cell whose blocks agree bit
-  /// for bit. Same linear system as the flat solve in a different
-  /// elimination order, so solutions are tolerance-equivalent (gated like
-  /// dense == sparse). Falls back to the flat path when the netlist
-  /// carries no usable cell annotations. Default off.
+  /// Schur-eliminated into a small interconnect border. Same linear
+  /// system as the flat solve in a different elimination order, so
+  /// solutions are tolerance-equivalent (gated like dense == sparse).
+  /// Falls back to the flat path when the netlist carries no usable cell
+  /// annotations. Default off.
   bool hierarchical = false;
   /// No effect: the hierarchical solve is serial. Kept only because the
   /// end-to-end benchmark (e2ebench/) still sets it.
   int hier_threads = 0;
 };
 
-/// DC operating-point controls (Newton + homotopy fallbacks).
+/// DC operating-point controls (Newton + homotopy fallbacks, whose gmin
+/// ladder and source steps are constants of sim/dc.cc).
 struct DcOptions {
   NewtonOptions newton;
-  /// gmin stepping ladder: start value and per-stage reduction factor.
-  double gmin_start = 1e-3;
-  double gmin_reduction = 10.0;
-  /// Source-stepping stages used if gmin stepping also fails.
-  int source_steps = 10;
   double temperature_k = 300.15;
 };
 
@@ -59,14 +47,11 @@ struct DcOptions {
 struct TransientOptions {
   double tstop = 0.0;            ///< end time [s] (required)
   double dt_initial = 1e-12;     ///< first step [s]
-  double dt_min = 1e-16;         ///< give up below this [s]
   double dt_max = 2.5e-11;       ///< step ceiling [s]
   netlist::IntegrationMethod method =
       netlist::IntegrationMethod::kTrapezoidal;
   /// Step controller: target max per-node voltage change per step [V].
   double max_voltage_step = 0.03;
-  /// Grow dt by this factor when steps are comfortably small.
-  double growth_factor = 1.5;
   DcOptions dc;                  ///< used for the t=0 operating point
 };
 

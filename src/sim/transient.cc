@@ -16,6 +16,11 @@
 namespace cmldft::sim {
 
 namespace {
+/// Smallest step [s]: a step that fails to converge at it stalls the run.
+constexpr double kDtMin = 1e-16;
+/// Grow dt by this factor when steps are comfortably small.
+constexpr double kGrowthFactor = 1.5;
+
 struct TranMetrics {
   util::telemetry::Counter runs = util::telemetry::GetCounter("sim.tran.runs");
   util::telemetry::Counter accepted_steps =
@@ -202,7 +207,7 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
   const int n_nodes = mna.num_node_unknowns();
 
   while (t < options.tstop - 1e-18) {
-    dt = std::clamp(dt, options.dt_min, options.dt_max);
+    dt = std::clamp(dt, kDtMin, options.dt_max);
     // Do not step over the end time or a source corner; land on them.
     double dt_eff = std::min(dt, options.tstop - t);
     const double bp = NextSourceBreakpoint(sources, t);
@@ -221,7 +226,7 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
       metrics.rejected_steps.Increment();
       metrics.newton_rejections.Increment();
       mna.ResetCurrentStates();
-      if (dt_eff <= options.dt_min * 1.001) {
+      if (dt_eff <= kDtMin * 1.001) {
         metrics.failures.Increment();
         return util::Status::NoConvergence(util::StrPrintf(
             "transient stalled at t=%.6g (dt=%.3g): %s", t, dt_eff,
@@ -239,13 +244,13 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
           max_change, std::fabs(solved.value().solution[static_cast<size_t>(i)] -
                                 x[static_cast<size_t>(i)]));
     }
-    if (max_change > options.max_voltage_step && dt_eff > options.dt_min * 1.001) {
+    if (max_change > options.max_voltage_step && dt_eff > kDtMin * 1.001) {
       result.stats().rejected_steps++;
       result.stats().lte_rejections++;
       metrics.rejected_steps.Increment();
       metrics.lte_rejections.Increment();
       mna.ResetCurrentStates();
-      dt = std::max(options.dt_min,
+      dt = std::max(kDtMin,
                     dt_eff * 0.8 * options.max_voltage_step / max_change);
       continue;
     }
@@ -266,7 +271,7 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
     if (hit_breakpoint) {
       dt = options.dt_initial;  // resolve the new edge finely
     } else if (max_change < 0.3 * options.max_voltage_step) {
-      dt = dt_eff * options.growth_factor;
+      dt = dt_eff * kGrowthFactor;
     } else {
       dt = dt_eff;
     }

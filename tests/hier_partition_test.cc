@@ -94,8 +94,6 @@ void AnnotateRandomCells(netlist::Netlist& nl, util::Rng& rng, int k) {
   std::vector<netlist::CellInstance> cells(static_cast<size_t>(k));
   for (int c = 0; c < k; ++c) {
     cells[static_cast<size_t>(c)].name = util::StrPrintf("cell%d", c);
-    cells[static_cast<size_t>(c)].type = util::StrPrintf("t%llu",
-        static_cast<unsigned long long>(rng.NextBelow(3)));
   }
   for (int d = 0; d < nl.num_devices(); ++d) {
     if (rng.NextBool(0.15)) continue;  // stays global
@@ -145,7 +143,6 @@ TEST(HierPartitionProperty, AllDevicesInOneCellStaysCorrect) {
   netlist::Netlist nl = MakeRandomNetwork(rng, 12);
   netlist::CellInstance all;
   all.name = "everything";
-  all.type = "blob";
   for (int d = 0; d < nl.num_devices(); ++d) {
     all.devices.push_back(nl.device(d).name());
   }
@@ -162,7 +159,6 @@ TEST(HierPartitionProperty, SingletonCellsPerDeviceStaysCorrect) {
   for (int d = 0; d < nl.num_devices(); ++d) {
     netlist::CellInstance one;
     one.name = util::StrPrintf("solo%d", d);
-    one.type = "solo";
     one.devices.push_back(nl.device(d).name());
     nl.AddCellInstance(std::move(one));
   }
@@ -176,12 +172,10 @@ TEST(HierPartitionProperty, AnnotationsNamingMissingDevicesAreSkipped) {
   netlist::Netlist nl = MakeRandomNetwork(rng, 8);
   netlist::CellInstance ghost;
   ghost.name = "ghost";
-  ghost.type = "phantom";
   ghost.devices = {"no_such_device", "also_missing"};
   nl.AddCellInstance(std::move(ghost));
   netlist::CellInstance real;
   real.name = "real";
-  real.type = "t0";
   for (int d = 1; d < nl.num_devices() && d < 6; ++d) {
     real.devices.push_back(nl.device(d).name());
   }

@@ -95,6 +95,26 @@ TEST(Json, ParseErrorsCarryPosition) {
   EXPECT_FALSE(j.ok());
 }
 
+// Parse recurses once per array/object level, so nesting is capped at 64
+// levels: a 1 MiB run of '[' or of {"a": (the largest body the scheduler
+// accepts) is a ParseError, not a stack overflow.
+TEST(Json, NestingIsCappedAt64Levels) {
+  EXPECT_TRUE(Json::Parse(std::string(64, '[') + std::string(64, ']')).ok());
+  std::string objects;
+  for (int level = 1; level < 64; ++level) objects += "{\"a\": ";
+  EXPECT_TRUE(Json::Parse(objects + "{}" + std::string(63, '}')).ok());
+  EXPECT_FALSE(Json::Parse(std::string(65, '[') + std::string(65, ']')).ok());
+
+  const size_t kMiB = size_t{1} << 20;
+  objects.clear();
+  while (objects.size() < kMiB) objects += "{\"a\":";
+  for (const std::string& text : {std::string(kMiB, '['), objects}) {
+    auto j = Json::Parse(text);
+    ASSERT_FALSE(j.ok()) << text.substr(0, 10);
+    EXPECT_EQ(j.status().code(), util::StatusCode::kParseError);
+  }
+}
+
 // ------------------------------------------------------------- Report --
 
 TEST(Tol, JsonRoundTrip) {

@@ -605,8 +605,9 @@ RawReply HttpRaw(uint16_t port, const std::string& request) {
 
 // The HTTP reader is bounded: a header past 16 KiB (even one that never
 // ends) is answered 431, a content-length past 1 MiB 413 before any body
-// is buffered, and one that is not a number 400 — each followed by the
-// close. A well-formed request is still served afterwards.
+// is buffered, one that is not a number 400, and so is a body nested too
+// deep to parse — each followed by the close. A well-formed request is
+// still served afterwards.
 TEST(ServiceEndToEnd, HttpRequestsAreSizeBounded) {
   const std::string dir = TempPath("e2e_http_bounds");
   std::system(("rm -rf " + dir).c_str());
@@ -642,6 +643,9 @@ TEST(ServiceEndToEnd, HttpRequestsAreSizeBounded) {
   expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n",
                  "400");
   expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                 "400");
+  expect_refused("POST /campaigns HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" +
+                     std::string(100000, '['),
                  "400");
   const RawReply ok = HttpRaw(http, "GET /campaigns HTTP/1.1\r\n\r\n");
   EXPECT_EQ(ok.text.rfind("HTTP/1.1 200", 0), 0u) << ok.text;
