@@ -82,8 +82,8 @@ void BM_DenseLuFactorSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseLuFactorSolve)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// Sparse vs dense on an MNA-like pattern (~5 entries/row): the crossover
-// that motivates NewtonOptions::Solver::kAuto.
+// Full sparse factorization (pivot search included) on an MNA-like
+// pattern (~5 entries/row), beside BM_DenseLuFactorSolve at the same sizes.
 void BM_SparseLuFactorSolve(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   util::Rng rng(42);
@@ -191,8 +191,9 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // Raw MNA assembly cost on the BM_DcOperatingPoint/32 system (133
-// unknowns), dense (Arg 0) and sparse (Arg 1) routing: every Assemble()
-// after the first replays the compiled stamp targets.
+// unknowns): every Assemble() after the first replays the compiled stamp
+// targets into the sparse builder. The Arg(1) row name is kept for the
+// committed baselines and the CI regression gate.
 void BM_Assemble(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
@@ -202,16 +203,14 @@ void BM_Assemble(benchmark::State& state) {
   sim::MnaSystem mna(nl);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_initializing_state(true);
-  const bool sparse = state.range(0) != 0;
-  mna.set_sparse(sparse);
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
   for (auto _ : state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  state.SetLabel(sparse ? "sparse" : "dense");
+  state.SetLabel("sparse");
 }
-BENCHMARK(BM_Assemble)->Arg(0)->Arg(1);
+BENCHMARK(BM_Assemble)->Arg(1);
 
 // End-to-end transient on a 32-buffer clocked chain. The name and the
 // single Arg(0) ("exact") row are kept for the committed baselines and the
@@ -221,8 +220,7 @@ void BM_TransientFastPath(benchmark::State& state) {
   cml::CmlTechnology tech;
   cml::CellBuilder cells(nl, tech);
   const cml::DiffPort in = cells.AddDifferentialClock("in", 100e6);
-  // Same 32-buffer chain (133 unknowns) as BM_Assemble, solved by the
-  // dense kAuto solver.
+  // Same 32-buffer chain (133 unknowns) as BM_Assemble.
   cells.AddBufferChain("x", in, 32);
   sim::TransientOptions opts;
   opts.tstop = 10e-9;
@@ -262,25 +260,6 @@ void BM_HierTransient(benchmark::State& state) {
 }
 BENCHMARK(BM_HierTransient)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
-
-void BM_DcSolverComparison(benchmark::State& state) {
-  // 32-buffer chain (133 unknowns) with the solver forced each way.
-  netlist::Netlist nl;
-  cml::CmlTechnology tech;
-  cml::CellBuilder cells(nl, tech);
-  const cml::DiffPort in = cells.AddDifferentialDc("in", true);
-  cells.AddBufferChain("x", in, 32);
-  sim::DcOptions opt;
-  opt.newton.solver = state.range(0) == 0 ? sim::NewtonOptions::Solver::kDense
-                                          : sim::NewtonOptions::Solver::kSparse;
-  for (auto _ : state) {
-    auto r = sim::SolveDc(nl, opt);
-    if (!r.ok()) state.SkipWithError("dc failed");
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(state.range(0) == 0 ? "dense" : "sparse");
-}
-BENCHMARK(BM_DcSolverComparison)->Arg(0)->Arg(1);
 
 }  // namespace
 

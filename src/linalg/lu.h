@@ -1,7 +1,8 @@
 // Dense LU factorization with partial pivoting, plus solve. This is the
-// linear kernel under every Newton iteration of the circuit simulator
-// (real scalars) and under each AC frequency point (complex scalars):
-// factor once, solve many right-hand sides.
+// linear kernel under each AC frequency point (complex scalars) and under
+// the hierarchical solver's cell blocks and small borders (real scalars):
+// factor once, solve many right-hand sides. Flat Newton iterations use
+// the sparse LU (linalg/sparse.h).
 #pragma once
 
 #include <complex>
@@ -13,8 +14,8 @@
 namespace cmldft::linalg {
 
 /// LU factorization P*A = L*U with partial (row) pivoting on |entry|.
-/// Factor() reports SingularMatrix when a pivot falls below a relative
-/// threshold; the MNA layer reacts by adding gmin and retrying.
+/// Factor() reports SingularMatrix when a pivot falls below 1e-15 times
+/// the largest entry of the matrix.
 template <typename T>
 class LuFactorizationT {
  public:

@@ -10,8 +10,9 @@
 // pattern across Newton iterations and timepoints, so the steady-state
 // refactor is pure arithmetic, with no hash lookups and no allocation.
 // MNA matrices are structurally symmetric and very sparse (~4 entries per
-// row), so fill-in stays tiny and solves run in near-linear time — the
-// dense kernel's O(n^3) only wins below ~30 unknowns.
+// row), so fill-in stays tiny and solves run in near-linear time. This is
+// the linear solver of every flat Newton iteration, at every size (the
+// dense LuFactorization serves AC and the hierarchical solver).
 //
 // Usage mirrors the dense LuFactorization: Factor() once, Refactor() per
 // Newton iteration, Solve() per right-hand side. The triplet builder

@@ -5,8 +5,8 @@
 // recorded (row, col) keys are resolved once into raw target pointers, and
 // every later pass *replays*: each Add* call writes to the next compiled
 // target of the device's span. The owner decides only where a key lands —
-// the flat dense or sparse Jacobian (sim/mna.h), a hierarchical cell's
-// blocks or the hierarchical border (sim/hier.h).
+// the flat sparse Jacobian (sim/mna.h), a hierarchical cell's blocks or
+// the hierarchical border (sim/hier.h).
 #pragma once
 
 #include <cstddef>

@@ -42,6 +42,8 @@ struct DcMetrics {
       util::telemetry::GetCounter("sim.dc.source_stepping_successes");
   util::telemetry::Counter failures =
       util::telemetry::GetCounter("sim.dc.failures");
+  util::telemetry::Counter sweep_halvings =
+      util::telemetry::GetCounter("sim.dc.sweep_halvings");
   util::telemetry::Timer wall = util::telemetry::GetTimer("sim.dc.wall");
 };
 const DcMetrics& Metrics() {
@@ -131,6 +133,39 @@ util::StatusOr<HomotopyResult> SolveDcHomotopy(MnaSystem& mna,
 }  // namespace internal
 
 namespace {
+/// Step halvings a DC sweep may spend approaching a point whose own
+/// homotopy failed, starting from the last converged point.
+constexpr int kMaxSweepHalvings = 3;
+
+/// Approach sweep value `to` from `x`, the solution at the last converged
+/// sweep value `from`, after the solve at `to` itself failed. Each failure
+/// halves the step, at most kMaxSweepHalvings times; the intermediate
+/// points are solved but not reported.
+util::StatusOr<internal::HomotopyResult> ApproachByHalving(
+    MnaSystem& mna, devices::VSource& src, const DcOptions& options,
+    double from, double to, linalg::Vector x) {
+  constexpr int kGrid = 1 << kMaxSweepHalvings;
+  int pos = 0;  // `x` solves the point from + (to - from) * pos / kGrid
+  util::Status failure;
+  for (int stride = kGrid / 2; stride > 0; stride /= 2) {
+    internal::Metrics().sweep_halvings.Increment();
+    for (;;) {
+      const int next = pos + stride;
+      src.set_waveform(devices::Waveform::Dc(
+          next == kGrid ? to : from + (to - from) * next / kGrid));
+      auto hr = internal::SolveDcHomotopy(mna, options, x);
+      if (!hr.ok()) {
+        failure = hr.status();
+        break;
+      }
+      if (next == kGrid) return hr;
+      x = std::move(hr).value().newton.solution;
+      pos = next;
+    }
+  }
+  return failure;
+}
+
 DcResult PackResult(const MnaSystem& mna, const NewtonResult& nr,
                     int homotopy_stages) {
   const netlist::Netlist& nl = mna.netlist();
@@ -202,21 +237,21 @@ util::StatusOr<std::vector<DcSweepPoint>> DcSweepVSource(
 
   std::vector<DcSweepPoint> out;
   out.reserve(values.size());
+  // The last converged solution (flat 0 V before the first point).
   linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
-  bool have_guess = false;
   for (double v : values) {
     vsrc->set_waveform(devices::Waveform::Dc(v));
-    auto hr = internal::SolveDcHomotopy(
-        mna, options,
-        have_guess ? guess
-                   : linalg::Vector(static_cast<size_t>(mna.num_unknowns()), 0.0));
+    auto hr = internal::SolveDcHomotopy(mna, options, guess);
+    if (!hr.ok() && !out.empty()) {
+      hr = ApproachByHalving(mna, *vsrc, options, out.back().sweep_value, v,
+                             guess);
+    }
     if (!hr.ok()) {
       return util::Status::NoConvergence(
           util::StrPrintf("sweep point %s=%.6g: %s", vsource_name.c_str(), v,
                           hr.status().message().c_str()));
     }
     guess = hr.value().newton.solution;
-    have_guess = true;
     out.push_back({v, PackResult(mna, hr.value().newton, hr.value().stages)});
   }
   return out;

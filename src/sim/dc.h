@@ -42,7 +42,10 @@ util::StatusOr<DcResult> SolveDc(const netlist::Netlist& netlist,
 
 /// Sweep the DC value of a voltage source and solve at each point, using
 /// continuation (each solution seeds the next). Sweeping a bistable circuit
-/// up vs down traces the two hysteresis branches (paper Fig. 12).
+/// up vs down traces the two hysteresis branches (paper Fig. 12). A point
+/// whose solve fails is approached again from the last converged point in
+/// halved steps (at most 3 halvings); only the requested points are
+/// returned.
 struct DcSweepPoint {
   double sweep_value = 0.0;
   DcResult result;

@@ -11,6 +11,10 @@ namespace cmldft::sim {
 
 namespace {
 
+/// The largest border solved with the dense LU; larger borders use the
+/// sparse LU.
+constexpr size_t kMaxDenseBorderUnknowns = 256;
+
 struct HierMetrics {
   util::telemetry::Counter cells =
       util::telemetry::GetCounter("sim.hier.cells");
@@ -377,10 +381,8 @@ void HierSolver::BuildPartition() {
   usable_ = !cells_.empty();
   if (!usable_) return;
 
-  // Border solver storage: same dense/sparse crossover as the flat kAuto
-  // solver.
-  border_sparse_ =
-      border_unknowns_.size() > static_cast<size_t>(kMaxDenseUnknowns);
+  // Border solver storage: dense LU up to kMaxDenseBorderUnknowns.
+  border_sparse_ = border_unknowns_.size() > kMaxDenseBorderUnknowns;
   if (border_sparse_) {
     border_builder_ = linalg::SparseBuilder(border_unknowns_.size());
   } else {

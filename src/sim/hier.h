@@ -18,16 +18,16 @@
 //             reduction (linalg/bbd.h)
 //   border    border assembly (through slot pointers compiled once) +
 //             global devices (through their compiled stamp targets), then
-//             the border solve (dense, or sparse above kMaxDenseUnknowns
-//             like the flat kAuto solver)
+//             the border solve (dense, or sparse above 256 border
+//             unknowns)
 //   backsub   per-cell back-substitution
 //
 // All storage — cell blocks, factors, border system — is sized once and
 // reused, so a steady-state solve allocates nothing.
 //
 // The elimination order differs from the flat solve, so solutions are
-// tolerance-equivalent (not bitwise) to flat — gated in tests exactly
-// like dense == sparse.
+// tolerance-equivalent (not bitwise) to flat — gated in
+// tests/equivalence_test.cc.
 #pragma once
 
 #include <cstdint>
@@ -120,10 +120,10 @@ class HierSolver {
   std::vector<int> local_of_;
   std::vector<int> global_devices_;   ///< ordinals outside every cell
 
-  // Border system storage. Dense up to the same kMaxDenseUnknowns
-  // crossover the flat kAuto solver uses; sparse above it, where the
-  // builder keeps its pattern across solves (values are zeroed, not
-  // cleared) so the numeric Refactor replays the recorded elimination.
+  // Border system storage. Dense up to kMaxDenseBorderUnknowns (hier.cc);
+  // sparse above it, where the builder keeps its pattern across solves
+  // (values are zeroed, not cleared) so the numeric Refactor replays the
+  // recorded elimination.
   linalg::Matrix border_mat_;
   linalg::LuFactorization border_dense_lu_;
   linalg::Vector border_rhs_;

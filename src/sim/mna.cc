@@ -57,8 +57,7 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   }
   num_unknowns_ = branch_cursor;
   num_states_ = state_cursor;
-  jacobian_ = linalg::Matrix(static_cast<size_t>(num_unknowns_),
-                             static_cast<size_t>(num_unknowns_));
+  sparse_jac_ = linalg::SparseBuilder(static_cast<size_t>(num_unknowns_));
   rhs_.assign(static_cast<size_t>(num_unknowns_), 0.0);
   prev_states_.assign(static_cast<size_t>(num_states_), 0.0);
   curr_states_.assign(static_cast<size_t>(num_states_), 0.0);
@@ -66,27 +65,19 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   constants_revision_.assign(static_cast<size_t>(num_devices_), 0);
 }
 
-/// Routes a recording pass's writes into the flat Jacobian (dense or
-/// sparse) and RHS, and resolves their replay targets.
+/// Routes a recording pass's writes into the sparse Jacobian builder and
+/// the RHS, and resolves their replay targets.
 class MnaSystem::FlatOwner final : public netlist::StampContext::Owner {
  public:
   explicit FlatOwner(MnaSystem* mna) : mna_(mna) {}
 
   void RecordMatrix(int row, int col, double value) override {
-    if (mna_->sparse_) {
-      mna_->sparse_jac_.Add(static_cast<size_t>(row),
-                            static_cast<size_t>(col), value);
-    } else {
-      *MatrixTarget(row, col) += value;
-    }
+    mna_->sparse_jac_.Add(static_cast<size_t>(row), static_cast<size_t>(col),
+                          value);
   }
   double* MatrixTarget(int row, int col) override {
-    if (mna_->sparse_) {
-      return mna_->sparse_jac_.SlotPointer(static_cast<size_t>(row),
-                                           static_cast<size_t>(col));
-    }
-    return &mna_->jacobian_(static_cast<size_t>(row),
-                            static_cast<size_t>(col));
+    return mna_->sparse_jac_.SlotPointer(static_cast<size_t>(row),
+                                         static_cast<size_t>(col));
   }
   double* RhsTarget(int row) override {
     return &mna_->rhs_[static_cast<size_t>(row)];
@@ -140,44 +131,26 @@ netlist::StampFrame MnaSystem::Frame(const linalg::Vector& iterate) {
   return f;
 }
 
-void MnaSystem::set_sparse(bool sparse) {
-  sparse_ = sparse;
-  if (sparse_ && sparse_jac_.dimension() != static_cast<size_t>(num_unknowns_)) {
-    sparse_jac_ = linalg::SparseBuilder(static_cast<size_t>(num_unknowns_));
-  }
-}
-
 void MnaSystem::Assemble(const linalg::Vector& iterate) {
   assert(static_cast<int>(iterate.size()) == num_unknowns_);
   assert(netlist_->num_devices() == num_devices_ &&
          "netlist devices changed after MnaSystem construction");
   util::telemetry::ScopedTimer wall(Metrics().assembly_wall);
   ctx_.Bind(Frame(iterate));
-  const bool replayable =
-      ctx_.compiled() && plan_sparse_ == sparse_ &&
-      (!sparse_ || sparse_jac_.pattern_version() == plan_pattern_version_);
-  if (!replayable || !ReplayAssemble()) RecordAssemble();
+  if (!ctx_.compiled() || !ReplayAssemble()) RecordAssemble();
 }
 
 void MnaSystem::RecordAssemble() {
-  if (sparse_) {
-    sparse_jac_.Clear();
-  } else {
-    jacobian_.Fill(0.0);
-  }
+  sparse_jac_.Clear();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   FlatOwner owner(this);
   ctx_.BeginRecord(owner);
   for (int i = 0; i < num_devices_; ++i) ctx_.Record(netlist_->device(i));
   Metrics().device_evals.Add(static_cast<uint64_t>(num_devices_));
-  using FirstTouch = netlist::StampContext::FirstTouch;
-  const bool compiled = ctx_.EndRecord(sparse_ ? FirstTouch::kStoreRaw
-                                               : FirstTouch::kStoreZeroed);
+  const bool compiled =
+      ctx_.EndRecord(netlist::StampContext::FirstTouch::kStoreRaw);
   assert(compiled && "recorded slot missing from sparse pattern");
-  if (!compiled) return;
-  plan_sparse_ = sparse_;
-  plan_pattern_version_ = sparse_ ? sparse_jac_.pattern_version() : 0;
-  Metrics().plan_compiles.Increment();
+  if (compiled) Metrics().plan_compiles.Increment();
 }
 
 bool MnaSystem::ReplayAssemble() {

@@ -3,15 +3,15 @@
 // against.
 //
 // Assembly (see docs/performance.md, "Stamp plans"): devices stamp
-// through one concrete netlist::StampContext. The first Assemble() records
-// every matrix/RHS/state destination each device touches and resolves the
-// sequence into a flat plan of write targets (dense: pointer into the
-// row-major Jacobian; sparse: pointer into the builder's frozen slot).
-// Every later Assemble() replays it — each stamp writes to the next
-// target, with no index lookups. A device that takes a different stamp
-// path (a different call count; in debug builds any different
-// destination) or a sparsity-pattern change forces a re-record. Every
-// Assemble() evaluates every device.
+// through one concrete netlist::StampContext into one target, a sparse
+// builder. The first Assemble() records every matrix/RHS/state
+// destination each device touches and resolves the sequence into a flat
+// plan of write targets (pointers into the builder's slots). Every later
+// Assemble() replays it — each stamp writes to the next target, with no
+// index lookups. A device that takes a different stamp path (a different
+// call count; in debug builds any different destination) forces a
+// re-record, which rebuilds the builder's pattern. Every Assemble()
+// evaluates every device.
 #pragma once
 
 #include <cstdint>
@@ -67,19 +67,16 @@ class MnaSystem {
   const netlist::AnalysisState& analysis() const { return analysis_; }
 
   /// Assemble Jacobian and RHS at the given iterate (solving J x = rhs
-  /// yields the next Newton iterate directly). In sparse mode the Jacobian
-  /// goes into sparse_jacobian() instead of jacobian().
+  /// yields the next Newton iterate directly).
   void Assemble(const linalg::Vector& iterate);
 
-  /// Route stamps into a sparse builder instead of the dense matrix
-  /// (worth it above a few hundred unknowns; results are identical).
-  /// A change of routing re-records the stamp plan at the next Assemble().
-  void set_sparse(bool sparse);
-  bool sparse() const { return sparse_; }
-
-  const linalg::Matrix& jacobian() const { return jacobian_; }
   const linalg::SparseBuilder& sparse_jacobian() const { return sparse_jac_; }
   const linalg::Vector& rhs() const { return rhs_; }
+  /// A dense copy of the assembled Jacobian (AC linearization, tests).
+  linalg::Matrix jacobian() const { return sparse_jac_.ToDense(); }
+  /// Always true: the Jacobian is only assembled sparse. Kept for the
+  /// end-to-end benchmark's probes (e2ebench/), which still ask.
+  bool sparse() const { return true; }
 
   /// Persistent sparse solver: because the MNA sparsity pattern is fixed
   /// for the lifetime of this system, the solver's symbolic factorization
@@ -121,10 +118,8 @@ class MnaSystem {
   int num_states_ = 0;
 
   netlist::AnalysisState analysis_;
-  bool sparse_ = false;
   linalg::SparseBuilder sparse_jac_{0};
   linalg::SparseLu sparse_lu_;
-  linalg::Matrix jacobian_;
   linalg::Vector rhs_;
   std::vector<double> prev_states_;
   std::vector<double> curr_states_;
@@ -133,11 +128,8 @@ class MnaSystem {
   std::vector<double> constants_;
   std::vector<uint64_t> constants_revision_;
 
-  // The compiled plan. Replayable while it was compiled for the present
-  // routing and (sparse) builder pattern.
+  // The compiled plan; only a re-record changes the builder's pattern.
   netlist::StampContext ctx_;
-  bool plan_sparse_ = false;
-  uint64_t plan_pattern_version_ = 0;  // sparse builder structure snapshot
 };
 
 }  // namespace cmldft::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/lu.h"
 #include "linalg/sparse.h"
 #include "sim/hier.h"
 #include "util/logging.h"
@@ -53,47 +52,34 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
   const NewtonMetrics& metrics = Metrics();
   metrics.solves.Increment();
   linalg::Vector x = initial_guess;
+  // The next iterate, solved into the same storage every iteration.
+  linalg::Vector x_new(x.size());
   // Hierarchical path (opt-in): the bordered-block-diagonal solver
   // replaces assembly + factorization + solve wholesale, and falls through
   // to the flat path when the netlist carries no usable cell annotations.
   HierSolver* hier = opts.hierarchical ? mna.GetHierSolver() : nullptr;
-  const bool use_sparse =
-      opts.solver == NewtonOptions::Solver::kSparse ||
-      (opts.solver == NewtonOptions::Solver::kAuto && n > kMaxDenseUnknowns);
-  if (hier == nullptr) mna.set_sparse(use_sparse);
-  linalg::LuFactorization lu;
   // The sparse solver lives in the MnaSystem so its symbolic factorization
   // and pivot order are reused across iterations and timepoints; Refactor
   // does a full Factor on first use or when a reused pivot goes bad.
-  linalg::SparseLu& sparse_lu = mna.sparse_solver();
+  linalg::SparseLu& lu = mna.sparse_solver();
   const int n_nodes = mna.num_node_unknowns();
 
   for (int iter = 0; iter < kMaxIterations; ++iter) {
     metrics.iterations.Increment();
     mna.set_first_iteration(iter == 0);
 
-    linalg::Vector x_new;
+    util::Status st;
     if (hier != nullptr) {
-      util::Status st = hier->AssembleAndSolve(x, &x_new, opts);
-      if (!st.ok()) {
-        metrics.singular_failures.Increment();
-        return util::Status(st.code(), util::StrPrintf("newton iter %d: %s",
-                                                       iter,
-                                                       st.message().c_str()));
-      }
+      st = hier->AssembleAndSolve(x, &x_new, opts);
     } else {
       mna.Assemble(x);
-      util::Status st = use_sparse ? sparse_lu.Refactor(mna.sparse_jacobian())
-                                   : lu.Factor(mna.jacobian());
-      if (!st.ok()) {
-        metrics.singular_failures.Increment();
-        return util::Status::SingularMatrix(util::StrPrintf(
-            "newton iter %d: %s", iter, st.message().c_str()));
-      }
-      auto solved =
-          use_sparse ? sparse_lu.Solve(mna.rhs()) : lu.Solve(mna.rhs());
-      if (!solved.ok()) return solved.status();
-      x_new = std::move(solved.value());
+      st = lu.Refactor(mna.sparse_jacobian());
+      if (st.ok()) st = lu.SolveInto(mna.rhs(), &x_new);
+    }
+    if (!st.ok()) {
+      metrics.singular_failures.Increment();
+      return util::Status(st.code(), util::StrPrintf("newton iter %d: %s", iter,
+                                                     st.message().c_str()));
     }
 
     // Clamp node-voltage updates (global damping); find convergence metric.

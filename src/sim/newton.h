@@ -14,8 +14,9 @@ struct NewtonResult {
 };
 
 /// Iterate J(x_k) x_{k+1} = rhs(x_k) from `initial_guess` until the update
-/// is below tolerance for every unknown. Node-voltage updates are clamped
-/// to opts.max_delta_v per iteration (global damping). The MnaSystem's
+/// is below tolerance for every unknown, factoring each J with the
+/// MnaSystem's sparse LU. Node-voltage updates are clamped to
+/// opts.max_delta_v per iteration (global damping). The MnaSystem's
 /// analysis configuration (mode/time/dt/gmin/...) must be set by the caller.
 util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
                                          const linalg::Vector& initial_guess,

@@ -5,29 +5,21 @@
 
 namespace cmldft::sim {
 
-/// The largest system the kAuto solver and the hierarchical border solve
-/// with the dense LU; larger ones use the sparse LU. A crossover measured
-/// for CML-like MNA patterns before the sparse refactorization replayed a
-/// recorded pattern (see docs/simulator.md).
-inline constexpr int kMaxDenseUnknowns = 256;
-
 /// Newton-Raphson controls. The iteration limit and convergence
-/// tolerances are constants of sim/newton.cc.
+/// tolerances are constants of sim/newton.cc; every flat solve factors
+/// with the sparse LU (linalg/sparse.h).
 struct NewtonOptions {
   /// Per-iteration clamp on node-voltage updates [V]; tames the exponential
   /// BJT characteristics without per-junction limiting state.
   double max_delta_v = 0.25;
-  /// Linear solver. kAuto uses the dense LU up to kMaxDenseUnknowns
-  /// unknowns and the sparse LU above.
-  enum class Solver { kAuto, kDense, kSparse };
-  Solver solver = Solver::kAuto;
 
   // --- hierarchical solver (opt-in; see docs/performance.md Layer 6) -----
   /// Bordered-block-diagonal elimination over the netlist's cell-instance
   /// annotations (sim/hier.h): per-cell internal blocks are factored and
   /// Schur-eliminated into a small interconnect border. Same linear
   /// system as the flat solve in a different elimination order, so
-  /// solutions are tolerance-equivalent (gated like dense == sparse).
+  /// solutions are tolerance-equivalent to the flat solve (gated in
+  /// tests/equivalence_test.cc).
   /// Falls back to the flat path when the netlist carries no usable cell
   /// annotations. Default off.
   bool hierarchical = false;

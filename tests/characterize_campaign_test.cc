@@ -19,6 +19,7 @@
 #include "core/characterize.h"
 #include "report/report.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace cmldft {
 namespace {
@@ -296,6 +297,50 @@ TEST(CharacterizationCampaign, PresetValidation) {
               c->excursion_levels.end())
         << name;
   }
+}
+
+// ------------------------------------------------------------ convergence --
+
+// -40 C, 3.0 V supply, vtest 3.6 V, die 1: both load-sharing vtest ramps
+// stall at one 50 mV step ("stalled at alpha=1.00") unless the sweep
+// approaches the point in halved steps from the last converged one.
+TEST(CharacterizationConvergence, LoadSharingRampHalvesThroughAStall) {
+  auto config = campaign::CharacterizationPreset("characterization");
+  ASSERT_TRUE(config.ok());
+  const uint64_t halvings_before =
+      util::telemetry::Capture().Value("sim.dc.sweep_halvings");
+  auto unit = core::EvaluateCharacterizationUnit(*config, 1);
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  const core::CharacterizationCorner corner = core::CornerAt(*config, 0);
+  EXPECT_EQ(corner.temperature_c, -40.0);
+  EXPECT_EQ(corner.supply, 3.0);
+  EXPECT_EQ(corner.vtest, 3.6);
+  EXPECT_EQ(unit->die, 1u);
+  EXPECT_EQ(unit->measure_failures, 0u);
+  EXPECT_GT(util::telemetry::Capture().Value("sim.dc.sweep_halvings"),
+            halvings_before);
+}
+
+// The variant-2 static probe at -40 C, 3.3 V supply, vtest 3.7 V on the
+// nominal die (unit 12). A singularity test relative to the largest
+// matrix entry once refused a 4e-8 pivot here.
+TEST(CharacterizationConvergence, Variant2ProbeConvergesAtColdNominalCorner) {
+  auto config = campaign::CharacterizationPreset("characterization");
+  ASSERT_TRUE(config.ok());
+  const core::CharacterizationCorner corner = core::CornerAt(*config, 12 / 3);
+  ASSERT_EQ(corner.temperature_c, -40.0);
+  ASSERT_EQ(corner.supply, 3.3);
+  ASSERT_EQ(corner.vtest, 3.7);
+  cml::CmlTechnology tech;
+  tech.vgnd = corner.supply;
+  core::DetectorOptions options;
+  options.npn = tech.npn;
+  options.vtest_test_mode = corner.vtest;
+  auto probe = core::MeasureDetectableExcursion(
+      2, {tech, corner.temperature_c + 273.15}, options, corner.vtest,
+      config->probe_max, config->probe_step);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_NEAR(probe->threshold, 0.34, 0.05);
 }
 
 }  // namespace

@@ -1,19 +1,26 @@
 // Cross-engine equivalence: independent numerical paths through the
-// simulator must agree on the same circuit. Covers the two linear solvers
-// (dense LU vs sparse LU) on DC and transient analyses, and the two
-// integration methods (trapezoidal vs backward Euler) on the paper's
-// buffer chain. The digital engines' serial == bit-parallel and
-// serial == threaded guarantees live in determinism_test.cc.
+// simulator must agree on the same circuit. Covers the one Newton linear
+// solver (sparse LU) against a dense reference, the two integration
+// methods (trapezoidal vs backward Euler) on the paper's buffer chain, and
+// the hierarchical solver against the flat one. The digital engines'
+// serial == bit-parallel and serial == threaded guarantees live in
+// determinism_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
 
 #include "bench/paper_bench.h"
 #include "cml/builder.h"
+#include "core/characterize.h"
 #include "defects/defect.h"
+#include "linalg/lu.h"
+#include "linalg/sparse.h"
 #include "sim/dc.h"
+#include "sim/mna.h"
+#include "sim/newton.h"
 #include "sim/transient.h"
 #include "util/telemetry.h"
 #include "waveform/measure.h"
@@ -40,87 +47,65 @@ Chain MakeChain(double freq) {
   return c;
 }
 
-sim::NewtonOptions WithSolver(sim::NewtonOptions::Solver s) {
-  sim::NewtonOptions n;
-  n.solver = s;
-  return n;
+// At a converged DC point the assembled system J x = rhs reproduces the
+// Newton solution; the sparse LU the Newton loop uses and the dense
+// reference LU must both solve it to roundoff.
+TEST(SolverEquivalence, SparseAndDenseLuSolveTheConvergedDcSystem) {
+  netlist::Netlist nl;
+  cml::CmlTechnology tech;
+  cml::CellBuilder cells(nl, tech);
+  cells.AddBufferChain("x", cells.AddDifferentialDc("in", true), 6);
+  auto dc = sim::SolveDc(nl);
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+
+  sim::MnaSystem mna(nl);
+  mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+  mna.set_initializing_state(true);
+  linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
+  for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
+    guess[static_cast<size_t>(mna.UnknownOfNode(n))] = dc->V(n);
+  }
+  // Polish from the operating point so the last Newton step is tiny.
+  auto newton = sim::SolveNewton(mna, guess, sim::NewtonOptions{});
+  ASSERT_TRUE(newton.ok()) << newton.status().ToString();
+  const linalg::Vector& x = newton->solution;
+
+  mna.Assemble(x);
+  linalg::SparseLu sparse;
+  ASSERT_TRUE(sparse.Factor(mna.sparse_jacobian()).ok());
+  auto xs = sparse.Solve(mna.rhs());
+  linalg::LuFactorization dense;
+  ASSERT_TRUE(dense.Factor(mna.jacobian()).ok());
+  auto xd = dense.Solve(mna.rhs());
+  ASSERT_TRUE(xs.ok() && xd.ok());
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double tol = 1e-9 * std::max(std::fabs(x[i]), 1e-3);
+    EXPECT_NEAR((*xs)[i], x[i], tol) << "sparse, unknown " << i;
+    EXPECT_NEAR((*xd)[i], x[i], tol) << "dense, unknown " << i;
+  }
 }
 
-TEST(SolverEquivalence, DcDenseMatchesSparse) {
+// Every flat Newton solve factors with the sparse LU: no DC operating
+// point, transient or characterization unit reaches the dense LU (which
+// remains for AC, the hierarchical solver and as the tests' reference).
+TEST(SolverEquivalence, FlatAnalysesNeverFactorDense) {
   Chain c = MakeChain(100e6);
-  sim::DcOptions dense, sparse;
-  dense.newton = WithSolver(sim::NewtonOptions::Solver::kDense);
-  sparse.newton = WithSolver(sim::NewtonOptions::Solver::kSparse);
-  auto rd = sim::SolveDc(c.nl, dense);
-  auto rs = sim::SolveDc(c.nl, sparse);
-  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  ASSERT_EQ(rd->node_voltages.size(), rs->node_voltages.size());
-  for (size_t i = 0; i < rd->node_voltages.size(); ++i) {
-    // Both Newton loops share the same convergence criteria; the solvers
-    // differ only in pivoting order, so solutions agree to solver noise.
-    EXPECT_NEAR(rd->node_voltages[i], rs->node_voltages[i], 5e-6)
-        << "node " << i;
-  }
-}
-
-TEST(SolverEquivalence, DcDenseMatchesSparseWithDefect) {
-  // A pipe defect adds an off-pattern resistor — a different sparsity
-  // structure than the clean chain.
-  Chain c = MakeChain(100e6);
-  defects::Defect d;
-  d.type = defects::DefectType::kTransistorPipe;
-  d.device = "x1.q3";
-  d.resistance = 2e3;
-  auto faulty = defects::WithDefect(c.nl, d);
-  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
-  sim::DcOptions dense, sparse;
-  dense.newton = WithSolver(sim::NewtonOptions::Solver::kDense);
-  sparse.newton = WithSolver(sim::NewtonOptions::Solver::kSparse);
-  auto rd = sim::SolveDc(*faulty, dense);
-  auto rs = sim::SolveDc(*faulty, sparse);
-  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  for (size_t i = 0; i < rd->node_voltages.size(); ++i) {
-    EXPECT_NEAR(rd->node_voltages[i], rs->node_voltages[i], 5e-6)
-        << "node " << i;
-  }
-}
-
-TEST(SolverEquivalence, TransientDenseMatchesSparse) {
-  sim::TransientOptions base;
-  base.tstop = 12e-9;
-  auto run = [&](sim::NewtonOptions::Solver s) {
-    Chain c = MakeChain(100e6);
-    sim::TransientOptions opts = base;
-    opts.dc.newton.solver = s;
-    auto r = sim::RunTransient(c.nl, opts);
-    // Lambdas returning values can't use ASSERT_*; hard-stop instead of
-    // dereferencing an error StatusOr.
-    if (!r.ok()) {
-      ADD_FAILURE() << r.status().ToString();
-      std::abort();
-    }
-    return std::make_pair(std::move(*r), c.outs.back());
-  };
-  auto [rd, out_d] = run(sim::NewtonOptions::Solver::kDense);
-  auto [rs, out_s] = run(sim::NewtonOptions::Solver::kSparse);
-  // Step acceptance can differ in the last float bit, so timepoints are
-  // not comparable one-to-one; measured waveform quantities must agree.
-  const auto sd = waveform::MeasureSwing(rd.Voltage(out_d.p_name), 5e-9, 12e-9);
-  const auto ss = waveform::MeasureSwing(rs.Voltage(out_s.p_name), 5e-9, 12e-9);
-  EXPECT_NEAR(sd.vhigh, ss.vhigh, 2e-3);
-  EXPECT_NEAR(sd.vlow, ss.vlow, 2e-3);
-  EXPECT_NEAR(sd.swing, ss.swing, 2e-3);
-  const auto cd = waveform::Crossings(rd.Voltage(out_d.p_name), 3.175,
-                                      waveform::Edge::kRising);
-  const auto cs = waveform::Crossings(rs.Voltage(out_s.p_name), 3.175,
-                                      waveform::Edge::kRising);
-  ASSERT_FALSE(cd.empty());
-  ASSERT_EQ(cd.size(), cs.size());
-  for (size_t i = 0; i < cd.size(); ++i) {
-    EXPECT_NEAR(cd[i], cs[i], 5e-12) << "crossing " << i;
-  }
+  core::CharacterizationConfig config;
+  config.temperatures_c = {27.0};
+  config.supplies = {3.3};
+  config.vtests = {3.7};
+  config.trials = 0;
+  const util::telemetry::Snapshot before = util::telemetry::Capture();
+  ASSERT_TRUE(sim::SolveDc(c.nl).ok());
+  sim::TransientOptions opts;
+  opts.tstop = 2e-9;
+  ASSERT_TRUE(sim::RunTransient(c.nl, opts).ok());
+  ASSERT_TRUE(core::EvaluateCharacterizationUnit(config, 0).ok());
+  const util::telemetry::Snapshot after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.dense_lu.factors"),
+            before.Value("linalg.dense_lu.factors"));
+  EXPECT_GT(after.Value("linalg.sparse_lu.refactors"),
+            before.Value("linalg.sparse_lu.refactors"));
 }
 
 TEST(IntegrationEquivalence, TrapezoidalMatchesBackwardEuler) {
@@ -242,8 +227,8 @@ TEST(TransientStepperProperties, PaperChainFaultFree) {
 //
 // sim/hier.h eliminates each annotated CML cell's internal unknowns via a
 // Schur complement and solves only the border globally — the same linear
-// system as flat in a different elimination order, so solutions are gated
-// with the same tolerances as dense == sparse.
+// system as flat in a different elimination order, so solutions agree to
+// solver noise, not bitwise.
 
 sim::DcOptions HierDc() {
   sim::DcOptions o;

@@ -2,11 +2,10 @@
 // sequence, and any iterate, an MnaSystem (which records once and then
 // replays its compiled targets) produces a Jacobian and RHS bit-identical
 // to a reference that records afresh at every step, writing straight into
-// a zeroed dense matrix or a cleared sparse builder — in dense and sparse
-// routing, across mode/context switches that force devices down different
-// conditional stamp paths (replay mismatch + re-record), across state
-// rotations, and across temperature and parameter changes that must
-// refresh the devices' model constants.
+// a cleared sparse builder — across mode/context switches that force
+// devices down different conditional stamp paths (replay mismatch +
+// re-record), across state rotations, and across temperature and
+// parameter changes that must refresh the devices' model constants.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -107,10 +106,8 @@ class RecordingReference final : public netlist::StampContext::Owner {
       constant += dev.num_constants();
       slots_.push_back(s);
     }
-    n_ = static_cast<size_t>(branch);
-    dense_ = linalg::Matrix(n_, n_);
-    builder_ = linalg::SparseBuilder(n_);
-    rhs_.assign(n_, 0.0);
+    builder_ = linalg::SparseBuilder(static_cast<size_t>(branch));
+    rhs_.assign(static_cast<size_t>(branch), 0.0);
     prev_.assign(static_cast<size_t>(state), 0.0);
     curr_.assign(static_cast<size_t>(state), 0.0);
     constants_.assign(static_cast<size_t>(constant), 0.0);
@@ -118,9 +115,7 @@ class RecordingReference final : public netlist::StampContext::Owner {
 
   netlist::AnalysisState analysis;
 
-  void Assemble(const linalg::Vector& x, bool sparse) {
-    sparse_ = sparse;
-    dense_.Fill(0.0);
+  void Assemble(const linalg::Vector& x) {
     builder_.Clear();
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
     // Stale constants: every assembly recomputes them too.
@@ -141,16 +136,11 @@ class RecordingReference final : public netlist::StampContext::Owner {
   void RotateStates() { prev_ = curr_; }
   void ResetCurrentStates() { curr_ = prev_; }
 
-  const linalg::Matrix& dense() const { return dense_; }
   const linalg::SparseBuilder& builder() const { return builder_; }
   const linalg::Vector& rhs() const { return rhs_; }
 
   void RecordMatrix(int row, int col, double value) override {
-    if (sparse_) {
-      builder_.Add(static_cast<size_t>(row), static_cast<size_t>(col), value);
-    } else {
-      dense_(static_cast<size_t>(row), static_cast<size_t>(col)) += value;
-    }
+    builder_.Add(static_cast<size_t>(row), static_cast<size_t>(col), value);
   }
   double* MatrixTarget(int, int) override { return nullptr; }  // unused
   double* RhsTarget(int row) override {
@@ -160,9 +150,6 @@ class RecordingReference final : public netlist::StampContext::Owner {
  private:
   const netlist::Netlist& nl_;
   std::vector<netlist::DeviceSlots> slots_;
-  size_t n_ = 0;
-  bool sparse_ = false;
-  linalg::Matrix dense_;
   linalg::SparseBuilder builder_;
   linalg::Vector rhs_;
   std::vector<double> prev_, curr_, constants_;
@@ -203,13 +190,6 @@ void ExpectSparseIdentical(const linalg::SparseBuilder& a,
   }
 }
 
-void ExpectDenseIdentical(const linalg::Matrix& a, const linalg::Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  for (size_t i = 0; i < a.rows() * a.cols(); ++i) {
-    ASSERT_TRUE(BitEqual(a.data()[i], b.data()[i], "jacobian", i));
-  }
-}
-
 void ExpectRhsIdentical(const linalg::Vector& a, const linalg::Vector& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -217,20 +197,15 @@ void ExpectRhsIdentical(const linalg::Vector& a, const linalg::Vector& b) {
   }
 }
 
-void ExpectIdentical(const sim::MnaSystem& sys, const RecordingReference& ref,
-                     bool sparse) {
-  if (sparse) {
-    ExpectSparseIdentical(sys.sparse_jacobian(), ref.builder());
-  } else {
-    ExpectDenseIdentical(sys.jacobian(), ref.dense());
-  }
+void ExpectIdentical(const sim::MnaSystem& sys, const RecordingReference& ref) {
+  ExpectSparseIdentical(sys.sparse_jacobian(), ref.builder());
   ExpectRhsIdentical(sys.rhs(), ref.rhs());
 }
 
 // Drives an MnaSystem and the recording reference through the same
 // context/iterate sequence and demands bitwise-equal results after every
 // single Assemble.
-void RunLockstep(uint64_t seed, bool sparse) {
+void RunLockstep(uint64_t seed) {
   const netlist::Netlist nl = RandomNetlist(seed, /*num_nodes=*/9,
                                             /*num_devices=*/24);
   sim::MnaSystem sys(nl);
@@ -238,7 +213,6 @@ void RunLockstep(uint64_t seed, bool sparse) {
   ASSERT_EQ(sys.num_unknowns(), static_cast<int>(ref.rhs().size()));
   util::Rng rng(seed ^ 0xD1CEull);
 
-  sys.set_sparse(sparse);
   sys.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   sys.set_initializing_state(true);
   ref.analysis = sys.analysis();
@@ -246,8 +220,8 @@ void RunLockstep(uint64_t seed, bool sparse) {
     sys.set_first_iteration(first);
     ref.analysis = sys.analysis();
     sys.Assemble(x);
-    ref.Assemble(x, sparse);
-    ExpectIdentical(sys, ref, sparse);
+    ref.Assemble(x);
+    ExpectIdentical(sys, ref);
   };
 
   // DC phase: several iterates (the first one records the plan).
@@ -280,29 +254,8 @@ void RunLockstep(uint64_t seed, bool sparse) {
   assemble(RandomIterate(rng, sys.num_unknowns()), true);
 }
 
-TEST(StampPlanTest, RandomNetlistsDenseBitIdentical) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) RunLockstep(seed, /*sparse=*/false);
-}
-
 TEST(StampPlanTest, RandomNetlistsSparseBitIdentical) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) RunLockstep(seed, /*sparse=*/true);
-}
-
-// Switching a system between sparse and dense routing mid-life must not
-// replay a plan compiled for the other backend.
-TEST(StampPlanTest, SurvivesSparseDenseSwitch) {
-  const netlist::Netlist nl = RandomNetlist(3, 8, 20);
-  sim::MnaSystem sys(nl);
-  RecordingReference ref(nl);
-  util::Rng rng(99);
-  for (const bool sparse : {false, true, false, true}) {
-    sys.set_sparse(sparse);
-    ref.analysis = sys.analysis();
-    const linalg::Vector x = RandomIterate(rng, sys.num_unknowns());
-    sys.Assemble(x);
-    ref.Assemble(x, sparse);
-    ExpectIdentical(sys, ref, sparse);
-  }
+  for (uint64_t seed = 1; seed <= 8; ++seed) RunLockstep(seed);
 }
 
 // One BJT, one two-emitter BJT and one diode with depletion charge, all
@@ -345,7 +298,7 @@ void ExpectMatchesFresh(const ConstantsCircuit& circuit,
   sim::MnaSystem fresh(circuit.nl);
   ConstantsCircuit::Configure(fresh, temp_k);
   fresh.Assemble(circuit.x);
-  ExpectDenseIdentical(live.jacobian(), fresh.jacobian());
+  ExpectSparseIdentical(live.sparse_jacobian(), fresh.sparse_jacobian());
   ExpectRhsIdentical(live.rhs(), fresh.rhs());
 }
 
