@@ -283,7 +283,7 @@ util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeCharacterizationPlan(
 util::StatusOr<CharacterizationMergeResult> DecodeCharacterizationCampaign(
     const MergedStores& merged) {
   if (merged.payload != &kCharacterizationPayload) {
-    return ForeignRecords(*merged.payload, kCharacterizationPayload);
+    return ForeignRecords(merged.payload->name, kCharacterizationPayload);
   }
   CharacterizationMergeResult out;
   auto config = DecodeCharacterizationSuiteRecord(merged.singleton);

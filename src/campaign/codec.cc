@@ -1,5 +1,7 @@
 #include "campaign/codec.h"
 
+#include <iterator>
+
 #include "campaign/bytes.h"
 #include "util/hash.h"
 
@@ -30,6 +32,15 @@ defects::Defect ReadDefect(ByteReader& r) {
 }
 
 }  // namespace
+
+std::string_view PayloadNameOf(RecordType type) {
+  // Each payload owns one (singleton, unit) pair of consecutive types.
+  constexpr std::string_view kNames[] = {"screening", "pattern",
+                                         "characterization"};
+  const unsigned t = static_cast<uint8_t>(type);
+  return t >= 1 && t <= 2 * std::size(kNames) ? kNames[(t - 1) / 2]
+                                              : std::string_view();
+}
 
 std::string EncodeReferenceRecord(const core::ScreeningReport& reference) {
   ByteWriter w;

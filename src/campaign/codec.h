@@ -37,6 +37,11 @@ enum class RecordType : uint8_t {
   kCharacterizationUnit = 6,
 };
 
+/// The name of the payload (payload.h) a record type belongs to, empty for
+/// an unknown type. Needs no payload descriptor, so the record gate can
+/// name another payload's records without linking every payload.
+std::string_view PayloadNameOf(RecordType type);
+
 struct OutcomeRecord {
   uint64_t unit_id = 0;
   core::DefectOutcome outcome;

@@ -4,7 +4,6 @@
 
 #include "campaign/runner.h"
 #include "campaign/store.h"
-#include "util/hash.h"
 
 namespace cmldft::campaign {
 
@@ -12,12 +11,6 @@ namespace {
 
 RecordType TypeOf(std::string_view record) {
   return static_cast<RecordType>(static_cast<uint8_t>(record[0]));
-}
-
-util::Status UnknownType(std::string_view record) {
-  return util::Status::ParseError(
-      "unknown campaign record type " +
-      std::to_string(static_cast<uint8_t>(record[0])));
 }
 
 }  // namespace
@@ -29,7 +22,7 @@ util::StatusOr<MergedStores> MergeStores(
     return util::Status::InvalidArgument("no campaign stores to merge");
   }
 
-  // Pass 1: headers, payload and singleton of every store.
+  // Headers agree and no store is torn.
   MergedStores out;
   std::vector<ScannedStore> scans;
   scans.reserve(paths.size());
@@ -53,56 +46,52 @@ util::StatusOr<MergedStores> MergeStores(
                  "universe size, or shard plan differs from " +
           paths.front() + ")");
     }
-    for (const std::string& record : scan->records) {
-      const Payload* payload = FindPayload(TypeOf(record));
-      if (payload == nullptr) return UnknownType(record);
-      if (out.payload == nullptr) out.payload = payload;
-      if (payload != out.payload) {
-        const util::Status foreign = ForeignRecords(*payload, *out.payload);
-        return util::Status(foreign.code(), path + ": " + foreign.message());
-      }
-      if (TypeOf(record) != payload->singleton_type) continue;
-      if (out.singleton.empty()) {
-        out.singleton = record;
-      } else if (record != out.singleton) {
-        return util::Status::FailedPrecondition(
-            path + ": singleton (reference/suite) records differ between "
-                   "shard stores; the shards were not produced by the same "
-                   "engine and configuration");
-      }
-    }
     scans.push_back(std::move(*scan));
   }
-  if (out.singleton.empty()) {
+  // The campaign's payload owns the first singleton record in the stores;
+  // the fold refuses every record of another.
+  for (size_t s = 0; s < scans.size() && out.payload == nullptr; ++s) {
+    for (const std::string& record : scans[s].records) {
+      const Payload* owner = FindPayload(TypeOf(record));
+      if (owner == nullptr || owner->singleton_type != TypeOf(record)) continue;
+      out.payload = owner;
+      break;
+    }
+  }
+  if (out.payload == nullptr) {
     return util::Status::FailedPrecondition(
         "no store carries the campaign's singleton (reference/suite) record");
   }
-  const Payload& payload = *out.payload;
+  const RecordType singleton_type = out.payload->singleton_type;
 
-  // Pass 2: unit records, keyed by id. Memory grows with the records
-  // present, never with what a header claims.
+  // Every singleton folds before any unit, so the coordinate checks see
+  // the suite.
+  StreamingMerge merge(*out.payload, out.total_units);
+  for (size_t s = 0; s < scans.size(); ++s) {
+    for (const std::string& record : scans[s].records) {
+      if (TypeOf(record) != singleton_type) continue;
+      auto fold = merge.Fold(record);
+      if (!fold.ok()) return InStore(paths[s], fold.status());
+    }
+  }
+
+  // Then every other record; units are keyed by id. Memory grows with the
+  // records present, never with what a header claims.
   std::map<uint64_t, std::string> units;
   for (size_t s = 0; s < scans.size(); ++s) {
     const std::string& path = paths[s];
     uint64_t unit_records = 0;
     for (std::string& record : scans[s].records) {
-      if (TypeOf(record) == payload.singleton_type) continue;
-      auto unit = payload.unit(record, out.singleton);
-      if (!unit.ok()) {
-        return util::Status(unit.status().code(),
-                            path + ": " + unit.status().message());
-      }
-      if (unit->id >= out.total_units) {
+      if (TypeOf(record) == singleton_type) continue;
+      auto fold = merge.Fold(record);
+      if (!fold.ok()) return InStore(path, fold.status());
+      if (fold->duplicate) {
         return util::Status::FailedPrecondition(
-            path + ": record for unit " + std::to_string(unit->id) +
-            " outside the universe of " + std::to_string(out.total_units));
-      }
-      if (!units.emplace(unit->id, std::move(record)).second) {
-        return util::Status::FailedPrecondition(
-            path + ": unit " + std::to_string(unit->id) +
+            path + ": unit " + std::to_string(fold->unit_id) +
             " already provided by another record — overlapping or "
             "duplicated shard stores");
       }
+      units.emplace(fold->unit_id, std::move(record));
       ++unit_records;
     }
     out.shard_units.emplace_back(scans[s].header.shard_index, unit_records);
@@ -110,7 +99,7 @@ util::StatusOr<MergedStores> MergeStores(
 
   // Completeness: a missing unit is a hard error, not a smaller
   // denominator.
-  if (units.size() != out.total_units) {
+  if (!merge.complete()) {
     uint64_t first_missing = 0;
     for (const auto& entry : units) {
       if (entry.first != first_missing) break;
@@ -124,80 +113,13 @@ util::StatusOr<MergedStores> MergeStores(
         ") — run the remaining shards (or resume interrupted ones) before "
         "merging");
   }
-  CMLDFT_RETURN_IF_ERROR(payload.check_singleton(out.singleton,
-                                                 out.fingerprint,
-                                                 out.total_units));
+  out.singleton = merge.singleton();
+  CMLDFT_RETURN_IF_ERROR(out.payload->check_singleton(
+      out.singleton, out.fingerprint, out.total_units));
 
   out.units.reserve(units.size());
   for (auto& entry : units) out.units.push_back(std::move(entry.second));
   return out;
-}
-
-// ------------------------------------------------ streaming merge --
-
-StreamingMerge::StreamingMerge(uint64_t total_units)
-    : total_units_(total_units),
-      seen_(total_units, 0),
-      unit_hash_(total_units, 0) {}
-
-util::StatusOr<StreamingMerge::FoldResult> StreamingMerge::Fold(
-    std::string_view payload) {
-  if (payload.empty()) {
-    return util::Status::ParseError("empty record payload");
-  }
-  const Payload* owner = FindPayload(TypeOf(payload));
-  if (owner == nullptr) return UnknownType(payload);
-  if (payload_ == nullptr) payload_ = owner;
-  if (owner != payload_) return ForeignRecords(*owner, *payload_);
-
-  FoldResult result;
-  if (TypeOf(payload) == payload_->singleton_type) {
-    if (singleton_.empty()) {
-      singleton_ = std::string(payload);
-      result.new_singleton = true;
-    } else if (singleton_ != payload) {
-      return util::Status::FailedPrecondition(
-          "singleton record (reference/suite) differs from the one already "
-          "folded: the contributing workers do not run the same engine and "
-          "configuration");
-    } else {
-      result.duplicate = true;
-    }
-    return result;
-  }
-
-  // Unit records: decode (validates the payload), dedup by id, tally.
-  auto unit = payload_->unit(payload, singleton_);
-  if (!unit.ok()) return unit.status();
-  if (unit->id >= total_units_) {
-    return util::Status::FailedPrecondition(
-        "record for unit " + std::to_string(unit->id) +
-        " outside the universe of " + std::to_string(total_units_));
-  }
-  result.unit_id = unit->id;
-  const uint64_t hash = util::ContentHasher().Str(payload).Digest();
-  if (seen_[unit->id]) {
-    if (unit_hash_[unit->id] != hash) {
-      return util::Status::FailedPrecondition(
-          "unit " + std::to_string(unit->id) +
-          " delivered twice with different bytes — the contributing workers "
-          "do not run the same engine and configuration");
-    }
-    result.duplicate = true;
-    return result;
-  }
-  seen_[unit->id] = 1;
-  unit_hash_[unit->id] = hash;
-  ++units_done_;
-  covered_ += unit->covered;
-  coverable_ += unit->coverable;
-  result.new_unit = true;
-  return result;
-}
-
-double StreamingMerge::LiveCoverage() const {
-  if (coverable_ == 0) return 0.0;
-  return static_cast<double>(covered_) / static_cast<double>(coverable_);
 }
 
 }  // namespace cmldft::campaign

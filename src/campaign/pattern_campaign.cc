@@ -233,7 +233,7 @@ util::StatusOr<std::unique_ptr<const PayloadPlan>> MakePatternPlan(
 util::StatusOr<PatternCampaignResult> DecodePatternCampaign(
     const MergedStores& merged) {
   if (merged.payload != &kPatternPayload) {
-    return ForeignRecords(*merged.payload, kPatternPayload);
+    return ForeignRecords(merged.payload->name, kPatternPayload);
   }
   PatternCampaignResult out;
   auto sweep = DecodePatternSuiteRecord(merged.singleton);

@@ -138,11 +138,12 @@ util::Status ExecuteEachUnit(const std::string& singleton,
   return first_error;
 }
 
-/// The one refusal of records that belong to another payload.
-inline util::Status ForeignRecords(const Payload& found,
+/// The one refusal of records that belong to another payload (`found`
+/// names it, as PayloadNameOf does).
+inline util::Status ForeignRecords(std::string_view found,
                                    const Payload& expected) {
   return util::Status::FailedPrecondition(
-      "store holds " + std::string(found.name) + " records, not " +
+      "store holds " + std::string(found) + " records, not " +
       std::string(expected.name) + " records");
 }
 

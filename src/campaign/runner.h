@@ -3,15 +3,16 @@
 // RunCampaign turns a payload plan's in-memory evaluation into a
 // crash-safe unit of a larger campaign:
 //
-//   1. If the store file exists: scan it, refuse a fingerprint/shard/size
-//      mismatch, truncate a torn tail record, and collect the unit ids
-//      already completed. Otherwise create the store.
+//   1. If the store file exists, resume it (StoreSession, store.h):
+//      refuse a fingerprint/shard/size mismatch or any record the fold
+//      refuses, truncate a torn tail record, and skip the units already
+//      completed. Otherwise create the store.
 //   2. Execute this shard's pending units and append every record the
-//      plan emits as a CRC-framed record, fsync'd in batches. The
-//      singleton record is appended once: a resumed store's singleton
-//      must be byte-equal to the one this run emits, or the run is refused
-//      (the fingerprint cannot see engine-internal changes; a
-//      re-simulated screening reference can).
+//      plan emits, through the same fold, as a CRC-framed record fsync'd
+//      in batches. The singleton record is appended once: a resumed
+//      store's singleton must be byte-equal to the one this run emits, or
+//      the run is refused (the fingerprint cannot see engine-internal
+//      changes; a re-simulated screening reference can).
 //
 // `kill -9` at any instant leaves a valid store prefix; rerunning the
 // same command line resumes where the file ends. After all shards

@@ -153,7 +153,7 @@ util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeScreeningPlan(
 util::StatusOr<core::ScreeningReport> DecodeScreeningCampaign(
     const MergedStores& merged) {
   if (merged.payload != &kScreeningPayload) {
-    return ForeignRecords(*merged.payload, kScreeningPayload);
+    return ForeignRecords(merged.payload->name, kScreeningPayload);
   }
   auto reference = DecodeReferenceRecord(merged.singleton);
   if (!reference.ok()) return reference.status();

@@ -1,8 +1,10 @@
 #include "campaign/store.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/crc32.h"
+#include "util/hash.h"
 
 namespace cmldft::campaign {
 
@@ -88,11 +90,6 @@ util::Status StoreWriter::AppendRecord(std::string_view payload) {
   return util::Status::Ok();
 }
 
-util::Status StoreWriter::Flush() {
-  unsynced_ = 0;
-  return file_.Sync();
-}
-
 util::Status StoreWriter::Close() { return file_.Close(); }
 
 util::StatusOr<ScannedStore> ScanStore(const std::string& path) {
@@ -145,6 +142,143 @@ util::StatusOr<ScannedStore> ScanStore(const std::string& path) {
 util::Status RepairStore(const std::string& path, const ScannedStore& scan) {
   if (!scan.torn_tail) return util::Status::Ok();
   return util::TruncateFile(path, scan.valid_bytes);
+}
+
+// ---------------------------------------------------- streaming merge --
+
+util::StatusOr<StreamingMerge::FoldResult> StreamingMerge::Fold(
+    std::string_view record) {
+  if (record.empty()) {
+    return util::Status::ParseError("empty record payload");
+  }
+  const auto type = static_cast<RecordType>(static_cast<uint8_t>(record[0]));
+  FoldResult result;
+  if (type == payload_->singleton_type) {
+    if (singleton_.empty()) {
+      singleton_ = std::string(record);
+      result.new_singleton = true;
+    } else if (singleton_ != record) {
+      return util::Status::FailedPrecondition(
+          "singleton record (reference/suite) differs from the one already "
+          "folded: the records were not produced by the same engine and "
+          "configuration");
+    } else {
+      result.duplicate = true;
+    }
+    return result;
+  }
+  if (type != payload_->unit_type) {
+    const std::string_view owner = PayloadNameOf(type);
+    if (owner.empty()) {
+      return util::Status::ParseError(
+          "unknown campaign record type " +
+          std::to_string(static_cast<uint8_t>(type)));
+    }
+    return ForeignRecords(owner, *payload_);
+  }
+
+  // Unit records: decode (validates the payload), dedup by id, tally.
+  auto unit = payload_->unit(record, singleton_);
+  if (!unit.ok()) return unit.status();
+  if (unit->id >= total_units_) {
+    return util::Status::FailedPrecondition(
+        "record for unit " + std::to_string(unit->id) +
+        " outside the universe of " + std::to_string(total_units_));
+  }
+  result.unit_id = unit->id;
+  const uint64_t hash = util::ContentHasher().Str(record).Digest();
+  const auto [slot, inserted] = unit_hash_.emplace(unit->id, hash);
+  if (!inserted) {
+    if (slot->second != hash) {
+      return util::Status::FailedPrecondition(
+          "unit " + std::to_string(unit->id) +
+          " has two different records: they were not produced by the same "
+          "engine and configuration");
+    }
+    result.duplicate = true;
+    return result;
+  }
+  covered_ += unit->covered;
+  coverable_ += unit->coverable;
+  result.new_unit = true;
+  return result;
+}
+
+double StreamingMerge::LiveCoverage() const {
+  if (coverable_ == 0) return 0.0;
+  return static_cast<double>(covered_) / static_cast<double>(coverable_);
+}
+
+// ------------------------------------------------------ store session --
+
+util::StatusOr<StoreSession> StoreSession::Create(const PayloadPlan& plan,
+                                                  const ShardPlan& shard,
+                                                  const std::string& path,
+                                                  int fsync_batch) {
+  const StoreHeader header{plan.fingerprint(), shard.index, shard.count,
+                           plan.total_units()};
+  auto writer = StoreWriter::Create(path, header, fsync_batch);
+  if (!writer.ok()) return writer.status();
+  return StoreSession(path, StreamingMerge(plan.payload(), plan.total_units()),
+                      std::move(*writer));
+}
+
+util::StatusOr<StoreSession> StoreSession::Resume(const PayloadPlan& plan,
+                                                  const ShardPlan& shard,
+                                                  const std::string& path,
+                                                  int fsync_batch) {
+  auto scan = ScanStore(path);
+  if (!scan.ok()) return scan.status();
+  const StoreHeader& header = scan->header;
+  if (header.fingerprint != plan.fingerprint()) {
+    return util::Status::FailedPrecondition(
+        path + ": store fingerprint does not match the requested " +
+        std::string(plan.payload().name) +
+        " configuration — it belongs to a different campaign; use a fresh "
+        "store path (or delete the stale file)");
+  }
+  if (header.shard_index != shard.index || header.shard_count != shard.count) {
+    return util::Status::FailedPrecondition(
+        path + ": store holds shard " +
+        ShardPlan{header.shard_index, header.shard_count}.ToString() +
+        " but this run requested shard " + shard.ToString());
+  }
+  if (header.total_units != plan.total_units()) {
+    return util::Status::FailedPrecondition(
+        path + ": store planned " + std::to_string(header.total_units) +
+        " units but the universe now has " +
+        std::to_string(plan.total_units()));
+  }
+  StreamingMerge merge(plan.payload(), plan.total_units());
+  for (const std::string& record : scan->records) {
+    auto fold = merge.Fold(record);
+    if (!fold.ok()) return InStore(path, fold.status());
+  }
+  CMLDFT_RETURN_IF_ERROR(RepairStore(path, *scan));
+  auto writer = StoreWriter::OpenAppend(path, fsync_batch);
+  if (!writer.ok()) return writer.status();
+  StoreSession session(path, std::move(merge), std::move(*writer));
+  session.torn_tail_repaired_ = scan->torn_tail;
+  return session;
+}
+
+util::StatusOr<StreamingMerge::FoldResult> StoreSession::Append(
+    std::string_view record) {
+  auto fold = merge_.Fold(record);
+  if (!fold.ok()) return InStore(path_, fold.status());
+  if (fold->duplicate) return fold;
+  if (closed_) {
+    return util::Status::Internal(path_ +
+                                  ": new record after the store was closed");
+  }
+  CMLDFT_RETURN_IF_ERROR(writer_.AppendRecord(record));
+  return fold;
+}
+
+util::Status StoreSession::Close() {
+  if (closed_) return util::Status::Ok();
+  closed_ = true;
+  return writer_.Close();
 }
 
 }  // namespace cmldft::campaign

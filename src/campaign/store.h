@@ -15,13 +15,21 @@
 // length, CRC, or payload doesn't check out, reports everything before it
 // as valid, and flags the rest as a torn tail for RepairStore to cut off.
 // Completed work is never lost; incomplete work is never trusted.
+//
+// What a store may hold is decided in one place, StreamingMerge::Fold: a
+// StoreSession (the one writer of a store that a run or the scheduler
+// appends to) folds every record it reads back or appends, and the merge
+// (merge.h) folds every record of every store it recombines.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "campaign/payload.h"
+#include "campaign/planner.h"
 #include "util/file_io.h"
 #include "util/status.h"
 
@@ -42,8 +50,7 @@ struct StoreHeader {
 };
 
 /// Appends CRC-framed records, fsyncing every `fsync_batch` appends (and
-/// on Close). Not internally synchronized — the campaign sink serializes
-/// concurrent emitters.
+/// on Close). Not internally synchronized.
 class StoreWriter {
  public:
   /// Start a fresh store at `path` (truncates any existing file), writing
@@ -56,8 +63,6 @@ class StoreWriter {
                                                 int fsync_batch = 8);
 
   util::Status AppendRecord(std::string_view payload);
-  /// Force an fsync of everything appended so far.
-  util::Status Flush();
   util::Status Close();
 
   /// Crash-injection passthrough (see util::AppendFile::SetKillAtSize).
@@ -90,5 +95,120 @@ util::StatusOr<ScannedStore> ScanStore(const std::string& path);
 
 /// Cut a torn tail off the underlying file (no-op for a clean scan).
 util::Status RepairStore(const std::string& path, const ScannedStore& scan);
+
+/// `status` with the path of the store it concerns in front of its message.
+inline util::Status InStore(const std::string& path,
+                            const util::Status& status) {
+  return util::Status(status.code(), path + ": " + status.message());
+}
+
+/// Streaming incremental merge, and the record gate: the one decision of
+/// whether a record belongs in a store of one payload's campaign. Records
+/// fold one at a time, in any order, as a run emits them, as workers
+/// deliver them or as a store is read back; the scheduler reads a live
+/// coverage estimate off it for the status API.
+///
+/// Idempotent by construction: a unit record delivered twice (a reclaimed
+/// lease whose original worker also finished, a re-sent batch) is accepted
+/// when bit-identical to the first delivery and refused otherwise — the
+/// first record wins, the duplicate is only cross-checked, and
+/// `units_done` never double-counts. The singleton record gets the same
+/// treatment, which is the resume guard extended across hosts: two
+/// workers running different engine builds cannot contribute to one
+/// campaign.
+///
+/// `LiveCoverage` is the payload's headline ratio (payload.h,
+/// UnitRecordInfo) over the units folded so far; at completion it equals
+/// the value the merged report derives from the same records.
+class StreamingMerge {
+ public:
+  StreamingMerge(const Payload& payload, uint64_t total_units)
+      : payload_(&payload), total_units_(total_units) {}
+
+  struct FoldResult {
+    /// A unit not seen before was folded in.
+    bool new_unit = false;
+    /// First delivery of the singleton record.
+    bool new_singleton = false;
+    /// Bit-identical re-delivery of an already-folded record; ignored.
+    bool duplicate = false;
+    /// Set for unit records (valid when new_unit or duplicate).
+    uint64_t unit_id = 0;
+  };
+
+  /// Fold one record payload (store framing already stripped). Refuses an
+  /// empty or unknown record, another payload's record, a singleton that
+  /// differs from the one folded, an undecodable unit, an out-of-universe
+  /// unit id, a unit whose coordinates contradict its id (checked once the
+  /// singleton is folded), and a second, different record for a unit.
+  util::StatusOr<FoldResult> Fold(std::string_view record);
+
+  uint64_t total_units() const { return total_units_; }
+  uint64_t units_done() const { return unit_hash_.size(); }
+  bool complete() const { return units_done() == total_units_; }
+  bool has_unit(uint64_t id) const { return unit_hash_.count(id) != 0; }
+  /// The folded singleton record; empty before it arrives.
+  const std::string& singleton() const { return singleton_; }
+
+  /// Payload headline ratio over the units folded so far (0 when none).
+  double LiveCoverage() const;
+
+ private:
+  const Payload* payload_;
+  uint64_t total_units_;
+  std::string singleton_;
+  /// Content hash of each folded unit record, by unit id: memory grows
+  /// with the records folded, never with a header's universe.
+  std::map<uint64_t, uint64_t> unit_hash_;
+  uint64_t covered_ = 0;
+  uint64_t coverable_ = 0;
+};
+
+/// One shard store of one plan, open for appending, whose every record has
+/// passed StreamingMerge::Fold. Not internally synchronized: the run loop
+/// appends under PayloadPlan::Execute's serialization of emits, the
+/// scheduler from its one event loop. Every refusal names the store.
+class StoreSession {
+ public:
+  /// Start a fresh store at `path` (truncating any file there), its header
+  /// written and synced before this returns.
+  static util::StatusOr<StoreSession> Create(const PayloadPlan& plan,
+                                             const ShardPlan& shard,
+                                             const std::string& path,
+                                             int fsync_batch);
+  /// Reopen the store at `path`: refuse a header that is not `shard` of
+  /// `plan` and any stored record Fold refuses, then cut off a torn tail.
+  /// A refused store is left as it was.
+  static util::StatusOr<StoreSession> Resume(const PayloadPlan& plan,
+                                             const ShardPlan& shard,
+                                             const std::string& path,
+                                             int fsync_batch);
+
+  /// Fold `record` and write it if it is new, so it is durable before the
+  /// caller counts it. A bit-identical duplicate is not written.
+  util::StatusOr<StreamingMerge::FoldResult> Append(std::string_view record);
+
+  const std::string& path() const { return path_; }
+  const StreamingMerge& merge() const { return merge_; }
+  bool torn_tail_repaired() const { return torn_tail_repaired_; }
+
+  /// Sync and close the store (idempotent). A new record after this is an
+  /// error; duplicates still fold.
+  util::Status Close();
+
+  /// Crash-injection passthrough (see util::AppendFile::SetKillAtSize).
+  void SetKillAtSize(uint64_t file_size) { writer_.SetKillAtSize(file_size); }
+
+ private:
+  StoreSession(std::string path, StreamingMerge merge, StoreWriter writer)
+      : path_(std::move(path)), merge_(std::move(merge)),
+        writer_(std::move(writer)) {}
+
+  std::string path_;
+  StreamingMerge merge_;
+  StoreWriter writer_;
+  bool torn_tail_repaired_ = false;
+  bool closed_ = false;
+};
 
 }  // namespace cmldft::campaign

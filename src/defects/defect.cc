@@ -1,5 +1,6 @@
 #include "defects/defect.h"
 
+#include <cmath>
 #include <memory>
 
 #include "devices/passive.h"
@@ -71,6 +72,14 @@ Status InjectOpenAt(Netlist& nl, Device& dev, int terminal,
 }  // namespace
 
 Status InjectDefect(Netlist& nl, const Defect& d) {
+  const bool resistive = d.type == DefectType::kTransistorPipe ||
+                         d.type == DefectType::kTransistorShort ||
+                         d.type == DefectType::kBridge;
+  if (resistive && !(std::isfinite(d.resistance) && d.resistance > 0)) {
+    return Status::InvalidArgument(
+        StrPrintf("%s: defect resistance must be finite and > 0, got %g",
+                  d.Id().c_str(), d.resistance));
+  }
   switch (d.type) {
     case DefectType::kTransistorPipe:
     case DefectType::kTransistorShort: {
@@ -116,9 +125,8 @@ Status InjectDefect(Netlist& nl, const Defect& d) {
       if (a == netlist::kInvalidNode || b == netlist::kInvalidNode) {
         return Status::NotFound("bridge nodes not found: " + d.Id());
       }
-      nl.AddDevice(std::make_unique<devices::Resistor>(
-          "fault." + d.Id(), a, b,
-          d.resistance > 0 ? d.resistance : kShortResistance));
+      nl.AddDevice(std::make_unique<devices::Resistor>("fault." + d.Id(), a,
+                                                       b, d.resistance));
       return Status::Ok();
     }
   }

@@ -50,7 +50,10 @@ inline constexpr double kOpenCapacitance = 1e-15;      // 1 fF
 inline constexpr double kDefaultPipeResistance = 4e3;  // "a few KOhm"
 
 /// Inject `defect` into `netlist` (mutating it). Added devices are named
-/// "fault.*"; opens rewire the target terminal onto a fresh node.
+/// "fault.*"; opens rewire the target terminal onto a fresh node. A pipe,
+/// transistor short or bridge whose resistance is not finite and > 0 is
+/// InvalidArgument naming the defect: a 0 Ohm defect is refused, never
+/// stamped as an infinite conductance.
 util::Status InjectDefect(netlist::Netlist& netlist, const Defect& defect);
 
 /// Convenience: copy the netlist and inject.

@@ -35,67 +35,31 @@ util::Status EnsureDirectory(const std::string& path) {
 
 Campaign::Campaign(CampaignSpec spec,
                    std::unique_ptr<const campaign::PayloadPlan> plan,
-                   std::string store_path)
+                   campaign::StoreSession store)
     : spec_(std::move(spec)),
       plan_(std::move(plan)),
-      store_path_(std::move(store_path)),
       leases_(plan_->total_units(), spec_.chunk_units),
-      merge_(plan_->total_units()) {}
-
-util::StatusOr<std::unique_ptr<Campaign>> Campaign::Create(
-    const CampaignSpec& spec, const std::string& store_path,
-    int fsync_batch) {
-  auto plan = campaign::PlanForPreset(spec.preset);
-  if (!plan.ok()) return plan.status();
-
-  campaign::StoreHeader header;
-  header.fingerprint = (*plan)->fingerprint();
-  header.shard_index = 0;
-  header.shard_count = 1;
-  header.total_units = (*plan)->total_units();
-  auto writer = campaign::StoreWriter::Create(store_path, header, fsync_batch);
-  if (!writer.ok()) return writer.status();
-
-  std::unique_ptr<Campaign> c(
-      new Campaign(spec, std::move(plan).value(), store_path));
-  c->writer_.emplace(std::move(writer).value());
-  return c;
+      store_(std::move(store)),
+      recovered_units_(merge().units_done()) {
+  for (uint64_t id = 0; id < plan_->total_units(); ++id) {
+    if (merge().has_unit(id)) leases_.MarkDone(id);
+  }
 }
 
-util::StatusOr<std::unique_ptr<Campaign>> Campaign::Recover(
-    const CampaignSpec& spec, const std::string& store_path,
-    int fsync_batch) {
+util::StatusOr<std::unique_ptr<Campaign>> Campaign::Open(
+    const CampaignSpec& spec, const std::string& store_path, int fsync_batch,
+    bool resume) {
   auto plan = campaign::PlanForPreset(spec.preset);
   if (!plan.ok()) return plan.status();
-
-  auto scan = campaign::ScanStore(store_path);
-  if (!scan.ok()) return scan.status();
-  if (scan->header.fingerprint != (*plan)->fingerprint() ||
-      scan->header.total_units != (*plan)->total_units() ||
-      scan->header.shard_count != 1) {
-    return util::Status::FailedPrecondition(
-        "store " + store_path +
-        " does not match the campaign's preset plan (fingerprint or "
-        "universe size differs) — stale state dir?");
-  }
-  CMLDFT_RETURN_IF_ERROR(campaign::RepairStore(store_path, *scan));
-
-  std::unique_ptr<Campaign> c(
-      new Campaign(spec, std::move(plan).value(), store_path));
-  c->torn_tail_repaired_ = scan->torn_tail;
-  for (const std::string& record : scan->records) {
-    auto fold = c->merge_.Fold(record);
-    if (!fold.ok()) return fold.status();
-    if (fold->new_unit) {
-      c->leases_.MarkDone(fold->unit_id);
-      ++c->recovered_units_;
-    }
-  }
-
-  auto writer = campaign::StoreWriter::OpenAppend(store_path, fsync_batch);
-  if (!writer.ok()) return writer.status();
-  c->writer_.emplace(std::move(writer).value());
-  return c;
+  const campaign::ShardPlan whole;
+  auto store =
+      resume ? campaign::StoreSession::Resume(**plan, whole, store_path,
+                                              fsync_batch)
+             : campaign::StoreSession::Create(**plan, whole, store_path,
+                                              fsync_batch);
+  if (!store.ok()) return store.status();
+  return std::unique_ptr<Campaign>(
+      new Campaign(spec, std::move(plan).value(), std::move(*store)));
 }
 
 util::StatusOr<Campaign::FoldStats> Campaign::FoldRecords(
@@ -107,44 +71,15 @@ util::StatusOr<Campaign::FoldStats> Campaign::FoldRecords(
     // duplicate, gets cross-checked against the first delivery, and is
     // dropped — the sender must see success, not an error, or a healthy
     // worker would abort over work that merely finished twice.
-    auto fold = merge_.Fold(record);
+    auto fold = store_.Append(record);
     if (!fold.ok()) return fold.status();
-    if (fold->duplicate) {
-      ++stats.duplicates;
-      continue;
-    }
-    if (!fold->new_unit && !fold->new_singleton) continue;
-    if (finished_ || !writer_.has_value()) {
-      // Unreachable: finished means all units folded, so every record
-      // above deduped. Guard anyway rather than drop a record silently.
-      return util::Status::Internal(
-          "new record arrived for finished campaign " +
-          std::to_string(spec_.id));
-    }
-    // Durable before visible: the record reaches the store before the
-    // unit is credited, so a crash between the two re-folds it on
-    // recovery instead of losing it.
-    CMLDFT_RETURN_IF_ERROR(writer_->AppendRecord(record));
+    if (fold->duplicate) ++stats.duplicates;
     if (fold->new_unit) {
       leases_.MarkDone(fold->unit_id);
       ++stats.new_units;
     }
   }
   return stats;
-}
-
-util::Status Campaign::Finish() {
-  if (finished_) return util::Status::Ok();
-  finished_ = true;
-  if (writer_.has_value()) {
-    CMLDFT_RETURN_IF_ERROR(writer_->Close());
-    writer_.reset();
-  }
-  return util::Status::Ok();
-}
-
-void Campaign::SetKillAtSize(uint64_t bytes) {
-  if (writer_.has_value()) writer_->SetKillAtSize(bytes);
 }
 
 // ------------------------------------------------------- CampaignQueue --
@@ -208,8 +143,8 @@ util::StatusOr<CampaignQueue> CampaignQueue::Open(const std::string& state_dir,
       return util::Status::ParseError("malformed campaign submission " +
                                       queue.SpecPathFor(id));
     }
-    auto campaign =
-        Campaign::Recover(spec, queue.StorePathFor(id), fsync_batch);
+    auto campaign = Campaign::Open(spec, queue.StorePathFor(id), fsync_batch,
+                                   /*resume=*/true);
     if (!campaign.ok()) return campaign.status();
     queue.campaigns_.push_back(std::move(campaign).value());
     queue.next_id_ = std::max(queue.next_id_, id + 1);
@@ -229,7 +164,8 @@ util::StatusOr<uint64_t> CampaignQueue::Submit(std::string_view preset,
   // Store first, submission json last: the json's existence commits the
   // campaign, so a crash in between leaves only an orphan store that the
   // next Open ignores.
-  auto campaign = Campaign::Create(spec, StorePathFor(spec.id), fsync_batch_);
+  auto campaign = Campaign::Open(spec, StorePathFor(spec.id), fsync_batch_,
+                                 /*resume=*/false);
   if (!campaign.ok()) return campaign.status();
   if (kill_at_bytes_ != 0) (*campaign)->SetKillAtSize(kill_at_bytes_);
 

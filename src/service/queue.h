@@ -10,11 +10,12 @@
 //   campaign_<id>.campaign  the PR 4 result store (header shard 0 of 1)
 //                           the scheduler appends worker records to.
 //
-// On open, the queue rescans the directory, repairs any torn store tail
-// (the scheduler may have been SIGKILL'd mid-append), and folds every
-// surviving record back through a fresh StreamingMerge — rebuilding the
-// lease table's done-bitmap and the live coverage estimate from durable
-// bytes alone. Leases themselves are deliberately NOT persisted: they are
+// On open, the queue rescans the directory and resumes every store as a
+// campaign::StoreSession: it repairs any torn tail (the scheduler may
+// have been SIGKILL'd mid-append) and folds every surviving record back
+// through a fresh StreamingMerge — rebuilding the lease table's
+// done-bitmap and the live coverage estimate from durable bytes alone.
+// Leases themselves are deliberately NOT persisted: they are
 // time-bounded claims, and a restarted scheduler simply re-issues them.
 // Re-issued work is safe because the merge dedups by unit id.
 //
@@ -24,12 +25,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "campaign/merge.h"
 #include "campaign/payload.h"
 #include "campaign/store.h"
 #include "service/lease.h"
@@ -44,71 +43,61 @@ struct CampaignSpec {
   uint64_t chunk_units = 0; ///< resolved at submit time (never 0)
 };
 
-/// One campaign's runtime state: the durable store it appends to, the
-/// lease table over its unit universe, and the streaming merge that both
-/// dedups deliveries and serves live coverage.
+/// One campaign's runtime state: the durable store it appends to, whose
+/// streaming merge both dedups deliveries and serves live coverage, and
+/// the lease table over its unit universe.
 class Campaign {
  public:
-  /// Fresh submission: create the store (header only) and an empty table.
-  /// The scheduler writes no record itself: the payload's singleton
-  /// record (screening reference, pattern/characterization suite) leads
-  /// every worker batch (campaign::EvaluateUnits), and the first batch
-  /// folded appends it ahead of its units.
-  static util::StatusOr<std::unique_ptr<Campaign>> Create(
+  /// A fresh submission creates the store (header only); a restart
+  /// (`resume`) resumes it with campaign::StoreSession::Resume. The
+  /// scheduler writes no record itself: the payload's singleton record
+  /// (screening reference, pattern/characterization suite) leads every
+  /// worker batch (campaign::EvaluateUnits), and the first batch folded
+  /// appends it ahead of its units.
+  static util::StatusOr<std::unique_ptr<Campaign>> Open(
       const CampaignSpec& spec, const std::string& store_path,
-      int fsync_batch);
-
-  /// Restart path: scan + repair the store, fold its records, reopen for
-  /// append. A store whose header contradicts the preset's plan is refused.
-  static util::StatusOr<std::unique_ptr<Campaign>> Recover(
-      const CampaignSpec& spec, const std::string& store_path,
-      int fsync_batch);
+      int fsync_batch, bool resume);
 
   const CampaignSpec& spec() const { return spec_; }
   const campaign::PayloadPlan& plan() const { return *plan_; }
-  const std::string& store_path() const { return store_path_; }
+  const std::string& store_path() const { return store_.path(); }
   LeaseTable& leases() { return leases_; }
   const LeaseTable& leases() const { return leases_; }
-  const campaign::StreamingMerge& merge() const { return merge_; }
-  bool complete() const { return merge_.complete(); }
-  /// Units whose records were recovered from the store at Recover time.
+  const campaign::StreamingMerge& merge() const { return store_.merge(); }
+  bool complete() const { return merge().complete(); }
+  /// Units whose records were recovered from the store when it was opened.
   uint64_t recovered_units() const { return recovered_units_; }
-  bool torn_tail_repaired() const { return torn_tail_repaired_; }
 
   struct FoldStats {
     uint64_t new_units = 0;
     uint64_t duplicates = 0;
   };
 
-  /// Fold one worker batch: every record is pushed through the streaming
-  /// merge; new records (first delivery) are appended to the store and
-  /// their units marked done in the lease table; bit-identical duplicates
-  /// are dropped. Any merge refusal (drift, corruption, foreign payload)
-  /// aborts the batch — records before the bad one are already durable,
-  /// which is safe for the same reason duplicates are.
+  /// Fold one worker batch through the store: new records (first
+  /// delivery) are appended and their units marked done in the lease
+  /// table; bit-identical duplicates are dropped. Any refusal (drift,
+  /// corruption, foreign payload) aborts the batch — records before the
+  /// bad one are already durable, which is safe for the same reason
+  /// duplicates are.
   util::StatusOr<FoldStats> FoldRecords(
       const std::vector<std::string>& records);
 
-  /// Flush and close the store writer (call once, at completion).
-  util::Status Finish();
+  /// Flush and close the store (call once, at completion).
+  util::Status Finish() { return store_.Close(); }
 
   /// Crash-injection passthrough: SIGKILL the scheduler when this
   /// campaign's store grows past `bytes` (see util::AppendFile).
-  void SetKillAtSize(uint64_t bytes);
+  void SetKillAtSize(uint64_t bytes) { store_.SetKillAtSize(bytes); }
 
  private:
   Campaign(CampaignSpec spec, std::unique_ptr<const campaign::PayloadPlan> plan,
-           std::string store_path);
+           campaign::StoreSession store);
 
   CampaignSpec spec_;
   std::unique_ptr<const campaign::PayloadPlan> plan_;
-  std::string store_path_;
   LeaseTable leases_;
-  campaign::StreamingMerge merge_;
-  std::optional<campaign::StoreWriter> writer_;
-  uint64_t recovered_units_ = 0;
-  bool torn_tail_repaired_ = false;
-  bool finished_ = false;
+  campaign::StoreSession store_;
+  uint64_t recovered_units_;
 };
 
 class CampaignQueue {

@@ -26,6 +26,7 @@
 #include "campaign/runner.h"
 #include "campaign/store.h"
 #include "core/screening.h"
+#include "service/queue.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
 #include "util/hash.h"
@@ -365,9 +366,14 @@ TEST(PayloadRegistry, PresetsAndRecordTypes) {
     EXPECT_GT((*plan)->total_units(), 0u) << preset;
     EXPECT_EQ(campaign::FindPayload(p.singleton_type), &p);
     EXPECT_EQ(campaign::FindPayload(p.unit_type), &p);
+    // The codec names each record type's payload as the registry does.
+    EXPECT_EQ(campaign::PayloadNameOf(p.singleton_type), p.name);
+    EXPECT_EQ(campaign::PayloadNameOf(p.unit_type), p.name);
   }
   EXPECT_EQ(campaign::FindPayload(static_cast<campaign::RecordType>(99)),
             nullptr);
+  EXPECT_TRUE(
+      campaign::PayloadNameOf(static_cast<campaign::RecordType>(99)).empty());
 
   // Exact names only; an unknown one lists all six presets.
   for (const char* bad : {"no_such_preset", "pattern_", "characterization_x",
@@ -436,6 +442,17 @@ std::string CaseName(const testing::TestParamInfo<PayloadCase>& info) {
   return info.param.preset;
 }
 
+/// Writes a fresh store at `path` holding `records` under `header`.
+void WriteStore(const std::string& path, const campaign::StoreHeader& header,
+                const std::vector<std::string>& records) {
+  auto w = campaign::StoreWriter::Create(path, header);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  for (const std::string& record : records) {
+    ASSERT_TRUE(w->AppendRecord(record).ok());
+  }
+  ASSERT_TRUE(w->Close().ok());
+}
+
 /// Rewrites the records of store `from`, each as changed by
 /// `edit_record`, into a fresh store `to` under `from`'s header as changed
 /// by `edit`.
@@ -445,14 +462,17 @@ void CopyStore(const std::string& from, const std::string& to,
                    edit_record = [](const std::string& r) { return r; }) {
   auto scan = campaign::ScanStore(from);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  campaign::StoreHeader header = scan->header;
-  edit(header);
-  auto w = campaign::StoreWriter::Create(to, header);
-  ASSERT_TRUE(w.ok()) << w.status().ToString();
-  for (const std::string& record : scan->records) {
-    ASSERT_TRUE(w->AppendRecord(edit_record(record)).ok());
-  }
-  ASSERT_TRUE(w->Close().ok());
+  edit(scan->header);
+  for (std::string& record : scan->records) record = edit_record(record);
+  WriteStore(to, scan->header, scan->records);
+}
+
+/// `record` with the lowest bit of its last byte flipped. Every record of
+/// every payload ends in a measurement or configuration field, so the
+/// result still decodes, with the same unit id and coordinates.
+std::string FlipLastBit(std::string record) {
+  record.back() ^= 1;
+  return record;
 }
 
 class CampaignDurability : public testing::TestWithParam<PayloadCase> {
@@ -709,6 +729,92 @@ TEST_P(CampaignDurability, HeaderClaimingMoreUnitsIsAnIncompleteCampaign) {
   std::remove(huge.c_str());
 }
 
+TEST_P(CampaignDurability, ResumeRefusesADriftedSingleton) {
+  // A finished store holding a singleton that differs from the one this
+  // engine derives (here: one byte, valid CRC) is refused and left as it
+  // was: in place of the true singleton, and as a second singleton before
+  // or after it.
+  const std::string path = Path("drift");
+  const std::string drifted = Path("drifted");
+  ASSERT_TRUE(Run(path).ok());
+  auto scan = campaign::ScanStore(path);
+  ASSERT_TRUE(scan.ok());
+  const std::vector<std::string>& records = scan->records;
+  ASSERT_EQ(static_cast<campaign::RecordType>(records.front()[0]),
+            plan_->payload().singleton_type);
+  const std::string stale = FlipLastBit(records.front());
+  std::vector<std::string> replaced = records;
+  replaced.front() = stale;
+  std::vector<std::string> stale_first = records;
+  stale_first.insert(stale_first.begin(), stale);
+  std::vector<std::string> stale_last = records;
+  stale_last.push_back(stale);
+  const std::pair<const char*, std::vector<std::string>> variants[] = {
+      {"replaced", replaced},
+      {"stale first", stale_first},
+      {"stale last", stale_last}};
+  for (const auto& [name, variant] : variants) {
+    WriteStore(drifted, scan->header, variant);
+    const uint64_t size = util::FileSizeOf(drifted).value();
+    auto r = Run(drifted);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kFailedPrecondition);
+    for (const std::string& named : {drifted, std::string("singleton")}) {
+      EXPECT_NE(r.status().message().find(named), std::string::npos)
+          << name << ": " << r.status().ToString();
+    }
+    EXPECT_EQ(util::FileSizeOf(drifted).value(), size);
+  }
+  std::remove(path.c_str());
+  std::remove(drifted.c_str());
+}
+
+TEST_P(CampaignDurability, TwoRecordsForOneUnitAreRefusedEverywhere) {
+  // A store holding two different records (valid CRCs) for one unit id is
+  // refused by resume, by a scheduler restart and by merge alike, each
+  // naming the store and the unit.
+  const std::string path = Path("twice");
+  ASSERT_TRUE(Run(path).ok());
+  auto scan = campaign::ScanStore(path);
+  ASSERT_TRUE(scan.ok());
+  const std::string last = scan->records.back();
+  auto unit = plan_->payload().unit(last, "");
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  const std::string unit_name = "unit " + std::to_string(unit->id);
+  scan->records.push_back(FlipLastBit(last));
+  WriteStore(path, scan->header, scan->records);
+  const uint64_t size = util::FileSizeOf(path).value();
+  auto expect_refused = [&](const util::Status& st, const std::string& store,
+                            const char* who) {
+    ASSERT_FALSE(st.ok()) << who;
+    EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition) << who;
+    for (const std::string& named : {store, unit_name}) {
+      EXPECT_NE(st.message().find(named), std::string::npos)
+          << who << ": " << st.ToString();
+    }
+  };
+
+  expect_refused(Run(path).status(), path, "resume");
+  EXPECT_EQ(util::FileSizeOf(path).value(), size);
+  expect_refused(campaign::MergeStores({path}).status(), path, "merge");
+
+  // The scheduler's store of the same preset has this header (shard 0 of
+  // 1): a restart over it must refuse it too.
+  const std::string dir = TempPath(std::string(GetParam().preset) + "_state");
+  std::system(("rm -rf " + dir).c_str());
+  {
+    auto queue = service::CampaignQueue::Open(dir, 8, 1);
+    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+    ASSERT_TRUE(queue->Submit(GetParam().preset, 0, 0).ok());
+  }
+  const std::string store = dir + "/campaign_1.campaign";
+  WriteStore(store, scan->header, scan->records);
+  expect_refused(service::CampaignQueue::Open(dir, 8, 1).status(), store,
+                 "scheduler restart");
+  std::system(("rm -rf " + dir).c_str());
+  std::remove(path.c_str());
+}
+
 int RunChild(const std::string& cmd) {
   const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
   EXPECT_NE(status, -1);
@@ -843,6 +949,44 @@ TEST(ScreeningMerge, MergedReportMatchesDirectRun) {
             EncodeWholeReport(DirectQuickReport()));
   std::remove(path.c_str());
 }
+
+#ifdef CAMPAIGN_MERGE_BIN
+
+TEST(ScreeningMerge, CoverageReportRefusesAConfigurationOfNoPreset) {
+  // A screening reference carries no thresholds: campaign_merge takes them
+  // from the preset whose fingerprint the store has, and refuses a store
+  // of any other configuration rather than report it against the wrong
+  // thresholds.
+  const std::string path = TempPath("no_preset.campaign");
+  const std::string out = TempPath("no_preset.json");
+  const std::string err = TempPath("no_preset.stderr");
+  std::remove(path.c_str());
+  campaign::CampaignOptions opt;
+  opt.screening = QuickOptions();
+  opt.screening.iddq_fraction *= 2;
+  opt.store_path = path;
+  ASSERT_TRUE(campaign::RunScreeningCampaign(opt).ok());
+  const std::string merge = std::string(CAMPAIGN_MERGE_BIN) + " ";
+  const int status = std::system(
+      (merge + "--coverage-report " + out + " " + path + " >/dev/null 2>" + err)
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
+                static_cast<unsigned long long>(
+                    campaign::MakeScreeningPlan(opt.screening)
+                        .value()
+                        ->fingerprint()));
+  auto message = util::ReadFileBytes(err);
+  ASSERT_TRUE(message.ok());
+  EXPECT_NE(message->find(fingerprint), std::string::npos) << *message;
+  // The manifest needs no thresholds: the store itself merges.
+  EXPECT_EQ(RunChild(merge + "--manifest " + out + " " + path), 0);
+  for (const auto& p : {path, out, err}) std::remove(p.c_str());
+}
+
+#endif  // CAMPAIGN_MERGE_BIN
 
 TEST(ScreeningMerge, DivergentReferenceRefuses) {
   const std::string a = TempPath("refa.campaign");

@@ -1,5 +1,6 @@
 // Tests for defect modeling: injection semantics of every defect type,
 // electrical effect sanity, universe enumeration, and copy isolation.
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -129,6 +130,21 @@ TEST(Inject, ErrorsOnBadTargets) {
   rs.type = DefectType::kResistorShort;
   rs.device = "buf.q1";  // not a resistor
   EXPECT_EQ(InjectDefect(f.nl, rs).code(), util::StatusCode::kInvalidArgument);
+  // A pipe, transistor short or bridge needs a finite resistance > 0.
+  for (DefectType type : {DefectType::kTransistorPipe,
+                          DefectType::kTransistorShort, DefectType::kBridge}) {
+    for (double r : {0.0, -1.0, std::nan("")}) {
+      Defect bad;
+      bad.type = type;
+      bad.device = "buf.q3";
+      bad.node_a = "buf.op";
+      bad.node_b = "buf.opb";
+      bad.resistance = r;
+      const util::Status st = InjectDefect(f.nl, bad);
+      EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument) << bad.Id();
+      EXPECT_NE(st.message().find(bad.Id()), std::string::npos) << st.message();
+    }
+  }
 }
 
 TEST(WithDefect, DoesNotMutateOriginal) {

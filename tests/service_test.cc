@@ -248,7 +248,7 @@ TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 5u);  // suite + 4 units
 
-  campaign::StreamingMerge merge((*plan)->total_units());
+  campaign::StreamingMerge merge((*plan)->payload(), (*plan)->total_units());
   uint64_t new_units = 0;
   for (const std::string& record : *records) {
     auto fold = merge.Fold(record);
@@ -571,7 +571,7 @@ TEST(ServiceEndToEnd, HttpLiveCoverageConvergesToMergedValue) {
   // the streaming merge's, exactly.
   auto scan = campaign::ScanStore(dir + "/state/campaign_1.campaign");
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  campaign::StreamingMerge merge(4);
+  campaign::StreamingMerge merge(campaign::kPatternPayload, 4);
   for (const std::string& record : scan->records) {
     ASSERT_TRUE(merge.Fold(record).ok());
   }

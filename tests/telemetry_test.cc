@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -388,48 +389,67 @@ TEST(ScreeningFailures, UnresolvedNeverCountsAsCoverage) {
   EXPECT_DOUBLE_EQ(rep.CombinedCoverage(), 2.0 / 3.0);
 }
 
-TEST(ScreeningFailures, ZeroOhmPipeDefectsAreNeverDropped) {
-  // A 0 Ω pipe stamps an infinite conductance: every defect run fails hard
-  // in the solver. The regression: failures must surface as classified
-  // outcomes carrying the solver error, not vanish from the report.
+/// A one-buffer chain whose universe is its pipes at `resistance` only.
+core::ScreeningOptions PipesOnly(double resistance) {
   core::ScreeningOptions opt;
   opt.chain_length = 1;
   opt.sim_time = 20e-9;
-  opt.enumeration.pipe_values = {0.0};
+  opt.enumeration.pipe_values = {resistance};
   opt.enumeration.transistor_shorts = false;
   opt.enumeration.transistor_opens = false;
   opt.enumeration.resistor_shorts = false;
   opt.enumeration.resistor_opens = false;
   opt.enumeration.output_bridges = false;
   opt.threads = 1;
+  return opt;
+}
 
+TEST(ScreeningFailures, NonPositivePipeResistanceIsRefused) {
+  // A 0 Ohm pipe would stamp an infinite conductance: the screening run
+  // refuses it up front, naming the defect, like any resistance that is
+  // not finite and > 0.
+  for (double r : {0.0, -1.0, std::nan("")}) {
+    auto rep = core::ScreenBufferChain(PipesOnly(r));
+    ASSERT_FALSE(rep.ok()) << r;
+    EXPECT_EQ(rep.status().code(), util::StatusCode::kInvalidArgument) << r;
+    EXPECT_NE(rep.status().message().find("pipe("), std::string::npos)
+        << rep.status().ToString();
+    EXPECT_NE(rep.status().message().find("finite and > 0"),
+              std::string::npos)
+        << rep.status().ToString();
+  }
+}
+
+TEST(ScreeningFailures, FailedRunsAreNeverDropped) {
+  // A 1e-12 Ohm pipe is a near-dead short that no defect run survives.
+  // The regression: failures must surface as classified outcomes carrying
+  // the solver error, not vanish from the report.
   telemetry::Reset();
-  auto rep = core::ScreenBufferChain(opt);
+  auto rep = core::ScreenBufferChain(PipesOnly(1e-12));
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  ASSERT_GT(rep->total(), 0);
+  ASSERT_EQ(rep->total(), 3);
   for (const auto& o : rep->outcomes) {
     EXPECT_FALSE(o.converged) << o.defect.Id();
     EXPECT_FALSE(o.error.empty()) << o.defect.Id();
-    // The dead short kills the bias point, so these are catastrophic (a
-    // genuine detection), not unresolved.
-    EXPECT_TRUE(o.no_bias_point) << o.defect.Id();
-    EXPECT_EQ(o.Classify(), core::FaultClass::kCatastrophic) << o.defect.Id();
   }
-  EXPECT_DOUBLE_EQ(rep->ConventionalCoverage(), 1.0);
+  // Two destroy the bias point (catastrophic, a genuine detection); one
+  // leaves it and only the transient stalls (unresolved, never coverage).
+  EXPECT_EQ(rep->CountClass(core::FaultClass::kCatastrophic), 2);
+  EXPECT_EQ(rep->CountClass(core::FaultClass::kUnresolved), 1);
+  EXPECT_DOUBLE_EQ(rep->ConventionalCoverage(), 2.0 / 3.0);
 
   const telemetry::Snapshot snap = telemetry::Capture();
   EXPECT_EQ(snap.Value("core.screening.campaigns"), 1u);
-  EXPECT_EQ(snap.Value("core.screening.defects_screened"),
-            static_cast<uint64_t>(rep->total()));
-  EXPECT_EQ(snap.Value("core.screening.class.catastrophic"),
-            static_cast<uint64_t>(rep->total()));
-  EXPECT_EQ(snap.Value("core.screening.unresolved"), 0u);
+  EXPECT_EQ(snap.Value("core.screening.defects_screened"), 3u);
+  EXPECT_EQ(snap.Value("core.screening.class.catastrophic"), 2u);
+  EXPECT_EQ(snap.Value("core.screening.class.unresolved"), 1u);
+  EXPECT_EQ(snap.Value("core.screening.unresolved"), 1u);
   // Every screened defect lands in exactly one class tally.
   uint64_t class_sum = 0;
   for (const telemetry::MetricValue& m : snap.metrics) {
     if (m.name.rfind("core.screening.class.", 0) == 0) class_sum += m.count;
   }
-  EXPECT_EQ(class_sum, static_cast<uint64_t>(rep->total()));
+  EXPECT_EQ(class_sum, 3u);
 }
 
 }  // namespace

@@ -140,6 +140,11 @@ TEST(CampaignMergeCli, UsageAndMergeFailures) {
   EXPECT_EQ(RunTool(bin).exit_code, 2);              // no stores
   EXPECT_EQ(RunTool(bin + " --bogus x").exit_code, 2);
   EXPECT_EQ(RunTool(bin + " --manifest").exit_code, 2);
+  // The screening preset is read off the stores' fingerprint, not a flag.
+  auto gone = RunTool(bin + " --preset quick /nonexistent/shard.campaign");
+  EXPECT_EQ(gone.exit_code, 2);
+  EXPECT_NE(gone.stderr_text.find("unknown argument"), std::string::npos)
+      << gone.stderr_text;
 
   // A nonexistent store is a merge failure (1), with the path named.
   auto r = RunTool(bin + " /nonexistent/shard.campaign");

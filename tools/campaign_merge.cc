@@ -1,11 +1,13 @@
 // Merge completed campaign shard stores into the campaign's final report.
 //
 //   campaign_merge [--manifest <out.json>] [--coverage-report <out.json>]
-//                  [--preset NAME] <store.campaign> [more stores ...]
+//                  <store.campaign> [more stores ...]
 //
 // Verifies that the stores belong to one campaign (same payload,
-// fingerprint, universe, shard plan), that every universe unit is present
-// exactly once with the coordinates its id implies (a truncated or
+// fingerprint, universe, shard plan), that every record passes the one
+// record gate (campaign::StreamingMerge::Fold: known type, one payload,
+// one singleton, in-universe units whose coordinates match their ids),
+// that every universe unit is present exactly once (a truncated or
 // unfinished shard is a hard error — results are recomputed from the unit
 // records, never trusted from headers), and that all shards agree
 // bit-for-bit on the singleton record (screening reference or suite).
@@ -15,17 +17,18 @@
 // pattern-coverage stores into the pattern_coverage report, and
 // characterization stores into the characterization report. The suite
 // record inside a pattern or characterization store carries its own
-// configuration, so --preset is screening-only.
+// configuration. A screening store's reference does not, so its coverage
+// report takes the thresholds of the screening preset whose fingerprint
+// is the stores' fingerprint; a store of any other configuration is
+// refused.
 //
 //   --manifest         write the campaign manifest JSON (golden-checkable)
 //   --coverage-report  write the bench report derived from the merged
 //                      records; byte-identical to the monolithic bench run
-//   --preset           screening preset the campaign ran (for the
-//                      coverage report's thresholds; default
-//                      coverage_comparison; ignored for other payloads)
 //
 // Exit codes: 0 = merged, 1 = merge refused (incomplete/corrupt/foreign
-// stores) or write failure, 2 = usage error.
+// stores, a screening fingerprint that matches no preset) or write
+// failure, 2 = usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -49,14 +52,32 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--manifest <out.json>] [--coverage-report "
-               "<out.json>] [--preset NAME] <store.campaign> [more ...]\n",
+               "<out.json>] <store.campaign> [more ...]\n",
                argv0);
   return 2;
 }
 
+/// The options of the screening preset that produced `fingerprint`.
+util::StatusOr<core::ScreeningOptions> ScreeningPresetOf(uint64_t fingerprint) {
+  for (std::string_view name : campaign::kScreeningPayload.presets) {
+    auto options = campaign::ScreeningPreset(name);
+    if (!options.ok()) return options.status();
+    auto plan = campaign::MakeScreeningPlan(*options);
+    if (!plan.ok()) return plan.status();
+    if ((*plan)->fingerprint() == fingerprint) return *options;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  return util::Status::FailedPrecondition(
+      std::string("screening fingerprint ") + hex +
+      " matches no screening preset: its coverage report's thresholds are "
+      "unknown");
+}
+
 util::StatusOr<report::Report> FillScreening(
-    const campaign::MergedStores& merged, const std::string& preset) {
-  auto opt = campaign::ScreeningPreset(preset);
+    const campaign::MergedStores& merged) {
+  auto opt = ScreeningPresetOf(merged.fingerprint);
   if (!opt.ok()) return opt.status();
   auto screening = campaign::DecodeScreeningCampaign(merged);
   if (!screening.ok()) return screening.status();
@@ -68,7 +89,7 @@ util::StatusOr<report::Report> FillScreening(
 }
 
 util::StatusOr<report::Report> FillPattern(
-    const campaign::MergedStores& merged, const std::string&) {
+    const campaign::MergedStores& merged) {
   auto sweep = campaign::DecodePatternCampaign(merged);
   if (!sweep.ok()) return sweep.status();
   report::Report rep(testgen::kPatternCoverageExperiment,
@@ -79,7 +100,7 @@ util::StatusOr<report::Report> FillPattern(
 }
 
 util::StatusOr<report::Report> FillCharacterization(
-    const campaign::MergedStores& merged, const std::string&) {
+    const campaign::MergedStores& merged) {
   auto result = campaign::DecodeCharacterizationCampaign(merged);
   if (!result.ok()) return result.status();
   report::Report rep(core::kCharacterizationExperiment,
@@ -93,8 +114,7 @@ util::StatusOr<report::Report> FillCharacterization(
 /// screening report's assembly lives in bench/, outside the payload.
 struct ReportFill {
   const campaign::Payload* payload;
-  util::StatusOr<report::Report> (*fill)(const campaign::MergedStores&,
-                                         const std::string& preset);
+  util::StatusOr<report::Report> (*fill)(const campaign::MergedStores&);
 };
 const ReportFill kReportFills[] = {
     {&campaign::kScreeningPayload, &FillScreening},
@@ -118,7 +138,6 @@ int WriteReport(const std::string& path,
 int main(int argc, char** argv) {
   std::string manifest_path;
   std::string coverage_path;
-  std::string preset = "coverage_comparison";
   std::vector<std::string> stores;
 
   for (int i = 1; i < argc; ++i) {
@@ -134,8 +153,6 @@ int main(int argc, char** argv) {
       manifest_path = next("--manifest");
     } else if (arg == "--coverage-report") {
       coverage_path = next("--coverage-report");
-    } else if (arg == "--preset") {
-      preset = next("--preset");
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);
@@ -167,7 +184,7 @@ int main(int argc, char** argv) {
   if (!coverage_path.empty()) {
     for (const ReportFill& row : kReportFills) {
       if (row.payload != merged->payload) continue;
-      if (WriteReport(coverage_path, row.fill(*merged, preset)) != 0) return 1;
+      if (WriteReport(coverage_path, row.fill(*merged)) != 0) return 1;
     }
   }
   return 0;
