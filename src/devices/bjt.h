@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "devices/junction.h"
 #include "netlist/device.h"
 
 namespace cmldft::devices {
@@ -37,10 +38,22 @@ struct BjtParams {
 /// classic ~ -2 mV/K at ordinary current densities.
 double SaturationCurrentAt(const BjtParams& params, double temp_k);
 
-/// A BJT's model constants (Device::ComputeConstants): IS(T), then the
-/// B-E and the B-C depletion split constants (q0, c0, dcdv each). The B-C
-/// junction capacitance is scaled by `bc_scale` (see MultiEmitterBjt).
-inline constexpr int kBjtConstants = 7;
+/// A BJT's model constants (Device::ComputeConstants), at these offsets:
+/// IS(T) and its reverse share IS(T)*bc_scale, 1/(nf*VT) and 1/(nr*VT),
+/// 1/bf and 1/br, then the B-E and the B-C junctions' DepletionConstants.
+/// The B-C junction and the reverse transport current are scaled by
+/// `bc_scale` (see MultiEmitterBjt).
+enum BjtConstant : int {
+  kBjtIs,
+  kBjtIsReverse,
+  kBjtInvNfVt,
+  kBjtInvNrVt,
+  kBjtInvBf,
+  kBjtInvBr,
+  kBjtBeDepletion,
+  kBjtBcDepletion = kBjtBeDepletion + kDepletionConstants,
+  kBjtConstants = kBjtBcDepletion + kDepletionConstants,
+};
 void ComputeBjtConstants(const BjtParams& params, double bc_scale,
                          double temp_k, double* out);
 

@@ -16,28 +16,24 @@ double SaturationCurrentAt(const DiodeParams& params, double temp_k) {
 }
 
 void Diode::ComputeConstants(double temp_k, double* out) const {
-  const DepletionSplit split =
-      DepletionSplitAt(params_.cj0, params_.vj, params_.m, params_.fc);
   out[0] = SaturationCurrentAt(params_, temp_k);
-  out[1] = split.q0;
-  out[2] = split.c0;
-  out[3] = split.dcdv;
+  out[1] = 1.0 / (params_.n * util::ThermalVoltage(temp_k));
+  StoreDepletion(
+      DepletionConstantsOf(params_.cj0, params_.vj, params_.m, params_.fc),
+      out + 2);
 }
 
 void Diode::Stamp(netlist::StampContext& ctx) const {
   const netlist::NodeId a = node(0), c = node(1);
   const double v = ctx.V(a) - ctx.V(c);
-  const double vt = util::ThermalVoltage(ctx.temperature());
   const double* k = ctx.Constants(*this);
 
-  const JunctionEval j = EvalJunction(v, k[0], params_.n, vt, ctx.gmin());
+  const JunctionEval j = EvalJunction(v, k[0], k[1], ctx.gmin());
   ctx.StampCurrent(a, c, j.current, j.conductance);
 
   // Charge: depletion + diffusion (tt * i_junction).
   double cdep = 0.0;
-  const double qdep =
-      DepletionCharge(v, params_.cj0, params_.vj, params_.m, params_.fc,
-                      DepletionSplit{k[1], k[2], k[3]}, &cdep);
+  const double qdep = DepletionCharge(v, LoadDepletion(k + 2), &cdep);
   const double q = qdep + params_.tt * j.current;
   const double cap = cdep + params_.tt * j.conductance;
   const ChargeCompanion cc = IntegrateCharge(ctx, *this, 0, 1, q, cap);

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "devices/junction.h"
 #include "netlist/device.h"
 
 namespace cmldft::devices {
@@ -41,8 +42,8 @@ class Diode : public netlist::Device {
 
   bool is_nonlinear() const override { return true; }
   int num_states() const override { return 2; }  // {charge, current}
-  /// IS(T), then the depletion split constants (q0, c0, dcdv).
-  int num_constants() const override { return 4; }
+  /// IS(T), 1/(n*VT), then the junction's DepletionConstants.
+  int num_constants() const override { return 2 + kDepletionConstants; }
   void ComputeConstants(double temp_k, double* out) const override;
   void Stamp(netlist::StampContext& ctx) const override;
   std::unique_ptr<netlist::Device> Clone() const override {

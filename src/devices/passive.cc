@@ -9,29 +9,6 @@ void Resistor::Stamp(netlist::StampContext& ctx) const {
   ctx.StampConductance(node(0), node(1), 1.0 / resistance_);
 }
 
-ChargeCompanion IntegrateCharge(netlist::StampContext& ctx,
-                                const netlist::Device& dev, int q_slot,
-                                int i_slot, double q, double c) {
-  if (ctx.mode() != netlist::AnalysisMode::kTransient ||
-      ctx.initializing_state()) {
-    // DC: open circuit. Seed the state so the first transient step
-    // differentiates against the operating-point charge.
-    ctx.SetState(dev, q_slot, q);
-    ctx.SetState(dev, i_slot, 0.0);
-    return {0.0, 0.0};
-  }
-  const double dt = ctx.dt();
-  assert(dt > 0.0);
-  const bool trap = ctx.method() == netlist::IntegrationMethod::kTrapezoidal;
-  const double coef = (trap ? 2.0 : 1.0) / dt;
-  const double q_prev = ctx.PrevState(dev, q_slot);
-  const double i_prev = ctx.PrevState(dev, i_slot);
-  const double i = coef * (q - q_prev) - (trap ? i_prev : 0.0);
-  ctx.SetState(dev, q_slot, q);
-  ctx.SetState(dev, i_slot, i);
-  return {i, coef * c};
-}
-
 void Capacitor::Stamp(netlist::StampContext& ctx) const {
   const double v = ctx.V(node(0)) - ctx.V(node(1));
   const double q = capacitance_ * v;

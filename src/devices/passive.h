@@ -1,6 +1,7 @@
 // Linear passive elements: resistor and capacitor.
 #pragma once
 
+#include <cassert>
 #include <memory>
 
 #include "netlist/device.h"
@@ -58,8 +59,28 @@ struct ChargeCompanion {
   double current;
   double conductance;
 };
-ChargeCompanion IntegrateCharge(netlist::StampContext& ctx,
-                                const netlist::Device& dev, int q_slot,
-                                int i_slot, double q, double c);
+// Forced inline: left to itself, the compiler keeps this out of line, and
+// a BJT stamp calls it twice.
+[[gnu::always_inline]] inline ChargeCompanion IntegrateCharge(
+    netlist::StampContext& ctx, const netlist::Device& dev, int q_slot,
+    int i_slot, double q, double c) {
+  if (ctx.mode() != netlist::AnalysisMode::kTransient ||
+      ctx.initializing_state()) {
+    // DC: open circuit. Seed the state so the first transient step
+    // differentiates against the operating-point charge.
+    ctx.SetState(dev, q_slot, q);
+    ctx.SetState(dev, i_slot, 0.0);
+    return {0.0, 0.0};
+  }
+  assert(ctx.dt() > 0.0);
+  const bool trap = ctx.method() == netlist::IntegrationMethod::kTrapezoidal;
+  const double coef = ctx.companion_coef();
+  const double q_prev = ctx.PrevState(dev, q_slot);
+  const double i_prev = ctx.PrevState(dev, i_slot);
+  const double i = coef * (q - q_prev) - (trap ? i_prev : 0.0);
+  ctx.SetState(dev, q_slot, q);
+  ctx.SetState(dev, i_slot, i);
+  return {i, coef * c};
+}
 
 }  // namespace cmldft::devices

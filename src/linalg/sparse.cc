@@ -1,6 +1,7 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <unordered_map>
@@ -24,6 +25,8 @@ struct SparseLuMetrics {
       util::telemetry::GetCounter("linalg.sparse_lu.refactors");
   util::telemetry::Counter refactor_fallbacks =
       util::telemetry::GetCounter("linalg.sparse_lu.refactor_fallbacks");
+  util::telemetry::Timer refactor_wall =
+      util::telemetry::GetTimer("linalg.sparse_lu.refactor_wall");
 };
 const SparseLuMetrics& Metrics() {
   static const SparseLuMetrics m;
@@ -32,13 +35,19 @@ const SparseLuMetrics& Metrics() {
 // Register at load time so snapshots list these metrics even when no
 // sparse solve ran — the telemetry schema must not depend on code paths.
 [[maybe_unused]] const SparseLuMetrics& kEagerRegistration = Metrics();
+
+uint64_t NextPatternVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
-SparseBuilder::SparseBuilder(size_t n) : n_(n), rows_(n) {}
+SparseBuilder::SparseBuilder(size_t n)
+    : n_(n), pattern_version_(NextPatternVersion()), rows_(n) {}
 
 void SparseBuilder::Clear() {
   for (auto& row : rows_) row.clear();
-  ++pattern_version_;
+  pattern_version_ = NextPatternVersion();
 }
 
 void SparseBuilder::Add(size_t row, size_t col, double value) {
@@ -52,7 +61,7 @@ void SparseBuilder::Add(size_t row, size_t col, double value) {
     it->second += value;
   } else {
     r.insert(it, {col, value});
-    ++pattern_version_;
+    pattern_version_ = NextPatternVersion();
   }
 }
 
@@ -91,14 +100,13 @@ util::Status SparseLu::Factor(const SparseBuilder& builder) {
   row_of_step_.assign(n_, 0);
   col_of_step_.assign(n_, 0);
   step_of_col_.assign(n_, 0);
-  pivots_.assign(n_, 0.0);
   CMLDFT_RETURN_IF_ERROR(ChoosePivotOrder(builder));
   RecordPattern(builder);
   // The recorded pattern covers this builder and the kernel reproduces
   // the pivots the search accepted (same operations in the same order;
   // extra zero slots contribute only signed zeros), so this cannot fail
   // unless the search itself was wrong.
-  if (!Eliminate(builder, /*check_pivots=*/false)) {
+  if (!MapBuilder(builder) || !Eliminate(/*check_pivots=*/false)) {
     return util::Status::Internal("sparse LU: recorded pattern rejected");
   }
   factored_ = true;
@@ -161,7 +169,9 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
     }
 
     const size_t r = best_r, c = best_c;
-    const double pivot = work[r][c];
+    // The multipliers are formed as the numeric kernel forms them, so the
+    // kernel reproduces these pivots exactly.
+    const double inv_pivot = 1.0 / work[r][c];
     row_of_step_[k] = r;
     col_of_step_[k] = c;
     step_of_col_[c] = k;
@@ -174,7 +184,7 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
       if (i == r || !row_active[i]) continue;
       auto it = work[i].find(c);
       if (it == work[i].end()) continue;
-      const double m = it->second / pivot;
+      const double m = it->second * inv_pivot;
       work[i].erase(it);
       if (m == 0.0) continue;
       for (const auto& [cc, vv] : work[r]) {
@@ -203,9 +213,12 @@ void SparseLu::RecordPattern(const SparseBuilder& builder) {
   // brings in the U pattern of row j. A min-heap yields the L steps in
   // ascending order while fill keeps adding later ones.
   row_start_.assign(n_ + 1, 0);
-  upper_start_.assign(n_, 0);
+  diag_.assign(n_, 0);
   col_.clear();
-  mark_.assign(n_, 0);  // by step here: k + 1 once step s joined row k
+  updates_.clear();
+  pairs_.clear();
+  std::vector<size_t> seen(n_, 0);  // k + 1 once step s joined row k
+  std::vector<uint32_t> pos_of_col(n_, 0);  // within the current row
   std::vector<size_t> heap;
   std::vector<size_t> upper;
   for (size_t k = 0; k < n_; ++k) {
@@ -213,8 +226,8 @@ void SparseLu::RecordPattern(const SparseBuilder& builder) {
     heap.clear();
     upper.clear();
     auto visit = [&](size_t s) {
-      if (mark_[s] == stamp) return;
-      mark_[s] = stamp;
+      if (seen[s] == stamp) return;
+      seen[s] = stamp;
       if (s < k) {
         heap.push_back(s);
         std::push_heap(heap.begin(), heap.end(), std::greater<>());
@@ -225,97 +238,123 @@ void SparseLu::RecordPattern(const SparseBuilder& builder) {
     for (const auto& [c, v] : builder.rows_[row_of_step_[k]]) {
       visit(step_of_col_[c]);
     }
-    row_start_[k] = static_cast<uint32_t>(col_.size());
+    const auto begin = static_cast<uint32_t>(col_.size());
+    row_start_[k] = begin;
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), std::greater<>());
       const size_t j = heap.back();
       heap.pop_back();
       col_.push_back(static_cast<uint32_t>(col_of_step_[j]));
-      for (uint32_t q = upper_start_[j]; q < row_start_[j + 1]; ++q) {
+      for (uint32_t q = diag_[j] + 1; q < row_start_[j + 1]; ++q) {
         visit(step_of_col_[col_[q]]);
       }
     }
-    upper_start_[k] = static_cast<uint32_t>(col_.size());
+    diag_[k] = static_cast<uint32_t>(col_.size());
+    col_.push_back(static_cast<uint32_t>(col_of_step_[k]));
     std::sort(upper.begin(), upper.end());
     for (size_t s : upper) {
       col_.push_back(static_cast<uint32_t>(col_of_step_[s]));
     }
+    const auto end = static_cast<uint32_t>(col_.size());
+    row_start_[k + 1] = end;
+
+    // Row k's update program. Every U column of an L entry's row is in
+    // row k's pattern (that is what the fill above adds).
+    for (uint32_t p = begin; p < end; ++p) pos_of_col[col_[p]] = p;
+    for (uint32_t p = begin; p < diag_[k]; ++p) {
+      const size_t j = step_of_col_[col_[p]];
+      for (uint32_t q = diag_[j] + 1; q < row_start_[j + 1]; ++q) {
+        pairs_.push_back({pos_of_col[col_[q]], q});
+      }
+      updates_.push_back({diag_[j], static_cast<uint32_t>(pairs_.size())});
+    }
   }
-  row_start_[n_] = static_cast<uint32_t>(col_.size());
-  val_.assign(col_.size(), 0.0);
-  work_.assign(n_, 0.0);
-  mark_.assign(n_, 0);  // by column from here on (see Eliminate)
+  lu_.assign(col_.size(), 0.0);
 }
 
-bool SparseLu::Eliminate(const SparseBuilder& builder, bool check_pivots) {
-  double floor_mag = 0.0;
-  if (check_pivots) {
-    double max_entry = 0.0;
-    for (const auto& row : builder.rows_) {
-      for (const auto& [c, v] : row) {
-        max_entry = std::max(max_entry, std::fabs(v));
-      }
-    }
-    floor_mag = (max_entry > 0 ? max_entry : 1.0) * kSingularityFloor;
-  }
-  double* w = work_.data();
+bool SparseLu::MapBuilder(const SparseBuilder& builder) {
+  constexpr uint32_t kNone = ~0u;
+  gather_pattern_ = 0;
+  gather_.clear();
+  fill_.clear();
+  std::vector<uint32_t> pos_of_col(n_, kNone);
+  std::vector<char> covered(col_.size(), 0);
   for (size_t k = 0; k < n_; ++k) {
-    // Load row k into the dense work row over its recorded pattern. A
-    // column is marked k + 1 while it is in row k's pattern; marks left by
-    // earlier calls come from the same pattern, so a slot whose column is
-    // unmarked lies outside it.
-    const size_t stamp = k + 1;
-    const uint32_t begin = row_start_[k];
-    const uint32_t upper = upper_start_[k];
-    const uint32_t end = row_start_[k + 1];
-    const size_t pivot_col = col_of_step_[k];
-    for (uint32_t p = begin; p < end; ++p) {
-      w[col_[p]] = 0.0;
-      mark_[col_[p]] = stamp;
+    for (uint32_t p = row_start_[k]; p < row_start_[k + 1]; ++p) {
+      pos_of_col[col_[p]] = p;
     }
-    w[pivot_col] = 0.0;
-    mark_[pivot_col] = stamp;
     for (const auto& [c, v] : builder.rows_[row_of_step_[k]]) {
-      if (mark_[c] != stamp) return false;
-      w[c] = v;
+      const uint32_t p = pos_of_col[c];
+      if (p == kNone) return false;
+      gather_.push_back({&v, p});
+      covered[p] = 1;
     }
-    // Apply the earlier pivot rows in step order (each entry sees the
-    // same updates, in the same order, as right-looking elimination).
-    for (uint32_t p = begin; p < upper; ++p) {
-      const size_t j = step_of_col_[col_[p]];
-      const double m = w[col_[p]] / pivots_[j];
-      val_[p] = m;
-      if (m == 0.0) continue;
-      for (uint32_t q = upper_start_[j]; q < row_start_[j + 1]; ++q) {
-        w[col_[q]] -= m * val_[q];
+    for (uint32_t p = row_start_[k]; p < row_start_[k + 1]; ++p) {
+      pos_of_col[col_[p]] = kNone;
+    }
+  }
+  for (uint32_t p = 0; p < covered.size(); ++p) {
+    if (!covered[p]) fill_.push_back(p);
+  }
+  gather_pattern_ = builder.pattern_version();
+  return true;
+}
+
+bool SparseLu::Eliminate(bool check_pivots) {
+  double* lu = lu_.data();
+  double max_entry = 0.0;
+  for (const Gather& g : gather_) {
+    const double v = *g.value;
+    lu[g.pos] = v;
+    max_entry = std::max(max_entry, std::fabs(v));
+  }
+  for (uint32_t p : fill_) lu[p] = 0.0;
+  const double floor_mag =
+      (max_entry > 0 ? max_entry : 1.0) * kSingularityFloor;
+
+  const Update* update = updates_.data();
+  const Pair* pairs = pairs_.data();
+  uint32_t q = 0;  // the next pair
+  for (size_t k = 0; k < n_; ++k) {
+    const uint32_t diag = diag_[k];
+    // Apply the earlier pivot rows in step order.
+    for (uint32_t p = row_start_[k]; p < diag; ++p, ++update) {
+      const double m = lu[p] * lu[update->pivot];
+      lu[p] = m;
+      const uint32_t end = update->pairs_end;
+      if (m != 0.0) {
+        for (; q < end; ++q) lu[pairs[q].dst] -= m * lu[pairs[q].src];
       }
+      q = end;
     }
-    const double pivot = w[pivot_col];
+    const double pivot = lu[diag];
     if (pivot == 0.0) return false;
     if (check_pivots) {
       // Stability guard: the stored pivot choice must still be acceptable.
       // Tiny relative to its own row means the old order now amplifies
       // roundoff — redo the full pivot search instead of producing garbage.
       double row_max = std::fabs(pivot);
-      for (uint32_t p = upper; p < end; ++p) {
-        row_max = std::max(row_max, std::fabs(w[col_[p]]));
+      for (uint32_t p = diag + 1; p < row_start_[k + 1]; ++p) {
+        row_max = std::max(row_max, std::fabs(lu[p]));
       }
       if (std::fabs(pivot) <= floor_mag || std::fabs(pivot) < 1e-6 * row_max) {
         return false;
       }
     }
-    pivots_[k] = pivot;
-    for (uint32_t p = upper; p < end; ++p) val_[p] = w[col_[p]];
+    lu[diag] = 1.0 / pivot;
   }
   return true;
 }
 
 util::Status SparseLu::Refactor(const SparseBuilder& builder) {
+  util::telemetry::ScopedTimer wall(Metrics().refactor_wall);
   if (!factored_ || builder.dimension() != n_ || n_ == 0) {
     return Factor(builder);
   }
   factored_ = false;
-  if (!Eliminate(builder, /*check_pivots=*/true)) {
+  if ((builder.pattern_version() != gather_pattern_ &&
+       !MapBuilder(builder)) ||
+      !Eliminate(/*check_pivots=*/true)) {
     Metrics().refactor_fallbacks.Increment();
     return Factor(builder);
   }
@@ -342,19 +381,20 @@ util::Status SparseLu::SolveInto(const Vector& b, Vector* x) const {
   }
   x->resize(n_);
   double* y = x->data();
+  const double* lu = lu_.data();
   for (size_t k = 0; k < n_; ++k) {
     double acc = b[row_of_step_[k]];
-    for (uint32_t p = row_start_[k]; p < upper_start_[k]; ++p) {
-      acc -= val_[p] * y[col_[p]];
+    for (uint32_t p = row_start_[k]; p < diag_[k]; ++p) {
+      acc -= lu[p] * y[col_[p]];
     }
     y[col_of_step_[k]] = acc;
   }
   for (size_t k = n_; k-- > 0;) {
     double acc = y[col_of_step_[k]];
-    for (uint32_t p = upper_start_[k]; p < row_start_[k + 1]; ++p) {
-      acc -= val_[p] * y[col_[p]];
+    for (uint32_t p = diag_[k] + 1; p < row_start_[k + 1]; ++p) {
+      acc -= lu[p] * y[col_[p]];
     }
-    y[col_of_step_[k]] = acc / pivots_[k];
+    y[col_of_step_[k]] = acc * lu[diag_[k]];
   }
   return util::Status::Ok();
 }

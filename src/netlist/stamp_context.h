@@ -42,6 +42,10 @@ struct AnalysisState {
   /// Present timestep [s]; 0 in DC analyses.
   double dt = 0.0;
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
+  /// The charge companion's conductance per farad, (2 or 1)/dt for the
+  /// trapezoidal or backward-Euler `method` (0 while dt is 0). Whoever
+  /// sets dt or method keeps it current.
+  double companion_coef = 0.0;
   /// Shunt conductance added across semiconductor junctions to aid
   /// convergence (SPICE gmin). Devices add it themselves.
   double gmin = 1e-12;
@@ -129,6 +133,7 @@ class StampContext {
   double time() const { return frame_.analysis->time; }
   double dt() const { return frame_.analysis->dt; }
   IntegrationMethod method() const { return frame_.analysis->method; }
+  double companion_coef() const { return frame_.analysis->companion_coef; }
   double gmin() const { return frame_.analysis->gmin; }
   double temperature() const { return frame_.analysis->temperature; }
   bool first_iteration() const { return frame_.analysis->first_iteration; }

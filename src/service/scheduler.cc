@@ -308,6 +308,7 @@ void Scheduler::HandleWorkerMessage(Conn& conn, const Message& msg,
         SendToWorker(conn, ack);
         return;
       }
+      const bool was_complete = c->complete();
       auto folded = c->FoldRecords(msg.records);
       c->leases().Release(msg.lease_id);
       if (!folded.ok()) {
@@ -320,7 +321,9 @@ void Scheduler::HandleWorkerMessage(Conn& conn, const Message& msg,
       Metrics().duplicate_records.Add(folded->duplicates);
       ack.accepted = true;
       ack.campaign_complete = c->complete();
-      if (c->complete()) {
+      // Finish, count and log on the fold that completes the campaign; a
+      // straggler's batch after that only dedups.
+      if (c->complete() && !was_complete) {
         const util::Status fin = c->Finish();
         if (!fin.ok()) {
           ack.accepted = false;

@@ -55,8 +55,14 @@ class MnaSystem {
   // --- analysis configuration (set by the engines) ----------------------
   void set_mode(netlist::AnalysisMode m) { analysis_.mode = m; }
   void set_time(double t) { analysis_.time = t; }
-  void set_dt(double dt) { analysis_.dt = dt; }
-  void set_method(netlist::IntegrationMethod m) { analysis_.method = m; }
+  void set_dt(double dt) {
+    analysis_.dt = dt;
+    UpdateCompanionCoef();
+  }
+  void set_method(netlist::IntegrationMethod m) {
+    analysis_.method = m;
+    UpdateCompanionCoef();
+  }
   void set_gmin(double g) { analysis_.gmin = g; }
   /// Also marks every device's model constants stale: they are
   /// recomputed at the new temperature on their next stamp.
@@ -107,6 +113,12 @@ class MnaSystem {
 
   void RecordAssemble();
   bool ReplayAssemble();  // false on plan mismatch (plan is dropped)
+  void UpdateCompanionCoef() {
+    const bool trap =
+        analysis_.method == netlist::IntegrationMethod::kTrapezoidal;
+    analysis_.companion_coef =
+        analysis_.dt > 0.0 ? (trap ? 2.0 : 1.0) / analysis_.dt : 0.0;
+  }
 
   const netlist::Netlist* netlist_;
   std::unique_ptr<HierSolver> hier_;

@@ -25,7 +25,7 @@ using namespace util::literals;
 
 TEST(Junction, LimitedExpMatchesExpBelowLimit) {
   double d = 0.0;
-  const double v = LimitedExp(0.5, 0.025, &d);
+  const double v = LimitedExp(0.5, 1.0 / 0.025, &d);
   EXPECT_NEAR(v, std::exp(20.0), std::exp(20.0) * 1e-12);
   EXPECT_NEAR(d, std::exp(20.0) / 0.025, std::exp(20.0) / 0.025 * 1e-12);
 }
@@ -34,8 +34,8 @@ TEST(Junction, LimitedExpContinuousAtLimit) {
   const double nvt = 0.025;
   const double vmax = 40.0 * nvt;
   double dl = 0.0, dr = 0.0;
-  const double left = LimitedExp(vmax - 1e-9, nvt, &dl);
-  const double right = LimitedExp(vmax + 1e-9, nvt, &dr);
+  const double left = LimitedExp(vmax - 1e-9, 1.0 / nvt, &dl);
+  const double right = LimitedExp(vmax + 1e-9, 1.0 / nvt, &dr);
   EXPECT_NEAR(left, right, left * 1e-6);
   EXPECT_NEAR(dl, dr, dl * 1e-6);
 }
@@ -43,44 +43,61 @@ TEST(Junction, LimitedExpContinuousAtLimit) {
 TEST(Junction, LimitedExpMonotone) {
   double prev = 0.0;
   for (double v = -1.0; v < 3.0; v += 0.01) {
-    const double e = LimitedExp(v, 0.025, nullptr);
+    const double e = LimitedExp(v, 1.0 / 0.025, nullptr);
     EXPECT_GT(e, prev);
     prev = e;
   }
 }
 
 TEST(Junction, EvalJunctionZeroBias) {
-  const JunctionEval j = EvalJunction(0.0, 1e-16, 1.0, 0.025, 1e-12);
+  const JunctionEval j = EvalJunction(0.0, 1e-16, 1.0 / 0.025, 1e-12);
   EXPECT_DOUBLE_EQ(j.current, 0.0);
   EXPECT_GT(j.conductance, 0.0);
 }
 
 TEST(Junction, DepletionChargeContinuousAtFcVj) {
   const double cj0 = 30e-15, vj = 0.9, m = 0.33, fc = 0.5;
-  const DepletionSplit split = DepletionSplitAt(cj0, vj, m, fc);
+  const DepletionConstants d = DepletionConstantsOf(cj0, vj, m, fc);
   double cl = 0.0, cr = 0.0;
-  const double ql =
-      DepletionCharge(fc * vj - 1e-9, cj0, vj, m, fc, split, &cl);
-  const double qr =
-      DepletionCharge(fc * vj + 1e-9, cj0, vj, m, fc, split, &cr);
+  const double ql = DepletionCharge(fc * vj - 1e-9, d, &cl);
+  const double qr = DepletionCharge(fc * vj + 1e-9, d, &cr);
   EXPECT_NEAR(ql, qr, std::fabs(ql) * 1e-5 + 1e-20);
   EXPECT_NEAR(cl, cr, cl * 1e-5);
 }
 
 TEST(Junction, DepletionCapIncreasesWithForwardBias) {
-  const DepletionSplit split = DepletionSplitAt(30e-15, 0.9, 0.33, 0.5);
+  const DepletionConstants d = DepletionConstantsOf(30e-15, 0.9, 0.33, 0.5);
   double c_rev = 0.0, c_fwd = 0.0;
-  DepletionCharge(-1.0, 30e-15, 0.9, 0.33, 0.5, split, &c_rev);
-  DepletionCharge(0.6, 30e-15, 0.9, 0.33, 0.5, split, &c_fwd);
+  DepletionCharge(-1.0, d, &c_rev);
+  DepletionCharge(0.6, d, &c_fwd);
   EXPECT_GT(c_fwd, c_rev);
 }
 
 TEST(Junction, ZeroCj0GivesZero) {
   double c = 1.0;
-  EXPECT_DOUBLE_EQ(DepletionCharge(0.3, 0.0, 0.9, 0.33, 0.5,
-                                   DepletionSplitAt(0.0, 0.9, 0.33, 0.5), &c),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      DepletionCharge(0.3, DepletionConstantsOf(0.0, 0.9, 0.33, 0.5), &c),
+      0.0);
   EXPECT_DOUBLE_EQ(c, 0.0);
+}
+
+// The one-pow form (C = cj0 * p, q = prefactor * (1 - u * p), p = u^-m)
+// against the closed forms it replaces, below the split point.
+TEST(Junction, OnePowDepletionMatchesClosedForm) {
+  const double cj0 = 30e-15, vj = 0.9, m = 0.33, fc = 0.5;
+  const DepletionConstants d = DepletionConstantsOf(cj0, vj, m, fc);
+  int points = 0;
+  for (double v = -5.0; v < fc * vj; v += 0.0137) {
+    const double u = 1.0 - v / vj;
+    const double q_closed = cj0 * vj / (1.0 - m) * (1.0 - std::pow(u, 1.0 - m));
+    const double c_closed = cj0 * std::pow(u, -m);
+    double c = 0.0;
+    const double q = DepletionCharge(v, d, &c);
+    EXPECT_NEAR(q, q_closed, 1e-14 * std::fabs(q_closed)) << "v=" << v;
+    EXPECT_NEAR(c, c_closed, 1e-14 * c_closed) << "v=" << v;
+    ++points;
+  }
+  EXPECT_GT(points, 300);
 }
 
 // --- waveforms -----------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "campaign/runner.h"
 #include "campaign/store.h"
 #include "report/json.h"
+#include "report/telemetry_json.h"
 #include "service/lease.h"
 #include "service/protocol.h"
 #include "service/queue.h"
@@ -484,6 +486,106 @@ TEST(ServiceEndToEnd, KilledWorkerLeaseIsReassignedDeterministically) {
   const std::string mono = ReadWholeFile(dir + "/mono.json");
   ASSERT_FALSE(mono.empty());
   EXPECT_EQ(ReadWholeFile(dir + "/svc.json"), mono);
+  std::system(("rm -rf " + dir).c_str());
+}
+
+// A straggler's batch folded after its campaign completed (a stolen lease
+// delivering after its thief) is acked as complete, but the campaign is
+// finished, counted and logged once: on the fold that completed it.
+TEST(ServiceEndToEnd, DuplicateBatchAfterCompletionCountsTheCampaignOnce) {
+  const std::string dir = TempPath("e2e_complete_once");
+  std::system(("rm -rf " + dir).c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  const std::string ports = dir + "/ports.json";
+  const std::string telemetry = dir + "/telemetry.json";
+  const std::string log = dir + "/scheduler.log";
+
+  // One lease covers all four pattern_quick units.
+  ASSERT_NE(std::system((std::string(SCHEDULER_BIN) + " --state-dir " + dir +
+                         "/state --port-file " + ports +
+                         " --submit pattern_quick --chunk-units 4"
+                         " --lease-seconds 30 --idle-exit --telemetry " +
+                         telemetry + " >/dev/null 2>" + log + " &")
+                            .c_str()),
+            -1);
+  uint16_t port = 0;
+  for (int i = 0; i < 500 && port == 0; ++i) {
+    port = PortFromFile(ports, "worker_port");
+    if (port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_NE(port, 0) << "scheduler did not publish its ports";
+
+  // Act as the worker, then deliver the same batch a second time.
+  auto deliver_twice = [&] {
+    auto fd = util::TcpConnect("127.0.0.1", port);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    struct Closer {
+      int fd;
+      ~Closer() { util::CloseFd(fd); }
+    } closer{*fd};
+    service::Message hello;
+    hello.type = service::MessageType::kHello;
+    hello.worker = "straggler";
+    ASSERT_TRUE(service::SendMessageBlocking(*fd, hello).ok());
+    auto hello_ack = service::ReceiveMessageBlocking(*fd);
+    ASSERT_TRUE(hello_ack.ok());
+    ASSERT_EQ(hello_ack->type, service::MessageType::kHelloAck);
+
+    service::Message request;
+    request.type = service::MessageType::kWorkRequest;
+    ASSERT_TRUE(service::SendMessageBlocking(*fd, request).ok());
+    auto grant = service::ReceiveMessageBlocking(*fd);
+    ASSERT_TRUE(grant.ok());
+    ASSERT_EQ(grant->type, service::MessageType::kGrant);
+    ASSERT_EQ(grant->unit_ids.size(), 4u);
+    auto plan = campaign::PlanForPreset(grant->preset);
+    ASSERT_TRUE(plan.ok());
+    auto records = campaign::EvaluateUnits(**plan, grant->unit_ids, 1);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+
+    service::Message batch;
+    batch.type = service::MessageType::kRecords;
+    batch.campaign_id = grant->campaign_id;
+    batch.lease_id = grant->lease_id;
+    batch.records = *records;
+    for (int delivery = 0; delivery < 2; ++delivery) {
+      ASSERT_TRUE(service::SendMessageBlocking(*fd, batch).ok());
+      auto ack = service::ReceiveMessageBlocking(*fd);
+      ASSERT_TRUE(ack.ok());
+      ASSERT_EQ(ack->type, service::MessageType::kAck);
+      EXPECT_TRUE(ack->accepted) << delivery << ": " << ack->error;
+      EXPECT_TRUE(ack->campaign_complete) << delivery;
+    }
+  };
+  deliver_twice();
+  if (HasFailure()) {
+    // Drain the campaign so the idle scheduler exits.
+    RunChild(std::string(WORKER_BIN) + " --port-file " + ports +
+             " --exit-when-idle --give-up-ms 5000 --name drain");
+  }
+  AwaitSchedulerExit(ports, 60);
+
+  std::optional<util::telemetry::Snapshot> snapshot;
+  for (int i = 0; i < 250 && !snapshot; ++i) {
+    auto doc = report::ReadJsonFile(telemetry);
+    if (doc.ok()) {
+      auto parsed = report::TelemetrySnapshotFromJson(*doc);
+      if (parsed.ok()) snapshot = *parsed;
+    }
+    if (!snapshot) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(snapshot.has_value()) << "no telemetry snapshot at " << telemetry;
+  EXPECT_EQ(snapshot->Value("service.campaigns_completed"), 1u);
+  // The second delivery folded as duplicates, record for record.
+  EXPECT_EQ(2 * snapshot->Value("service.duplicate_records"),
+            snapshot->Value("service.records_streamed"));
+  const std::string text = ReadWholeFile(log);
+  size_t completions = 0;
+  for (size_t at = text.find("complete:"); at != std::string::npos;
+       at = text.find("complete:", at + 1)) {
+    ++completions;
+  }
+  EXPECT_EQ(completions, 1u) << text;
   std::system(("rm -rf " + dir).c_str());
 }
 

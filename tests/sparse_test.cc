@@ -2,6 +2,7 @@
 // dense solver on random sparse and MNA-like systems, pivoting, fill-in
 // accounting, and numeric-only refactorization.
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -289,6 +290,109 @@ TEST(SparseLuRefactor, SlotOutsidePatternFallsBackBitExact) {
   auto xf = fresh.Solve(rhs);
   ASSERT_TRUE(xr.ok() && xf.ok());
   for (size_t i = 0; i < n; ++i) EXPECT_EQ((*xr)[i], (*xf)[i]) << i;
+}
+
+TEST(SparseLuRefactor, SlotAddedInsideFillRemapsWithoutFallback) {
+  // A 2x2 block {0, 1} and a 4-node ring {2, 3, 4, 5}. Markowitz takes the
+  // block first (cost 1), then the ring node with the largest diagonal,
+  // 2, whose elimination fills (3, 5) and (5, 3); the remaining triangle
+  // fills nothing. A slot added later at (3, 5) lies inside the recorded
+  // fill: Refactor maps the new builder structure onto the pattern and
+  // replays, with no Factor. A slot coupling the block to the ring lies
+  // outside it and still falls back.
+  const size_t n = 6;
+  SparseBuilder b(n);
+  b.Add(0, 0, 3.0);
+  b.Add(0, 1, 1.0);
+  b.Add(1, 0, 1.0);
+  b.Add(1, 1, 3.0);
+  for (size_t i = 0; i < 4; ++i) {
+    const size_t r = 2 + i;
+    b.Add(r, r, r == 2 ? 10.0 : 4.0);
+    b.Add(r, 2 + (i + 1) % 4, -1.0);
+    b.Add(r, 2 + (i + 3) % 4, -1.0);
+  }
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+  ASSERT_EQ(lu.factor_nonzeros(), b.num_entries() + 2);
+
+  util::Rng rng(77);
+  Vector rhs(n);
+  for (double& v : rhs) v = rng.NextDouble(-5, 5);
+  auto expect_dense_solution = [&] {
+    auto xs = lu.Solve(rhs);
+    ASSERT_TRUE(xs.ok());
+    LuFactorization dense;
+    ASSERT_TRUE(dense.Factor(b.ToDense()).ok());
+    auto xd = dense.Solve(rhs);
+    ASSERT_TRUE(xd.ok());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR((*xs)[i], (*xd)[i], 1e-12 * (1.0 + std::fabs((*xd)[i])))
+          << i;
+    }
+  };
+
+  b.Add(3, 5, 0.3);
+  auto before = util::telemetry::Capture();
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  auto after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.sparse_lu.factors"),
+            before.Value("linalg.sparse_lu.factors"));
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactor_fallbacks"),
+            before.Value("linalg.sparse_lu.refactor_fallbacks"));
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactors"),
+            before.Value("linalg.sparse_lu.refactors") + 1);
+  expect_dense_solution();
+
+  b.Add(2, 0, 0.2);
+  before = util::telemetry::Capture();
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.sparse_lu.factors"),
+            before.Value("linalg.sparse_lu.factors") + 1);
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactor_fallbacks"),
+            before.Value("linalg.sparse_lu.refactor_fallbacks") + 1);
+  expect_dense_solution();
+}
+
+TEST(SparseLuRefactor, FreshBuilderAtTheSameAddressIsRemapped) {
+  // The gather map points into the slots of the builder it was built for.
+  // A new builder constructed where the old one stood, after the same
+  // number of insertions but over another pattern, must not be read
+  // through the old map: pattern versions are unique across builders.
+  const size_t n = 24;
+  std::optional<SparseBuilder> slot;
+  auto fill = [&](uint64_t seed, size_t shift) {
+    slot.emplace(n);
+    util::Rng rng(seed);
+    for (size_t r = 0; r < n; ++r) {
+      slot->Add(r, r, 6.0 + rng.NextDouble(0, 1));
+      slot->Add(r, (r + shift) % n, rng.NextDouble(-1, 1));
+    }
+  };
+  SparseLu lu;
+  fill(1, 1);
+  const SparseBuilder* first = &*slot;
+  const uint64_t first_version = slot->pattern_version();
+  ASSERT_TRUE(lu.Factor(*slot).ok());
+
+  fill(2, 3);  // same address, same insertion count, another pattern
+  ASSERT_EQ(&*slot, first);
+  EXPECT_NE(slot->pattern_version(), first_version);
+  ASSERT_TRUE(lu.Refactor(*slot).ok());
+
+  util::Rng rng(3);
+  Vector rhs(n);
+  for (double& v : rhs) v = rng.NextDouble(-5, 5);
+  auto xs = lu.Solve(rhs);
+  ASSERT_TRUE(xs.ok());
+  LuFactorization dense;
+  ASSERT_TRUE(dense.Factor(slot->ToDense()).ok());
+  auto xd = dense.Solve(rhs);
+  ASSERT_TRUE(xd.ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR((*xs)[i], (*xd)[i], 1e-12 * (1.0 + std::fabs((*xd)[i]))) << i;
+  }
 }
 
 TEST(SparseLuRefactor, DimensionChangeFallsBackToFactor) {
