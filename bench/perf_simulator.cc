@@ -192,9 +192,14 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
 
 // Raw MNA assembly cost on the BM_DcOperatingPoint/32 system (133
 // unknowns): every Assemble() after the first replays the compiled stamp
-// targets into the sparse builder. The Arg(1) row name is kept for the
-// committed baselines and the CI regression gate.
+// targets into the sparse builder. Arg 1 assembles in DC with the state
+// seeding of a transient's operating point, where no charge companion
+// contributes; Arg 2 times the transient stamp path: at the chain's DC
+// operating point, with the charge states seeded there and rotated,
+// trapezoidal at dt 25 ps. The Arg(1) row name is kept for the committed
+// baselines and the CI regression gate.
 void BM_Assemble(benchmark::State& state) {
+  const bool transient = state.range(0) == 2;
   netlist::Netlist nl;
   cml::CmlTechnology tech;
   cml::CellBuilder cells(nl, tech);
@@ -204,13 +209,29 @@ void BM_Assemble(benchmark::State& state) {
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_initializing_state(true);
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
+  if (transient) {
+    const auto op = sim::SolveDc(nl);
+    if (!op.ok()) {
+      state.SkipWithError("dc failed");
+      return;
+    }
+    for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
+      x[static_cast<size_t>(mna.UnknownOfNode(n))] = op->V(n);
+    }
+    mna.Assemble(x);  // seeds the charge states at the operating point
+    mna.RotateStates();
+    mna.set_mode(netlist::AnalysisMode::kTransient);
+    mna.set_initializing_state(false);
+    mna.set_method(netlist::IntegrationMethod::kTrapezoidal);
+    mna.set_dt(25e-12);
+  }
   for (auto _ : state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  state.SetLabel("sparse");
+  state.SetLabel(transient ? "sparse transient" : "sparse");
 }
-BENCHMARK(BM_Assemble)->Arg(1);
+BENCHMARK(BM_Assemble)->Arg(1)->Arg(2);
 
 // End-to-end transient on a 32-buffer clocked chain. The name and the
 // single Arg(0) ("exact") row are kept for the committed baselines and the

@@ -42,12 +42,21 @@ namespace {
 /// multi-emitter device's shared B-C junction; `state_base` is the device
 /// state-slot offset for this triple's four charge states
 /// {qbe, ibe, qbc, ibc}.
+///
+/// The charge companions fold into the block, as in SPICE3's BJT load:
+/// each companion's conductance and equivalent current join the entries
+/// its junction (B-E or B-C) touches, so the device writes its 3x3 block
+/// and three rhs entries once, with the same sequence in DC (where the
+/// companions are {0, 0} and change no value) and transient. They join the
+/// finished entries, not gpi and gmu: the e row is minus the sum of the c
+/// and b rows, and a companion inside gmu would cancel there and swamp the
+/// e row's -gr.
 void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
                   netlist::NodeId c, netlist::NodeId b, netlist::NodeId e,
                   const BjtParams& p, const double* k, int state_base) {
-  const double gmin = ctx.gmin();
-  const double vbe = ctx.V(b) - ctx.V(e);
-  const double vbc = ctx.V(b) - ctx.V(c);
+  const double vc = ctx.V(c), vb = ctx.V(b), ve = ctx.V(e);
+  const double vbe = vb - ve;
+  const double vbc = vb - vc;
 
   // Transport currents (Ebers-Moll, transport form).
   double dee = 0.0, dec = 0.0;
@@ -60,6 +69,28 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   const double iec = is_r * (ec - 1.0);
   const double gr = is_r * dec;
 
+  // Charge storage: B-E (depletion + forward diffusion), B-C (scaled).
+  // Each companion is a conductance g plus the equivalent current
+  // i - g * v of its junction (as StampCurrent would stamp it).
+  double cdep_be = 0.0;
+  const double qdep_be =
+      DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep_be);
+  const ChargeCompanion ccbe =
+      IntegrateCharge(ctx, dev, state_base + 0, state_base + 1,
+                      qdep_be + p.tf * icc, cdep_be + p.tf * gf);
+  const double gbe = ccbe.conductance;
+  const double ieq_be = ccbe.current - gbe * vbe;
+
+  double cdep_bc = 0.0;
+  const double qdep_bc =
+      DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep_bc);
+  const ChargeCompanion ccbc =
+      IntegrateCharge(ctx, dev, state_base + 2, state_base + 3,
+                      qdep_bc + p.tr * iec, cdep_bc + p.tr * gr);
+  const double gbc = ccbc.conductance;
+  const double ieq_bc = ccbc.current - gbc * vbc;
+
+  const double gmin = ctx.gmin();
   const double ibe = icc * k[kBjtInvBf] + gmin * vbe;
   const double gpi = gf * k[kBjtInvBf] + gmin;
   const double ibc = iec * k[kBjtInvBr] + gmin * vbc;
@@ -87,44 +118,21 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   const double je_ve = -(jc_ve + jb_ve);
   const double je_vc = -(jc_vc + jb_vc);
 
-  ctx.AddNodeMatrix(c, c, jc_vc);
-  ctx.AddNodeMatrix(c, b, jc_vb);
+  ctx.AddNodeMatrix(c, c, jc_vc + gbc);
+  ctx.AddNodeMatrix(c, b, jc_vb - gbc);
   ctx.AddNodeMatrix(c, e, jc_ve);
-  ctx.AddNodeMatrix(b, c, jb_vc);
-  ctx.AddNodeMatrix(b, b, jb_vb);
-  ctx.AddNodeMatrix(b, e, jb_ve);
+  ctx.AddNodeMatrix(b, c, jb_vc - gbc);
+  ctx.AddNodeMatrix(b, b, jb_vb + gbe + gbc);
+  ctx.AddNodeMatrix(b, e, jb_ve - gbe);
   ctx.AddNodeMatrix(e, c, je_vc);
-  ctx.AddNodeMatrix(e, b, je_vb);
-  ctx.AddNodeMatrix(e, e, je_ve);
+  ctx.AddNodeMatrix(e, b, je_vb - gbe);
+  ctx.AddNodeMatrix(e, e, je_ve + gbe);
 
-  // Newton equivalent sources: rhs -= f(v*) - J v*.
-  const double vc = ctx.V(c), vb = ctx.V(b), ve = ctx.V(e);
-  ctx.AddNodeRhs(c, -(ic - (jc_vc * vc + jc_vb * vb + jc_ve * ve)));
-  ctx.AddNodeRhs(b, -(ib - (jb_vc * vc + jb_vb * vb + jb_ve * ve)));
-  ctx.AddNodeRhs(e, -(ie - (je_vc * vc + je_vb * vb + je_ve * ve)));
-
-  // Charge storage: B-E (depletion + forward diffusion), B-C (scaled).
-  double cdep_be = 0.0;
-  const double qdep_be =
-      DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep_be);
-  const double qbe = qdep_be + p.tf * icc;
-  const double cbe = cdep_be + p.tf * gf;
-  const ChargeCompanion ccbe =
-      IntegrateCharge(ctx, dev, state_base + 0, state_base + 1, qbe, cbe);
-  if (ccbe.conductance != 0.0 || ccbe.current != 0.0) {
-    ctx.StampCurrent(b, e, ccbe.current, ccbe.conductance);
-  }
-
-  double cdep_bc = 0.0;
-  const double qdep_bc =
-      DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep_bc);
-  const double qbc = qdep_bc + p.tr * iec;
-  const double cbc = cdep_bc + p.tr * gr;
-  const ChargeCompanion ccbc =
-      IntegrateCharge(ctx, dev, state_base + 2, state_base + 3, qbc, cbc);
-  if (ccbc.conductance != 0.0 || ccbc.current != 0.0) {
-    ctx.StampCurrent(b, c, ccbc.current, ccbc.conductance);
-  }
+  // Newton equivalent sources: rhs -= f(v*) - J v*, plus the companions'.
+  ctx.AddNodeRhs(c, -(ic - (jc_vc * vc + jc_vb * vb + jc_ve * ve)) + ieq_bc);
+  ctx.AddNodeRhs(
+      b, -(ib - (jb_vc * vc + jb_vb * vb + jb_ve * ve)) - ieq_be - ieq_bc);
+  ctx.AddNodeRhs(e, -(ie - (je_vc * vc + je_vb * vb + je_ve * ve)) + ieq_be);
 }
 
 }  // namespace

@@ -29,17 +29,17 @@ void Diode::Stamp(netlist::StampContext& ctx) const {
   const double* k = ctx.Constants(*this);
 
   const JunctionEval j = EvalJunction(v, k[0], k[1], ctx.gmin());
-  ctx.StampCurrent(a, c, j.current, j.conductance);
 
-  // Charge: depletion + diffusion (tt * i_junction).
+  // Charge: depletion + diffusion (tt * i_junction). Its companion joins
+  // the junction current and conductance, so the diode stamps once, with
+  // the same write sequence in DC (companion {0, 0}) and transient.
   double cdep = 0.0;
   const double qdep = DepletionCharge(v, LoadDepletion(k + 2), &cdep);
   const double q = qdep + params_.tt * j.current;
   const double cap = cdep + params_.tt * j.conductance;
   const ChargeCompanion cc = IntegrateCharge(ctx, *this, 0, 1, q, cap);
-  if (cc.conductance != 0.0 || cc.current != 0.0) {
-    ctx.StampCurrent(a, c, cc.current, cc.conductance);
-  }
+  ctx.StampCurrent(a, c, j.current + cc.current,
+                   j.conductance + cc.conductance);
 }
 
 }  // namespace cmldft::devices

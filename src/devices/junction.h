@@ -16,11 +16,12 @@ namespace cmldft::devices {
 /// `*derivative` gets d/dv.
 /// The 80-unit default keeps real operating points (up to ~1 V VBE at
 /// -40 C, i.e. 50 thermal units) inside the exact-exponential region while
-/// still preventing overflow during Newton excursions.
+/// still preventing overflow during Newton excursions. That region is the
+/// likely branch: left unmarked, GCC lays the libm call out of line.
 inline double LimitedExp(double v, double inv_nvt, double* derivative,
                          double vmax_arg = 80.0) {
   const double arg = v * inv_nvt;
-  if (arg <= vmax_arg) {
+  if (arg <= vmax_arg) [[likely]] {
     const double e = std::exp(arg);
     if (derivative) *derivative = e * inv_nvt;
     return e;
@@ -83,14 +84,16 @@ inline DepletionConstants LoadDepletion(const double* k) {
 ///   q(v) = cj0 * vj / (1-m) * (1 - u^(1-m)),  u = 1 - v/vj,  for v < fc*vj
 /// and a first-order continuation beyond, built on the split constants.
 /// One pow: with p = u^(-m), C = cj0 * p and q = prefactor * (1 - u * p).
-/// `*capacitance` gets dq/dv.
+/// The pow branch is marked likely, as in LimitedExp: the junctions of a
+/// CML gate sit mostly below fc*vj (every B-C junction, and the B-E
+/// junction of each off transistor). `*capacitance` gets dq/dv.
 inline double DepletionCharge(double v, const DepletionConstants& d,
                               double* capacitance) {
   if (d.cj0 <= 0.0) {
     if (capacitance) *capacitance = 0.0;
     return 0.0;
   }
-  if (v < d.vsplit) {
+  if (v < d.vsplit) [[likely]] {
     const double u = 1.0 - v * d.inv_vj;
     const double p = std::pow(u, -d.m);
     if (capacitance) *capacitance = d.cj0 * p;

@@ -4,9 +4,13 @@
 
 namespace cmldft::devices {
 
-void Resistor::Stamp(netlist::StampContext& ctx) const {
+void Resistor::ComputeConstants(double /*temp_k*/, double* out) const {
   assert(resistance_ > 0.0);
-  ctx.StampConductance(node(0), node(1), 1.0 / resistance_);
+  out[0] = 1.0 / resistance_;
+}
+
+void Resistor::Stamp(netlist::StampContext& ctx) const {
+  ctx.StampConductance(node(0), node(1), ctx.Constants(*this)[0]);
 }
 
 void Capacitor::Stamp(netlist::StampContext& ctx) const {

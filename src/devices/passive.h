@@ -16,8 +16,14 @@ class Resistor : public netlist::Device {
       : Device(std::move(name), {a, b}), resistance_(resistance) {}
 
   double resistance() const { return resistance_; }
-  void set_resistance(double r) { resistance_ = r; }
+  void set_resistance(double r) {
+    resistance_ = r;
+    ConstantsChanged();
+  }
 
+  /// The conductance 1/R.
+  int num_constants() const override { return 1; }
+  void ComputeConstants(double temp_k, double* out) const override;
   void Stamp(netlist::StampContext& ctx) const override;
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<Resistor>(*this);

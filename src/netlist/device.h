@@ -52,9 +52,11 @@ class Device {
   /// Add*/SetState calls — their destinations and order — must be a pure
   /// function of the netlist topology and the analysis context, never of
   /// the iterate. Only the stamped *values* may depend on the iterate. A
-  /// context change may alter the sequence (e.g. charge companions joining
-  /// in transient mode) as long as it changes the call count too; replay
-  /// detects that per device and re-records. Debug builds additionally
+  /// context change may alter the sequence as long as it changes the call
+  /// count too; replay detects that per device and re-records. Only
+  /// capacitors do so (open in DC, a companion in transient): junction
+  /// devices fold their charge companions into their junction stamps and
+  /// write the same sequence in both. Debug builds additionally
   /// verify every destination. Stamp() is const and writes no device
   /// state, so several systems may stamp one netlist concurrently.
   virtual void Stamp(StampContext& ctx) const = 0;

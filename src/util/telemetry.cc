@@ -172,25 +172,25 @@ Shard& LocalShard() {
 
 void Timer::RecordSeconds(double seconds) const {
   if (seconds < 0.0) seconds = 0.0;
+  RecordNanoseconds(static_cast<uint64_t>(seconds * 1e9));
+}
+
+void Timer::RecordNanoseconds(uint64_t ns) const {
   internal::Shard& shard = internal::LocalShard();
-  shard.slots[offset_].fetch_add(1, std::memory_order_relaxed);
-  shard.slots[offset_ + 1].fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                                     std::memory_order_relaxed);
+  internal::OwnerAdd(shard.slots[offset_], 1);
+  internal::OwnerAdd(shard.slots[offset_ + 1], ns);
 }
 
 ScopedTimer::ScopedTimer(Timer timer) : timer_(timer), start_ns_(NowNs()) {}
 
-ScopedTimer::~ScopedTimer() {
-  timer_.RecordSeconds(static_cast<double>(NowNs() - start_ns_) * 1e-9);
-}
+ScopedTimer::~ScopedTimer() { timer_.RecordNanoseconds(NowNs() - start_ns_); }
 
 void Histogram::Record(double value) const {
   // First bucket whose upper edge admits the value; past-the-end = overflow.
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_->begin(), bounds_->end(), value) -
       bounds_->begin());
-  internal::LocalShard().slots[offset_ + bucket].fetch_add(
-      1, std::memory_order_relaxed);
+  internal::OwnerAdd(internal::LocalShard().slots[offset_ + bucket], 1);
 }
 
 Counter GetCounter(std::string_view name) {

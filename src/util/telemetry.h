@@ -4,8 +4,10 @@
 // Design: a single append-only registry assigns each metric a fixed slot
 // range in a per-thread shard (a flat array of relaxed atomics). Recording
 // touches only the calling thread's shard — no locks, no contention, no
-// cross-thread cache traffic — so instrumenting a Newton iteration or a
-// transient step costs one thread-local load plus one relaxed fetch_add.
+// cross-thread cache traffic — and no other thread records into it, so
+// instrumenting a Newton iteration or a transient step costs one
+// thread-local load plus a relaxed load and store (no locked
+// read-modify-write).
 // Snapshots merge every live shard plus the accumulated totals of exited
 // threads under the registry mutex; because util::ParallelFor gives every
 // index the same work regardless of which thread claims it, counter and
@@ -65,14 +67,21 @@ struct Shard {
 
 /// The calling thread's shard, created (and registered) on first use.
 Shard& LocalShard();
+
+/// slot += delta on the calling thread's own shard. Only the owner writes
+/// a shard's slots, so a relaxed load and store cannot lose an update;
+/// concurrent snapshots see either the old or the new total.
+inline void OwnerAdd(std::atomic<uint64_t>& slot, uint64_t delta) {
+  slot.store(slot.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
 }  // namespace internal
 
 /// Monotonic event counter.
 class Counter {
  public:
   void Add(uint64_t delta = 1) const {
-    internal::LocalShard().slots[offset_].fetch_add(
-        delta, std::memory_order_relaxed);
+    internal::OwnerAdd(internal::LocalShard().slots[offset_], delta);
   }
   void Increment() const { Add(1); }
 
@@ -92,6 +101,7 @@ class Timer {
   friend Timer GetTimer(std::string_view);
   friend class ScopedTimer;
   explicit Timer(size_t offset) : offset_(offset) {}
+  void RecordNanoseconds(uint64_t ns) const;
   size_t offset_;
 };
 
@@ -155,7 +165,8 @@ struct Snapshot {
 
 /// Merge retired totals and every live shard. Exact when no other thread
 /// is concurrently recording (the campaign/test pattern: record, join
-/// workers, capture); otherwise a consistent-enough live view.
+/// workers, capture); otherwise a live view in which each slot reads its
+/// owner's latest stored total.
 Snapshot Capture();
 
 /// Zero every metric (retired totals and all live shards). For scoping a

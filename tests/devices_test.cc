@@ -1,8 +1,12 @@
 // Unit + property tests for device models: junction math (continuity,
 // monotonicity), source waveforms (values + breakpoints), and DC
-// characteristics of diode/BJT/multi-emitter devices solved in-circuit.
+// characteristics of diode/BJT/multi-emitter devices solved in-circuit;
+// and the junction stamps with their charge companions folded in, against
+// a reference that stamps the companions separately.
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,9 @@
 #include "devices/sources.h"
 #include "netlist/netlist.h"
 #include "sim/dc.h"
+#include "sim/mna.h"
+#include "util/rng.h"
+#include "util/strings.h"
 #include "util/units.h"
 
 namespace cmldft::devices {
@@ -299,6 +306,236 @@ TEST(DeviceClone, PreservesParameters) {
   auto qc = q.Clone();
   EXPECT_EQ(qc->kind(), "bjt");
   EXPECT_EQ(qc->num_states(), 4);
+}
+
+// --- charge companions folded into the junction stamps --------------------
+
+using netlist::NodeId;
+
+// The reference form of a BJT stamp: the Ebers-Moll block and its rhs
+// first, then each charge companion as its own StampCurrent (skipped while
+// it is {0, 0}), in the models' expression order. The folded stamps of Bjt,
+// MultiEmitterBjt and Diode must match it to rounding in transient, and
+// exactly in DC.
+void StampBjtSeparately(netlist::StampContext& ctx, const netlist::Device& dev,
+                        NodeId c, NodeId b, NodeId e, const BjtParams& p,
+                        const double* k, int state_base) {
+  const double gmin = ctx.gmin();
+  const double vbe = ctx.V(b) - ctx.V(e);
+  const double vbc = ctx.V(b) - ctx.V(c);
+  double dee = 0.0, dec = 0.0;
+  const double ee = LimitedExp(vbe, k[kBjtInvNfVt], &dee);
+  const double ec = LimitedExp(vbc, k[kBjtInvNrVt], &dec);
+  const double icc = k[kBjtIs] * (ee - 1.0);
+  const double gf = k[kBjtIs] * dee;
+  const double iec = k[kBjtIsReverse] * (ec - 1.0);
+  const double gr = k[kBjtIsReverse] * dec;
+  const double ibe = icc * k[kBjtInvBf] + gmin * vbe;
+  const double gpi = gf * k[kBjtInvBf] + gmin;
+  const double ibc = iec * k[kBjtInvBr] + gmin * vbc;
+  const double gmu = gr * k[kBjtInvBr] + gmin;
+
+  // Rows and columns in (c, b, e) order.
+  const NodeId n[3] = {c, b, e};
+  const double v[3] = {ctx.V(c), ctx.V(b), ctx.V(e)};
+  const double ic = icc - iec - ibc;
+  const double ib = ibe + ibc;
+  const double i[3] = {ic, ib, -(ic + ib)};
+  const double dic_dvbc = -gr - gmu;
+  double jac[3][3] = {{-dic_dvbc, gf + dic_dvbc, -gf},
+                      {-gmu, gpi + gmu, -gpi},
+                      {}};
+  for (int col = 0; col < 3; ++col) {
+    jac[2][col] = -(jac[0][col] + jac[1][col]);
+  }
+  for (int r = 0; r < 3; ++r) {
+    for (int col = 0; col < 3; ++col) {
+      ctx.AddNodeMatrix(n[r], n[col], jac[r][col]);
+    }
+  }
+  for (int r = 0; r < 3; ++r) {
+    ctx.AddNodeRhs(n[r], -(i[r] - (jac[r][0] * v[0] + jac[r][1] * v[1] +
+                                   jac[r][2] * v[2])));
+  }
+
+  double cdep = 0.0;
+  const double qbe =
+      DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep) +
+      p.tf * icc;
+  const ChargeCompanion be = IntegrateCharge(ctx, dev, state_base,
+                                             state_base + 1, qbe,
+                                             cdep + p.tf * gf);
+  if (be.conductance != 0.0 || be.current != 0.0) {
+    ctx.StampCurrent(b, e, be.current, be.conductance);
+  }
+  const double qbc =
+      DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep) +
+      p.tr * iec;
+  const ChargeCompanion bc = IntegrateCharge(ctx, dev, state_base + 2,
+                                             state_base + 3, qbc,
+                                             cdep + p.tr * gr);
+  if (bc.conductance != 0.0 || bc.current != 0.0) {
+    ctx.StampCurrent(b, c, bc.current, bc.conductance);
+  }
+}
+
+// A BJT with one emitter (Bjt) or several (MultiEmitterBjt), stamped by
+// the reference form. Terminals: {collector, base, e0, e1, ...}.
+class SeparateCompanionBjt : public netlist::Device {
+ public:
+  SeparateCompanionBjt(std::string name, std::vector<NodeId> terminals,
+                       BjtParams params)
+      : Device(std::move(name), std::move(terminals)), params_(params) {}
+
+  int num_emitters() const { return num_terminals() - 2; }
+  bool is_nonlinear() const override { return true; }
+  int num_states() const override { return 4 * num_emitters(); }
+  int num_constants() const override { return kBjtConstants; }
+  void ComputeConstants(double temp_k, double* out) const override {
+    ComputeBjtConstants(params_, 1.0 / num_emitters(), temp_k, out);
+  }
+  void Stamp(netlist::StampContext& ctx) const override {
+    const double* k = ctx.Constants(*this);
+    for (int i = 0; i < num_emitters(); ++i) {
+      StampBjtSeparately(ctx, *this, node(0), node(1), node(2 + i), params_,
+                         k, 4 * i);
+    }
+  }
+  std::unique_ptr<netlist::Device> Clone() const override {
+    return std::make_unique<SeparateCompanionBjt>(*this);
+  }
+  std::string_view kind() const override { return "bjt_reference"; }
+
+ private:
+  BjtParams params_;
+};
+
+// A diode stamped by the reference form: junction, then companion.
+class SeparateCompanionDiode : public netlist::Device {
+ public:
+  SeparateCompanionDiode(std::string name, NodeId a, NodeId c,
+                         DiodeParams params)
+      : Device(name, {a, c}), model_(name, a, c, params) {}
+
+  bool is_nonlinear() const override { return true; }
+  int num_states() const override { return model_.num_states(); }
+  int num_constants() const override { return model_.num_constants(); }
+  void ComputeConstants(double temp_k, double* out) const override {
+    model_.ComputeConstants(temp_k, out);
+  }
+  void Stamp(netlist::StampContext& ctx) const override {
+    const double v = ctx.V(node(0)) - ctx.V(node(1));
+    const double* k = ctx.Constants(*this);
+    const JunctionEval j = EvalJunction(v, k[0], k[1], ctx.gmin());
+    ctx.StampCurrent(node(0), node(1), j.current, j.conductance);
+    double cdep = 0.0;
+    const double tt = model_.params().tt;
+    const double q =
+        DepletionCharge(v, LoadDepletion(k + 2), &cdep) + tt * j.current;
+    const ChargeCompanion cc =
+        IntegrateCharge(ctx, *this, 0, 1, q, cdep + tt * j.conductance);
+    if (cc.conductance != 0.0 || cc.current != 0.0) {
+      ctx.StampCurrent(node(0), node(1), cc.current, cc.conductance);
+    }
+  }
+  std::unique_ptr<netlist::Device> Clone() const override {
+    return std::make_unique<SeparateCompanionDiode>(*this);
+  }
+  std::string_view kind() const override { return "diode_reference"; }
+
+ private:
+  Diode model_;
+};
+
+// A BJT, a two-emitter BJT and a diode on shared nodes (ground included),
+// as the models or as their references.
+netlist::Netlist JunctionNetlist(bool reference) {
+  netlist::Netlist nl;
+  const NodeId c = nl.AddNode("c"), b = nl.AddNode("b"), e = nl.AddNode("e"),
+               e2 = nl.AddNode("e2"), a = nl.AddNode("a");
+  BjtParams q1;
+  q1.tr = 5e-12;  // a B-C diffusion charge too
+  DiodeParams dp;
+  dp.cj0 = 40e-15;
+  dp.tt = 3e-12;
+  if (reference) {
+    nl.AddDevice(std::make_unique<SeparateCompanionBjt>(
+        "q1", std::vector<NodeId>{c, b, e}, q1));
+    nl.AddDevice(std::make_unique<SeparateCompanionBjt>(
+        "q2", std::vector<NodeId>{a, b, e2, kGroundNode}, BjtParams{}));
+    nl.AddDevice(std::make_unique<SeparateCompanionDiode>("d1", a, e, dp));
+  } else {
+    nl.AddDevice(std::make_unique<Bjt>("q1", c, b, e, q1));
+    nl.AddDevice(std::make_unique<MultiEmitterBjt>(
+        "q2", a, b, std::vector<NodeId>{e2, kGroundNode}));
+    nl.AddDevice(std::make_unique<Diode>("d1", a, e, dp));
+  }
+  return nl;
+}
+
+// Every Jacobian and rhs entry of `folded` within `rel_tol` of
+// `separate`'s, relative to the larger magnitude of the two.
+void ExpectAssembliesAgree(const sim::MnaSystem& folded,
+                           const sim::MnaSystem& separate, double rel_tol,
+                           double* worst) {
+  auto check = [&](double x, double y, const char* what, size_t i) {
+    const double scale = std::max(std::fabs(x), std::fabs(y));
+    const double rel = scale > 0.0 ? std::fabs(x - y) / scale : 0.0;
+    *worst = std::max(*worst, rel);
+    EXPECT_LE(rel, rel_tol) << what << "[" << i << "]: " << x << " vs " << y;
+  };
+  const linalg::Matrix jf = folded.jacobian(), js = separate.jacobian();
+  ASSERT_EQ(jf.rows(), js.rows());
+  for (size_t r = 0; r < jf.rows(); ++r) {
+    for (size_t c = 0; c < jf.cols(); ++c) {
+      check(jf(r, c), js(r, c), "J", r * jf.cols() + c);
+    }
+  }
+  for (size_t i = 0; i < folded.rhs().size(); ++i) {
+    check(folded.rhs()[i], separate.rhs()[i], "rhs", i);
+  }
+}
+
+TEST(JunctionStamp, FoldedChargeCompanionsMatchSeparateStamps) {
+  const netlist::Netlist folded_nl = JunctionNetlist(false);
+  const netlist::Netlist separate_nl = JunctionNetlist(true);
+  util::Rng rng(0x5EEDull);
+  double worst_dc = 0.0, worst_tran = 0.0;
+  for (const auto method : {netlist::IntegrationMethod::kTrapezoidal,
+                            netlist::IntegrationMethod::kBackwardEuler}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      sim::MnaSystem folded(folded_nl), separate(separate_nl);
+      sim::MnaSystem* both[] = {&folded, &separate};
+      auto assemble = [&](double rel_tol, double* worst) {
+        linalg::Vector x(static_cast<size_t>(folded.num_unknowns()));
+        for (double& v : x) v = rng.NextDouble(-1.0, 1.0);
+        for (sim::MnaSystem* s : both) s->Assemble(x);
+        ExpectAssembliesAgree(folded, separate, rel_tol, worst);
+      };
+      // DC (states seeded, companions {0, 0}): exactly equal.
+      for (sim::MnaSystem* s : both) {
+        s->set_mode(netlist::AnalysisMode::kDcOperatingPoint);
+        s->set_initializing_state(true);
+        s->set_method(method);
+      }
+      assemble(0.0, &worst_dc);
+      // Two transient steps at a random dt, so the second integrates
+      // against random previous charges and companion currents.
+      const double dt = rng.NextDouble(1e-12, 50e-12);
+      for (sim::MnaSystem* s : both) {
+        s->RotateStates();
+        s->set_mode(netlist::AnalysisMode::kTransient);
+        s->set_initializing_state(false);
+        s->set_dt(dt);
+      }
+      for (int step = 0; step < 2; ++step) {
+        assemble(1e-13, &worst_tran);
+        for (sim::MnaSystem* s : both) s->RotateStates();
+      }
+    }
+  }
+  RecordProperty("worst_transient_rel", util::StrPrintf("%.3g", worst_tran));
+  EXPECT_EQ(worst_dc, 0.0);
 }
 
 }  // namespace

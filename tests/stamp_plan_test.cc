@@ -18,8 +18,10 @@
 #include "devices/sources.h"
 #include "linalg/sparse.h"
 #include "sim/mna.h"
+#include "sim/transient.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/telemetry.h"
 
 namespace cmldft {
 namespace {
@@ -229,8 +231,8 @@ void RunLockstep(uint64_t seed) {
     assemble(RandomIterate(rng, sys.num_unknowns()), iter == 0);
   }
 
-  // Switch to transient: charge companions activate, devices take
-  // different conditional stamp paths — the plan must re-record, not
+  // Switch to transient: capacitor companions activate, so capacitors take
+  // a different conditional stamp path — the plan must re-record, not
   // replay garbage.
   sys.RotateStates();
   ref.RotateStates();
@@ -260,11 +262,13 @@ TEST(StampPlanTest, RandomNetlistsSparseBitIdentical) {
 
 // One BJT, one two-emitter BJT and one diode with depletion charge, all
 // forward-biased past fc * vj, so both IS(T) and the depletion split
-// constants reach the transient Jacobian and RHS.
+// constants reach the transient Jacobian and RHS; and a resistor, whose
+// conductance is its model constant.
 struct ConstantsCircuit {
   netlist::Netlist nl;
   devices::Bjt* bjt = nullptr;
   devices::Diode* diode = nullptr;
+  devices::Resistor* resistor = nullptr;
   linalg::Vector x;
 
   ConstantsCircuit() {
@@ -280,6 +284,8 @@ struct ConstantsCircuit {
     dp.tt = 3e-12;
     diode = static_cast<devices::Diode*>(nl.AddDevice(
         std::make_unique<devices::Diode>("d1", a, netlist::kGroundNode, dp)));
+    resistor = static_cast<devices::Resistor*>(
+        nl.AddDevice(std::make_unique<devices::Resistor>("r1", b, a, 2e3)));
     // vbe = 0.8 V > fc * vje, vbc = 0.5 V > fc * vjc, vd = 0.7 V > fc * vj.
     x = {2.0 - 1.7, 2.0 - 1.2, 2.0 - 2.0, 2.0 - 2.0, 0.7};
   }
@@ -335,8 +341,63 @@ TEST(StampPlanTest, SetParamsRefreshesModelConstants) {
   dp.cj0 *= 2.0;
   dp.m = 0.45;
   circuit.diode->set_params(dp);
+  circuit.resistor->set_resistance(3.5e3);
   live.Assemble(circuit.x);
   ExpectMatchesFresh(circuit, live, 330.0);
+}
+
+// Junction devices fold their charge companions into their junction
+// stamps, so they write the same stamp sequence in DC and transient: a
+// capacitor-free circuit keeps the plan it recorded at the operating point
+// through a whole transient. A capacitor still changes its call count at
+// the DC -> transient switch, which re-records once.
+TEST(StampPlanTest, JunctionsKeepTheirPlanThroughATransient) {
+  for (const bool with_capacitor : {false, true}) {
+    netlist::Netlist nl;
+    const NodeId gnd = netlist::kGroundNode;
+    const NodeId vcc = nl.AddNode("vcc"), in = nl.AddNode("in"),
+                 ref = nl.AddNode("ref"), c1 = nl.AddNode("c1"),
+                 c2 = nl.AddNode("c2"), e = nl.AddNode("e"),
+                 e2 = nl.AddNode("e2"), d = nl.AddNode("d");
+    nl.AddDevice(std::make_unique<devices::VSource>("vcc", vcc, gnd,
+                                                    Waveform::Dc(3.3)));
+    nl.AddDevice(std::make_unique<devices::VSource>(
+        "vin", in, gnd,
+        Waveform::Pulse(1.9, 2.3, 0.1e-9, 50e-12, 50e-12, 0.4e-9, 1e-9)));
+    nl.AddDevice(std::make_unique<devices::VSource>("vref", ref, gnd,
+                                                    Waveform::Dc(2.1)));
+    nl.AddDevice(std::make_unique<devices::Resistor>("r1", vcc, c1, 500.0));
+    nl.AddDevice(std::make_unique<devices::Resistor>("r2", vcc, c2, 500.0));
+    nl.AddDevice(std::make_unique<devices::Bjt>("q1", c1, in, e));
+    nl.AddDevice(std::make_unique<devices::MultiEmitterBjt>(
+        "q2", c2, ref, std::vector<NodeId>{e, e2}));
+    nl.AddDevice(std::make_unique<devices::ISource>("it", e, gnd,
+                                                    Waveform::Dc(0.6e-3)));
+    nl.AddDevice(std::make_unique<devices::Resistor>("r3", e2, gnd, 5e3));
+    devices::DiodeParams dp;
+    dp.cj0 = 20e-15;
+    dp.tt = 2e-12;
+    nl.AddDevice(std::make_unique<devices::Diode>("d1", c1, d, dp));
+    nl.AddDevice(std::make_unique<devices::Resistor>("r4", d, gnd, 10e3));
+    if (with_capacitor) {
+      nl.AddDevice(
+          std::make_unique<devices::Capacitor>("cl", c2, gnd, 10e-15));
+    }
+
+    sim::TransientOptions opts;
+    opts.tstop = 1e-9;
+    util::telemetry::Reset();
+    const auto result = sim::RunTransient(nl, opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->stats().accepted_steps, 10);
+    const util::telemetry::Snapshot snap = util::telemetry::Capture();
+    EXPECT_EQ(snap.Value("sim.assembly.plan_compiles"),
+              with_capacitor ? 2u : 1u)
+        << "with_capacitor=" << with_capacitor;
+    EXPECT_EQ(snap.Value("sim.assembly.plan_mismatches"),
+              with_capacitor ? 1u : 0u)
+        << "with_capacitor=" << with_capacitor;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -154,6 +155,61 @@ TEST(TelemetryMerge, ShortLivedThreadsMergeExactly) {
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->buckets,
             (std::vector<uint64_t>{4 * kPerThread, 4 * kPerThread}));
+}
+
+// Owners add to their shards with a relaxed load and store, not a locked
+// read-modify-write, while the main thread captures and exiting workers
+// retire their shards. Live totals must only grow and never show a torn
+// update; after join they are exact. The CI thread-sanitizer job runs it.
+TEST(TelemetryMerge, CaptureWhileThreadsRecord) {
+  telemetry::Reset();
+  const telemetry::Counter c = telemetry::GetCounter("test.merge.live_counter");
+  const telemetry::Timer t = telemetry::GetTimer("test.merge.live_timer");
+  const telemetry::Histogram h =
+      telemetry::GetHistogram("test.merge.live_hist", {10.0});
+  constexpr int kThreads = 4;
+  constexpr uint64_t kMinPerThread = 20000;
+  constexpr int kMinCaptures = 20;
+  std::atomic<int> running{kThreads};
+  std::atomic<int> captures{0};
+  std::atomic<uint64_t> records{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&] {
+      // Keep recording until the main thread has captured several times,
+      // so recording and capturing overlap.
+      uint64_t n = 0;
+      while (n < kMinPerThread || captures.load() < kMinCaptures) {
+        c.Add(2);
+        t.RecordSeconds(0.5);
+        h.Record(1.0);
+        ++n;
+      }
+      records.fetch_add(n);
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last = 0;
+  while (running.load() > 0) {
+    const uint64_t now =
+        telemetry::Capture().Value("test.merge.live_counter");
+    EXPECT_GE(now, last);
+    EXPECT_EQ(now % 2, 0u);
+    last = now;
+    captures.fetch_add(1);
+  }
+  for (auto& worker : workers) worker.join();
+
+  const uint64_t n = records.load();
+  const telemetry::Snapshot snap = telemetry::Capture();
+  EXPECT_EQ(snap.Value("test.merge.live_counter"), 2 * n);
+  const telemetry::MetricValue* timer = snap.Find("test.merge.live_timer");
+  ASSERT_NE(timer, nullptr);
+  EXPECT_EQ(timer->count, n);
+  EXPECT_NEAR(timer->total_seconds, 0.5 * static_cast<double>(n), 1e-6);
+  const telemetry::MetricValue* hist = snap.Find("test.merge.live_hist");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->buckets, (std::vector<uint64_t>{n, 0}));
 }
 
 // --- JSON round-trip ------------------------------------------------------
