@@ -192,12 +192,14 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
 
 // Raw MNA assembly cost on the BM_DcOperatingPoint/32 system (133
 // unknowns): every Assemble() after the first replays the compiled stamp
-// targets into the sparse builder. Arg 1 assembles in DC with the state
-// seeding of a transient's operating point, where no charge companion
-// contributes; Arg 2 times the transient stamp path: at the chain's DC
-// operating point, with the charge states seeded there and rotated,
-// trapezoidal at dt 25 ps. The Arg(1) row name is kept for the committed
-// baselines and the CI regression gate.
+// targets into the sparse builder. Arg 0 assembles in plain DC, the stamp
+// path of SolveDc and DcSweepVSource, which evaluates no charge; Arg 1 in
+// DC with the state seeding of a transient's operating point, which
+// evaluates every charge while no charge companion contributes; Arg 2
+// times the transient stamp path: at the chain's DC operating point, with
+// the charge states seeded there and rotated, trapezoidal at dt 25 ps.
+// The Arg(1) row name is kept for the committed baselines and the CI
+// regression gate.
 void BM_Assemble(benchmark::State& state) {
   const bool transient = state.range(0) == 2;
   netlist::Netlist nl;
@@ -207,7 +209,7 @@ void BM_Assemble(benchmark::State& state) {
   cells.AddBufferChain("x", in, 32);
   sim::MnaSystem mna(nl);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
-  mna.set_initializing_state(true);
+  mna.set_initializing_state(state.range(0) != 0);
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
   if (transient) {
     const auto op = sim::SolveDc(nl);
@@ -229,9 +231,11 @@ void BM_Assemble(benchmark::State& state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  state.SetLabel(transient ? "sparse transient" : "sparse");
+  state.SetLabel(transient                ? "sparse transient"
+                 : state.range(0) == 0 ? "sparse plain dc"
+                                       : "sparse");
 }
-BENCHMARK(BM_Assemble)->Arg(1)->Arg(2);
+BENCHMARK(BM_Assemble)->Arg(0)->Arg(1)->Arg(2);
 
 // End-to-end transient on a 32-buffer clocked chain. The name and the
 // single Arg(0) ("exact") row are kept for the committed baselines and the

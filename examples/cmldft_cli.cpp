@@ -67,9 +67,12 @@ int RunOp(const netlist::Netlist& nl) {
   }
   std::printf("%s", t.ToString().c_str());
   util::Table ti({"source", "I"});
-  for (const auto& [name, i] : r->source_currents) {
-    ti.NewRow().Add(name).AddF("%.6g", i);
-  }
+  nl.ForEachDevice([&](const netlist::Device& dev) {
+    if (dev.num_branches() > 0) {
+      ti.NewRow().Add(dev.name()).AddF(
+          "%.6g", r->BranchCurrent(nl, dev.name()).value());
+    }
+  });
   std::printf("\n%s", ti.ToString().c_str());
   return 0;
 }

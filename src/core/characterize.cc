@@ -167,7 +167,6 @@ util::StatusOr<LoadSharingPoint> MeasureLoadSharing(
                   outs[static_cast<size_t>(i)]);
   }
   RetuneBias(nl, tech, conditions.temperature_k);
-  netlist::Netlist target = nl;
   if (pipe_on_gate0 > 0.0) {
     defects::Defect d;
     d.type = defects::DefectType::kTransistorPipe;
@@ -175,7 +174,7 @@ util::StatusOr<LoadSharingPoint> MeasureLoadSharing(
     d.terminal_a = 0;
     d.terminal_b = 2;
     d.resistance = pipe_on_gate0;
-    CMLDFT_RETURN_IF_ERROR(defects::InjectDefect(target, d));
+    CMLDFT_RETURN_IF_ERROR(defects::InjectDefect(nl, d));
   }
   // Enter test mode by DC continuation: sweep vtest from vgnd to `vtest`
   // so the comparator follows the physical branch, exactly like the ramped
@@ -184,15 +183,15 @@ util::StatusOr<LoadSharingPoint> MeasureLoadSharing(
   for (double v = tech.vgnd; v < vtest; v += 0.05) ramp.push_back(v);
   ramp.push_back(vtest);
   CMLDFT_ASSIGN_OR_RETURN(
-      auto sweep, sim::DcSweepVSource(target, "Vvtest", ramp,
+      auto sweep, sim::DcSweepVSource(nl, "Vvtest", ramp,
                                       DcAt(conditions.temperature_k)));
   const sim::DcResult& final_point = sweep.back().result;
 
   LoadSharingPoint point;
   point.num_gates = num_gates;
-  point.vout = final_point.V(target, load.vout_name);
-  point.vfb = final_point.V(target, load.vfb_name);
-  point.comp_out = final_point.V(target, load.comp_out_name);
+  point.vout = final_point.V(nl, load.vout_name);
+  point.vfb = final_point.V(nl, load.vfb_name);
+  point.comp_out = final_point.V(nl, load.comp_out_name);
   point.flagged =
       point.comp_out < vtest - 0.25 * options.comparator_tail * options.comparator_rc;
   return point;

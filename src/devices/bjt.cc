@@ -46,8 +46,9 @@ namespace {
 /// The charge companions fold into the block, as in SPICE3's BJT load:
 /// each companion's conductance and equivalent current join the entries
 /// its junction (B-E or B-C) touches, so the device writes its 3x3 block
-/// and three rhs entries once, with the same sequence in DC (where the
-/// companions are {0, 0} and change no value) and transient. They join the
+/// and three rhs entries once, with the same sequence in a seeding DC
+/// (where the companions are {0, 0} and change no value) and transient. A
+/// plain DC evaluates no charge and adds the same {0, 0}. They join the
 /// finished entries, not gpi and gmu: the e row is minus the sum of the c
 /// and b rows, and a companion inside gmu would cancel there and swamp the
 /// e row's -gr.
@@ -69,24 +70,27 @@ void StampBjtCore(netlist::StampContext& ctx, const netlist::Device& dev,
   const double iec = is_r * (ec - 1.0);
   const double gr = is_r * dec;
 
-  // Charge storage: B-E (depletion + forward diffusion), B-C (scaled).
-  // Each companion is a conductance g plus the equivalent current
-  // i - g * v of its junction (as StampCurrent would stamp it).
-  double cdep_be = 0.0;
-  const double qdep_be =
-      DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep_be);
+  // Charge storage: B-E (depletion + forward diffusion), B-C (scaled),
+  // evaluated only where an analysis reads it (IntegrateCharge). Each
+  // companion is a conductance g plus the equivalent current i - g * v of
+  // its junction (as StampCurrent would stamp it).
   const ChargeCompanion ccbe =
-      IntegrateCharge(ctx, dev, state_base + 0, state_base + 1,
-                      qdep_be + p.tf * icc, cdep_be + p.tf * gf);
+      IntegrateCharge(ctx, dev, state_base + 0, state_base + 1, [&] {
+        double cdep = 0.0;
+        const double qdep =
+            DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep);
+        return Charge{qdep + p.tf * icc, cdep + p.tf * gf};
+      });
   const double gbe = ccbe.conductance;
   const double ieq_be = ccbe.current - gbe * vbe;
 
-  double cdep_bc = 0.0;
-  const double qdep_bc =
-      DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep_bc);
   const ChargeCompanion ccbc =
-      IntegrateCharge(ctx, dev, state_base + 2, state_base + 3,
-                      qdep_bc + p.tr * iec, cdep_bc + p.tr * gr);
+      IntegrateCharge(ctx, dev, state_base + 2, state_base + 3, [&] {
+        double cdep = 0.0;
+        const double qdep =
+            DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep);
+        return Charge{qdep + p.tr * iec, cdep + p.tr * gr};
+      });
   const double gbc = ccbc.conductance;
   const double ieq_bc = ccbc.current - gbc * vbc;
 

@@ -32,12 +32,14 @@ void Diode::Stamp(netlist::StampContext& ctx) const {
 
   // Charge: depletion + diffusion (tt * i_junction). Its companion joins
   // the junction current and conductance, so the diode stamps once, with
-  // the same write sequence in DC (companion {0, 0}) and transient.
-  double cdep = 0.0;
-  const double qdep = DepletionCharge(v, LoadDepletion(k + 2), &cdep);
-  const double q = qdep + params_.tt * j.current;
-  const double cap = cdep + params_.tt * j.conductance;
-  const ChargeCompanion cc = IntegrateCharge(ctx, *this, 0, 1, q, cap);
+  // the same write sequence in a seeding DC (companion {0, 0}) and in
+  // transient. A plain DC evaluates no charge and adds the same {0, 0}.
+  const ChargeCompanion cc = IntegrateCharge(ctx, *this, 0, 1, [&] {
+    double cdep = 0.0;
+    const double qdep = DepletionCharge(v, LoadDepletion(k + 2), &cdep);
+    return Charge{qdep + params_.tt * j.current,
+                  cdep + params_.tt * j.conductance};
+  });
   ctx.StampCurrent(a, c, j.current + cc.current,
                    j.conductance + cc.conductance);
 }

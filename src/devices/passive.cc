@@ -14,10 +14,11 @@ void Resistor::Stamp(netlist::StampContext& ctx) const {
 }
 
 void Capacitor::Stamp(netlist::StampContext& ctx) const {
-  const double v = ctx.V(node(0)) - ctx.V(node(1));
-  const double q = capacitance_ * v;
   const ChargeCompanion cc =
-      IntegrateCharge(ctx, *this, /*q_slot=*/0, /*i_slot=*/1, q, capacitance_);
+      IntegrateCharge(ctx, *this, /*q_slot=*/0, /*i_slot=*/1, [&] {
+        const double v = ctx.V(node(0)) - ctx.V(node(1));
+        return Charge{capacitance_ * v, capacitance_};
+      });
   if (cc.conductance != 0.0 || cc.current != 0.0) {
     ctx.StampCurrent(node(0), node(1), cc.current, cc.conductance);
   }

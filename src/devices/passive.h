@@ -56,25 +56,34 @@ class Capacitor : public netlist::Device {
   double capacitance_;
 };
 
-/// Shared charge-element companion integration. Given the charge `q` and
-/// incremental capacitance `c = dq/dv` at the present iterate, returns the
-/// branch current and companion conductance for the active integration
-/// method, updating the device's {q, i} state slots. In DC analyses the
-/// element is an open circuit and states are seeded.
+/// The charge q of a storage element at the present iterate and its
+/// incremental capacitance c = dq/dv.
+struct Charge {
+  double q;
+  double c;
+};
+
+/// Shared charge-element companion integration: the element's branch
+/// current and companion conductance for the active integration method,
+/// recorded in its {q, i} state slots. `charge_at()` returns the element's
+/// Charge and runs only where ctx.evaluates_charge(). A plain DC analysis
+/// reads no charge: the element is open ({0, 0}) and writes no state. A
+/// seeding operating point (initializing_state) is open too, and seeds the
+/// state so the first transient step differentiates against its charge.
 struct ChargeCompanion {
   double current;
   double conductance;
 };
 // Forced inline: left to itself, the compiler keeps this out of line, and
 // a BJT stamp calls it twice.
+template <typename ChargeAt>
 [[gnu::always_inline]] inline ChargeCompanion IntegrateCharge(
     netlist::StampContext& ctx, const netlist::Device& dev, int q_slot,
-    int i_slot, double q, double c) {
-  if (ctx.mode() != netlist::AnalysisMode::kTransient ||
-      ctx.initializing_state()) {
-    // DC: open circuit. Seed the state so the first transient step
-    // differentiates against the operating-point charge.
-    ctx.SetState(dev, q_slot, q);
+    int i_slot, ChargeAt charge_at) {
+  if (!ctx.evaluates_charge()) return {0.0, 0.0};
+  const Charge charge = charge_at();
+  if (ctx.initializing_state()) {
+    ctx.SetState(dev, q_slot, charge.q);
     ctx.SetState(dev, i_slot, 0.0);
     return {0.0, 0.0};
   }
@@ -83,10 +92,10 @@ struct ChargeCompanion {
   const double coef = ctx.companion_coef();
   const double q_prev = ctx.PrevState(dev, q_slot);
   const double i_prev = ctx.PrevState(dev, i_slot);
-  const double i = coef * (q - q_prev) - (trap ? i_prev : 0.0);
-  ctx.SetState(dev, q_slot, q);
+  const double i = coef * (charge.q - q_prev) - (trap ? i_prev : 0.0);
+  ctx.SetState(dev, q_slot, charge.q);
   ctx.SetState(dev, i_slot, i);
-  return {i, coef * c};
+  return {i, coef * charge.c};
 }
 
 }  // namespace cmldft::devices

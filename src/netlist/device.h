@@ -53,12 +53,16 @@ class Device {
   /// function of the netlist topology and the analysis context, never of
   /// the iterate. Only the stamped *values* may depend on the iterate. A
   /// context change may alter the sequence as long as it changes the call
-  /// count too; replay detects that per device and re-records. Only
-  /// capacitors do so (open in DC, a companion in transient): junction
+  /// count too; replay detects that per device and re-records. Junction
   /// devices fold their charge companions into their junction stamps and
-  /// write the same sequence in both. Debug builds additionally
-  /// verify every destination. Stamp() is const and writes no device
-  /// state, so several systems may stamp one netlist concurrently.
+  /// write the same sequence in a seeding DC (initializing_state) and in
+  /// transient; capacitors re-record there (open in DC, a companion in
+  /// transient). In a plain DC (neither transient nor initializing_state)
+  /// no device evaluates charge or writes state (SetState); no analysis
+  /// switches one system between the two kinds of DC. Debug builds
+  /// additionally verify every destination. Stamp() is const and writes
+  /// no device state, so several systems may stamp one netlist
+  /// concurrently.
   virtual void Stamp(StampContext& ctx) const = 0;
 
   /// Deep copy (for building faulty variants of a circuit).

@@ -51,14 +51,15 @@ struct AnalysisState {
   double gmin = 1e-12;
   /// Simulation temperature [K].
   double temperature = 300.15;
-  /// True on the first Newton iteration of the first timepoint, when no
-  /// previous solution exists (advisory; no device model consults it).
-  bool first_iteration = false;
   /// Homotopy factor in [0, 1] applied by independent sources (source
   /// stepping). 1 in normal operation.
   double source_scale = 1.0;
-  /// True while solving the DC operating point that initializes a
-  /// transient (capacitor states must be seeded, not differentiated).
+  /// True while solving an operating point whose charge states a later
+  /// analysis reads: a transient's t = 0 point and AC's operating point.
+  /// Charge-storage devices then evaluate their charges and seed them as
+  /// state, with the same stamp call sequence a junction device makes in
+  /// transient. A plain DC analysis (sim::SolveDc, sim::DcSweepVSource)
+  /// leaves it false: no device evaluates charge or writes state there.
   bool initializing_state = false;
 };
 
@@ -136,10 +137,16 @@ class StampContext {
   double companion_coef() const { return frame_.analysis->companion_coef; }
   double gmin() const { return frame_.analysis->gmin; }
   double temperature() const { return frame_.analysis->temperature; }
-  bool first_iteration() const { return frame_.analysis->first_iteration; }
   double source_scale() const { return frame_.analysis->source_scale; }
   bool initializing_state() const {
     return frame_.analysis->initializing_state;
+  }
+  /// True where an analysis reads charge: in transient, and while
+  /// initializing_state. Charge-storage devices evaluate charge and write
+  /// their state slots only then (devices::IntegrateCharge).
+  bool evaluates_charge() const {
+    return frame_.analysis->mode == AnalysisMode::kTransient ||
+           frame_.analysis->initializing_state;
   }
 
   // --- present Newton iterate ------------------------------------------

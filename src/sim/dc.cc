@@ -168,23 +168,46 @@ util::StatusOr<internal::HomotopyResult> ApproachByHalving(
 
 DcResult PackResult(const MnaSystem& mna, const NewtonResult& nr,
                     int homotopy_stages) {
-  const netlist::Netlist& nl = mna.netlist();
+  // The unknowns: node n's voltage at n - 1, then the branch currents.
+  const auto branches = nr.solution.begin() + mna.num_node_unknowns();
   DcResult out;
   out.newton_iterations = nr.iterations;
   out.homotopy_stages = homotopy_stages;
-  out.node_voltages.assign(static_cast<size_t>(nl.num_nodes()), 0.0);
-  for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
-    out.node_voltages[static_cast<size_t>(n)] =
-        nr.solution[static_cast<size_t>(mna.UnknownOfNode(n))];
-  }
-  nl.ForEachDevice([&](const netlist::Device& dev) {
-    if (dev.num_branches() > 0) {
-      out.source_currents[dev.name()] =
-          nr.solution[static_cast<size_t>(mna.UnknownOfBranch(dev, 0))];
-    }
-  });
+  out.node_voltages.reserve(static_cast<size_t>(mna.num_node_unknowns()) + 1);
+  out.node_voltages.push_back(0.0);  // ground
+  out.node_voltages.insert(out.node_voltages.end(), nr.solution.begin(),
+                           branches);
+  out.branch_currents.assign(branches, nr.solution.end());
   return out;
 }
+
+/// DcSweepVSource's points: `src`, a source of the netlist `mna` stamps,
+/// takes each value in turn and is left at the last one tried.
+util::StatusOr<std::vector<DcSweepPoint>> SweepPoints(
+    MnaSystem& mna, devices::VSource& src, const std::vector<double>& values,
+    const DcOptions& options) {
+  std::vector<DcSweepPoint> out;
+  out.reserve(values.size());
+  // The last converged solution (flat 0 V before the first point).
+  linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
+  for (double v : values) {
+    src.set_waveform(devices::Waveform::Dc(v));
+    auto hr = internal::SolveDcHomotopy(mna, options, guess);
+    if (!hr.ok() && !out.empty()) {
+      hr = ApproachByHalving(mna, src, options, out.back().sweep_value, v,
+                             guess);
+    }
+    if (!hr.ok()) {
+      return util::Status::NoConvergence(
+          util::StrPrintf("sweep point %s=%.6g: %s", src.name().c_str(), v,
+                          hr.status().message().c_str()));
+    }
+    guess = hr.value().newton.solution;
+    out.push_back({v, PackResult(mna, hr.value().newton, hr.value().stages)});
+  }
+  return out;
+}
+
 }  // namespace
 
 double DcResult::V(const netlist::Netlist& nl,
@@ -194,13 +217,28 @@ double DcResult::V(const netlist::Netlist& nl,
   return node_voltages.at(static_cast<size_t>(id));
 }
 
+util::StatusOr<double> DcResult::BranchCurrent(
+    const netlist::Netlist& nl, const std::string& device_name) const {
+  const netlist::Device* dev = nl.FindDevice(device_name);
+  if (dev == nullptr || dev->num_branches() == 0) {
+    return util::Status::NotFound("no device with a branch current named '" +
+                                  device_name + "'");
+  }
+  size_t index = 0;
+  for (int i = 0; i < dev->ordinal(); ++i) index += nl.device(i).num_branches();
+  if (index >= branch_currents.size()) {
+    return util::Status::InvalidArgument("'" + device_name +
+                                         "' is not in the netlist solved");
+  }
+  return branch_currents[index];
+}
+
 util::StatusOr<DcResult> SolveDc(const netlist::Netlist& netlist,
                                  const DcOptions& options,
                                  const std::vector<double>& initial_guess) {
   MnaSystem mna(netlist);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_temperature(options.temperature_k);
-  mna.set_initializing_state(true);
   mna.set_time(0.0);
   mna.set_dt(0.0);
 
@@ -217,7 +255,7 @@ util::StatusOr<DcResult> SolveDc(const netlist::Netlist& netlist,
 }
 
 util::StatusOr<std::vector<DcSweepPoint>> DcSweepVSource(
-    netlist::Netlist netlist, const std::string& vsource_name,
+    netlist::Netlist& netlist, const std::string& vsource_name,
     const std::vector<double>& values, const DcOptions& options) {
   auto* dev = netlist.FindDevice(vsource_name);
   if (dev == nullptr || dev->kind() != "vsource") {
@@ -231,30 +269,13 @@ util::StatusOr<std::vector<DcSweepPoint>> DcSweepVSource(
   MnaSystem mna(netlist);
   mna.set_mode(netlist::AnalysisMode::kDcSweep);
   mna.set_temperature(options.temperature_k);
-  mna.set_initializing_state(true);
   mna.set_time(0.0);
   mna.set_dt(0.0);
 
-  std::vector<DcSweepPoint> out;
-  out.reserve(values.size());
-  // The last converged solution (flat 0 V before the first point).
-  linalg::Vector guess(static_cast<size_t>(mna.num_unknowns()), 0.0);
-  for (double v : values) {
-    vsrc->set_waveform(devices::Waveform::Dc(v));
-    auto hr = internal::SolveDcHomotopy(mna, options, guess);
-    if (!hr.ok() && !out.empty()) {
-      hr = ApproachByHalving(mna, *vsrc, options, out.back().sweep_value, v,
-                             guess);
-    }
-    if (!hr.ok()) {
-      return util::Status::NoConvergence(
-          util::StrPrintf("sweep point %s=%.6g: %s", vsource_name.c_str(), v,
-                          hr.status().message().c_str()));
-    }
-    guess = hr.value().newton.solution;
-    out.push_back({v, PackResult(mna, hr.value().newton, hr.value().stages)});
-  }
-  return out;
+  const devices::Waveform saved = vsrc->waveform();
+  auto points = SweepPoints(mna, *vsrc, values, options);
+  vsrc->set_waveform(saved);
+  return points;
 }
 
 }  // namespace cmldft::sim

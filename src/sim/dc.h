@@ -2,7 +2,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -13,11 +12,12 @@
 namespace cmldft::sim {
 
 /// A converged DC solution. Node voltages are indexed by NodeId (ground
-/// included, always 0.0); voltage-source branch currents are keyed by
-/// device name.
+/// included, always 0.0). Branch currents are the solution's branch
+/// unknowns in MNA order: every device's branches, in netlist device
+/// order; BranchCurrent() looks one up by device name.
 struct DcResult {
   std::vector<double> node_voltages;
-  std::unordered_map<std::string, double> source_currents;
+  std::vector<double> branch_currents;
   int newton_iterations = 0;
   /// Homotopy stages that were needed (0 = plain Newton converged).
   int homotopy_stages = 0;
@@ -31,11 +31,17 @@ struct DcResult {
                const std::string& b) const {
     return V(nl, a) - V(nl, b);
   }
+  /// The first branch current of device `device_name` of `nl`, the netlist
+  /// solved (a voltage source's current flows from its + terminal through
+  /// the source). NotFound when `nl` has no such device with a branch.
+  util::StatusOr<double> BranchCurrent(const netlist::Netlist& nl,
+                                       const std::string& device_name) const;
 };
 
 /// Solve the DC operating point. Tries plain Newton from `initial_guess`
 /// (flat 0 V if empty); on failure walks a gmin ladder, then source
-/// stepping.
+/// stepping. A plain DC analysis: no device evaluates charge or writes
+/// integrator state.
 util::StatusOr<DcResult> SolveDc(const netlist::Netlist& netlist,
                                  const DcOptions& options = {},
                                  const std::vector<double>& initial_guess = {});
@@ -45,13 +51,15 @@ util::StatusOr<DcResult> SolveDc(const netlist::Netlist& netlist,
 /// up vs down traces the two hysteresis branches (paper Fig. 12). A point
 /// whose solve fails is approached again from the last converged point in
 /// halved steps (at most 3 halvings); only the requested points are
-/// returned.
+/// returned. Plain DC, as SolveDc. The sweep drives the caller's source in
+/// place and restores its waveform on every return, so no other system
+/// may stamp `netlist` during the call.
 struct DcSweepPoint {
   double sweep_value = 0.0;
   DcResult result;
 };
 util::StatusOr<std::vector<DcSweepPoint>> DcSweepVSource(
-    netlist::Netlist netlist, const std::string& vsource_name,
+    netlist::Netlist& netlist, const std::string& vsource_name,
     const std::vector<double>& values, const DcOptions& options = {});
 
 }  // namespace cmldft::sim

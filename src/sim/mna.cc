@@ -59,6 +59,7 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   num_states_ = state_cursor;
   sparse_jac_ = linalg::SparseBuilder(static_cast<size_t>(num_unknowns_));
   rhs_.assign(static_cast<size_t>(num_unknowns_), 0.0);
+  next_iterate_.assign(static_cast<size_t>(num_unknowns_), 0.0);
   prev_states_.assign(static_cast<size_t>(num_states_), 0.0);
   curr_states_.assign(static_cast<size_t>(num_states_), 0.0);
   constants_.assign(static_cast<size_t>(constant_cursor), 0.0);

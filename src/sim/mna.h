@@ -67,7 +67,6 @@ class MnaSystem {
   /// Also marks every device's model constants stale: they are
   /// recomputed at the new temperature on their next stamp.
   void set_temperature(double t);
-  void set_first_iteration(bool b) { analysis_.first_iteration = b; }
   void set_source_scale(double s) { analysis_.source_scale = s; }
   void set_initializing_state(bool b) { analysis_.initializing_state = b; }
   const netlist::AnalysisState& analysis() const { return analysis_; }
@@ -89,6 +88,9 @@ class MnaSystem {
   /// and pivot order survive across Newton iterations *and* timepoints —
   /// callers use SparseLu::Refactor() for numeric-only refactorization.
   linalg::SparseLu& sparse_solver() { return sparse_lu_; }
+  /// Where the Newton loop solves each next iterate: it lives as long as
+  /// the system, so a solve allocates no per-call vector.
+  linalg::Vector& next_iterate() { return next_iterate_; }
 
   // --- integrator state --------------------------------------------------
   /// Promote the states written during the last converged solve to
@@ -133,6 +135,7 @@ class MnaSystem {
   linalg::SparseBuilder sparse_jac_{0};
   linalg::SparseLu sparse_lu_;
   linalg::Vector rhs_;
+  linalg::Vector next_iterate_;
   std::vector<double> prev_states_;
   std::vector<double> curr_states_;
   // Model constants (Device::ComputeConstants) at constant_offset, and per

@@ -52,8 +52,7 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
   const NewtonMetrics& metrics = Metrics();
   metrics.solves.Increment();
   linalg::Vector x = initial_guess;
-  // The next iterate, solved into the same storage every iteration.
-  linalg::Vector x_new(x.size());
+  linalg::Vector& x_new = mna.next_iterate();
   // Hierarchical path (opt-in): the bordered-block-diagonal solver
   // replaces assembly + factorization + solve wholesale, and falls through
   // to the flat path when the netlist carries no usable cell annotations.
@@ -66,7 +65,6 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
 
   for (int iter = 0; iter < kMaxIterations; ++iter) {
     metrics.iterations.Increment();
-    mna.set_first_iteration(iter == 0);
 
     util::Status st;
     if (hier != nullptr) {

@@ -4,7 +4,10 @@
 // and the junction stamps with their charge companions folded in, against
 // a reference that stamps the companions separately.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "devices/junction.h"
 #include "devices/passive.h"
 #include "devices/sources.h"
+#include "linalg/sparse.h"
 #include "netlist/netlist.h"
 #include "sim/dc.h"
 #include "sim/mna.h"
@@ -169,8 +173,8 @@ TEST(Bjt, DcBetaAndVbe) {
   nl.AddDevice(std::make_unique<Bjt>("Q1", vc, vb, kGroundNode, p));
   auto r = sim::SolveDc(nl);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const double ic = -r->source_currents.at("Vc");
-  const double ib = -r->source_currents.at("Vb");
+  const double ic = -r->BranchCurrent(nl, "Vc").value();
+  const double ib = -r->BranchCurrent(nl, "Vb").value();
   // Calibration target: VBE = 885 mV -> IC ~ 0.6 mA.
   EXPECT_NEAR(ic, 0.6e-3, 0.12e-3);
   // Forward beta.
@@ -188,7 +192,7 @@ TEST(Bjt, CollectorCurrentExponentialInVbe) {
     nl.AddDevice(std::make_unique<Bjt>("Q1", vc, vb, kGroundNode));
     auto r = sim::SolveDc(nl);
     EXPECT_TRUE(r.ok());
-    return -r->source_currents.at("Vc");
+    return -r->BranchCurrent(nl, "Vc").value();
   };
   const double decade = util::ThermalVoltage() * std::log(10.0);
   EXPECT_NEAR(ic_at(0.80 + decade) / ic_at(0.80), 10.0, 0.2);
@@ -245,7 +249,7 @@ TEST(MultiEmitterBjt, TwoEmittersTiedEqualsDoubleCurrent) {
     }
     auto r = sim::SolveDc(nl);
     EXPECT_TRUE(r.ok());
-    return -r->source_currents.at("Vc");
+    return -r->BranchCurrent(nl, "Vc").value();
   };
   EXPECT_NEAR(ic_of(true), ic_of(false), std::fabs(ic_of(false)) * 0.02);
 }
@@ -358,22 +362,25 @@ void StampBjtSeparately(netlist::StampContext& ctx, const netlist::Device& dev,
                                    jac[r][2] * v[2])));
   }
 
-  double cdep = 0.0;
-  const double qbe =
-      DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep) +
-      p.tf * icc;
-  const ChargeCompanion be = IntegrateCharge(ctx, dev, state_base,
-                                             state_base + 1, qbe,
-                                             cdep + p.tf * gf);
+  const ChargeCompanion be =
+      IntegrateCharge(ctx, dev, state_base, state_base + 1, [&] {
+        double cdep = 0.0;
+        const double q =
+            DepletionCharge(vbe, LoadDepletion(k + kBjtBeDepletion), &cdep) +
+            p.tf * icc;
+        return Charge{q, cdep + p.tf * gf};
+      });
   if (be.conductance != 0.0 || be.current != 0.0) {
     ctx.StampCurrent(b, e, be.current, be.conductance);
   }
-  const double qbc =
-      DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep) +
-      p.tr * iec;
-  const ChargeCompanion bc = IntegrateCharge(ctx, dev, state_base + 2,
-                                             state_base + 3, qbc,
-                                             cdep + p.tr * gr);
+  const ChargeCompanion bc =
+      IntegrateCharge(ctx, dev, state_base + 2, state_base + 3, [&] {
+        double cdep = 0.0;
+        const double q =
+            DepletionCharge(vbc, LoadDepletion(k + kBjtBcDepletion), &cdep) +
+            p.tr * iec;
+        return Charge{q, cdep + p.tr * gr};
+      });
   if (bc.conductance != 0.0 || bc.current != 0.0) {
     ctx.StampCurrent(b, c, bc.current, bc.conductance);
   }
@@ -428,12 +435,13 @@ class SeparateCompanionDiode : public netlist::Device {
     const double* k = ctx.Constants(*this);
     const JunctionEval j = EvalJunction(v, k[0], k[1], ctx.gmin());
     ctx.StampCurrent(node(0), node(1), j.current, j.conductance);
-    double cdep = 0.0;
     const double tt = model_.params().tt;
-    const double q =
-        DepletionCharge(v, LoadDepletion(k + 2), &cdep) + tt * j.current;
-    const ChargeCompanion cc =
-        IntegrateCharge(ctx, *this, 0, 1, q, cdep + tt * j.conductance);
+    const ChargeCompanion cc = IntegrateCharge(ctx, *this, 0, 1, [&] {
+      double cdep = 0.0;
+      const double q =
+          DepletionCharge(v, LoadDepletion(k + 2), &cdep) + tt * j.current;
+      return Charge{q, cdep + tt * j.conductance};
+    });
     if (cc.conductance != 0.0 || cc.current != 0.0) {
       ctx.StampCurrent(node(0), node(1), cc.current, cc.conductance);
     }
@@ -536,6 +544,122 @@ TEST(JunctionStamp, FoldedChargeCompanionsMatchSeparateStamps) {
   }
   RecordProperty("worst_transient_rel", util::StrPrintf("%.3g", worst_tran));
   EXPECT_EQ(worst_dc, 0.0);
+}
+
+// --- plain DC evaluates no charge -----------------------------------------
+
+// Assembles a netlist through a fresh StampContext per pass, recording
+// straight into a cleared sparse builder as an MnaSystem's recording pass
+// does (a first write keeps -0.0), over state arrays of its own. The
+// current states start as a NaN sentinel, so a test sees which slots a
+// pass writes.
+class DirectAssembly final : public netlist::StampContext::Owner {
+ public:
+  explicit DirectAssembly(const netlist::Netlist& nl) : nl_(nl) {
+    int unknowns = nl.num_nodes() - 1, states = 0, constants = 0;
+    for (int i = 0; i < nl.num_devices(); ++i) {
+      const netlist::Device& dev = nl.device(i);
+      netlist::DeviceSlots& s = slots_.emplace_back();
+      if (dev.num_branches() > 0) s.branch_offset = unknowns;
+      if (dev.num_states() > 0) s.state_offset = states;
+      if (dev.num_constants() > 0) s.constant_offset = constants;
+      unknowns += dev.num_branches();
+      states += dev.num_states();
+      constants += dev.num_constants();
+    }
+    jacobian = linalg::SparseBuilder(static_cast<size_t>(unknowns));
+    rhs.assign(static_cast<size_t>(unknowns), 0.0);
+    prev_states_.assign(static_cast<size_t>(states), 0.0);
+    curr_states.assign(static_cast<size_t>(states), kSentinel);
+    constants_.assign(static_cast<size_t>(constants), 0.0);
+    revisions_.assign(slots_.size(), 0);
+  }
+
+  static constexpr double kSentinel = std::numeric_limits<double>::quiet_NaN();
+
+  void Assemble(const netlist::AnalysisState& analysis,
+                const linalg::Vector& x) {
+    jacobian.Clear();
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    netlist::StampFrame frame;
+    frame.analysis = &analysis;
+    frame.slots = slots_.data();
+    frame.iterate = x.data();
+    frame.prev_states = prev_states_.data();
+    frame.curr_states = curr_states.data();
+    frame.constants = constants_.data();
+    frame.constants_revision = revisions_.data();
+    netlist::StampContext ctx;
+    ctx.Bind(frame);
+    ctx.BeginRecord(*this);
+    for (int i = 0; i < nl_.num_devices(); ++i) ctx.Record(nl_.device(i));
+  }
+
+  void RecordMatrix(int row, int col, double value) override {
+    jacobian.Add(static_cast<size_t>(row), static_cast<size_t>(col), value);
+  }
+  double* MatrixTarget(int, int) override { return nullptr; }  // no replay
+  double* RhsTarget(int row) override {
+    return &rhs[static_cast<size_t>(row)];
+  }
+
+  linalg::SparseBuilder jacobian{0};
+  linalg::Vector rhs;
+  std::vector<double> curr_states;
+
+ private:
+  const netlist::Netlist& nl_;
+  std::vector<netlist::DeviceSlots> slots_;
+  std::vector<double> prev_states_, constants_;
+  std::vector<uint64_t> revisions_;
+};
+
+bool BitEqual(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// A plain DC (no transient, no initializing_state) evaluates no charge and
+// writes no state, yet assembles bit for bit what a seeding operating
+// point does: the junctions still add their {0, 0} companions.
+TEST(JunctionStamp, PlainDcEvaluatesNoCharge) {
+  netlist::Netlist nl = JunctionNetlist(false);
+  nl.AddDevice(std::make_unique<Capacitor>("c1", nl.FindNode("b"),
+                                           nl.FindNode("e2"), 20e-15));
+  DirectAssembly plain(nl), seeding(nl);
+  const netlist::AnalysisState plain_dc;
+  netlist::AnalysisState seeding_dc;
+  seeding_dc.initializing_state = true;
+  util::Rng rng(0xD0C5ull);
+  for (int trial = 0; trial < 40; ++trial) {
+    linalg::Vector x(plain.rhs.size());
+    for (double& v : x) v = rng.NextDouble(-1.0, 1.0);
+    std::fill(seeding.curr_states.begin(), seeding.curr_states.end(),
+              DirectAssembly::kSentinel);
+    plain.Assemble(plain_dc, x);
+    seeding.Assemble(seeding_dc, x);
+
+    std::vector<std::pair<std::pair<size_t, size_t>, double>> pj, sj;
+    plain.jacobian.ForEach(
+        [&](size_t r, size_t c, double v) { pj.push_back({{r, c}, v}); });
+    seeding.jacobian.ForEach(
+        [&](size_t r, size_t c, double v) { sj.push_back({{r, c}, v}); });
+    ASSERT_EQ(pj.size(), sj.size());
+    for (size_t k = 0; k < pj.size(); ++k) {
+      EXPECT_EQ(pj[k].first, sj[k].first) << "entry " << k;
+      EXPECT_TRUE(BitEqual(pj[k].second, sj[k].second))
+          << "J entry " << k << ": " << pj[k].second << " vs "
+          << sj[k].second;
+    }
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_TRUE(BitEqual(plain.rhs[i], seeding.rhs[i]))
+          << "rhs[" << i << "]: " << plain.rhs[i] << " vs " << seeding.rhs[i];
+    }
+    ASSERT_EQ(plain.curr_states.size(), 4u + 8u + 2u + 2u);
+    for (size_t i = 0; i < plain.curr_states.size(); ++i) {
+      EXPECT_TRUE(std::isnan(plain.curr_states[i])) << "state " << i;
+      EXPECT_FALSE(std::isnan(seeding.curr_states[i])) << "state " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ v1 top 0 dc 1
   EXPECT_NE(nl->FindDevice("xp.xu1.r1"), nullptr);
   auto r = sim::SolveDc(*nl);
   ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->source_currents.at("v1"), -1.0 / 4000.0, 1e-9);
+  EXPECT_NEAR(r->BranchCurrent(*nl, "v1").value(), -1.0 / 4000.0, 1e-9);
 }
 
 TEST(Parser, Errors) {

@@ -125,6 +125,55 @@ TEST(Dc, SweepRejectsUnknownSource) {
             util::StatusCode::kNotFound);
 }
 
+void ExpectSameWaveform(const devices::Waveform& a,
+                        const devices::Waveform& b) {
+  EXPECT_EQ(a.kind(), b.kind());
+  for (const double t : {0.0, 1.05e-9, 3e-9, 5.15e-9, 12e-9}) {
+    EXPECT_EQ(a.ValueAt(t), b.ValueAt(t)) << "t = " << t;
+    EXPECT_EQ(a.NextBreakpoint(t), b.NextBreakpoint(t)) << "t = " << t;
+  }
+}
+
+// A sweep drives the caller's source in place: converged or not, the
+// source gets its waveform back, and the points are those of a sweep of a
+// copy of the netlist.
+TEST(DcSweep, SweepsInPlaceAndRestoresTheSource) {
+  netlist::Netlist nl;
+  const auto vin = nl.AddNode("vin");
+  const auto a = nl.AddNode("a");
+  const devices::Waveform pulse =
+      devices::Waveform::Pulse(0.2, 1.0, 1e-9, 1e-10, 1e-10, 4e-9, 10e-9);
+  const auto* src = static_cast<const devices::VSource*>(nl.AddDevice(
+      std::make_unique<devices::VSource>("V1", vin, kGroundNode, pulse)));
+  nl.AddDevice(std::make_unique<devices::Resistor>("R1", vin, a, 1e3));
+  nl.AddDevice(std::make_unique<devices::Diode>("D1", a, kGroundNode));
+  netlist::Netlist copy = nl;
+
+  const std::vector<double> values = {0.0, 0.5, 1.0, 1.5};
+  auto in_place = DcSweepVSource(nl, "V1", values);
+  ASSERT_TRUE(in_place.ok()) << in_place.status().ToString();
+  ExpectSameWaveform(src->waveform(), pulse);
+  auto of_copy = DcSweepVSource(copy, "V1", values);
+  ASSERT_TRUE(of_copy.ok()) << of_copy.status().ToString();
+  ASSERT_EQ(in_place->size(), of_copy->size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const DcSweepPoint& p = (*in_place)[i];
+    const DcSweepPoint& q = (*of_copy)[i];
+    EXPECT_EQ(p.sweep_value, q.sweep_value);
+    EXPECT_EQ(p.result.node_voltages, q.result.node_voltages) << "point " << i;
+    EXPECT_EQ(p.result.branch_currents, q.result.branch_currents)
+        << "point " << i;
+    EXPECT_EQ(p.result.newton_iterations, q.result.newton_iterations);
+    EXPECT_EQ(p.result.homotopy_stages, q.result.homotopy_stages);
+  }
+
+  // 1 kV lies beyond 150 Newton steps of max_delta_v = 0.25 V from any
+  // start, so the last point fails after two converged ones.
+  auto failed = DcSweepVSource(nl, "V1", {0.5, 1.0, 1e3});
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kNoConvergence);
+  ExpectSameWaveform(src->waveform(), pulse);
+}
+
 // --- transient ------------------------------------------------------------
 
 // RC low-pass driven by a step: compare against the analytic exponential at

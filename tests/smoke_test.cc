@@ -32,7 +32,12 @@ TEST(Smoke, ResistorDividerDc) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NEAR(r->V(nl, "mid"), 7.5, 1e-9);
   // SPICE convention: a source delivering power has negative branch current.
-  EXPECT_NEAR(r->source_currents.at("V1"), -10.0 / 4000.0, 1e-12);
+  EXPECT_NEAR(r->BranchCurrent(nl, "V1").value(), -10.0 / 4000.0, 1e-12);
+  // A name with no branch current behind it is refused.
+  EXPECT_EQ(r->BranchCurrent(nl, "V9").status().code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(r->BranchCurrent(nl, "R1").status().code(),
+            util::StatusCode::kNotFound);
 }
 
 TEST(Smoke, DiodeResistorDc) {

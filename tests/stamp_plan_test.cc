@@ -218,8 +218,7 @@ void RunLockstep(uint64_t seed) {
   sys.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   sys.set_initializing_state(true);
   ref.analysis = sys.analysis();
-  auto assemble = [&](const linalg::Vector& x, bool first) {
-    sys.set_first_iteration(first);
+  auto assemble = [&](const linalg::Vector& x) {
     ref.analysis = sys.analysis();
     sys.Assemble(x);
     ref.Assemble(x);
@@ -228,7 +227,7 @@ void RunLockstep(uint64_t seed) {
 
   // DC phase: several iterates (the first one records the plan).
   for (int iter = 0; iter < 4; ++iter) {
-    assemble(RandomIterate(rng, sys.num_unknowns()), iter == 0);
+    assemble(RandomIterate(rng, sys.num_unknowns()));
   }
 
   // Switch to transient: capacitor companions activate, so capacitors take
@@ -242,7 +241,7 @@ void RunLockstep(uint64_t seed) {
   sys.set_time(1e-12);
   for (int step = 0; step < 3; ++step) {
     for (int iter = 0; iter < 3; ++iter) {
-      assemble(RandomIterate(rng, sys.num_unknowns()), iter == 0);
+      assemble(RandomIterate(rng, sys.num_unknowns()));
     }
     sys.RotateStates();
     ref.RotateStates();
@@ -253,7 +252,7 @@ void RunLockstep(uint64_t seed) {
   sys.ResetCurrentStates();
   ref.ResetCurrentStates();
   sys.set_dt(2.5e-13);
-  assemble(RandomIterate(rng, sys.num_unknowns()), true);
+  assemble(RandomIterate(rng, sys.num_unknowns()));
 }
 
 TEST(StampPlanTest, RandomNetlistsSparseBitIdentical) {
