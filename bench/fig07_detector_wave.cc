@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
 
   sim::TransientOptions opts;
   opts.tstop = 1.6e-6;  // long enough to reach the stable rippling period
-  opts.dt_max = 1e-10;
   auto r = bench::MustRunTransient(*faulty, opts);
 
   auto vout = r.Voltage(vout_name);

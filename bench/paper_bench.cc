@@ -81,7 +81,6 @@ DetectorPoint RunDetectorPoint(int variant, double frequency,
   }
   sim::TransientOptions opts;
   opts.tstop = window;
-  opts.dt_max = std::min(1e-10, 0.05 / frequency);
   auto r = MustRunTransient(target, opts);
 
   DetectorPoint point;

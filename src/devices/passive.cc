@@ -19,9 +19,7 @@ void Capacitor::Stamp(netlist::StampContext& ctx) const {
         const double v = ctx.V(node(0)) - ctx.V(node(1));
         return Charge{capacitance_ * v, capacitance_};
       });
-  if (cc.conductance != 0.0 || cc.current != 0.0) {
-    ctx.StampCurrent(node(0), node(1), cc.current, cc.conductance);
-  }
+  ctx.StampCurrent(node(0), node(1), cc.current, cc.conductance);
 }
 
 }  // namespace cmldft::devices

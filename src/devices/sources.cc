@@ -129,6 +129,19 @@ double Waveform::NextBreakpoint(double time) const {
   return kInf;
 }
 
+double Waveform::Period() const {
+  switch (kind_) {
+    case Kind::kPulse:
+      return p_[6];
+    case Kind::kSin:
+      return p_[2] > 0.0 ? 1.0 / p_[2] : kInf;
+    case Kind::kDc:
+    case Kind::kPwl:
+      return kInf;
+  }
+  return kInf;
+}
+
 void VSource::Stamp(netlist::StampContext& ctx) const {
   const netlist::NodeId plus = node(0), minus = node(1);
   // KCL rows: branch current leaves `plus`, enters `minus`.

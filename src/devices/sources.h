@@ -38,6 +38,10 @@ class Waveform {
   /// when there is none.
   double NextBreakpoint(double time) const;
 
+  /// Repetition period: the PULSE period or 1/freq of a SIN; +inf for DC,
+  /// PWL and a SIN with no positive frequency.
+  double Period() const;
+
  private:
   Kind kind_ = Kind::kDc;
   // kDc / kPulse / kSin parameters (interpretation per kind).

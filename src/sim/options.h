@@ -39,7 +39,9 @@ struct DcOptions {
 struct TransientOptions {
   double tstop = 0.0;            ///< end time [s] (required)
   double dt_initial = 1e-12;     ///< first step [s]
-  double dt_max = 2.5e-11;       ///< step ceiling [s]
+  /// Step ceiling [s]. RunTransient also caps every step at 5% of the
+  /// shortest PULSE or SIN period among the netlist's sources.
+  double dt_max = 1e-10;
   netlist::IntegrationMethod method =
       netlist::IntegrationMethod::kTrapezoidal;
   /// Step controller: target max per-node voltage change per step [V].

@@ -20,6 +20,9 @@ namespace {
 constexpr double kDtMin = 1e-16;
 /// Grow dt by this factor when steps are comfortably small.
 constexpr double kGrowthFactor = 1.5;
+/// No step is longer than this fraction of the shortest source period, so
+/// a periodic stimulus gets at least 20 steps per cycle.
+constexpr double kMaxStepPeriodFraction = 0.05;
 
 struct TranMetrics {
   util::telemetry::Counter runs = util::telemetry::GetCounter("sim.tran.runs");
@@ -29,8 +32,8 @@ struct TranMetrics {
       util::telemetry::GetCounter("sim.tran.rejected_steps");
   util::telemetry::Counter newton_rejections =
       util::telemetry::GetCounter("sim.tran.newton_rejections");
-  util::telemetry::Counter lte_rejections =
-      util::telemetry::GetCounter("sim.tran.lte_rejections");
+  util::telemetry::Counter voltage_step_rejections =
+      util::telemetry::GetCounter("sim.tran.voltage_step_rejections");
   util::telemetry::Counter breakpoint_hits =
       util::telemetry::GetCounter("sim.tran.breakpoint_hits");
   util::telemetry::Counter failures =
@@ -201,13 +204,17 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
   NewtonOptions newton = options.dc.newton;
   const std::vector<const devices::Waveform*> sources =
       CollectSourceWaveforms(netlist);
+  double dt_ceiling = options.dt_max;
+  for (const devices::Waveform* w : sources) {
+    dt_ceiling = std::min(dt_ceiling, kMaxStepPeriodFraction * w->Period());
+  }
 
   double t = 0.0;
   double dt = options.dt_initial;
   const int n_nodes = mna.num_node_unknowns();
 
   while (t < options.tstop - 1e-18) {
-    dt = std::clamp(dt, kDtMin, options.dt_max);
+    dt = std::clamp(dt, kDtMin, dt_ceiling);
     // Do not step over the end time or a source corner; land on them.
     double dt_eff = std::min(dt, options.tstop - t);
     const double bp = NextSourceBreakpoint(sources, t);
@@ -246,9 +253,9 @@ util::StatusOr<TransientResult> RunTransient(const netlist::Netlist& netlist,
     }
     if (max_change > options.max_voltage_step && dt_eff > kDtMin * 1.001) {
       result.stats().rejected_steps++;
-      result.stats().lte_rejections++;
+      result.stats().voltage_step_rejections++;
       metrics.rejected_steps.Increment();
-      metrics.lte_rejections.Increment();
+      metrics.voltage_step_rejections.Increment();
       mna.ResetCurrentStates();
       dt = std::max(kDtMin,
                     dt_eff * 0.8 * options.max_voltage_step / max_change);

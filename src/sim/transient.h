@@ -40,12 +40,12 @@ class TransientResult {
   /// Engine statistics.
   struct Stats {
     int accepted_steps = 0;
-    int rejected_steps = 0;  ///< newton_rejections + lte_rejections
+    int rejected_steps = 0;  ///< newton_rejections + voltage_step_rejections
     /// Rejections because Newton failed at the trial timepoint.
     int newton_rejections = 0;
-    /// Rejections because the accepted-looking step moved a node voltage
-    /// past TransientOptions::max_voltage_step (local-error proxy).
-    int lte_rejections = 0;
+    /// Rejections because the converged step moved a node voltage past
+    /// TransientOptions::max_voltage_step.
+    int voltage_step_rejections = 0;
     /// Accepted steps that were shortened to land on a source corner.
     int breakpoint_hits = 0;
     int total_newton_iterations = 0;

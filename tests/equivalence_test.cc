@@ -176,8 +176,8 @@ void CheckStepperAccounting(const netlist::Netlist& nl,
             static_cast<uint64_t>(stats.rejected_steps));
   EXPECT_EQ(snap.Value("sim.tran.newton_rejections"),
             static_cast<uint64_t>(stats.newton_rejections));
-  EXPECT_EQ(snap.Value("sim.tran.lte_rejections"),
-            static_cast<uint64_t>(stats.lte_rejections));
+  EXPECT_EQ(snap.Value("sim.tran.voltage_step_rejections"),
+            static_cast<uint64_t>(stats.voltage_step_rejections));
   EXPECT_EQ(snap.Value("sim.tran.breakpoint_hits"),
             static_cast<uint64_t>(stats.breakpoint_hits));
   EXPECT_EQ(snap.Value("sim.dc.gmin_stages") + snap.Value("sim.dc.source_steps"),
@@ -185,7 +185,7 @@ void CheckStepperAccounting(const netlist::Netlist& nl,
 
   // Every rejection has exactly one cause.
   EXPECT_EQ(stats.rejected_steps,
-            stats.newton_rejections + stats.lte_rejections);
+            stats.newton_rejections + stats.voltage_step_rejections);
   // Each accepted timepoint was recorded (plus the t=0 operating point).
   EXPECT_EQ(r.time().size(), static_cast<size_t>(stats.accepted_steps) + 1);
   // A healthy run on the healing chain accepts the overwhelming majority

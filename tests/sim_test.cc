@@ -2,6 +2,7 @@
 // Newton convergence and homotopy fallbacks, DC sweep continuation, and
 // transient accuracy (analytic RC responses, integration-method ordering,
 // breakpoint handling, adaptive-step statistics).
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -237,6 +238,47 @@ TEST(Transient, TrapezoidalMoreAccurateThanBackwardEuler) {
   const double be = run_error(netlist::IntegrationMethod::kBackwardEuler);
   const double trap = run_error(netlist::IntegrationMethod::kTrapezoidal);
   EXPECT_LT(trap, be);
+}
+
+// Every step is capped at min(dt_max, 5% of the shortest source period).
+// The sources swing 10 mV, far below max_voltage_step, so between source
+// corners the steps grow until the ceiling stops them: each run's largest
+// step is its ceiling.
+TEST(Transient, StepCeilingFollowsTheShortestSourcePeriod) {
+  auto largest_step = [](devices::Waveform w, TransientOptions opts) {
+    netlist::Netlist nl;
+    const auto vin = nl.AddNode("vin");
+    const auto out = nl.AddNode("out");
+    nl.AddDevice(std::make_unique<devices::VSource>("V1", vin, kGroundNode,
+                                                    std::move(w)));
+    nl.AddDevice(std::make_unique<devices::Resistor>("R1", vin, out, 1_kOhm));
+    nl.AddDevice(
+        std::make_unique<devices::Capacitor>("C1", out, kGroundNode, 0.1_pF));
+    auto r = RunTransient(nl, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    double largest = 0.0;
+    for (size_t i = 1; r.ok() && i < r->time().size(); ++i) {
+      largest = std::max(largest, r->time()[i] - r->time()[i - 1]);
+    }
+    return largest;
+  };
+  auto pulse = [](double period) {
+    return devices::Waveform::Pulse(0, 10e-3, 0, 50_ps, 50_ps, 0.45 * period,
+                                    period);
+  };
+  // Time differences carry the rounding of the absolute times (~1e-23 s).
+  constexpr double kSlack = 1e-21;
+  TransientOptions opts;
+  opts.tstop = 30_ns;
+  EXPECT_NEAR(largest_step(pulse(10_ns), opts), 100_ps, kSlack);  // dt_max
+  opts.tstop = 3_ns;
+  EXPECT_NEAR(largest_step(pulse(1_ns), opts), 50_ps, kSlack);
+  EXPECT_NEAR(largest_step(devices::Waveform::Sin(0, 10e-3, 2e9), opts), 25_ps,
+              kSlack);
+
+  opts.tstop = 30_ns;
+  opts.dt_max = 10_ps;
+  EXPECT_NEAR(largest_step(pulse(10_ns), opts), 10_ps, kSlack);
 }
 
 TEST(Transient, CapacitorDividerInitialCondition) {
