@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "devices/spice_parser.h"
+#include "report/report.h"
 #include "sim/ac.h"
 #include "sim/dc.h"
 #include "sim/transient.h"
 #include "util/strings.h"
-#include "util/table.h"
 #include "util/telemetry.h"
 #include "waveform/measure.h"
 #include "waveform/plot.h"
@@ -33,6 +33,9 @@
 using namespace cmldft;
 
 namespace {
+
+// Console tables only: no column is ever compared against a golden.
+const report::Tol kInfo = report::Tol::Info();
 
 int Usage() {
   std::fprintf(stderr,
@@ -61,19 +64,19 @@ int RunOp(const netlist::Netlist& nl) {
     std::fprintf(stderr, "op failed: %s\n", r.status().ToString().c_str());
     return 1;
   }
-  util::Table t({"node", "V"});
+  report::Table t("op", {{"node", kInfo}, {"V", kInfo}});
   for (netlist::NodeId n = 1; n < nl.num_nodes(); ++n) {
-    t.NewRow().Add(nl.NodeName(n)).AddF("%.6g", r->V(n));
+    t.NewRow().Str(nl.NodeName(n)).Num("%.6g", r->V(n));
   }
-  std::printf("%s", t.ToString().c_str());
-  util::Table ti({"source", "I"});
+  std::printf("%s", t.ToText().c_str());
+  report::Table ti("op_currents", {{"source", kInfo}, {"I", kInfo}});
   nl.ForEachDevice([&](const netlist::Device& dev) {
     if (dev.num_branches() > 0) {
-      ti.NewRow().Add(dev.name()).AddF(
+      ti.NewRow().Str(dev.name()).Num(
           "%.6g", r->BranchCurrent(nl, dev.name()).value());
     }
   });
-  std::printf("\n%s", ti.ToString().c_str());
+  std::printf("\n%s", ti.ToText().c_str());
   return 0;
 }
 
@@ -112,11 +115,11 @@ int RunAcCli(const netlist::Netlist& nl, const std::string& source,
     return 1;
   }
   const auto freqs = r->Frequencies();
-  util::Table t([&] {
-    std::vector<std::string> h = {"freq"};
+  report::Table t("ac", [&] {
+    std::vector<report::Column> h = {{"freq", kInfo}};
     for (const auto& n : nodes) {
-      h.push_back("|V(" + n + ")|");
-      h.push_back("deg(" + n + ")");
+      h.emplace_back("|V(" + n + ")|", kInfo);
+      h.emplace_back("deg(" + n + ")", kInfo);
     }
     return h;
   }());
@@ -126,12 +129,12 @@ int RunAcCli(const netlist::Netlist& nl, const std::string& source,
     phases.push_back(r->Phase(n));
   }
   for (size_t i = 0; i < freqs.size(); ++i) {
-    t.NewRow().Add(util::FormatEngineering(freqs[i], "Hz"));
+    t.NewRow().Str(util::FormatEngineering(freqs[i], "Hz"));
     for (size_t k = 0; k < nodes.size(); ++k) {
-      t.AddF("%.4g", mags[k][i]).AddF("%.1f", phases[k][i] * 180.0 / 3.14159265);
+      t.Num("%.4g", mags[k][i]).Num("%.1f", phases[k][i] * 180.0 / 3.14159265);
     }
   }
-  std::printf("%s", t.ToString().c_str());
+  std::printf("%s", t.ToText().c_str());
   for (const auto& n : nodes) {
     std::printf("f3dB(%s) = %s\n", n.c_str(),
                 util::FormatEngineering(r->Corner3dB(n), "Hz").c_str());

@@ -7,7 +7,7 @@
 #include <map>
 
 #include "core/screening.h"
-#include "util/table.h"
+#include "report/report.h"
 
 using namespace cmldft;
 
@@ -28,17 +28,20 @@ int main() {
   }
 
   // Show the defects conventional testing would *miss*.
-  util::Table escapes({"defect escaped by conventional test", "gate amplitude",
-                       "detector vout"});
+  const report::Tol info = report::Tol::Info();
+  report::Table escapes("escapes",
+                        {{"defect escaped by conventional test", info},
+                         {"gate amplitude", info},
+                         {"detector vout", info}});
   for (const auto& o : report->outcomes) {
     if (o.Classify() == core::FaultClass::kAmplitudeOnly) {
       escapes.NewRow()
-          .Add(o.defect.Id())
-          .AddF("%.2f V", o.max_gate_amplitude)
-          .AddF("%.2f V", o.min_detector_vout);
+          .Str(o.defect.Id())
+          .Num("%.2f V", o.max_gate_amplitude)
+          .Num("%.2f V", o.min_detector_vout);
     }
   }
-  std::printf("%s\n", escapes.ToString().c_str());
+  std::printf("%s\n", escapes.ToText().c_str());
 
   std::map<core::FaultClass, int> counts;
   for (const auto& o : report->outcomes) counts[o.Classify()]++;

@@ -9,8 +9,8 @@
 #include "digital/faultsim.h"
 #include "digital/patterns.h"
 #include "digital/gate_netlist.h"
+#include "report/report.h"
 #include "testgen/amplitude_test.h"
-#include "util/table.h"
 
 using namespace cmldft;
 
@@ -37,13 +37,15 @@ int main() {
   testgen::TogglePlanOptions opts;
   opts.max_patterns = 2000;
   const auto plan = testgen::PlanSequentialToggleTest(scrambler, opts);
-  util::Table table({"patterns", "toggle coverage"});
+  report::Table table("toggle_coverage",
+                      {{"patterns", report::Tol::Info()},
+                       {"toggle coverage", report::Tol::Info()}});
   for (size_t i = 0; i < plan.history.pattern_counts.size(); i += 4) {
     table.NewRow()
-        .AddInt(plan.history.pattern_counts[i])
-        .AddF("%.1f%%", plan.history.coverage[i] * 100);
+        .Int(plan.history.pattern_counts[i])
+        .Num("%.1f%%", plan.history.coverage[i] * 100);
   }
-  std::printf("%s\n", table.ToString().c_str());
+  std::printf("%s\n", table.ToText().c_str());
   if (plan.recommended_patterns > 0) {
     std::printf("recommended amplitude-test length: %d patterns\n"
                 "(%d to initialize + %d to full toggle coverage)\n\n",

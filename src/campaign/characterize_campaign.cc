@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "campaign/bytes.h"
 #include "report/report.h"
 
 namespace cmldft::campaign {
@@ -11,6 +10,26 @@ namespace {
 
 constexpr std::string_view kPresets[] = {"characterization",
                                          "characterization_quick"};
+
+template <typename Io, typename U>
+void CharacterizationUnitFields(Io& io, U& u) {
+  io.U32(u.corner);
+  io.U32(u.die);
+  io.F64(u.v1_static_excursion);
+  io.F64(u.v2_static_excursion);
+  io.F64(u.v2_clean_drop);
+  io.F64(u.v2_dynamic_threshold);
+  io.F64(u.trip_up);
+  io.F64(u.trip_down);
+  io.F64(u.vfb_pass);
+  io.F64(u.vfb_fail);
+  io.Bool(u.hysteresis_found);
+  io.Bool(u.load_clean_flagged);
+  io.Bool(u.load_pipe_flagged);
+  io.F64(u.load_clean_vout);
+  io.F64(u.load_pipe_vout);
+  io.U32(u.measure_failures);
+}
 
 util::Status ValidateConfig(const core::CharacterizationConfig& config) {
   if (config.temperatures_c.empty()) {
@@ -144,105 +163,35 @@ const Payload kCharacterizationPayload = {
 
 std::string EncodeCharacterizationSuiteRecord(
     const core::CharacterizationConfig& config) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kCharacterizationSuite));
-  w.F64Vec(config.temperatures_c);
-  w.F64Vec(config.supplies);
-  w.F64Vec(config.vtests);
-  w.I32(config.trials);
-  w.U32(config.seed);
-  w.F64(config.variation.load_resistance_spread);
-  w.F64(config.variation.wire_cap_spread);
-  w.F64(config.variation.is_spread);
-  w.F64(config.variation.beta_spread);
-  w.F64Vec(config.excursion_levels);
-  w.F64(config.response_window);
-  w.F64(config.response_load_cap);
-  w.I32(config.load_gates);
-  w.F64(config.load_pipe);
-  w.F64(config.probe_max);
-  w.F64(config.probe_step);
-  w.F64(config.hysteresis_step);
-  return w.Take();
+  return EncodeRecord(RecordType::kCharacterizationSuite, [&](ByteWriter& w) {
+    core::CharacterizationSuiteFields(w, config);
+  });
 }
 
 std::string EncodeCharacterizationUnitRecord(
     uint64_t unit_id, const core::CharacterizationUnitResult& unit) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kCharacterizationUnit));
-  w.U64(unit_id);
-  w.U32(unit.corner);
-  w.U32(unit.die);
-  w.F64(unit.v1_static_excursion);
-  w.F64(unit.v2_static_excursion);
-  w.F64(unit.v2_clean_drop);
-  w.F64(unit.v2_dynamic_threshold);
-  w.F64(unit.trip_up);
-  w.F64(unit.trip_down);
-  w.F64(unit.vfb_pass);
-  w.F64(unit.vfb_fail);
-  w.Bool(unit.hysteresis_found);
-  w.Bool(unit.load_clean_flagged);
-  w.Bool(unit.load_pipe_flagged);
-  w.F64(unit.load_clean_vout);
-  w.F64(unit.load_pipe_vout);
-  w.U32(unit.measure_failures);
-  return w.Take();
+  return EncodeUnitRecord(
+      RecordType::kCharacterizationUnit, unit_id,
+      [&](ByteWriter& w) { CharacterizationUnitFields(w, unit); });
 }
 
 util::StatusOr<core::CharacterizationConfig> DecodeCharacterizationSuiteRecord(
     std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kCharacterizationSuite) {
-    return util::Status::ParseError("not a characterization suite record");
-  }
   core::CharacterizationConfig suite;
-  suite.temperatures_c = r.F64Vec();
-  suite.supplies = r.F64Vec();
-  suite.vtests = r.F64Vec();
-  suite.trials = r.I32();
-  suite.seed = r.U32();
-  suite.variation.load_resistance_spread = r.F64();
-  suite.variation.wire_cap_spread = r.F64();
-  suite.variation.is_spread = r.F64();
-  suite.variation.beta_spread = r.F64();
-  suite.excursion_levels = r.F64Vec();
-  suite.response_window = r.F64();
-  suite.response_load_cap = r.F64();
-  suite.load_gates = r.I32();
-  suite.load_pipe = r.F64();
-  suite.probe_max = r.F64();
-  suite.probe_step = r.F64();
-  suite.hysteresis_step = r.F64();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("characterization suite"));
+  CMLDFT_RETURN_IF_ERROR(DecodeRecord(
+      payload, RecordType::kCharacterizationSuite,
+      "characterization suite record",
+      [&](ByteReader& r) { core::CharacterizationSuiteFields(r, suite); }));
   return suite;
 }
 
 util::StatusOr<CharacterizationUnitRecord> DecodeCharacterizationUnitRecord(
     std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kCharacterizationUnit) {
-    return util::Status::ParseError("not a characterization unit record");
-  }
   CharacterizationUnitRecord rec;
-  rec.unit_id = r.U64();
-  rec.unit.corner = r.U32();
-  rec.unit.die = r.U32();
-  rec.unit.v1_static_excursion = r.F64();
-  rec.unit.v2_static_excursion = r.F64();
-  rec.unit.v2_clean_drop = r.F64();
-  rec.unit.v2_dynamic_threshold = r.F64();
-  rec.unit.trip_up = r.F64();
-  rec.unit.trip_down = r.F64();
-  rec.unit.vfb_pass = r.F64();
-  rec.unit.vfb_fail = r.F64();
-  rec.unit.hysteresis_found = r.Bool();
-  rec.unit.load_clean_flagged = r.Bool();
-  rec.unit.load_pipe_flagged = r.Bool();
-  rec.unit.load_clean_vout = r.F64();
-  rec.unit.load_pipe_vout = r.F64();
-  rec.unit.measure_failures = r.U32();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("characterization unit"));
+  CMLDFT_RETURN_IF_ERROR(DecodeUnitRecord(
+      payload, RecordType::kCharacterizationUnit,
+      "characterization unit record", rec.unit_id,
+      [&](ByteReader& r) { CharacterizationUnitFields(r, rec.unit); }));
   return rec;
 }
 

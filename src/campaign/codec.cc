@@ -2,33 +2,47 @@
 
 #include <iterator>
 
-#include "campaign/bytes.h"
 #include "util/hash.h"
 
 namespace cmldft::campaign {
 
 namespace {
 
-void WriteDefect(ByteWriter& w, const defects::Defect& d) {
-  w.U8(static_cast<uint8_t>(d.type));
-  w.Str(d.device);
-  w.I32(d.terminal_a);
-  w.I32(d.terminal_b);
-  w.Str(d.node_a);
-  w.Str(d.node_b);
-  w.F64(d.resistance);
+template <typename Io, typename D>
+void DefectFields(Io& io, D& d) {
+  io.Enum(d.type);
+  io.Str(d.device);
+  io.I32(d.terminal_a);
+  io.I32(d.terminal_b);
+  io.Str(d.node_a);
+  io.Str(d.node_b);
+  io.F64(d.resistance);
 }
 
-defects::Defect ReadDefect(ByteReader& r) {
-  defects::Defect d;
-  d.type = static_cast<defects::DefectType>(r.U8());
-  d.device = r.Str();
-  d.terminal_a = r.I32();
-  d.terminal_b = r.I32();
-  d.node_a = r.Str();
-  d.node_b = r.Str();
-  d.resistance = r.F64();
-  return d;
+/// The reference fields of a ScreeningReport (no outcomes).
+template <typename Io, typename R>
+void ReferenceFields(Io& io, R& r) {
+  io.F64(r.nominal_swing);
+  io.F64(r.reference_delay);
+  io.F64(r.reference_detector_vout);
+  io.F64(r.reference_supply_current);
+  io.F64Vec(r.reference_detector_vouts);
+}
+
+template <typename Io, typename O>
+void OutcomeFields(Io& io, O& o) {
+  DefectFields(io, o.defect);
+  io.Bool(o.converged);
+  io.Bool(o.no_bias_point);
+  io.Str(o.error);
+  io.Bool(o.logic_fail);
+  io.Bool(o.delay_fail);
+  io.Bool(o.iddq_fail);
+  io.Bool(o.amplitude_detected);
+  io.F64(o.max_gate_amplitude);
+  io.F64(o.min_detector_vout);
+  io.F64Vec(o.detector_vouts);
+  io.F64(o.supply_current);
 }
 
 }  // namespace
@@ -43,72 +57,31 @@ std::string_view PayloadNameOf(RecordType type) {
 }
 
 std::string EncodeReferenceRecord(const core::ScreeningReport& reference) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kReference));
-  w.F64(reference.nominal_swing);
-  w.F64(reference.reference_delay);
-  w.F64(reference.reference_detector_vout);
-  w.F64(reference.reference_supply_current);
-  w.F64Vec(reference.reference_detector_vouts);
-  return w.Take();
+  return EncodeRecord(RecordType::kReference,
+                      [&](ByteWriter& w) { ReferenceFields(w, reference); });
 }
 
 std::string EncodeOutcomeRecord(uint64_t unit_id,
                                 const core::DefectOutcome& outcome) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kOutcome));
-  w.U64(unit_id);
-  WriteDefect(w, outcome.defect);
-  w.Bool(outcome.converged);
-  w.Bool(outcome.no_bias_point);
-  w.Str(outcome.error);
-  w.Bool(outcome.logic_fail);
-  w.Bool(outcome.delay_fail);
-  w.Bool(outcome.iddq_fail);
-  w.Bool(outcome.amplitude_detected);
-  w.F64(outcome.max_gate_amplitude);
-  w.F64(outcome.min_detector_vout);
-  w.F64Vec(outcome.detector_vouts);
-  w.F64(outcome.supply_current);
-  return w.Take();
+  return EncodeUnitRecord(RecordType::kOutcome, unit_id, [&](ByteWriter& w) {
+    OutcomeFields(w, outcome);
+  });
 }
 
 util::StatusOr<core::ScreeningReport> DecodeReferenceRecord(
     std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kReference) {
-    return util::Status::ParseError("not a screening reference record");
-  }
   core::ScreeningReport reference;
-  reference.nominal_swing = r.F64();
-  reference.reference_delay = r.F64();
-  reference.reference_detector_vout = r.F64();
-  reference.reference_supply_current = r.F64();
-  reference.reference_detector_vouts = r.F64Vec();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("screening reference"));
+  CMLDFT_RETURN_IF_ERROR(DecodeRecord(
+      payload, RecordType::kReference, "screening reference record",
+      [&](ByteReader& r) { ReferenceFields(r, reference); }));
   return reference;
 }
 
 util::StatusOr<OutcomeRecord> DecodeOutcomeRecord(std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kOutcome) {
-    return util::Status::ParseError("not a defect-outcome record");
-  }
   OutcomeRecord rec;
-  rec.unit_id = r.U64();
-  rec.outcome.defect = ReadDefect(r);
-  rec.outcome.converged = r.Bool();
-  rec.outcome.no_bias_point = r.Bool();
-  rec.outcome.error = r.Str();
-  rec.outcome.logic_fail = r.Bool();
-  rec.outcome.delay_fail = r.Bool();
-  rec.outcome.iddq_fail = r.Bool();
-  rec.outcome.amplitude_detected = r.Bool();
-  rec.outcome.max_gate_amplitude = r.F64();
-  rec.outcome.min_detector_vout = r.F64();
-  rec.outcome.detector_vouts = r.F64Vec();
-  rec.outcome.supply_current = r.F64();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("defect-outcome"));
+  CMLDFT_RETURN_IF_ERROR(DecodeUnitRecord(
+      payload, RecordType::kOutcome, "defect-outcome record", rec.unit_id,
+      [&](ByteReader& r) { OutcomeFields(r, rec.outcome); }));
   return rec;
 }
 
@@ -137,17 +110,10 @@ uint64_t CampaignFingerprint(const core::ScreeningOptions& options,
   h.F64(det.comparator_beta);
   // The enumeration options themselves are not hashed: their effect is the
   // universe, and the universe is hashed in full — structure, ordering,
-  // and electrical values. A netlist or enumeration change shows up here.
+  // and electrical values, each defect through the field function of its
+  // record. A netlist or enumeration change shows up here.
   h.U64(universe.size());
-  for (const defects::Defect& d : universe) {
-    h.I64(static_cast<int64_t>(d.type));
-    h.Str(d.device);
-    h.I64(d.terminal_a);
-    h.I64(d.terminal_b);
-    h.Str(d.node_a);
-    h.Str(d.node_b);
-    h.F64(d.resistance);
-  }
+  for (const defects::Defect& d : universe) DefectFields(h, d);
   return h.Digest();
 }
 

@@ -1,11 +1,15 @@
-// Binary serialization of screening results for the `.campaign` store.
+// The screening records of the `.campaign` store, and the record
+// envelope every payload's records share.
 //
-// Records are self-describing payloads (first byte = record type) framed
-// by the store layer with a length prefix and CRC-32. The encoding is
-// explicit little-endian with IEEE-754 bit patterns for doubles, so a
-// value round-trips *bit-identically*: the merge stage can rebuild a
-// ScreeningReport byte-for-byte equal to one produced by a monolithic
-// in-memory run — the campaign runtime's headline invariant.
+// A record's envelope is its type byte (it is self-describing) and, for a
+// unit record, its unit id; then come its fields in the one byte format
+// of campaign/bytes.h. The store layer frames it with a length and CRC-32.
+// Each record lists its fields once, in one field function that both its
+// encoder and its decoder walk inside the envelope. Doubles keep
+// their IEEE-754 bits, so a value round-trips *bit-identically*: the
+// merge stage can rebuild a ScreeningReport byte-for-byte equal to one
+// produced by a monolithic in-memory run — the campaign runtime's
+// headline invariant.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "campaign/bytes.h"
 #include "core/screening.h"
 #include "util/status.h"
 
@@ -41,6 +46,51 @@ enum class RecordType : uint8_t {
 /// an unknown type. Needs no payload descriptor, so the record gate can
 /// name another payload's records without linking every payload.
 std::string_view PayloadNameOf(RecordType type);
+
+/// A record of `type`: its type byte, then what `fields(writer)` writes.
+template <typename Fields>
+std::string EncodeRecord(RecordType type, const Fields& fields) {
+  ByteWriter w;
+  w.Enum(type);
+  fields(w);
+  return w.Take();
+}
+
+/// Read a record of `type` by `fields(reader)`. Refuses a record of any
+/// other type before reading a field, and a truncated record or trailing
+/// bytes after it; `what` names the record in the error.
+template <typename Fields>
+util::Status DecodeRecord(std::string_view payload, RecordType type,
+                          std::string_view what, const Fields& fields) {
+  ByteReader r(payload);
+  RecordType got{};
+  r.Enum(got);
+  if (got != type) {
+    return util::Status::ParseError("not a " + std::string(what));
+  }
+  fields(r);
+  return r.Finish(what);
+}
+
+/// A unit record: the record envelope with the unit's id (u64) first.
+template <typename Fields>
+std::string EncodeUnitRecord(RecordType type, uint64_t unit_id,
+                             const Fields& fields) {
+  return EncodeRecord(type, [&](ByteWriter& w) {
+    w.U64(unit_id);
+    fields(w);
+  });
+}
+
+template <typename Fields>
+util::Status DecodeUnitRecord(std::string_view payload, RecordType type,
+                              std::string_view what, uint64_t& unit_id,
+                              const Fields& fields) {
+  return DecodeRecord(payload, type, what, [&](ByteReader& r) {
+    r.U64(unit_id);
+    fields(r);
+  });
+}
 
 struct OutcomeRecord {
   uint64_t unit_id = 0;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "campaign/bytes.h"
 #include "campaign/merge.h"
 #include "report/report.h"
 
@@ -11,6 +10,26 @@ namespace cmldft::campaign {
 namespace {
 
 constexpr std::string_view kPresets[] = {"pattern_coverage", "pattern_quick"};
+
+template <typename Io, typename S>
+void PatternSuiteFields(Io& io, S& s) {
+  io.Vec(s.benchmarks);
+  io.Vec(s.pattern_counts);
+  io.U32(s.seed);
+  io.I32(s.init_max_cycles);
+}
+
+template <typename Io, typename U>
+void SweepUnitFields(Io& io, U& u) {
+  io.U32(u.benchmark);
+  io.U32(u.patterns);
+  io.U32(u.toggled);
+  io.U32(u.togglable);
+  io.U64(u.transitions);
+  io.U32(u.init_cycles);
+  io.U32(u.residual_x);
+  io.U32(u.dffs);
+}
 
 util::Status ValidateSweep(const testgen::PatternSweepConfig& sweep) {
   if (sweep.benchmarks.empty()) {
@@ -134,71 +153,31 @@ const Payload kPatternPayload = {
 };
 
 std::string EncodePatternSuiteRecord(const testgen::PatternSweepConfig& sweep) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kPatternSuite));
-  w.U32(static_cast<uint32_t>(sweep.benchmarks.size()));
-  for (const std::string& name : sweep.benchmarks) w.Str(name);
-  w.U32(static_cast<uint32_t>(sweep.pattern_counts.size()));
-  for (int c : sweep.pattern_counts) w.I32(c);
-  w.U32(sweep.seed);
-  w.I32(sweep.init_max_cycles);
-  return w.Take();
+  return EncodeRecord(RecordType::kPatternSuite,
+                      [&](ByteWriter& w) { PatternSuiteFields(w, sweep); });
 }
 
 std::string EncodePatternUnitRecord(uint64_t unit_id,
                                     const testgen::SweepUnitResult& unit) {
-  ByteWriter w;
-  w.U8(static_cast<uint8_t>(RecordType::kPatternUnit));
-  w.U64(unit_id);
-  w.U32(unit.benchmark);
-  w.U32(unit.patterns);
-  w.U32(unit.toggled);
-  w.U32(unit.togglable);
-  w.U64(unit.transitions);
-  w.U32(unit.init_cycles);
-  w.U32(unit.residual_x);
-  w.U32(unit.dffs);
-  return w.Take();
+  return EncodeUnitRecord(RecordType::kPatternUnit, unit_id,
+                          [&](ByteWriter& w) { SweepUnitFields(w, unit); });
 }
 
 util::StatusOr<testgen::PatternSweepConfig> DecodePatternSuiteRecord(
     std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kPatternSuite) {
-    return util::Status::ParseError("not a pattern suite record");
-  }
   testgen::PatternSweepConfig suite;
-  const uint32_t benchmarks = r.U32();
-  for (uint32_t i = 0; i < benchmarks && r.ok(); ++i) {
-    suite.benchmarks.push_back(r.Str());
-  }
-  const uint32_t counts = r.U32();
-  for (uint32_t i = 0; i < counts && r.ok(); ++i) {
-    suite.pattern_counts.push_back(r.I32());
-  }
-  suite.seed = r.U32();
-  suite.init_max_cycles = r.I32();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("pattern suite"));
+  CMLDFT_RETURN_IF_ERROR(DecodeRecord(
+      payload, RecordType::kPatternSuite, "pattern suite record",
+      [&](ByteReader& r) { PatternSuiteFields(r, suite); }));
   return suite;
 }
 
 util::StatusOr<PatternUnitRecord> DecodePatternUnitRecord(
     std::string_view payload) {
-  ByteReader r(payload);
-  if (static_cast<RecordType>(r.U8()) != RecordType::kPatternUnit) {
-    return util::Status::ParseError("not a pattern unit record");
-  }
   PatternUnitRecord rec;
-  rec.unit_id = r.U64();
-  rec.unit.benchmark = r.U32();
-  rec.unit.patterns = r.U32();
-  rec.unit.toggled = r.U32();
-  rec.unit.togglable = r.U32();
-  rec.unit.transitions = r.U64();
-  rec.unit.init_cycles = r.U32();
-  rec.unit.residual_x = r.U32();
-  rec.unit.dffs = r.U32();
-  CMLDFT_RETURN_IF_ERROR(r.Finish("pattern unit"));
+  CMLDFT_RETURN_IF_ERROR(DecodeUnitRecord(
+      payload, RecordType::kPatternUnit, "pattern unit record", rec.unit_id,
+      [&](ByteReader& r) { SweepUnitFields(r, rec.unit); }));
   return rec;
 }
 

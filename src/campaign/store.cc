@@ -1,47 +1,29 @@
 #include "campaign/store.h"
 
-#include <cstring>
 #include <utility>
 
-#include "util/crc32.h"
+#include "campaign/bytes.h"
 #include "util/hash.h"
 
 namespace cmldft::campaign {
 
 namespace {
 
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
+template <typename Io, typename H>
+void StoreHeaderFields(Io& io, H& h) {
+  io.U64(h.fingerprint);
+  io.U32(h.shard_index);
+  io.U32(h.shard_count);
+  io.U64(h.total_units);
 }
 
 std::string SerializeHeader(const StoreHeader& header) {
-  std::string out;
-  out.append(kStoreMagic);
-  PutU32(out, kStoreVersion);
-  PutU64(out, header.fingerprint);
-  PutU32(out, header.shard_index);
-  PutU32(out, header.shard_count);
-  PutU64(out, header.total_units);
-  PutU32(out, util::Crc32(out.data(), out.size()));
-  return out;
+  ByteWriter w;
+  w.Raw(kStoreMagic);
+  w.U32(kStoreVersion);
+  StoreHeaderFields(w, header);
+  w.U32(util::Crc32(w.bytes().data(), w.bytes().size()));
+  return w.Take();
 }
 
 }  // namespace
@@ -78,10 +60,7 @@ util::Status StoreWriter::AppendRecord(std::string_view payload) {
   // One contiguous append per record: the kernel applies it as a single
   // write, so a crash between records never interleaves partial frames.
   std::string frame;
-  frame.reserve(8 + payload.size());
-  PutU32(frame, static_cast<uint32_t>(payload.size()));
-  PutU32(frame, util::Crc32(payload.data(), payload.size()));
-  frame.append(payload);
+  AppendFrame(frame, payload);
   CMLDFT_RETURN_IF_ERROR(file_.Append(frame.data(), frame.size()));
   if (++unsynced_ >= fsync_batch_) {
     CMLDFT_RETURN_IF_ERROR(file_.Sync());
@@ -105,35 +84,32 @@ util::StatusOr<ScannedStore> ScanStore(const std::string& path) {
   if (std::string_view(bytes.data(), kStoreMagic.size()) != kStoreMagic) {
     return util::Status::ParseError(path + ": bad magic, not a campaign store");
   }
-  const uint32_t version = GetU32(bytes.data() + 8);
+  ByteReader head(std::string_view(bytes).substr(
+      kStoreMagic.size(), kStoreHeaderBytes - kStoreMagic.size()));
+  uint32_t version = 0;
+  head.U32(version);
   if (version != kStoreVersion) {
     return util::Status::ParseError(
         path + ": unsupported store version " + std::to_string(version) +
         " (this build reads version " + std::to_string(kStoreVersion) + ")");
   }
-  const uint32_t header_crc = GetU32(bytes.data() + kStoreHeaderBytes - 4);
+  ScannedStore scan;
+  StoreHeaderFields(head, scan.header);
+  uint32_t header_crc = 0;
+  head.U32(header_crc);
   if (header_crc != util::Crc32(bytes.data(), kStoreHeaderBytes - 4)) {
     return util::Status::ParseError(path + ": store header CRC mismatch");
   }
 
-  ScannedStore scan;
-  scan.header.fingerprint = GetU64(bytes.data() + 12);
-  scan.header.shard_index = GetU32(bytes.data() + 20);
-  scan.header.shard_count = GetU32(bytes.data() + 24);
-  scan.header.total_units = GetU64(bytes.data() + 28);
-
-  size_t pos = kStoreHeaderBytes;
-  scan.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) break;  // torn frame header
-    const uint32_t len = GetU32(bytes.data() + pos);
-    const uint32_t crc = GetU32(bytes.data() + pos + 4);
-    if (len == 0 || len > kMaxRecordBytes) break;        // garbage length
-    if (bytes.size() - pos - 8 < len) break;             // torn payload
-    if (util::Crc32(bytes.data() + pos + 8, len) != crc) break;  // bit rot
-    scan.records.emplace_back(bytes, pos + 8, len);
-    pos += 8 + static_cast<size_t>(len);
-    scan.valid_bytes = pos;
+  // The valid prefix ends at the first frame that is torn, or whose
+  // length or CRC does not check out.
+  scan.valid_bytes = kStoreHeaderBytes;
+  while (scan.valid_bytes < bytes.size()) {
+    auto frame = ParseFrame(std::string_view(bytes).substr(scan.valid_bytes),
+                            kMaxRecordBytes);
+    if (!frame.ok() || frame->payload.empty()) break;
+    scan.records.emplace_back(frame->payload);
+    scan.valid_bytes += frame->size;
   }
   scan.torn_tail = scan.valid_bytes != bytes.size();
   return scan;

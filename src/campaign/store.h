@@ -6,14 +6,16 @@
 //   header (40 bytes, CRC-protected):
 //     magic "CMLCAMP1" | version u32 | fingerprint u64 |
 //     shard_index u32 | shard_count u32 | total_units u64 | header crc u32
-//   records, each:
+//   records, each in the one frame of campaign/bytes.h (shared with the
+//   service wire), with a length of 1..kMaxRecordBytes:
 //     payload_len u32 | payload crc32 u32 | payload bytes (codec.h)
 //
 // All integers little-endian. The file is only ever appended to (plus a
 // single truncate during torn-tail repair), so a crash at ANY byte leaves
-// a valid prefix: ScanStore walks records until the first one whose
-// length, CRC, or payload doesn't check out, reports everything before it
-// as valid, and flags the rest as a torn tail for RepairStore to cut off.
+// a valid prefix: ScanStore walks records until the first frame that is
+// torn or whose length or CRC doesn't check out, reports everything before
+// it as valid, and flags the rest as a torn tail for RepairStore to cut
+// off.
 // Completed work is never lost; incomplete work is never trusted.
 //
 // What a store may hold is decided in one place, StreamingMerge::Fold: a
@@ -39,7 +41,8 @@ inline constexpr std::string_view kStoreMagic = "CMLCAMP1";
 inline constexpr uint32_t kStoreVersion = 1;
 /// Serialized header size (see layout above).
 inline constexpr uint64_t kStoreHeaderBytes = 40;
-/// Upper bound on a single record payload; anything larger is corruption.
+/// Upper bound on a single record payload (the store's frame bound);
+/// anything larger is corruption.
 inline constexpr uint32_t kMaxRecordBytes = 16u << 20;
 
 struct StoreHeader {

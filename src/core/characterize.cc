@@ -266,23 +266,6 @@ CharacterizationCorner CornerAt(const CharacterizationConfig& config,
   return c;
 }
 
-bool CharacterizationUnitResult::operator==(
-    const CharacterizationUnitResult& o) const {
-  return corner == o.corner && die == o.die &&
-         v1_static_excursion == o.v1_static_excursion &&
-         v2_static_excursion == o.v2_static_excursion &&
-         v2_clean_drop == o.v2_clean_drop &&
-         v2_dynamic_threshold == o.v2_dynamic_threshold &&
-         trip_up == o.trip_up && trip_down == o.trip_down &&
-         vfb_pass == o.vfb_pass && vfb_fail == o.vfb_fail &&
-         hysteresis_found == o.hysteresis_found &&
-         load_clean_flagged == o.load_clean_flagged &&
-         load_pipe_flagged == o.load_pipe_flagged &&
-         load_clean_vout == o.load_clean_vout &&
-         load_pipe_vout == o.load_pipe_vout &&
-         measure_failures == o.measure_failures;
-}
-
 std::vector<cml::CmlTechnology> CharacterizationDies(
     const CharacterizationConfig& config) {
   const cml::CmlTechnology nominal;
@@ -381,27 +364,7 @@ util::StatusOr<CharacterizationUnitResult> EvaluateCharacterizationUnit(
 uint64_t CharacterizationFingerprint(const CharacterizationConfig& config) {
   util::ContentHasher h;
   h.Str("cmldft-characterize-v1");
-  h.U64(config.temperatures_c.size());
-  for (double t : config.temperatures_c) h.F64(t);
-  h.U64(config.supplies.size());
-  for (double s : config.supplies) h.F64(s);
-  h.U64(config.vtests.size());
-  for (double v : config.vtests) h.F64(v);
-  h.I64(config.trials);
-  h.U64(config.seed);
-  h.F64(config.variation.load_resistance_spread);
-  h.F64(config.variation.wire_cap_spread);
-  h.F64(config.variation.is_spread);
-  h.F64(config.variation.beta_spread);
-  h.U64(config.excursion_levels.size());
-  for (double e : config.excursion_levels) h.F64(e);
-  h.F64(config.response_window);
-  h.F64(config.response_load_cap);
-  h.I64(config.load_gates);
-  h.F64(config.load_pipe);
-  h.F64(config.probe_max);
-  h.F64(config.probe_step);
-  h.F64(config.hysteresis_step);
+  CharacterizationSuiteFields(h, config);
   return h.Digest();
 }
 

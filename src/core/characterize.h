@@ -136,6 +136,31 @@ struct CharacterizationConfig {
   }
 };
 
+/// The configuration's fields, listed once in record order: the
+/// characterization campaign's suite record is written and read through
+/// this field function (campaign/bytes.h), and CharacterizationFingerprint
+/// hashes the fields through it.
+template <typename Io, typename C>
+void CharacterizationSuiteFields(Io& io, C& c) {
+  io.F64Vec(c.temperatures_c);
+  io.F64Vec(c.supplies);
+  io.F64Vec(c.vtests);
+  io.I32(c.trials);
+  io.U32(c.seed);
+  io.F64(c.variation.load_resistance_spread);
+  io.F64(c.variation.wire_cap_spread);
+  io.F64(c.variation.is_spread);
+  io.F64(c.variation.beta_spread);
+  io.F64Vec(c.excursion_levels);
+  io.F64(c.response_window);
+  io.F64(c.response_load_cap);
+  io.I32(c.load_gates);
+  io.F64(c.load_pipe);
+  io.F64(c.probe_max);
+  io.F64(c.probe_step);
+  io.F64(c.hysteresis_step);
+}
+
 /// Decoded corner coordinates of a corner id.
 struct CharacterizationCorner {
   double temperature_c = 27.0;
@@ -174,7 +199,7 @@ struct CharacterizationUnitResult {
   /// 1 = v2 probe, 2 = hysteresis, 3 = load clean, 4 = load pipe.
   uint32_t measure_failures = 0;
 
-  bool operator==(const CharacterizationUnitResult& o) const;
+  bool operator==(const CharacterizationUnitResult& o) const = default;
 };
 
 /// The Monte-Carlo dies of a configuration, drawn trial-major from a

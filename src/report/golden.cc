@@ -339,15 +339,29 @@ GoldenDiff CompareGbenchPerf(const Json& actual, const Json& baseline,
         families.end()) {
       continue;
     }
-    const Json* a = FindByName(*actual_runs, name);
-    if (a == nullptr) {
+    // The actual run may repeat a row (--benchmark_repetitions); its
+    // median is what a baseline row, itself a median, compares against.
+    std::vector<double> actual_cpus;
+    for (size_t k = 0; k < actual_runs->size(); ++k) {
+      const Json& a = actual_runs->at(k);
+      if (a.GetString("name") == name &&
+          a.GetString("run_type", "iteration") == "iteration") {
+        actual_cpus.push_back(a.GetNumber("cpu_time"));
+      }
+    }
+    if (actual_cpus.empty()) {
       diff.mismatches.push_back("benchmark '" + name +
                                 "' missing from actual run");
       continue;
     }
     ++diff.values_compared;
+    std::sort(actual_cpus.begin(), actual_cpus.end());
+    const size_t mid = actual_cpus.size() / 2;
+    const double actual_cpu =
+        actual_cpus.size() % 2 == 1
+            ? actual_cpus[mid]
+            : (actual_cpus[mid - 1] + actual_cpus[mid]) / 2;
     const double base_cpu = b.GetNumber("cpu_time");
-    const double actual_cpu = a->GetNumber("cpu_time");
     if (base_cpu <= 0) {
       diff.mismatches.push_back("benchmark '" + name +
                                 "': baseline cpu_time is not positive");

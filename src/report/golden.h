@@ -36,9 +36,9 @@ GoldenDiff CompareGbenchStructure(const Json& actual, const Json& golden);
 /// Tolerant performance comparison for google-benchmark JSON output,
 /// used by the CI benchmark-regression gate (see docs/performance.md
 /// "Benchmark baselines"). For every baseline benchmark whose family
-/// (the name up to the first '/') is listed in `families`, the actual
-/// run's cpu_time may not exceed baseline by more than `tolerance`
-/// (0.20 = +20%). Getting *faster* is never drift. Also enforces the
+/// (the name up to the first '/') is listed in `families`, the median
+/// cpu_time of the actual run's repetitions of that row may not exceed
+/// baseline by more than `tolerance` (0.20 = +20%). Getting *faster* is never drift. Also enforces the
 /// provenance contract both reports must share before timings are
 /// comparable at all: `cmldft_build_type` "Release", `cmldft_assertions`
 /// "disabled", and a present, *consistent* google-benchmark

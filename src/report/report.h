@@ -64,8 +64,8 @@ struct Cell {
   std::optional<double> number;
 };
 
-/// A named table with typed columns. The fluent row API mirrors the old
-/// util::Table so bench refactors stay mechanical.
+/// A named table with typed columns, filled row by row through a fluent
+/// API. A console-only table gives every column Tol::Info().
 class Table {
  public:
   Table(std::string name, std::vector<Column> columns);

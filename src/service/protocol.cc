@@ -1,182 +1,109 @@
 #include "service/protocol.h"
 
 #include "campaign/bytes.h"
-#include "util/crc32.h"
 #include "util/net.h"
 
 namespace cmldft::service {
 
 using campaign::ByteReader;
 using campaign::ByteWriter;
+using campaign::kFrameHeaderBytes;
+
+namespace {
+
+/// Each message type's fields, in wire order after its type byte. False,
+/// before any field, for an unknown type.
+template <typename Io, typename M>
+bool MessageFields(Io& io, M& m) {
+  switch (m.type) {
+    case MessageType::kHello:
+      io.U32(m.protocol_version);
+      io.Str(m.worker);
+      return true;
+    case MessageType::kHelloAck:
+      io.U32(m.protocol_version);
+      return true;
+    case MessageType::kWorkRequest:
+    case MessageType::kIdle:
+      return true;
+    case MessageType::kGrant:
+      io.U64(m.campaign_id);
+      io.U64(m.lease_id);
+      io.Str(m.preset);
+      io.U64(m.fingerprint);
+      io.F64(m.lease_seconds);
+      io.Vec(m.unit_ids);
+      return true;
+    case MessageType::kWait:
+      io.U32(m.retry_ms);
+      return true;
+    case MessageType::kRecords:
+      io.U64(m.campaign_id);
+      io.U64(m.lease_id);
+      io.Vec(m.records);
+      return true;
+    case MessageType::kAck:
+      io.U64(m.campaign_id);
+      io.Bool(m.accepted);
+      io.Bool(m.campaign_complete);
+      io.Str(m.error);
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 std::string EncodeMessage(const Message& msg) {
   ByteWriter w;
-  w.U8(static_cast<uint8_t>(msg.type));
-  switch (msg.type) {
-    case MessageType::kHello:
-      w.U32(msg.protocol_version);
-      w.Str(msg.worker);
-      break;
-    case MessageType::kHelloAck:
-      w.U32(msg.protocol_version);
-      break;
-    case MessageType::kWorkRequest:
-    case MessageType::kIdle:
-      break;
-    case MessageType::kGrant:
-      w.U64(msg.campaign_id);
-      w.U64(msg.lease_id);
-      w.Str(msg.preset);
-      w.U64(msg.fingerprint);
-      w.F64(msg.lease_seconds);
-      w.U32(static_cast<uint32_t>(msg.unit_ids.size()));
-      for (uint64_t id : msg.unit_ids) w.U64(id);
-      break;
-    case MessageType::kWait:
-      w.U32(msg.retry_ms);
-      break;
-    case MessageType::kRecords:
-      w.U64(msg.campaign_id);
-      w.U64(msg.lease_id);
-      w.U32(static_cast<uint32_t>(msg.records.size()));
-      for (const std::string& r : msg.records) w.Str(r);
-      break;
-    case MessageType::kAck:
-      w.U64(msg.campaign_id);
-      w.Bool(msg.accepted);
-      w.Bool(msg.campaign_complete);
-      w.Str(msg.error);
-      break;
-  }
+  w.Enum(msg.type);
+  MessageFields(w, msg);
   return w.Take();
 }
 
 util::StatusOr<Message> DecodeMessage(std::string_view payload) {
   ByteReader r(payload);
   Message msg;
-  const uint8_t type = r.U8();
-  switch (static_cast<MessageType>(type)) {
-    case MessageType::kHello:
-      msg.type = MessageType::kHello;
-      msg.protocol_version = r.U32();
-      msg.worker = r.Str();
-      break;
-    case MessageType::kHelloAck:
-      msg.type = MessageType::kHelloAck;
-      msg.protocol_version = r.U32();
-      break;
-    case MessageType::kWorkRequest:
-      msg.type = MessageType::kWorkRequest;
-      break;
-    case MessageType::kIdle:
-      msg.type = MessageType::kIdle;
-      break;
-    case MessageType::kGrant: {
-      msg.type = MessageType::kGrant;
-      msg.campaign_id = r.U64();
-      msg.lease_id = r.U64();
-      msg.preset = r.Str();
-      msg.fingerprint = r.U64();
-      msg.lease_seconds = r.F64();
-      const uint32_t n = r.U32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) msg.unit_ids.push_back(r.U64());
-      break;
-    }
-    case MessageType::kWait:
-      msg.type = MessageType::kWait;
-      msg.retry_ms = r.U32();
-      break;
-    case MessageType::kRecords: {
-      msg.type = MessageType::kRecords;
-      msg.campaign_id = r.U64();
-      msg.lease_id = r.U64();
-      const uint32_t n = r.U32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) msg.records.push_back(r.Str());
-      break;
-    }
-    case MessageType::kAck:
-      msg.type = MessageType::kAck;
-      msg.campaign_id = r.U64();
-      msg.accepted = r.Bool();
-      msg.campaign_complete = r.Bool();
-      msg.error = r.Str();
-      break;
-    default:
-      return util::Status::ParseError("unknown service message type " +
-                                      std::to_string(type));
+  r.Enum(msg.type);
+  if (!MessageFields(r, msg)) {
+    return util::Status::ParseError(
+        "unknown service message type " +
+        std::to_string(static_cast<unsigned>(msg.type)));
   }
-  if (!r.ok()) {
-    return util::Status::ParseError("truncated service message payload");
-  }
-  if (!r.AtEnd()) {
-    return util::Status::ParseError("trailing bytes in service message");
-  }
+  CMLDFT_RETURN_IF_ERROR(r.Finish("service message"));
   return msg;
 }
 
 // ------------------------------------------------------- framing --
 
-namespace {
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
 std::string Frame(std::string_view payload) {
   std::string out;
-  out.reserve(payload.size() + 8);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, util::Crc32(payload.data(), payload.size()));
-  out.append(payload.data(), payload.size());
+  campaign::AppendFrame(out, payload);
   return out;
 }
 
 util::StatusOr<bool> ExtractFrame(std::string& buffer, std::string* payload) {
-  if (buffer.size() < 8) return false;
-  const uint32_t len = GetU32(buffer.data());
-  const uint32_t crc = GetU32(buffer.data() + 4);
-  if (len > kMaxFrameBytes) {
-    return util::Status::ParseError(
-        "frame declares " + std::to_string(len) +
-        " bytes, over the protocol bound — corrupt stream");
-  }
-  if (buffer.size() < 8 + static_cast<size_t>(len)) return false;
-  if (util::Crc32(buffer.data() + 8, len) != crc) {
-    return util::Status::ParseError("frame payload fails its CRC");
-  }
-  payload->assign(buffer.data() + 8, len);
-  buffer.erase(0, 8 + static_cast<size_t>(len));
+  auto frame = campaign::ParseFrame(buffer, kMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  if (frame->payload.empty()) return false;
+  payload->assign(frame->payload);
+  buffer.erase(0, frame->size);
   return true;
 }
 
 util::StatusOr<std::string> ReadFrameBlocking(int fd) {
-  char head[8];
-  CMLDFT_RETURN_IF_ERROR(util::ReadAll(fd, head, sizeof head));
-  const uint32_t len = GetU32(head);
-  const uint32_t crc = GetU32(head + 4);
-  if (len > kMaxFrameBytes) {
-    return util::Status::ParseError(
-        "frame declares " + std::to_string(len) +
-        " bytes, over the protocol bound — corrupt stream");
-  }
-  std::string payload(len, '\0');
-  if (len > 0) {
-    CMLDFT_RETURN_IF_ERROR(util::ReadAll(fd, payload.data(), len));
-  }
-  if (util::Crc32(payload.data(), payload.size()) != crc) {
-    return util::Status::ParseError("frame payload fails its CRC");
-  }
-  return payload;
+  std::string bytes(kFrameHeaderBytes, '\0');
+  CMLDFT_RETURN_IF_ERROR(util::ReadAll(fd, bytes.data(), bytes.size()));
+  // The header alone sizes the frame, or refuses its length.
+  auto frame = campaign::ParseFrame(bytes, kMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  bytes.resize(frame->size);
+  CMLDFT_RETURN_IF_ERROR(util::ReadAll(fd, bytes.data() + kFrameHeaderBytes,
+                                       frame->size - kFrameHeaderBytes));
+  frame = campaign::ParseFrame(bytes, kMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  bytes.erase(0, kFrameHeaderBytes);  // what remains is the checked payload
+  return bytes;
 }
 
 util::Status WriteFrameBlocking(int fd, std::string_view payload) {

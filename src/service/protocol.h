@@ -1,20 +1,24 @@
 // Wire protocol between the campaign scheduler and its workers.
 //
-// Framing mirrors the `.campaign` store record frame so the two layers
-// share one integrity story: every frame is
+// Every frame is the `.campaign` store's own record frame
+// (AppendFrame/ParseFrame in campaign/bytes.h), so the two layers share
+// one integrity story and one piece of code:
 //
 //   payload_len u32 | payload crc32 u32 | payload bytes
 //
-// little-endian, CRC over the payload only. A frame that fails the CRC or
-// declares an absurd length is a protocol error and the connection is
-// dropped — the lease machinery makes reconnect-and-retry safe, so the
-// transport never needs to limp along on a corrupt stream.
+// little-endian, CRC over the payload only, a length of 1..kMaxFrameBytes.
+// A frame that fails the CRC or declares a length outside that range is a
+// protocol error and the connection is dropped — the lease machinery
+// makes reconnect-and-retry safe, so the transport never needs to limp
+// along on a corrupt stream.
 //
 // The payload is a self-describing message (first byte = MessageType)
-// encoded with the campaign byte codec (campaign/bytes.h), so every field
-// round-trips bit-identically across hosts — the same property the store
-// records rely on, and what lets a worker-computed record batch be
-// appended to the scheduler's store verbatim.
+// in the campaign byte format (campaign/bytes.h): each message type lists
+// its fields once, in one field function that both EncodeMessage and
+// DecodeMessage walk. Every field round-trips bit-identically across
+// hosts — the same property the store records rely on, and what lets a
+// worker-computed record batch be appended to the scheduler's store
+// verbatim.
 //
 // Conversation (worker side drives):
 //
@@ -39,8 +43,8 @@
 namespace cmldft::service {
 
 inline constexpr uint32_t kProtocolVersion = 1;
-/// Upper bound on one frame's payload; larger is corruption (the biggest
-/// legitimate frame is a record batch for one lease chunk).
+/// Upper bound on one wire frame's payload; larger is corruption (the
+/// biggest legitimate frame is a record batch for one lease chunk).
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
 enum class MessageType : uint8_t {
@@ -94,8 +98,8 @@ std::string Frame(std::string_view payload);
 /// Incremental extraction for a non-blocking receive buffer: when `buffer`
 /// starts with a complete, CRC-valid frame, moves its payload into
 /// `*payload`, consumes it from `buffer`, and returns true. Returns false
-/// when more bytes are needed. A bad CRC or oversized length is an error
-/// (drop the connection).
+/// when more bytes are needed. A bad CRC, or a length of 0 or over
+/// kMaxFrameBytes, is an error (drop the connection).
 util::StatusOr<bool> ExtractFrame(std::string& buffer, std::string* payload);
 
 /// Blocking read of exactly one frame (worker client, tests). A clean EOF

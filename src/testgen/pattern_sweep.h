@@ -56,12 +56,7 @@ struct SweepUnitResult {
   uint32_t residual_x = 0;
   uint32_t dffs = 0;
 
-  bool operator==(const SweepUnitResult& o) const {
-    return benchmark == o.benchmark && patterns == o.patterns &&
-           toggled == o.toggled && togglable == o.togglable &&
-           transitions == o.transitions && init_cycles == o.init_cycles &&
-           residual_x == o.residual_x && dffs == o.dffs;
-  }
+  bool operator==(const SweepUnitResult& o) const = default;
 };
 
 /// Run unit `unit_id` of the sweep from scratch. Pure function of

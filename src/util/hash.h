@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <vector>
 
 namespace cmldft::util {
 
@@ -42,6 +43,21 @@ class ContentHasher {
   ContentHasher& Str(std::string_view s) {
     U64(s.size());
     return Bytes(s.data(), s.size());
+  }
+
+  // Widening forms, so a fingerprint can walk a record's field function
+  // (campaign/bytes.h) and hash its fields in record order: every integer
+  // and enum hashes as 64 bits, and so does a vector's count.
+  ContentHasher& U32(uint32_t v) { return U64(v); }
+  ContentHasher& I32(int32_t v) { return I64(v); }
+  template <typename E>
+  ContentHasher& Enum(E v) {
+    return I64(static_cast<int64_t>(v));
+  }
+  ContentHasher& F64Vec(const std::vector<double>& v) {
+    U64(v.size());
+    for (double d : v) F64(d);
+    return *this;
   }
 
   uint64_t Digest() const { return state_; }

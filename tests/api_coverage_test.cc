@@ -19,7 +19,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/units.h"
-#include "util/table.h"
 #include "waveform/measure.h"
 
 namespace cmldft {
@@ -190,13 +189,6 @@ TEST(Status, AllCodesHaveNames) {
     EXPECT_FALSE(util::StatusCodeName(c).empty());
     EXPECT_NE(util::StatusCodeName(c), "UNKNOWN");
   }
-}
-
-TEST(Table, OutOfRangeCellIsEmpty) {
-  util::Table t({"a"});
-  t.NewRow().Add("x");
-  EXPECT_EQ(t.cell(5, 5), "");
-  EXPECT_EQ(t.cell(0, 0), "x");
 }
 
 TEST(TechnologyApi, DerivedQuantitiesConsistent) {

@@ -26,6 +26,7 @@
 #include "campaign/runner.h"
 #include "campaign/store.h"
 #include "core/screening.h"
+#include "service/protocol.h"
 #include "service/queue.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
@@ -216,6 +217,129 @@ TEST(Codec, FingerprintSeesOptionsAndUniverseButNotThreads) {
   EXPECT_NE(campaign::CampaignFingerprint(opt, mutated), base);
 }
 
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+// The byte format pinned: one fixed instance of every record type, and a
+// store header, against the bytes the format has always produced. A field
+// moved, widened or dropped shows up here before it reaches a store.
+TEST(Codec, EveryRecordKeepsItsBytes) {
+  core::ScreeningReport reference;
+  reference.nominal_swing = 0.41;
+  reference.reference_delay = 6.25e-11;
+  reference.reference_detector_vout = 3.2;
+  reference.reference_supply_current = 4.1e-3;
+  reference.reference_detector_vouts = {3.2, 3.19};
+  EXPECT_EQ(Hex(campaign::EncodeReferenceRecord(reference)),
+      "013d0ad7a3703dda3f95d626e80b2ed13d9a99999999990940091b9e5e29cb70"
+      "3f020000009a9999999999094085eb51b81e850940");
+
+  EXPECT_EQ(Hex(campaign::EncodeOutcomeRecord(42, SampleOutcome())),
+      "022a00000000000000050500000078312e713201000000020000000500000078"
+      "312e6f700600000078322e6f70620000000000e05e4001000000000001000100"
+      "d7a3703d0ad7d33f000000000000f4bf03000000000000000000000000000000"
+      "0000e0bf0000000000000a40fa7e6abc7493583f");
+
+  testgen::PatternSweepConfig sweep;
+  sweep.benchmarks = {"counter4", "shift4"};
+  sweep.pattern_counts = {8, 32};
+  sweep.seed = 0xACE1u;
+  sweep.init_max_cycles = 5;
+  EXPECT_EQ(Hex(campaign::EncodePatternSuiteRecord(sweep)),
+      "030200000008000000636f756e74657234060000007368696674340200000008"
+      "00000020000000e1ac000005000000");
+
+  testgen::SweepUnitResult sweep_unit;
+  sweep_unit.benchmark = 1;
+  sweep_unit.patterns = 32;
+  sweep_unit.toggled = 17;
+  sweep_unit.togglable = 20;
+  sweep_unit.transitions = 0x123456789ull;
+  sweep_unit.init_cycles = 3;
+  sweep_unit.residual_x = 2;
+  sweep_unit.dffs = 4;
+  EXPECT_EQ(Hex(campaign::EncodePatternUnitRecord(7, sweep_unit)),
+      "0407000000000000000100000020000000110000001400000089674523010000"
+      "00030000000200000004000000");
+
+  core::CharacterizationConfig config;
+  config.temperatures_c = {27.0};
+  config.supplies = {3.3};
+  config.vtests = {3.6, 3.7};
+  config.trials = 1;
+  config.seed = 0xC0A1u;
+  config.variation.load_resistance_spread = 0.1;
+  config.variation.wire_cap_spread = 0.25;
+  config.variation.is_spread = 0.15;
+  config.variation.beta_spread = 0.05;
+  config.excursion_levels = {0.35, 0.57};
+  config.response_window = 250e-9;
+  config.response_load_cap = 1e-12;
+  config.load_gates = 3;
+  config.load_pipe = 4e3;
+  config.probe_max = 1.0;
+  config.probe_step = 0.02;
+  config.hysteresis_step = 0.004;
+  EXPECT_EQ(Hex(campaign::EncodeCharacterizationSuiteRecord(config)),
+      "05010000000000000000003b40010000006666666666660a4002000000cdcccc"
+      "cccccc0c409a99999999990d4001000000a1c000009a9999999999b93f000000"
+      "000000d03f333333333333c33f9a9999999999a93f02000000666666666666d6"
+      "3f3d0ad7a3703de23f8dedb5a0f7c6903e11ea2d819997713d03000000000000"
+      "000040af40000000000000f03f7b14ae47e17a943ffca9f1d24d62703f");
+  EXPECT_EQ(core::CharacterizationFingerprint(config), 747843136655320902ull);
+
+  core::CharacterizationUnitResult unit;
+  unit.corner = 2;
+  unit.die = 1;
+  unit.v1_static_excursion = 0.56;
+  unit.v2_static_excursion = 0.34;
+  unit.v2_clean_drop = 0.012;
+  unit.v2_dynamic_threshold = -1.0;
+  unit.trip_up = 3.31;
+  unit.trip_down = 3.12;
+  unit.vfb_pass = 3.4;
+  unit.vfb_fail = 2.9;
+  unit.hysteresis_found = true;
+  unit.load_clean_flagged = false;
+  unit.load_pipe_flagged = true;
+  unit.load_clean_vout = 3.25;
+  unit.load_pipe_vout = 2.75;
+  unit.measure_failures = 0x11;
+  EXPECT_EQ(Hex(campaign::EncodeCharacterizationUnitRecord(5, unit)),
+      "0605000000000000000200000001000000ec51b81e85ebe13fc3f5285c8fc2d5"
+      "3ffa7e6abc7493883f000000000000f0bf7b14ae47e17a0a40f6285c8fc2f508"
+      "403333333333330b4033333333333307400100010000000000000a4000000000"
+      "0000064011000000");
+
+  EXPECT_EQ(campaign::CampaignFingerprint(core::ScreeningOptions(),
+                                          {SampleOutcome().defect}),
+            8842772049916166819ull);
+
+  const std::string path = TempPath("pinned_header.campaign");
+  campaign::StoreHeader header;
+  header.fingerprint = 0xDEADBEEFCAFEF00Dull;
+  header.shard_index = 1;
+  header.shard_count = 4;
+  header.total_units = 99;
+  auto writer = campaign::StoreWriter::Create(path, header);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE(writer->AppendRecord("xyz").ok());
+  ASSERT_TRUE(writer->Close().ok());
+  auto bytes = util::ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(Hex(*bytes),
+      "434d4c43414d5031010000000df0fecaefbeadde010000000400000063000000"
+      "000000000e3c5da80300000067ba8eeb78797a");
+  std::remove(path.c_str());
+}
+
 TEST(Screening, UniverseIsStableAndMatchesDirectRun) {
   const auto a = core::ScreeningUniverse(QuickOptions());
   const auto b = core::ScreeningUniverse(QuickOptions());
@@ -347,6 +471,29 @@ TEST(Store, HeaderCorruptionIsAHardError) {
   EXPECT_FALSE(campaign::ScanStore(path).ok());
 
   EXPECT_FALSE(campaign::ScanStore(TempPath("nonexistent.campaign")).ok());
+  std::remove(path.c_str());
+}
+
+// The store and the wire share one frame rule: a length of 1..bound. A
+// zero-length frame is refused on the wire and ends a store's valid prefix.
+TEST(Frame, ZeroLengthFrameIsRefusedOnTheWireAndInTheStore) {
+  const std::string empty_frame(8, '\0');  // length 0, CRC-32 of nothing
+  std::string buffer = empty_frame;
+  std::string payload;
+  EXPECT_FALSE(service::ExtractFrame(buffer, &payload).ok());
+
+  const std::string path = TempPath("zero_frame.campaign");
+  const auto payloads = WriteTestStore(path, 1);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f << empty_frame << service::Frame(payloads[0]);
+  }
+  auto scan = campaign::ScanStore(path);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->records.size(), 1u);
+  EXPECT_TRUE(scan->torn_tail);
+  EXPECT_EQ(scan->valid_bytes,
+            campaign::kStoreHeaderBytes + 8 + payloads[0].size());
   std::remove(path.c_str());
 }
 

@@ -337,6 +337,26 @@ TEST(Golden, BenchPerfRegressionBeyondToleranceFails) {
   EXPECT_TRUE(CompareGbenchPerf(run, base, 0.25, kGatedFamilies).ok());
 }
 
+// The gate reruns each row three times and compares their median with the
+// baseline's, itself the median of its repetitions.
+TEST(Golden, BenchPerfOneSlowRepetitionOfThreePasses) {
+  const Json base = GbenchPerf({{"BM_TransientFastPath/0", 100.0}});
+  const Json run = GbenchPerf({{"BM_TransientFastPath/0", 140.0},
+                              {"BM_TransientFastPath/0", 100.0},
+                              {"BM_TransientFastPath/0", 105.0}});
+  const GoldenDiff d = CompareGbenchPerf(run, base, 0.20, kGatedFamilies);
+  EXPECT_TRUE(d.ok()) << d.Summary();
+  EXPECT_EQ(d.values_compared, 1);
+}
+
+TEST(Golden, BenchPerfTwoSlowRepetitionsOfThreeFail) {
+  const Json base = GbenchPerf({{"BM_TransientFastPath/0", 100.0}});
+  const Json run = GbenchPerf({{"BM_TransientFastPath/0", 90.0},
+                              {"BM_TransientFastPath/0", 125.0},
+                              {"BM_TransientFastPath/0", 130.0}});
+  EXPECT_FALSE(CompareGbenchPerf(run, base, 0.20, kGatedFamilies).ok());
+}
+
 TEST(Golden, BenchPerfIgnoresUngatedFamilies) {
   // A 10x regression outside the gated families is not this gate's
   // business (the structural --gbench check still pins the name list).

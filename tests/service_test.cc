@@ -143,6 +143,84 @@ TEST(ServiceProtocol, ExtractFrameIsIncrementalAndChecksCrc) {
   EXPECT_FALSE(service::ExtractFrame(oversized, &payload).ok());
 }
 
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+// The wire format pinned: one fixed instance of every message type, and
+// one frame, against the bytes the protocol has always produced.
+TEST(ServiceProtocol, EveryMessageKeepsItsBytes) {
+  using service::MessageType;
+  auto hex_of = [](service::Message msg) {
+    return Hex(service::EncodeMessage(msg));
+  };
+  service::Message m;
+  m.type = MessageType::kHello;
+  m.protocol_version = 1;
+  m.worker = "w-7";
+  EXPECT_EQ(hex_of(m), "010100000003000000772d37");
+
+  m = {};
+  m.type = MessageType::kHelloAck;
+  m.protocol_version = 1;
+  EXPECT_EQ(hex_of(m), "0201000000");
+
+  m = {};
+  m.type = MessageType::kWorkRequest;
+  EXPECT_EQ(hex_of(m), "03");
+
+  m = {};
+  m.type = MessageType::kGrant;
+  m.campaign_id = 7;
+  m.lease_id = 42;
+  m.preset = "pattern_quick";
+  m.fingerprint = 0xdeadbeefcafef00dULL;
+  m.lease_seconds = 12.5;
+  m.unit_ids = {0, 3, 1u << 20};
+  EXPECT_EQ(hex_of(m),
+            "0407000000000000002a000000000000000d0000007061747465726e5f717569"
+            "636b0df0fecaefbeadde00000000000029400300000000000000000000000300"
+            "0000000000000000100000000000");
+
+  m = {};
+  m.type = MessageType::kWait;
+  m.retry_ms = 250;
+  EXPECT_EQ(hex_of(m), "05fa000000");
+
+  m = {};
+  m.type = MessageType::kIdle;
+  EXPECT_EQ(hex_of(m), "06");
+
+  m = {};
+  m.type = MessageType::kRecords;
+  m.campaign_id = 3;
+  m.lease_id = 9;
+  m.records = {"alpha", std::string("\x00\x01\xff", 3)};
+  EXPECT_EQ(hex_of(m),
+            "07030000000000000009000000000000000200000005000000616c7068610300"
+            "00000001ff");
+
+  m = {};
+  m.type = MessageType::kAck;
+  m.campaign_id = 3;
+  m.accepted = true;
+  m.campaign_complete = false;
+  m.error = "nope";
+  EXPECT_EQ(hex_of(m), "0803000000000000000100040000006e6f7065");
+
+  m = {};
+  m.type = MessageType::kWait;
+  m.retry_ms = 250;
+  EXPECT_EQ(Hex(service::Frame(service::EncodeMessage(m))),
+            "05000000ae8e19e705fa000000");
+}
+
 // ------------------------------------------------------- lease table --
 
 TEST(ServiceLease, GrantsPendingChunksInOrderThenSteals) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -106,7 +107,8 @@ TEST(CampaignRunCli, UsageErrors) {
   EXPECT_EQ(RunTool(bin + store + " --preset nope").exit_code, 2);
   // Numeric flags take 1 to 9 decimal digits and name themselves when
   // they refuse a value.
-  for (const char* flag : {"--threads", "--fsync-batch"}) {
+  for (const char* flag :
+       {"--threads", "--fsync-batch", "--abort-after-bytes"}) {
     for (const char* bad : {"abc", "-3", "4x", "1234567890", "''"}) {
       const auto r = RunTool(bin + store + " " + flag + " " + bad);
       EXPECT_EQ(r.exit_code, 2) << flag << " " << bad;
@@ -120,6 +122,62 @@ TEST(CampaignRunCli, UsageErrors) {
     EXPECT_EQ(r.exit_code, 2) << gone;
     EXPECT_NE(r.stderr_text.find("unknown argument"), std::string::npos)
         << gone << ": " << r.stderr_text;
+  }
+}
+
+TEST(CampaignSchedulerCli, UsageErrors) {
+  // A state dir under a directory that does not exist: a value the tool
+  // accepted would run into the state-dir failure (exit 1) before any
+  // listener binds, so exit 2 can only come from the flag itself.
+  const std::string base = std::string(SCHEDULER_BIN) +
+                           " --state-dir /nonexistent/cmldft/state --idle-exit";
+  EXPECT_EQ(RunTool(base + " --port 65535 --http-port 0 --lease-seconds 0.5"
+                           " --submit quick:-2:8 --retry-ms 0")
+                .exit_code,
+            1);
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"--port", "70000"},         {"--port", "abc"},
+      {"--http-port", "65536"},    {"--retry-ms", "abc"},
+      {"--retry-ms", "-1"},        {"--chunk-units", "4x"},
+      {"--fsync-batch", "-3"},     {"--abort-after-bytes", "1e3"},
+      {"--lease-seconds", "abc"},  {"--lease-seconds", "nan"},
+      {"--submit", "quick:x"},     {"--submit", "quick:1:-4"},
+      {"--submit", "quick:1:2:3"}, {"--submit", "quick:"}};
+  for (const auto& [flag, bad] : bad_values) {
+    const auto r = RunTool(base + " " + flag + " " + bad);
+    EXPECT_EQ(r.exit_code, 2) << flag << " " << bad;
+    EXPECT_NE(r.stderr_text.find(flag), std::string::npos)
+        << flag << " " << bad << ": " << r.stderr_text;
+  }
+}
+
+TEST(CampaignWorkerCli, UsageErrors) {
+  // An unreadable port file and a 1 ms give-up budget: a value the tool
+  // accepted would end in "scheduler unreachable" (exit 3) without any
+  // dial, so exit 2 can only come from the flag itself.
+  const std::string bin = WORKER_BIN;
+  const std::string base =
+      bin + " --port-file /nonexistent/cmldft/ports.json --give-up-ms 1";
+  EXPECT_EQ(RunTool(base + " --threads 2 --poll-ms 1").exit_code, 3);
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"--threads", "abc"},      {"--threads", "-2"},
+      {"--poll-ms", "5x"},       {"--give-up-ms", "1e3"},
+      {"--abort-on-grant", "''"}};
+  for (const auto& [flag, bad] : bad_values) {
+    const auto r = RunTool(base + " " + flag + " " + bad);
+    EXPECT_EQ(r.exit_code, 2) << flag << " " << bad;
+    EXPECT_NE(r.stderr_text.find(flag), std::string::npos)
+        << flag << " " << bad << ": " << r.stderr_text;
+  }
+  // --connect's port is read before the one-of check, so these never
+  // reach a dial either; the refusal quotes the bad value.
+  for (const char* bad : {"127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:x",
+                          "127.0.0.1"}) {
+    const auto r = RunTool(base + " --connect " + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.stderr_text.find(std::string("'") + bad + "'"),
+              std::string::npos)
+        << bad << ": " << r.stderr_text;
   }
 }
 

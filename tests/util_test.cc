@@ -9,7 +9,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
-#include "util/table.h"
 #include "util/units.h"
 
 namespace cmldft::util {
@@ -113,23 +112,6 @@ TEST(Strings, FormatEngineering) {
   EXPECT_EQ(FormatEngineering(4000.0), "4k");
   EXPECT_EQ(FormatEngineering(1e-11, "F"), "10pF");
   EXPECT_EQ(FormatEngineering(0.0), "0");
-}
-
-TEST(Table, AlignsColumnsAndCountsRows) {
-  Table t({"a", "bb"});
-  t.NewRow().Add("x").AddInt(42);
-  t.NewRow().Add("longer").AddF("%.1f", 3.14159);
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.cell(1, 1), "3.1");
-  const std::string s = t.ToString();
-  EXPECT_NE(s.find("longer"), std::string::npos);
-  EXPECT_NE(s.find("42"), std::string::npos);
-}
-
-TEST(Table, CsvEscapes) {
-  Table t({"h"});
-  t.NewRow().Add("a,b\"c");
-  EXPECT_EQ(t.ToCsv(), "h\n\"a,b\"\"c\"\n");
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

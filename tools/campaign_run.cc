@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--fsync-batch") {
       fsync_batch = count("--fsync-batch");
     } else if (arg == "--abort-after-bytes") {
-      abort_at_bytes = std::strtoull(next("--abort-after-bytes"), nullptr, 10);
+      abort_at_bytes = count("--abort-after-bytes");
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);

@@ -19,15 +19,21 @@
 // --abort-after-bytes SIGKILLs the daemon mid-append once a campaign
 // store reaches that size (crash injection for the durability drills).
 //
-// Exit codes: 0 = idle exit, 1 = fatal service error, 2 = usage error.
+// Exit codes: 0 = idle exit, 1 = fatal service error, 2 = usage error,
+// among them a number not read in full or out of range (a port above
+// 65535), refused before the state dir or a listener opens.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/json.h"
 #include "report/telemetry_json.h"
 #include "service/scheduler.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 using namespace cmldft;
@@ -47,27 +53,37 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+constexpr uint32_t kMaxPort = 65535;
+/// The largest number util::ParseU32 reads: 9 decimal digits.
+constexpr uint32_t kMaxCount = 999999999;
+
 struct SubmitSpec {
   std::string preset;
   int priority = 0;
   uint64_t chunk_units = 0;
 };
 
-SubmitSpec ParseSubmit(const std::string& arg) {
+/// PRESET[:PRIORITY[:CHUNK_UNITS]], every number read in full: PRIORITY
+/// may carry a '-'. Nullopt when a number is not one.
+std::optional<SubmitSpec> ParseSubmit(std::string_view arg) {
   SubmitSpec spec;
   const size_t c1 = arg.find(':');
-  if (c1 == std::string::npos) {
-    spec.preset = arg;
-    return spec;
+  spec.preset = std::string(arg.substr(0, c1));
+  if (c1 == std::string_view::npos) return spec;
+  const std::string_view rest = arg.substr(c1 + 1);
+  const size_t c2 = rest.find(':');
+  const std::string_view priority = rest.substr(0, c2);
+  const bool negative = !priority.empty() && priority[0] == '-';
+  uint32_t magnitude = 0;
+  if (!util::ParseU32(priority.substr(negative ? 1 : 0), &magnitude)) {
+    return std::nullopt;
   }
-  spec.preset = arg.substr(0, c1);
-  const size_t c2 = arg.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
-    spec.priority = std::atoi(arg.c_str() + c1 + 1);
-    return spec;
-  }
-  spec.priority = std::atoi(arg.substr(c1 + 1, c2 - c1 - 1).c_str());
-  spec.chunk_units = std::strtoull(arg.c_str() + c2 + 1, nullptr, 10);
+  spec.priority = negative ? -static_cast<int>(magnitude)
+                           : static_cast<int>(magnitude);
+  if (c2 == std::string_view::npos) return spec;
+  uint32_t chunk_units = 0;
+  if (!util::ParseU32(rest.substr(c2 + 1), &chunk_units)) return std::nullopt;
+  spec.chunk_units = chunk_units;
   return spec;
 }
 
@@ -88,31 +104,62 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Every number is read in full and in range; a bad one exits 2 naming
+    // its flag, before the state dir or a listener opens.
+    auto number = [&](const char* flag, uint32_t max) -> uint32_t {
+      const char* value = next(flag);
+      uint32_t v = 0;
+      if (!util::ParseU32(value, &v) || v > max) {
+        std::fprintf(stderr,
+                     "%s: %s takes a whole number of 0 to %u, not '%s'\n",
+                     argv[0], flag, max, value);
+        std::exit(2);
+      }
+      return v;
+    };
     if (arg == "--state-dir") {
       options.state_dir = next("--state-dir");
     } else if (arg == "--port") {
-      options.worker_port = static_cast<uint16_t>(std::atoi(next("--port")));
+      options.worker_port = static_cast<uint16_t>(number("--port", kMaxPort));
     } else if (arg == "--http-port") {
-      options.http_port = static_cast<uint16_t>(std::atoi(next("--http-port")));
+      options.http_port =
+          static_cast<uint16_t>(number("--http-port", kMaxPort));
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--lease-seconds") {
-      options.lease_seconds = std::atof(next("--lease-seconds"));
+      const char* value = next("--lease-seconds");
+      char* end = nullptr;
+      options.lease_seconds = std::strtod(value, &end);
+      if (end == value || *end != '\0' ||
+          !std::isfinite(options.lease_seconds)) {
+        std::fprintf(stderr, "%s: --lease-seconds takes a number, not '%s'\n",
+                     argv[0], value);
+        return 2;
+      }
     } else if (arg == "--chunk-units") {
-      options.chunk_units = std::strtoull(next("--chunk-units"), nullptr, 10);
+      options.chunk_units = number("--chunk-units", kMaxCount);
     } else if (arg == "--retry-ms") {
-      options.retry_ms = static_cast<uint32_t>(std::atoi(next("--retry-ms")));
+      options.retry_ms = number("--retry-ms", kMaxCount);
     } else if (arg == "--fsync-batch") {
-      options.fsync_batch = std::atoi(next("--fsync-batch"));
+      options.fsync_batch =
+          static_cast<int>(number("--fsync-batch", kMaxCount));
     } else if (arg == "--submit") {
-      submits.push_back(ParseSubmit(next("--submit")));
+      const char* value = next("--submit");
+      const auto spec = ParseSubmit(value);
+      if (!spec) {
+        std::fprintf(stderr,
+                     "%s: --submit takes PRESET[:PRIORITY[:CHUNK_UNITS]] with "
+                     "whole numbers, not '%s'\n",
+                     argv[0], value);
+        return 2;
+      }
+      submits.push_back(*spec);
     } else if (arg == "--idle-exit") {
       options.idle_exit = true;
     } else if (arg == "--telemetry") {
       telemetry_path = next("--telemetry");
     } else if (arg == "--abort-after-bytes") {
-      options.abort_at_bytes =
-          std::strtoull(next("--abort-after-bytes"), nullptr, 10);
+      options.abort_at_bytes = number("--abort-after-bytes", kMaxCount);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);

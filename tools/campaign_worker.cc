@@ -24,12 +24,14 @@
 // stays unreachable past the give-up budget as having idle-exited).
 //
 // Exit codes: 0 = idle exit, 1 = evaluation/protocol failure,
-// 2 = usage error, 3 = scheduler unreachable (without --exit-when-idle),
-// 4 = scheduler rejected a record batch.
+// 2 = usage error (among them a number not read in full or out of range,
+// refused before any dial), 3 = scheduler unreachable (without
+// --exit-when-idle), 4 = scheduler rejected a record batch.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 
@@ -39,6 +41,7 @@
 #include "service/protocol.h"
 #include "util/clock.h"
 #include "util/net.h"
+#include "util/strings.h"
 
 using namespace cmldft;
 
@@ -69,6 +72,8 @@ int main(int argc, char** argv) {
   int give_up_ms = 30000;
   bool exit_when_idle = false;
   long abort_on_grant = 0;
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -79,22 +84,48 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Every number is read in full and in range; a bad one exits 2 naming
+    // its flag, before any connection is dialed.
+    auto number = [&](const char* flag) -> int {
+      const char* value = next(flag);
+      uint32_t v = 0;
+      if (!util::ParseU32(value, &v)) {
+        std::fprintf(stderr, "%s: %s takes 1 to 9 decimal digits, not '%s'\n",
+                     argv[0], flag, value);
+        std::exit(2);
+      }
+      return static_cast<int>(v);
+    };
     if (arg == "--connect") {
       connect_spec = next("--connect");
+      const size_t colon = connect_spec.rfind(':');
+      uint32_t p = 0;
+      if (colon == std::string::npos ||
+          !util::ParseU32(std::string_view(connect_spec).substr(colon + 1),
+                          &p) ||
+          p == 0 || p > 65535) {
+        std::fprintf(stderr,
+                     "%s: --connect wants HOST:PORT with a port of 1 to "
+                     "65535, not '%s'\n",
+                     argv[0], connect_spec.c_str());
+        return 2;
+      }
+      host = connect_spec.substr(0, colon);
+      port = static_cast<uint16_t>(p);
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--threads") {
-      threads = std::atoi(next("--threads"));
+      threads = number("--threads");
     } else if (arg == "--name") {
       name = next("--name");
     } else if (arg == "--poll-ms") {
-      poll_ms = std::atoi(next("--poll-ms"));
+      poll_ms = number("--poll-ms");
     } else if (arg == "--give-up-ms") {
-      give_up_ms = std::atoi(next("--give-up-ms"));
+      give_up_ms = number("--give-up-ms");
     } else if (arg == "--exit-when-idle") {
       exit_when_idle = true;
     } else if (arg == "--abort-on-grant") {
-      abort_on_grant = std::atol(next("--abort-on-grant"));
+      abort_on_grant = number("--abort-on-grant");
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);
@@ -106,18 +137,6 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
   if (poll_ms < 1) poll_ms = 1;
-
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-  if (!connect_spec.empty()) {
-    const size_t colon = connect_spec.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "%s: --connect wants HOST:PORT\n", argv[0]);
-      return 2;
-    }
-    host = connect_spec.substr(0, colon);
-    port = static_cast<uint16_t>(std::atoi(connect_spec.c_str() + colon + 1));
-  }
 
   long grants_received = 0;
   double unreachable_since = -1;  // monotonic; <0 = currently reachable
