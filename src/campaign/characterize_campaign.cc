@@ -58,29 +58,6 @@ util::Status ValidateConfig(const core::CharacterizationConfig& config) {
   return util::Status::Ok();
 }
 
-class CharacterizationPlan : public PayloadPlan {
- public:
-  explicit CharacterizationPlan(core::CharacterizationConfig config)
-      : PayloadPlan(kCharacterizationPayload,
-                    core::CharacterizationFingerprint(config),
-                    config.unit_count()),
-        config_(std::move(config)) {}
-
-  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
-                       const Emit& emit) const override {
-    return ExecuteEachUnit(
-        EncodeCharacterizationSuiteRecord(config_), ids, threads, emit,
-        [this](uint64_t id) -> util::StatusOr<std::string> {
-          auto unit = core::EvaluateCharacterizationUnit(config_, id);
-          if (!unit.ok()) return unit.status();
-          return EncodeCharacterizationUnitRecord(id, *unit);
-        });
-  }
-
- private:
-  core::CharacterizationConfig config_;
-};
-
 util::StatusOr<std::unique_ptr<const PayloadPlan>> PresetPlan(
     std::string_view preset) {
   auto config = CharacterizationPreset(preset);
@@ -225,8 +202,17 @@ util::StatusOr<core::CharacterizationConfig> CharacterizationPreset(
 util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeCharacterizationPlan(
     const core::CharacterizationConfig& config) {
   CMLDFT_RETURN_IF_ERROR(ValidateConfig(config));
-  return std::unique_ptr<const PayloadPlan>(
-      std::make_unique<CharacterizationPlan>(config));
+  return std::make_unique<const PayloadPlan>(
+      kCharacterizationPayload, core::CharacterizationFingerprint(config),
+      config.unit_count(), [config]() -> util::StatusOr<PreparedPayload> {
+        return PreparedPayload{
+            EncodeCharacterizationSuiteRecord(config),
+            [config](uint64_t id) -> util::StatusOr<std::string> {
+              auto unit = core::EvaluateCharacterizationUnit(config, id);
+              if (!unit.ok()) return unit.status();
+              return EncodeCharacterizationUnitRecord(id, *unit);
+            }};
+      });
 }
 
 util::StatusOr<CharacterizationMergeResult> DecodeCharacterizationCampaign(

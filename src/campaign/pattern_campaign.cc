@@ -51,28 +51,6 @@ util::Status ValidateSweep(const testgen::PatternSweepConfig& sweep) {
   return util::Status::Ok();
 }
 
-class PatternPlan : public PayloadPlan {
- public:
-  explicit PatternPlan(testgen::PatternSweepConfig sweep)
-      : PayloadPlan(kPatternPayload, testgen::SweepFingerprint(sweep),
-                    sweep.unit_count()),
-        sweep_(std::move(sweep)) {}
-
-  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
-                       const Emit& emit) const override {
-    return ExecuteEachUnit(
-        EncodePatternSuiteRecord(sweep_), ids, threads, emit,
-        [this](uint64_t id) -> util::StatusOr<std::string> {
-          auto unit = testgen::EvaluateSweepUnit(sweep_, id);
-          if (!unit.ok()) return unit.status();
-          return EncodePatternUnitRecord(id, *unit);
-        });
-  }
-
- private:
-  testgen::PatternSweepConfig sweep_;
-};
-
 util::StatusOr<std::unique_ptr<const PayloadPlan>> PresetPlan(
     std::string_view preset) {
   auto sweep = PatternSweepPreset(preset);
@@ -205,8 +183,17 @@ util::StatusOr<testgen::PatternSweepConfig> PatternSweepPreset(
 util::StatusOr<std::unique_ptr<const PayloadPlan>> MakePatternPlan(
     const testgen::PatternSweepConfig& sweep) {
   CMLDFT_RETURN_IF_ERROR(ValidateSweep(sweep));
-  return std::unique_ptr<const PayloadPlan>(
-      std::make_unique<PatternPlan>(sweep));
+  return std::make_unique<const PayloadPlan>(
+      kPatternPayload, testgen::SweepFingerprint(sweep), sweep.unit_count(),
+      [sweep]() -> util::StatusOr<PreparedPayload> {
+        return PreparedPayload{
+            EncodePatternSuiteRecord(sweep),
+            [sweep](uint64_t id) -> util::StatusOr<std::string> {
+              auto unit = testgen::EvaluateSweepUnit(sweep, id);
+              if (!unit.ok()) return unit.status();
+              return EncodePatternUnitRecord(id, *unit);
+            }};
+      });
 }
 
 util::StatusOr<PatternCampaignResult> DecodePatternCampaign(

@@ -19,13 +19,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/codec.h"
-#include "util/parallel.h"
 #include "util/status.h"
 
 namespace cmldft::report {
@@ -84,59 +85,52 @@ struct Payload {
 /// serialized by Execute; an error stops the execution.
 using Emit = std::function<util::Status(std::string record)>;
 
+/// What a plan prepares once before it evaluates any unit: the singleton
+/// record, and the function that evaluates one unit (an id below
+/// total_units()) into its encoded record. `unit` is called from worker
+/// threads at once.
+struct PreparedPayload {
+  std::string singleton;
+  std::function<util::StatusOr<std::string>(uint64_t id)> unit;
+};
+
 /// A payload bound to one configuration: its store fingerprint, its
 /// universe size and the evaluation of any subset of its units.
 class PayloadPlan {
  public:
+  using Prepare = std::function<util::StatusOr<PreparedPayload>()>;
+
   PayloadPlan(const Payload& payload, uint64_t fingerprint,
-              uint64_t total_units)
+              uint64_t total_units, Prepare prepare)
       : payload_(payload), fingerprint_(fingerprint),
-        total_units_(total_units) {}
+        total_units_(total_units), prepare_(std::move(prepare)) {}
   PayloadPlan(const PayloadPlan&) = delete;
   PayloadPlan& operator=(const PayloadPlan&) = delete;
-  virtual ~PayloadPlan() = default;
 
   const Payload& payload() const { return payload_; }
   uint64_t fingerprint() const { return fingerprint_; }
   uint64_t total_units() const { return total_units_; }
 
-  /// Evaluates `ids` (ascending, each < total_units()) on `threads`
-  /// workers (0 = auto, util/parallel.h). Emits the singleton record
-  /// first, then one unit record per id in completion order. Each unit is
-  /// bit-identical to the same unit of a monolithic serial run.
-  virtual util::Status Execute(const std::vector<uint64_t>& ids, int threads,
-                               const Emit& emit) const = 0;
+  /// Evaluates `ids` (each < total_units()) on `threads` workers (0 =
+  /// auto, util/parallel.h). Emits the singleton record first, then one
+  /// unit record per id in completion order, and stops at the first
+  /// error. Each unit is bit-identical to the same unit of a monolithic
+  /// serial run. The first call runs `prepare` (for screening, the
+  /// fault-free reference); every later call reuses what it returned, so
+  /// building a plan simulates nothing. Defined in runner.cc, with its
+  /// callers: a bench that links a payload file for its preset alone links
+  /// neither the run loop nor the registry, nor their metrics.
+  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
+                       const Emit& emit) const;
 
  private:
   const Payload& payload_;
   uint64_t fingerprint_;
   uint64_t total_units_;
+  Prepare prepare_;
+  mutable std::once_flag prepared_once_;
+  mutable std::optional<util::StatusOr<PreparedPayload>> prepared_;
 };
-
-/// Execute for payloads whose units are independent functions of their
-/// id: `eval(id)` returns the encoded unit record.
-template <typename EvalFn>
-util::Status ExecuteEachUnit(const std::string& singleton,
-                             const std::vector<uint64_t>& ids, int threads,
-                             const Emit& emit, EvalFn eval) {
-  CMLDFT_RETURN_IF_ERROR(emit(singleton));
-  std::mutex mu;
-  util::Status first_error = util::Status::Ok();
-  util::ParallelFor(
-      ids.size(),
-      [&](size_t i) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!first_error.ok()) return;
-        }
-        util::StatusOr<std::string> record = eval(ids[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error.ok()) return;
-        first_error = record.ok() ? emit(std::move(*record)) : record.status();
-      },
-      threads);
-  return first_error;
-}
 
 /// The one refusal of records that belong to another payload (`found`
 /// names it, as PayloadNameOf does).

@@ -1,9 +1,11 @@
 #include "campaign/runner.h"
 
+#include <mutex>
 #include <utility>
 
 #include "campaign/progress.h"
 #include "campaign/store.h"
+#include "util/parallel.h"
 
 namespace cmldft::campaign {
 
@@ -16,6 +18,30 @@ namespace {
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const CampaignMetrics& kEagerRegistration = Metrics();
 }  // namespace
+
+util::Status PayloadPlan::Execute(const std::vector<uint64_t>& ids,
+                                  int threads, const Emit& emit) const {
+  std::call_once(prepared_once_, [this] { prepared_.emplace(prepare_()); });
+  if (!prepared_->ok()) return prepared_->status();
+  const PreparedPayload& prepared = **prepared_;
+  CMLDFT_RETURN_IF_ERROR(emit(prepared.singleton));
+  std::mutex mu;
+  util::Status first_error = util::Status::Ok();
+  util::ParallelFor(
+      ids.size(),
+      [&](size_t i) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!first_error.ok()) return;
+        }
+        util::StatusOr<std::string> record = prepared.unit(ids[i]);
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first_error.ok()) return;
+        first_error = record.ok() ? emit(std::move(*record)) : record.status();
+      },
+      threads);
+  return first_error;
+}
 
 util::StatusOr<CampaignRunStats> RunCampaign(const PayloadPlan& plan,
                                              int threads,

@@ -1,12 +1,10 @@
 #include "campaign/screening_campaign.h"
 
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "campaign/merge.h"
 #include "campaign/runner.h"
-#include "campaign/work.h"
 #include "report/report.h"
 
 namespace cmldft::campaign {
@@ -14,48 +12,6 @@ namespace cmldft::campaign {
 namespace {
 
 constexpr std::string_view kPresets[] = {"coverage_comparison", "quick"};
-
-/// Encodes ScreenBufferChain's results as store records, one emit at a
-/// time.
-class EmitSink : public Sink {
- public:
-  explicit EmitSink(const campaign::Emit& emit) : emit_(emit) {}
-
-  util::Status EmitReference(const core::ScreeningReport& reference) override {
-    std::string record = EncodeReferenceRecord(reference);
-    std::lock_guard<std::mutex> lock(mu_);
-    return emit_(std::move(record));
-  }
-
-  util::Status Emit(uint64_t id, const core::DefectOutcome& outcome) override {
-    std::string record = EncodeOutcomeRecord(id, outcome);
-    std::lock_guard<std::mutex> lock(mu_);
-    return emit_(std::move(record));
-  }
-
- private:
-  std::mutex mu_;
-  const campaign::Emit& emit_;
-};
-
-class ScreeningPlan : public PayloadPlan {
- public:
-  ScreeningPlan(core::ScreeningOptions options, uint64_t fingerprint,
-                uint64_t total_units)
-      : PayloadPlan(kScreeningPayload, fingerprint, total_units),
-        options_(std::move(options)) {}
-
-  util::Status Execute(const std::vector<uint64_t>& ids, int threads,
-                       const campaign::Emit& emit) const override {
-    core::ScreeningOptions options = options_;
-    options.threads = threads;
-    EmitSink sink(emit);
-    return core::ScreenBufferChain(options, &ids, &sink).status();
-  }
-
- private:
-  core::ScreeningOptions options_;
-};
 
 util::StatusOr<std::unique_ptr<const PayloadPlan>> PresetPlan(
     std::string_view preset) {
@@ -146,8 +102,20 @@ util::StatusOr<std::unique_ptr<const PayloadPlan>> MakeScreeningPlan(
     const core::ScreeningOptions& options) {
   const std::vector<defects::Defect> universe =
       core::ScreeningUniverse(options);
-  return std::unique_ptr<const PayloadPlan>(std::make_unique<ScreeningPlan>(
-      options, CampaignFingerprint(options, universe), universe.size()));
+  return std::make_unique<const PayloadPlan>(
+      kScreeningPayload, CampaignFingerprint(options, universe),
+      universe.size(), [options]() -> util::StatusOr<PreparedPayload> {
+        auto screening = core::PreparedScreening::Prepare(options);
+        if (!screening.ok()) return screening.status();
+        return PreparedPayload{
+            EncodeReferenceRecord(screening->reference()),
+            [screening = *screening](
+                uint64_t id) -> util::StatusOr<std::string> {
+              auto outcome = screening.ScreenDefect(id);
+              if (!outcome.ok()) return outcome.status();
+              return EncodeOutcomeRecord(id, *outcome);
+            }};
+      });
 }
 
 util::StatusOr<core::ScreeningReport> DecodeScreeningCampaign(

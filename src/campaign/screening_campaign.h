@@ -3,7 +3,8 @@
 //
 // A unit is one defect — its index in the stable enumeration order of
 // core::ScreeningUniverse. The singleton record is the fault-free
-// reference measurement (codec.h), simulated by every shard: it holds
+// reference measurement (codec.h), simulated once by each plan that runs
+// units (every shard, every worker), on its first Execute: it holds
 // measurements, not the configuration, so the fingerprint
 // (CampaignFingerprint over the options and the whole universe) is what
 // pins a store to its configuration, and the byte-equal reference on

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
-#include "campaign/work.h"
 #include "cml/builder.h"
 #include "sim/dc.h"
 #include "sim/transient.h"
@@ -27,8 +27,11 @@ struct Instrumented {
   DiffPort input;
   std::vector<DiffPort> stage_outs;
   std::vector<std::string> detector_vouts;
+  std::vector<defects::Defect> universe;
 };
 
+/// The chain with a variant-2 detector on every stage, and its defect
+/// universe in stable order (unit id = index).
 Instrumented BuildInstrumentedChain(const ScreeningOptions& opt) {
   Instrumented out;
   CmlTechnology tech;
@@ -40,6 +43,11 @@ Instrumented BuildInstrumentedChain(const ScreeningOptions& opt) {
     out.detector_vouts.push_back(det.AttachVariant2(
         util::StrPrintf("det%d", i), out.stage_outs[static_cast<size_t>(i)]));
   }
+  // Enumerate over the *uninstrumented* device set: detectors and the
+  // fault-injection artifacts are excluded.
+  defects::EnumerationOptions eopt = opt.enumeration;
+  eopt.exclude_prefixes.push_back("det");
+  out.universe = defects::EnumerateDefects(out.nl, eopt);
   return out;
 }
 
@@ -186,143 +194,149 @@ double ScreeningReport::CombinedCoverage() const {
 }
 
 std::vector<defects::Defect> ScreeningUniverse(const ScreeningOptions& options) {
-  Instrumented circ = BuildInstrumentedChain(options);
-  // Enumerate over the *uninstrumented* device set: detectors and the
-  // fault-injection artifacts are excluded.
-  defects::EnumerationOptions eopt = options.enumeration;
-  eopt.exclude_prefixes.push_back("det");
-  return defects::EnumerateDefects(circ.nl, eopt);
+  return BuildInstrumentedChain(options).universe;
 }
 
-util::StatusOr<ScreeningReport> ScreenBufferChain(
-    const ScreeningOptions& options, const std::vector<uint64_t>* ids,
-    campaign::Sink* sink) {
+struct PreparedScreening::State {
+  ScreeningOptions options;
+  CmlTechnology tech;
+  Instrumented circ;  // in test mode
+  sim::TransientOptions topts;
+  Measured ref;
+  ScreeningReport reference;
+
+  Measured Measure(const sim::TransientResult& tr) const {
+    return MeasureRun(tr, circ, tech, options.sim_time * 0.5, options.sim_time);
+  }
+};
+
+util::StatusOr<PreparedScreening> PreparedScreening::Prepare(
+    const ScreeningOptions& options) {
   const ScreeningMetrics& metrics = Metrics();
   metrics.campaigns.Increment();
-  util::telemetry::ScopedTimer campaign_span(metrics.wall);
-  CmlTechnology tech;
-  Instrumented circ = BuildInstrumentedChain(options);
-  CMLDFT_RETURN_IF_ERROR(SetTestMode(circ.nl, /*test_mode=*/true,
+  auto state = std::make_shared<State>();
+  state->options = options;
+  state->circ = BuildInstrumentedChain(options);
+  CMLDFT_RETURN_IF_ERROR(SetTestMode(state->circ.nl, /*test_mode=*/true,
                                      options.detector.vtest_test_mode,
-                                     tech.vgnd));
-
-  sim::TransientOptions topts;
-  topts.tstop = options.sim_time;
-  const double t0 = options.sim_time * 0.5;
-  const double t1 = options.sim_time;
+                                     state->tech.vgnd));
+  state->topts.tstop = options.sim_time;
 
   util::StatusOr<sim::TransientResult> ref_run = [&] {
     util::telemetry::ScopedTimer ref_span(metrics.reference_wall);
-    return sim::RunTransient(circ.nl, topts);
+    return sim::RunTransient(state->circ.nl, state->topts);
   }();
   if (!ref_run.ok()) {
     return util::Status::Internal("fault-free reference failed to simulate: " +
                                   ref_run.status().message());
   }
-  const Measured ref = MeasureRun(*ref_run, circ, tech, t0, t1);
-
-  // Enumerate over the *uninstrumented* device set: detectors and the
-  // fault-injection artifacts are excluded.
-  defects::EnumerationOptions eopt = options.enumeration;
-  eopt.exclude_prefixes.push_back("det");
-  const std::vector<defects::Defect> universe =
-      defects::EnumerateDefects(circ.nl, eopt);
-
-  // Campaign seams: `ids` narrows the universe to this process's
-  // shard/resume subset; the sink makes each outcome durable as it lands.
-  // Unit ids are indices into the stable enumeration order above.
-  std::vector<uint64_t> all;
-  if (ids == nullptr) {
-    all.resize(universe.size());
-    for (uint64_t id = 0; id < universe.size(); ++id) all[id] = id;
-    ids = &all;
-  }
-  for (uint64_t id : *ids) {
-    if (id >= universe.size()) {
-      return util::Status::FailedPrecondition(
-          "unit " + std::to_string(id) + " outside the enumerated universe of " +
-          std::to_string(universe.size()) +
-          " defects — planned against a different universe");
-    }
-  }
-  const std::vector<uint64_t>& selected = *ids;
-
-  ScreeningReport report;
+  state->ref = state->Measure(*ref_run);
+  const Measured& ref = state->ref;
+  ScreeningReport& report = state->reference;
   report.nominal_swing = ref.primary_swing;
   report.reference_delay = ref.median_delay;
   report.reference_detector_vout = ref.min_detector_vout;
   report.reference_supply_current = ref.supply_current;
   report.reference_detector_vouts = ref.detector_vouts;
+  return PreparedScreening(std::move(state));
+}
 
+const ScreeningReport& PreparedScreening::reference() const {
+  return state_->reference;
+}
+
+uint64_t PreparedScreening::universe_size() const {
+  return state_->circ.universe.size();
+}
+
+util::StatusOr<DefectOutcome> PreparedScreening::ScreenDefect(
+    uint64_t id) const {
+  const State& s = *state_;
+  const ScreeningOptions& options = s.options;
+  const Measured& ref = s.ref;
+  if (id >= s.circ.universe.size()) {
+    return util::Status::FailedPrecondition(
+        "unit " + std::to_string(id) + " outside the enumerated universe of " +
+        std::to_string(s.circ.universe.size()) +
+        " defects — planned against a different universe");
+  }
+  const ScreeningMetrics& metrics = Metrics();
+  const auto start = std::chrono::steady_clock::now();
+  DefectOutcome outcome;
+  outcome.defect = s.circ.universe[static_cast<size_t>(id)];
+  auto faulty = defects::WithDefect(s.circ.nl, outcome.defect);
+  if (!faulty.ok()) return faulty.status();
+  auto run = sim::RunTransient(*faulty, s.topts);
+  if (run.ok()) {
+    outcome.converged = true;
+    const Measured m = s.Measure(*run);
+    outcome.logic_fail =
+        !m.toggling ||
+        m.primary_swing < options.logic_swing_fraction * ref.primary_swing ||
+        m.num_crossings * 2 < ref.num_crossings;
+    outcome.delay_fail = !outcome.logic_fail &&
+                         std::fabs(m.median_delay - ref.median_delay) >
+                             options.delay_threshold;
+    outcome.iddq_fail = std::fabs(m.supply_current - ref.supply_current) >
+                        options.iddq_fraction * ref.supply_current;
+    outcome.supply_current = m.supply_current;
+    outcome.amplitude_detected =
+        m.min_detector_vout < ref.min_detector_vout - options.detector_drop;
+    outcome.max_gate_amplitude = m.max_gate_amplitude;
+    outcome.min_detector_vout = m.min_detector_vout;
+    outcome.detector_vouts = m.detector_vouts;
+  } else {
+    // Never drop a failed run on the floor: keep the solver error, and
+    // probe the DC operating point to split "the defect destroyed the
+    // bias" (catastrophic, a real detection) from "the transient stalled"
+    // (unresolved, a simulator artifact that must not be credited as
+    // coverage).
+    outcome.error = run.status().ToString();
+    outcome.no_bias_point = !sim::SolveDc(*faulty, s.topts.dc).ok();
+    if (!outcome.no_bias_point) metrics.unresolved.Increment();
+  }
+  const auto c = static_cast<size_t>(outcome.Classify());
+  metrics.defects_screened.Increment();
+  metrics.class_counts[c].Increment();
+  metrics.class_wall[c].RecordSeconds(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  return outcome;
+}
+
+util::StatusOr<ScreeningReport> ScreenBufferChain(
+    const ScreeningOptions& options, const std::vector<uint64_t>* ids,
+    ScreeningSink* sink) {
+  util::telemetry::ScopedTimer campaign_span(Metrics().wall);
+  auto screening = PreparedScreening::Prepare(options);
+  if (!screening.ok()) return screening.status();
+  ScreeningReport report = screening->reference();
   if (sink != nullptr) {
     CMLDFT_RETURN_IF_ERROR(sink->EmitReference(report));
   }
-
-  // Defect runs are embarrassingly parallel: each one copies the netlist,
-  // injects its defect, and simulates a private MnaSystem. The shared
-  // inputs (circ, ref, options) are read-only, and every worker writes
-  // only its own outcome slot, so the sweep is deterministic for any
+  std::vector<uint64_t> all;
+  if (ids == nullptr) {
+    all.resize(screening->universe_size());
+    std::iota(all.begin(), all.end(), uint64_t{0});
+    ids = &all;
+  }
+  // Defect runs are embarrassingly parallel, and every worker writes only
+  // its own outcome and error slots, so the sweep is deterministic for any
   // thread count.
-  std::vector<util::Status> inject_errors(selected.size(), util::Status::Ok());
-  std::vector<util::Status> sink_errors(selected.size(), util::Status::Ok());
+  std::vector<util::Status> errors(ids->size(), util::Status::Ok());
   report.outcomes = util::ParallelMap<DefectOutcome>(
-      selected.size(),
-      [&](size_t d) {
-        const auto start = std::chrono::steady_clock::now();
-        const uint64_t unit_id = selected[d];
-        DefectOutcome outcome;
-        outcome.defect = universe[static_cast<size_t>(unit_id)];
-        auto faulty = defects::WithDefect(circ.nl, outcome.defect);
-        if (!faulty.ok()) {
-          inject_errors[d] = faulty.status();
-          return outcome;
+      ids->size(),
+      [&](size_t i) {
+        auto outcome = screening->ScreenDefect((*ids)[i]);
+        if (!outcome.ok()) {
+          errors[i] = outcome.status();
+          return DefectOutcome{};
         }
-        auto run = sim::RunTransient(*faulty, topts);
-        if (run.ok()) {
-          outcome.converged = true;
-          const Measured m = MeasureRun(*run, circ, tech, t0, t1);
-          outcome.logic_fail =
-              !m.toggling ||
-              m.primary_swing < options.logic_swing_fraction * ref.primary_swing ||
-              m.num_crossings * 2 < ref.num_crossings;
-          outcome.delay_fail = !outcome.logic_fail &&
-                               std::fabs(m.median_delay - ref.median_delay) >
-                                   options.delay_threshold;
-          outcome.iddq_fail = std::fabs(m.supply_current - ref.supply_current) >
-                              options.iddq_fraction * ref.supply_current;
-          outcome.supply_current = m.supply_current;
-          outcome.amplitude_detected =
-              m.min_detector_vout < ref.min_detector_vout - options.detector_drop;
-          outcome.max_gate_amplitude = m.max_gate_amplitude;
-          outcome.min_detector_vout = m.min_detector_vout;
-          outcome.detector_vouts = m.detector_vouts;
-        } else {
-          // Never drop a failed run on the floor: keep the solver error, and
-          // probe the DC operating point to split "the defect destroyed the
-          // bias" (catastrophic, a real detection) from "the transient
-          // stalled" (unresolved, a simulator artifact that must not be
-          // credited as coverage).
-          outcome.error = run.status().ToString();
-          outcome.no_bias_point = !sim::SolveDc(*faulty, topts.dc).ok();
-          if (!outcome.no_bias_point) metrics.unresolved.Increment();
-        }
-        const auto c = static_cast<size_t>(outcome.Classify());
-        metrics.defects_screened.Increment();
-        metrics.class_counts[c].Increment();
-        metrics.class_wall[c].RecordSeconds(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count());
-        if (sink != nullptr) sink_errors[d] = sink->Emit(unit_id, outcome);
-        return outcome;
+        if (sink != nullptr) errors[i] = sink->Emit((*ids)[i], *outcome);
+        return std::move(*outcome);
       },
       options.threads);
-  for (const util::Status& st : inject_errors) {
-    if (!st.ok()) return st;
-  }
-  for (const util::Status& st : sink_errors) {
-    if (!st.ok()) return st;
-  }
+  for (const util::Status& st : errors) CMLDFT_RETURN_IF_ERROR(st);
   return report;
 }
 

@@ -7,17 +7,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
 #include "defects/defect.h"
 #include "sim/options.h"
 #include "util/status.h"
-
-namespace cmldft::campaign {
-class Sink;
-}  // namespace cmldft::campaign
 
 namespace cmldft::core {
 
@@ -109,20 +107,56 @@ struct ScreeningReport {
   double CombinedCoverage() const;
 };
 
-/// Screen the defect universe of an instrumented buffer chain.
-///
-/// By default the whole universe runs in-process and the returned report
-/// is the complete result. A campaign passes `ids`, the ascending unit ids
-/// (indices into ScreeningUniverse) this process runs, and `sink` to
-/// stream every outcome (and the fault-free reference) into a durable
-/// store as it completes; the returned report then holds only those units
-/// — the campaign merge stage reassembles the full, bit-identical report
-/// from the stores. Either pointer may be null independently; an id
-/// outside the universe is refused.
+/// Receives completed screening results. Implementations are internally
+/// synchronized: Emit is called from worker threads in completion order,
+/// which is nondeterministic, so durable consumers key by unit id.
+class ScreeningSink {
+ public:
+  virtual ~ScreeningSink() = default;
+  /// The fault-free reference measurements (report with empty outcomes).
+  /// Called once, before any Emit.
+  virtual util::Status EmitReference(const ScreeningReport& reference) = 0;
+  /// One completed unit. `id` indexes the stable universe ordering.
+  virtual util::Status Emit(uint64_t id, const DefectOutcome& outcome) = 0;
+};
+
+/// A screening prepared once: the instrumented chain in test mode, its
+/// fault-free reference and its defect universe. Copies share that state.
+class PreparedScreening {
+ public:
+  /// Builds the chain, switches it to test mode and simulates the
+  /// fault-free reference.
+  static util::StatusOr<PreparedScreening> Prepare(
+      const ScreeningOptions& options);
+
+  /// The fault-free reference measurements (a report with no outcomes).
+  const ScreeningReport& reference() const;
+  /// The size of the defect universe (ScreeningUniverse's).
+  uint64_t universe_size() const;
+
+  /// Screens defect `id`, its index in the universe: injects it into a
+  /// private copy of the chain, simulates it and classifies it against the
+  /// reference. Safe to call from any number of threads at once; the
+  /// outcome is the same whichever ids run, and in whatever order. Refuses
+  /// an id outside the universe.
+  util::StatusOr<DefectOutcome> ScreenDefect(uint64_t id) const;
+
+ private:
+  struct State;
+  explicit PreparedScreening(std::shared_ptr<const State> state)
+      : state_(std::move(state)) {}
+  std::shared_ptr<const State> state_;
+};
+
+/// Screen the defect universe of an instrumented buffer chain: one
+/// PreparedScreening, then ScreenDefect over `ids` (indices into
+/// ScreeningUniverse; all of them when null) on `options.threads` workers.
+/// `sink`, when given, receives the reference and then every outcome as it
+/// completes. The returned report holds the outcomes of `ids` in order.
 util::StatusOr<ScreeningReport> ScreenBufferChain(
     const ScreeningOptions& options = {},
     const std::vector<uint64_t>* ids = nullptr,
-    campaign::Sink* sink = nullptr);
+    ScreeningSink* sink = nullptr);
 
 /// The defect universe `ScreenBufferChain` would screen under `options`,
 /// in its stable execution order (unit id = index). Enumeration only — no

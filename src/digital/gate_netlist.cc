@@ -7,20 +7,6 @@
 
 namespace cmldft::digital {
 
-std::string_view GateTypeName(GateType type) {
-  switch (type) {
-    case GateType::kInput: return "input";
-    case GateType::kBuf: return "buf";
-    case GateType::kNot: return "not";
-    case GateType::kAnd2: return "and2";
-    case GateType::kOr2: return "or2";
-    case GateType::kXor2: return "xor2";
-    case GateType::kMux2: return "mux2";
-    case GateType::kDff: return "dff";
-  }
-  return "?";
-}
-
 int GateFaninCount(GateType type) {
   switch (type) {
     case GateType::kInput: return 0;

@@ -21,7 +21,6 @@ enum class GateType {
   kDff,   ///< fanin: {d}; clocked by the global clock edge
 };
 
-std::string_view GateTypeName(GateType type);
 int GateFaninCount(GateType type);
 
 /// Signal index into the netlist (one output per gate).

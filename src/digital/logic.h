@@ -44,13 +44,4 @@ constexpr Logic Mux(Logic sel, Logic a, Logic b) {
   return a == b ? a : Logic::kX;
 }
 
-constexpr char LogicChar(Logic v) {
-  switch (v) {
-    case Logic::k0: return '0';
-    case Logic::k1: return '1';
-    case Logic::kX: return 'X';
-  }
-  return '?';
-}
-
 }  // namespace cmldft::digital

@@ -53,11 +53,6 @@ double Dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-void Axpy(double s, const Vector& b, Vector& a) {
-  assert(a.size() == b.size());
-  for (size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
-
 double NormInf(const CVector& v) {
   double m = 0.0;
   for (const auto& x : v) m = std::max(m, std::abs(x));

@@ -139,8 +139,6 @@ double Norm2(const Vector& v);
 Vector Subtract(const Vector& a, const Vector& b);
 /// Dot product.
 double Dot(const Vector& a, const Vector& b);
-/// a += s * b.
-void Axpy(double s, const Vector& b, Vector& a);
 
 /// Infinity norm for complex vectors (max |entry|).
 double NormInf(const CVector& v);

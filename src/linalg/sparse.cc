@@ -142,7 +142,11 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
       }
     }
     // Markowitz selection: minimize (row_nnz-1)*(col_nnz-1) among entries
-    // passing the threshold test; break ties toward larger magnitude.
+    // passing the threshold test; break ties toward larger magnitude, then
+    // the lower row, then the lower column. The winner is the
+    // (cost, -|a|, row, column) minimum, whatever order a row's hash map
+    // iterates in. Rows are scanned in ascending order, so an exact tie
+    // needs the column test only within one row.
     size_t best_r = n_, best_c = n_;
     size_t best_cost = static_cast<size_t>(-1);
     double best_mag = 0.0;
@@ -154,7 +158,10 @@ util::Status SparseLu::ChoosePivotOrder(const SparseBuilder& builder) {
         if (mag <= floor_mag) continue;
         if (mag < kPivotThreshold * colmax[c]) continue;
         const size_t cost = (row_nnz - 1) * (col_rows[c].size() - 1);
-        if (cost < best_cost || (cost == best_cost && mag > best_mag)) {
+        if (cost < best_cost ||
+            (cost == best_cost &&
+             (mag > best_mag ||
+              (mag == best_mag && r == best_r && c < best_c)))) {
           best_cost = cost;
           best_mag = mag;
           best_r = r;

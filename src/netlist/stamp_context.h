@@ -186,10 +186,6 @@ class StampContext {
     if (row == kGroundNode) return;
     Matrix(row - 1, BranchUnknown(dev, slot), value);
   }
-  void AddBranchBranchMatrix(const Device& dev, int slot, double value) {
-    const int u = BranchUnknown(dev, slot);
-    Matrix(u, u, value);
-  }
   void AddBranchRhs(const Device& dev, int slot, double value) {
     Rhs(BranchUnknown(dev, slot), value);
   }

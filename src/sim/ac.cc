@@ -28,12 +28,6 @@ std::vector<double> AcResult::Magnitude(const std::string& node) const {
   return out;
 }
 
-std::vector<double> AcResult::MagnitudeDb(const std::string& node) const {
-  std::vector<double> out = Magnitude(node);
-  for (double& v : out) v = 20.0 * std::log10(std::max(v, 1e-30));
-  return out;
-}
-
 std::vector<double> AcResult::Phase(const std::string& node) const {
   const netlist::NodeId id = netlist_->FindNode(node);
   std::vector<double> out;

@@ -39,8 +39,6 @@ class AcResult {
 
   /// |V(node)| across frequency.
   std::vector<double> Magnitude(const std::string& node) const;
-  /// Magnitude in dB (20 log10 |V|).
-  std::vector<double> MagnitudeDb(const std::string& node) const;
   /// Phase [radians].
   std::vector<double> Phase(const std::string& node) const;
   std::vector<double> Frequencies() const;

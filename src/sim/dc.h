@@ -26,11 +26,6 @@ struct DcResult {
   double V(netlist::NodeId node) const {
     return node_voltages.at(static_cast<size_t>(node));
   }
-  /// Differential voltage V(a) - V(b).
-  double Vdiff(const netlist::Netlist& nl, const std::string& a,
-               const std::string& b) const {
-    return V(nl, a) - V(nl, b);
-  }
   /// The first branch current of device `device_name` of `nl`, the netlist
   /// solved (a voltage source's current flows from its + terminal through
   /// the source). NotFound when `nl` has no such device with a branch.

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -351,6 +352,56 @@ TEST(Screening, UniverseIsStableAndMatchesDirectRun) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].Id(), DirectQuickReport().outcomes[i].defect.Id()) << i;
   }
+}
+
+/// Encodes everything a ScreenBufferChain sink receives, in arrival order.
+class RecordingSink : public core::ScreeningSink {
+ public:
+  util::Status EmitReference(const core::ScreeningReport& reference) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    records_.push_back(campaign::EncodeReferenceRecord(reference));
+    return util::Status::Ok();
+  }
+  util::Status Emit(uint64_t id, const core::DefectOutcome& outcome) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    records_.push_back(campaign::EncodeOutcomeRecord(id, outcome));
+    return util::Status::Ok();
+  }
+  std::vector<std::string> records() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return records_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::string> records_;
+};
+
+TEST(Screening, SinkAndIdsSeeTheDirectRunsOutcomes) {
+  // The streaming form of ScreenBufferChain (e2ebench's screening probe
+  // times its sink): the reference first, then each selected id's outcome,
+  // bit-identical to the whole-universe run; the report holds the selected
+  // outcomes in order. An id outside the universe is refused.
+  const core::ScreeningReport& direct = DirectQuickReport();
+  const std::vector<uint64_t> ids = {5, 3};
+  RecordingSink sink;
+  auto report = core::ScreenBufferChain(QuickOptions(), &ids, &sink);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::vector<std::string> expected = {
+      campaign::EncodeReferenceRecord(direct),
+      campaign::EncodeOutcomeRecord(5, direct.outcomes[5]),
+      campaign::EncodeOutcomeRecord(3, direct.outcomes[3])};
+  EXPECT_EQ(sink.records(), expected);
+  ASSERT_EQ(report->total(), 2);
+  EXPECT_EQ(campaign::EncodeOutcomeRecord(5, report->outcomes[0]), expected[1]);
+  EXPECT_EQ(campaign::EncodeOutcomeRecord(3, report->outcomes[1]), expected[2]);
+
+  const std::vector<uint64_t> outside = {direct.outcomes.size()};
+  auto refused = core::ScreenBufferChain(QuickOptions(), &outside);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("outside the enumerated universe"),
+            std::string::npos)
+      << refused.status().ToString();
 }
 
 // ----------------------------------------------------------------- store --

@@ -36,6 +36,7 @@
 #include "util/clock.h"
 #include "util/file_io.h"
 #include "util/net.h"
+#include "util/telemetry.h"
 
 namespace cmldft {
 namespace {
@@ -319,6 +320,32 @@ TEST(ServicePayload, PlansResolveAllThreePayloads) {
   // A lease grant arrives over the network: ids outside the universe are
   // refused before anything is evaluated.
   EXPECT_FALSE(campaign::EvaluateUnits(**pattern, {4}, 1).ok());
+}
+
+TEST(ServicePayload, OnePlanSimulatesTheReferenceOnce) {
+  // A worker keeps one plan per preset across grants. Building the plan
+  // (the scheduler's and the merge's fingerprint check) simulates nothing;
+  // the first chunk simulates the fault-free reference, and every
+  // concurrent or later chunk reuses it.
+  const char* kReference = "core.screening.reference_wall";
+  const util::telemetry::Snapshot before = util::telemetry::Capture();
+  auto plan = campaign::PlanForPreset("quick");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(util::telemetry::Capture().Value(kReference),
+            before.Value(kReference));
+  util::StatusOr<std::vector<std::string>> first =
+      util::Status::Internal("not run");
+  util::StatusOr<std::vector<std::string>> second = first;
+  std::thread a([&] { first = campaign::EvaluateUnits(**plan, {0}, 1); });
+  std::thread b([&] { second = campaign::EvaluateUnits(**plan, {1}, 1); });
+  a.join();
+  b.join();
+  auto third = campaign::EvaluateUnits(**plan, {2}, 1);
+  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  EXPECT_EQ(first->front(), second->front());
+  EXPECT_EQ(first->front(), third->front());
+  EXPECT_EQ(util::telemetry::Capture().Value(kReference),
+            before.Value(kReference) + 1);
 }
 
 TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {

@@ -408,6 +408,34 @@ TEST(SparseLuRefactor, DimensionChangeFallsBackToFactor) {
   EXPECT_EQ(x->size(), 10u);
 }
 
+TEST(SparseLuRefactor, WithinRowTieGoesToTheLowestColumn) {
+  // [[1, 1], [1, -1]]: every entry has Markowitz cost 1 and |a| = 1, so
+  // the search takes row 0 and, within it, the lowest column: (0, 0). A
+  // refactor with a(0, 1) = 0 then keeps that pivot order. A pivot at
+  // (0, 1) would be exactly zero and fall back to a fresh search.
+  SparseBuilder b(2);
+  b.Add(0, 0, 1.0);
+  b.Add(0, 1, 1.0);
+  b.Add(1, 0, 1.0);
+  b.Add(1, 1, -1.0);
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+
+  b.ZeroValues();
+  b.Add(0, 0, 1.0);
+  b.Add(1, 0, 1.0);
+  b.Add(1, 1, -1.0);
+  const auto before = util::telemetry::Capture();
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  const auto after = util::telemetry::Capture();
+  EXPECT_EQ(after.Value("linalg.sparse_lu.refactor_fallbacks"),
+            before.Value("linalg.sparse_lu.refactor_fallbacks"));
+  auto x = lu.Solve({2.0, 0.0});
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ((*x)[0], 2.0);
+  EXPECT_EQ((*x)[1], 2.0);
+}
+
 TEST(SparseLuRefactor, BadPivotTriggersFullRepivot) {
   // Values that invert the magnitude relation the original pivot order
   // relied on: the entry the old order wants to pivot on collapses to

@@ -181,6 +181,21 @@ TEST(CampaignWorkerCli, UsageErrors) {
   }
 }
 
+TEST(CampaignWorkerCli, OutOfRangePortFileIsNotPublished) {
+  // A worker_port outside 1..65535 is never cast to a port: the worker
+  // names the file, keeps waiting for a real one, and gives up (exit 3).
+  const std::string ports =
+      WriteTempJson("bad_ports.json", "{\"worker_port\": 70000}");
+  const auto r = RunTool(std::string(WORKER_BIN) + " --port-file " + ports +
+                         " --give-up-ms 200");
+  EXPECT_EQ(r.exit_code, 3) << r.stderr_text;
+  EXPECT_NE(r.stderr_text.find(ports + ": worker_port is not an integer "
+                                       "from 1 to 65535"),
+            std::string::npos)
+      << r.stderr_text;
+  std::remove(ports.c_str());
+}
+
 TEST(CampaignRunCli, ExistingStoreNeedsResumeOrOverwrite) {
   const std::string bin = CAMPAIGN_RUN_BIN;
   const std::string store =

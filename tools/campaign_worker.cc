@@ -7,13 +7,14 @@
 //                   [--give-up-ms N] [--exit-when-idle]
 //                   [--abort-on-grant K]
 //
-// The worker is stateless: it holds nothing but the lease it is currently
+// The worker holds no campaign state but the lease it is currently
 // evaluating, so kill -9 at any instant loses at most one chunk of work —
 // the scheduler re-issues the lease and the streaming merge dedups any
-// records that did land. Before simulating a grant the worker re-derives
-// the preset's plan locally and refuses a fingerprint mismatch: a worker
-// built from drifted sources drops out instead of contributing records
-// the merge would reject.
+// records that did land. It derives each preset's plan locally, once, and
+// keeps it across grants, so a screening worker simulates the fault-free
+// reference once, not once per chunk. Before simulating a grant it refuses
+// a fingerprint mismatch: a worker built from drifted sources drops out
+// instead of contributing records the merge would reject.
 //
 // A broken connection (scheduler restart, network partition) is retried
 // with --poll-ms backoff until --give-up-ms of consecutive failure, so a
@@ -28,8 +29,11 @@
 // refused before any dial), 3 = scheduler unreachable (without
 // --exit-when-idle), 4 = scheduler rejected a record batch.
 #include <csignal>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -140,16 +144,30 @@ int main(int argc, char** argv) {
 
   long grants_received = 0;
   double unreachable_since = -1;  // monotonic; <0 = currently reachable
+  bool bad_port_reported = false;
+  // One plan per preset, prepared on its first grant and kept.
+  std::map<std::string, std::unique_ptr<const campaign::PayloadPlan>> plans;
 
   while (true) {
     // --port-file: the scheduler may not have published yet; re-read every
-    // attempt so a restarted scheduler's fresh ports are picked up.
+    // attempt so a restarted scheduler's fresh ports are picked up. A
+    // worker_port that is not an integer from 1 to 65535 counts as not
+    // published yet.
     if (!port_file.empty()) {
+      port = 0;
       auto doc = report::ReadJsonFile(port_file);
       if (doc.ok()) {
-        port = static_cast<uint16_t>(doc->GetNumber("worker_port", 0));
-      } else {
-        port = 0;
+        const double p = doc->GetNumber("worker_port", 0);
+        if (p >= 1 && p <= 65535 && p == std::floor(p)) {
+          port = static_cast<uint16_t>(p);
+          bad_port_reported = false;
+        } else if (!bad_port_reported) {
+          std::fprintf(stderr,
+                       "[%s] %s: worker_port is not an integer from 1 to "
+                       "65535; waiting for the scheduler to publish one\n",
+                       name.c_str(), port_file.c_str());
+          bad_port_reported = true;
+        }
       }
     }
 
@@ -225,15 +243,20 @@ int main(int argc, char** argv) {
         std::raise(SIGKILL);
       }
 
-      auto plan = campaign::PlanForPreset(reply->preset);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "[%s] unknown preset '%s': %s\n", name.c_str(),
-                     reply->preset.c_str(),
-                     plan.status().ToString().c_str());
-        util::CloseFd(*fd);
-        return 1;
+      std::unique_ptr<const campaign::PayloadPlan>& plan =
+          plans[reply->preset];
+      if (plan == nullptr) {
+        auto made = campaign::PlanForPreset(reply->preset);
+        if (!made.ok()) {
+          std::fprintf(stderr, "[%s] unknown preset '%s': %s\n", name.c_str(),
+                       reply->preset.c_str(),
+                       made.status().ToString().c_str());
+          util::CloseFd(*fd);
+          return 1;
+        }
+        plan = std::move(*made);
       }
-      if ((*plan)->fingerprint() != reply->fingerprint) {
+      if (plan->fingerprint() != reply->fingerprint) {
         std::fprintf(stderr,
                      "[%s] fingerprint mismatch for preset '%s' — this "
                      "worker's engine drifted from the scheduler's; "
@@ -243,7 +266,7 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      auto records = campaign::EvaluateUnits(**plan, reply->unit_ids, threads);
+      auto records = campaign::EvaluateUnits(*plan, reply->unit_ids, threads);
       if (!records.ok()) {
         std::fprintf(stderr, "[%s] chunk evaluation failed: %s\n",
                      name.c_str(), records.status().ToString().c_str());
